@@ -399,13 +399,16 @@ def autocorrelation_patch(comb: WeightedComb, region: Box) -> WeightedComb:
     ii, jj = np.triu_indices(n, k=1)
     diffs = comb.positions[ii] - comb.positions[jj]
     vals = comb.weights[ii] * np.conj(comb.weights[jj])
-    pos_side = _lex_positive(diffs)
-    plus = np.where(pos_side[:, None], diffs, -diffs)
-    plus_w = np.where(pos_side, vals, np.conj(vals))
     refs = None
     if comb.refs is not None:
+        # the side of a difference is decided exactly, from its integer coordinates
         zd = comb.refs[ii] - comb.refs[jj]
+        pos_side = _lex_positive(zd)
         refs = np.where(pos_side[:, None], zd, -zd)
+    else:
+        pos_side = _lex_positive(diffs)
+    plus = np.where(pos_side[:, None], diffs, -diffs)
+    plus_w = np.where(pos_side, vals, np.conj(vals))
 
     plus, plus_w, refs = merge_atoms(plus, plus_w, refs)
 

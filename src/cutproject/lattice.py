@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most candidates one level of ``lattice_points_in_box`` may materialise; the
+# last level holds about as many candidates as the box holds lattice points.
 DEFAULT_BUDGET = 100_000_000
 BOUNDARY_TOL = 1e-9
 
-# number of candidate points materialised per chunk during enumeration
-_CHUNK = 1 << 18
-
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed its candidate budget."""
+    """An enumeration would materialise more candidates than its budget allows."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -173,6 +172,61 @@ def _integer_ranges(lat: Lattice, box: Box) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+# Relative slack added to every bound row: it absorbs the rounding of
+# ``Lattice.points``, of the elimination and of evaluating the bounds, each
+# many orders of magnitude below it.  Slack only adds candidates.
+_ROW_PAD = 1e-9
+# A coefficient whose largest term on the cover is below this fraction of its
+# row's magnitude is folded into the right-hand side.
+_TINY_TERM = 1e-12
+
+
+def _tidy(a, b, hist, m):
+    """Relax negligible coefficients into ``b``, drop void rows, scale rows to unit size.
+
+    On the cover |z_j| <= m_j, so replacing a_j z_j by its bound |a_j| m_j
+    only weakens a row; so does dropping a row.  Afterwards no coefficient
+    is tiny against its row, which keeps the divisions in ``_eliminate``
+    finite even for subnormal basis entries.
+    """
+    w = np.abs(a) * m
+    tiny = w <= _TINY_TERM * (w.sum(axis=1) + np.abs(b))[:, None]
+    b = b + np.where(tiny, w, 0.0).sum(axis=1)
+    a = np.where(tiny, 0.0, a)
+    live = (a != 0).any(axis=1)
+    a, b, hist = a[live], b[live], hist[live]
+    scale = (np.abs(a) * m).sum(axis=1) + np.abs(b)
+    return a / scale[:, None], b / scale, hist
+
+
+def _eliminate(a, b, hist, k, m):
+    """Fourier-Motzkin: project the rows ``a z <= b`` along coordinate ``k``.
+
+    ``hist`` marks the original rows each row combines.  After eliminating
+    s coordinates a row combining more than s + 1 of them is redundant
+    (Chernikov's rule), and rows with the same history coincide; dropping
+    both kinds keeps the system small without loosening it.
+    """
+    c = a[:, k]
+    pos, neg = c > 0, c < 0
+    ap, bp = a[pos] / c[pos, None], b[pos] / c[pos]
+    an, bn = a[neg] / -c[neg, None], b[neg] / -c[neg]
+    mag_p = np.abs(ap) @ m + np.abs(bp)
+    mag_n = np.abs(an) @ m + np.abs(bn)
+    new_a = (ap[:, None, :] + an[None, :, :]).reshape(-1, a.shape[1])
+    new_a[:, k] = 0.0
+    new_b = (bp[:, None] + bn[None, :] + _ROW_PAD * (mag_p[:, None] + mag_n[None, :])).reshape(-1)
+    new_h = (hist[pos][:, None, :] | hist[neg][None, :, :]).reshape(-1, hist.shape[1])
+
+    eliminated = a.shape[1] - k
+    keep = new_h.sum(axis=1) <= eliminated + 1
+    a = np.concatenate([a[~(pos | neg)], new_a[keep]])
+    b = np.concatenate([b[~(pos | neg)], new_b[keep]])
+    hist = np.concatenate([hist[~(pos | neg)], new_h[keep]])
+    _, first = np.unique(hist, axis=0, return_index=True)
+    return _tidy(a[first], b[first], hist[first], m)
+
+
 def lattice_points_in_box(
     lat: Lattice,
     box: Box,
@@ -181,41 +235,60 @@ def lattice_points_in_box(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All lattice points inside the closed ``box``: arrays (Z, P).
 
-    Complete by construction: integer candidates come from interval
-    arithmetic on the box corners, then positions are filtered against the
-    box with the boundary tolerance.  Raises BudgetError when the candidate
-    count exceeds ``budget``.
+    Output-sensitive and complete by construction, in the style of
+    Fincke-Pohst.  The box is the system ``B z <= hi + tol``,
+    ``-B z <= -(lo - tol)``; Fourier-Motzkin elimination of z_{n-1}, ..., z_1
+    yields, for every k, rows bounding z_k given z_0..z_{k-1}.  Prefixes are
+    expanded level by level, z_0 outermost, each range clamped to the
+    interval-arithmetic cover of the preimage, so rows come out in
+    lexicographic order of z.  Positions are then filtered against the box
+    with the boundary tolerance.  Every row carries a small relative slack,
+    which can only add candidates.  Raises BudgetError before materialising
+    a level whose candidate count exceeds ``budget``; the last level holds
+    about as many candidates as there are points in the box.
     """
     if box.dim != lat.n:
         raise ValueError(f"box dimension {box.dim} does not match lattice dimension {lat.n}")
-    empty = (np.zeros((0, lat.n), dtype=np.int64), np.zeros((0, lat.n)))
+    n = lat.n
+    empty = (np.zeros((0, n), dtype=np.int64), np.zeros((0, n)))
     if box.is_empty:
         return empty
-    lo, hi = _integer_ranges(lat, box)
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(np.prod(counts.astype(object)))
-    if total > budget:
-        raise BudgetError(f"enumeration budget exceeded: {total} candidates > {budget}")
-    if total == 0:
+    cover_lo, cover_hi = _integer_ranges(lat, box)
+    if (cover_hi < cover_lo).any():
         return empty
+    m = np.maximum(np.abs(cover_lo), np.abs(cover_hi)).astype(float)
 
-    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(lat.n)]
-    rest = int(np.prod(counts[1:])) if lat.n > 1 else 1
-    block = max(1, _CHUNK // max(rest, 1))
+    a = np.concatenate([lat.basis, -lat.basis])
+    b = np.concatenate([box.hi + tol, -(box.lo - tol)])
+    b = b + _ROW_PAD * (np.abs(a) @ m + np.abs(b))
+    systems = [_tidy(a, b, np.eye(2 * n, dtype=bool), m)]
+    for k in range(n - 1, 0, -1):
+        systems.append(_eliminate(*systems[-1], k, m))
+    systems.reverse()
 
-    z_hits, p_hits = [], []
-    for start in range(0, counts[0], block):
-        first = axes[0][start : start + block]
-        grid = np.meshgrid(first, *axes[1:], indexing="ij")
-        z = np.stack([g.reshape(-1) for g in grid], axis=1)
-        p = lat.points(z)
-        keep = box.contains(p, tol=tol)
-        if keep.any():
-            z_hits.append(z[keep])
-            p_hits.append(p[keep])
-    if not z_hits:
-        return empty
-    return np.concatenate(z_hits), np.concatenate(p_hits)
+    z = np.zeros((1, 0), dtype=np.int64)
+    for k, (a, b, _) in enumerate(systems):
+        c = a[:, k]
+        pos, neg = c > 0, c < 0
+        rhs = b - z.astype(float) @ a[:, :k].T
+        up = np.min(rhs[:, pos] / c[pos], axis=1, initial=np.inf)
+        down = np.max(rhs[:, neg] / c[neg], axis=1, initial=-np.inf)
+        first = np.ceil(np.fmax(down, cover_lo[k])).astype(np.int64)
+        last = np.floor(np.fmin(up, cover_hi[k])).astype(np.int64)
+        counts = np.maximum(last - first + 1, 0)
+        total = int(counts.sum())
+        if total > budget:
+            raise BudgetError(
+                f"enumeration budget exceeded: {total} candidates for coordinate z{k} > "
+                f"budget {budget}; raise `budget = ...` in the config or pass --budget"
+            )
+        rows = np.repeat(np.arange(len(z)), counts)
+        step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        z = np.column_stack([z[rows], first[rows] + step])
+
+    p = lat.points(z)
+    keep = box.contains(p, tol=tol)
+    return z[keep], p[keep]
 
 
 def enumerate_in_box(

@@ -21,6 +21,31 @@ def brute_z_range(lat: Lattice, box: Box) -> int:
     return int(np.ceil(np.max(np.abs(lat.inv_basis)) * lat.n * (corner + 1.0))) + 2
 
 
+def fibonacci_strip_points(lat: Lattice, query: Box, window: Box, tol: float = 1e-9):
+    """Model set of the golden scheme (basis columns (1, 1) and (tau, 1 - tau)), row by row.
+
+    A point z = (a, b) sits at x = a + b tau with x* = a + b (1 - tau), and
+    x - x* = b sqrt(5).  So b ranges over an interval fixed by the query and
+    the window, and for each b the admissible a form the integer interval with
+    a + b (1 - tau) in the window.  Positions from ``lat.points`` are then
+    filtered against both boxes with the boundary tolerance.
+    """
+    tau = lat.basis[0, 1]
+    root5 = 2.0 * tau - 1.0
+    b = np.arange(np.floor((query.lo[0] - window.hi[0]) / root5) - 1,
+                  np.ceil((query.hi[0] - window.lo[0]) / root5) + 2).astype(np.int64)
+    shift = b * (1.0 - tau)
+    a_lo = np.floor(window.lo[0] - shift).astype(np.int64) - 1
+    a_hi = np.ceil(window.hi[0] - shift).astype(np.int64) + 1
+    counts = a_hi - a_lo + 1
+    rows = np.repeat(np.arange(len(b)), counts)
+    a = a_lo[rows] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    z = np.stack([a, b[rows]], axis=1)
+    p = lat.points(z)
+    keep = query.contains(p[:, :1], tol=tol) & window.contains(p[:, 1:], tol=tol)
+    return {tuple(row) for row in z[keep]}
+
+
 def grid_a_norm(comb: WeightedComb, a_box: Box, region: Box, pitch: float = 1e-3,
                 tol: float = 1e-9) -> float:
     """Window-norm oracle: exhaustive scan over a regular grid of translates."""

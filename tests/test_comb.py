@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from cutproject import (
     Box,
+    CutProjectScheme,
+    Lattice,
     WeightedComb,
     Window,
     a_norm,
@@ -19,7 +21,7 @@ from cutproject import (
     model_set,
     strip_comb,
 )
-from cutproject.posdef import gram_min_eigenvalue
+from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
 from .helpers import grid_a_norm
@@ -327,6 +329,24 @@ def test_autocorrelation_hermitian_exact():
     lookup = {tuple(p): v for p, v in zip(ac.positions, ac.weights)}
     for p, v in lookup.items():
         assert lookup[tuple(-np.asarray(p))] == np.conj(v)
+
+
+def test_autocorrelation_2x2_refs_unique_and_hermitian():
+    # Ammann-Beenker 2+2 scheme: many differences have physical first
+    # coordinate exactly 0, which floats render as +-1e-16; the side of each
+    # difference must come from its integer coordinates
+    c = np.sqrt(0.5)
+    cps = CutProjectScheme(lat=Lattice([[1, c, 0, -c], [0, c, 1, c], [1, -c, 0, c], [0, c, -1, c]]),
+                           d=2, m=2)
+    window = Window(Box([-1.0, -1.0], [1.0, 1.0]))
+    z = np.stack([p.z for p in model_set(cps, window, Box([0.0, 0.0], [6.0, 6.0]))])
+    rng = np.random.default_rng(0)
+    comb = model_comb(cps, z, rng.normal(size=len(z)) + 1j * rng.normal(size=len(z)))
+    ac = autocorrelation_patch(comb, Box(comb.extent.lo - 1.0, comb.extent.hi + 1.0))
+    assert len(np.unique(ac.refs, axis=0)) == ac.n_atoms
+    _check_hermitian(ac)
+    diff_window = Window(Box([-2.0, -2.0], [2.0, 2.0]))
+    _check_hermitian(lift(cps, ac, diff_window, diff_window))
 
 
 def test_autocorrelation_zero_volume_region():

@@ -14,7 +14,7 @@ from cutproject import (
 )
 
 from .conftest import TAU
-from .helpers import brute_lattice_points
+from .helpers import brute_lattice_points, fibonacci_strip_points
 
 
 def zsplit_scheme() -> CutProjectScheme:
@@ -59,6 +59,16 @@ def test_model_set_matches_brute_scan(fib, fib_window):
     got = {tuple(p.z) for p in pts}
     box = Box([0.0, 0.0], [20.0, 1.0])
     assert got == brute_lattice_points(fib.lat, box, 30)
+
+
+@pytest.mark.parametrize("radius", [50.0, 1e5])
+def test_model_set_matches_fibonacci_oracle(fib, fib_window, radius):
+    # at radius 1e5 the strip's integer bounding box holds about 4.9e9
+    # candidates, far beyond the default budget of a full scan
+    query = Box([-radius], [radius])
+    z = np.stack([p.z for p in model_set(fib, fib_window, query)])
+    assert len(z) == len({tuple(row) for row in z})
+    assert {tuple(row) for row in z} == fibonacci_strip_points(fib.lat, query, fib_window.parts[0])
 
 
 def test_model_set_sorted_and_spacings(fib, fib_window):

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutproject import Box, BudgetError, Lattice, density, dual, enumerate_in_box, lattice_points_in_box
@@ -109,23 +111,111 @@ def test_enumerated_coordinates_are_integer():
 
 
 @st.composite
-def random_lattice_and_box(draw):
+def random_lattice_and_box(draw, dims=(2,)):
+    n = draw(st.sampled_from(dims))
     entries = st.floats(-2.0, 2.0, allow_nan=False)
-    basis = np.array([[draw(entries) for _ in range(2)] for _ in range(2)])
-    if abs(np.linalg.det(basis)) <= 0.1:
-        basis = basis + 2.5 * np.eye(2)
-    lo = np.array([draw(st.floats(-3.0, 1.0)) for _ in range(2)])
-    sides = np.array([draw(st.floats(0.0, 3.0)) for _ in range(2)])
+    if n > 2:
+        # integer entries put lattice points on the faces of zero-width sides
+        entries = st.one_of(entries, st.integers(-2, 2).map(float))
+    basis = np.array([[draw(entries) for _ in range(n)] for _ in range(n)])
+    if abs(np.linalg.det(basis)) <= (0.1 if n == 2 else 1.0):
+        basis = basis + 2.5 * np.eye(n)
+    lo = np.array([draw(st.floats(-3.0, 1.0)) for _ in range(n)])
+    thin = st.one_of(st.just(0.0), st.floats(0.0, 1e-3))
+    sides = np.array([draw(st.floats(0.0, 3.0)) for _ in range(n)])
+    n_thin = draw(st.integers(0, n - 1))
+    sides[:n_thin] = [draw(thin) for _ in range(n_thin)]
     return Lattice(basis), Box(lo, lo + sides)
 
 
-@settings(max_examples=40)
-@given(random_lattice_and_box())
+# most rows the brute-force scan may visit in one case
+BRUTE_LIMIT = 1_000_000
+
+
+def assert_strictly_lexicographic(z):
+    steps = np.diff(z, axis=0)
+    lead = steps[np.arange(len(steps)), np.argmax(steps != 0, axis=1)]
+    assert (lead > 0).all()
+
+
+@settings(max_examples=100)
+@given(random_lattice_and_box(dims=(2, 3, 4)))
 def test_enumeration_completeness_random(lat_box):
     lat, box = lat_box
+    z_range = brute_z_range(lat, box)
+    assume((2 * z_range + 1) ** lat.n <= BRUTE_LIMIT)
     z, _ = lattice_points_in_box(lat, box)
+    assert_strictly_lexicographic(z)
+    got = {tuple(row) for row in z}
+    assert len(got) == len(z)
+    assert got == brute_lattice_points(lat, box, z_range)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_enumeration_completeness_seeded(n):
+    # boxes around a lattice point p0; every other one is thin (side 0 or
+    # 1e-3) in one coordinate, with p0 on that face
+    rng = np.random.default_rng(n)
+    cases = 0
+    while cases < 20:
+        lat = Lattice(rng.uniform(-0.5, 0.5, size=(n, n)) + 2.0 * np.eye(n))
+        z0 = rng.integers(-1, 2, size=n)
+        p0 = lat.points(z0)
+        sides = rng.uniform(2.0, 6.0, size=n)
+        lo = p0 - rng.uniform(0.0, 1.0, size=n) * sides
+        if cases % 2:
+            i = rng.integers(n)
+            lo[i], sides[i] = p0[i], rng.choice([0.0, 1e-3])
+        box = Box(lo, lo + sides)
+        z_range = brute_z_range(lat, box)
+        if (2 * z_range + 1) ** n > BRUTE_LIMIT:
+            continue
+        z, _ = lattice_points_in_box(lat, box)
+        assert_strictly_lexicographic(z)
+        got = {tuple(row) for row in z}
+        assert tuple(z0) in got
+        assert got == brute_lattice_points(lat, box, z_range)
+        cases += 1
+
+
+@pytest.mark.parametrize(
+    "basis, box",
+    [
+        ([[1.0, 5e-324], [0.3, 1.7]], Box([0.0, -1.0], [0.0, 3.0])),
+        ([[5e-324, 1.0], [1.0, 0.0]], Box([-2.0, 1.0], [2.0, 1.0])),
+        ([[1.2, 5e-324, 0.0], [0.0, 1.0, 5e-324], [0.4, 0.0, 0.9]], Box([-2.0, 0.0, -1.5], [2.5, 0.0, 2.0])),
+    ],
+)
+def test_enumeration_subnormal_basis_entries(basis, box):
+    lat = Lattice(basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, _ = lattice_points_in_box(lat, box)
+    assert_strictly_lexicographic(z)
     got = {tuple(row) for row in z}
     assert got == brute_lattice_points(lat, box, brute_z_range(lat, box))
+    assert len(got) > 0
+
+
+def test_enumeration_cost_follows_output():
+    # |x| <= 1e6 on the Fibonacci strip: 894,428 points, where the integer
+    # bounding box of the strip's preimage holds about 4.9e11 candidates
+    lat = Lattice(FIB_BASIS)
+    z, p = lattice_points_in_box(lat, Box([-1e6, 0.0], [1e6, 1.0]), budget=2_000_000)
+    assert len(z) == 894_428
+    assert_strictly_lexicographic(z)
+    # Ammann-Beenker 2+2 strip: no level holds more than 200k candidates
+    c = np.sqrt(0.5)
+    lat = Lattice([[1, c, 0, -c], [0, c, 1, c], [1, -c, 0, c], [0, c, -1, c]])
+    z, _ = lattice_points_in_box(lat, Box([-200, -200, -1, -1], [200, 200, 1, 1]), budget=200_000)
+    assert len(z) == 160_745
+
+
+def test_budget_error_names_the_knob():
+    with pytest.raises(BudgetError, match="budget exceeded") as info:
+        lattice_points_in_box(Lattice(FIB_BASIS), Box([-1e4, 0.0], [1e4, 1.0]), budget=100)
+    assert "budget =" in str(info.value)
+    assert "--budget" in str(info.value)
 
 
 @settings(max_examples=25)
