@@ -39,9 +39,9 @@ def main() -> None:
     print(f"internal density certificate (eps 0.05): {'ok' if dens.ok else 'FAIL'}, "
           f"max gap {dens.max_gap:.4f}")
 
-    points = model_set(scheme, window, Box([0.0], [30.0]))
-    xs = np.array([p.x[0] for p in points])
-    print(f"\nmodel set on [0, 30]: {len(points)} points, gaps "
+    z = model_set(scheme, window, Box([0.0], [30.0]))
+    xs = scheme.split(z)[0][:, 0]
+    print(f"\nmodel set on [0, 30]: {len(z)} points, gaps "
           f"{sorted(set(np.round(np.diff(xs), 6)))}")
 
     spectrum = diffraction(scheme, window, profile, Box([-5.0], [5.0]), 0.01, cutoff)

@@ -1,12 +1,11 @@
 """Cut-and-project schemes, weighted Dirac combs, and their diffraction spectra."""
 
 from ._version import __version__
-from .lattice import Box, BudgetError, Lattice, density, dual, enumerate_in_box, lattice_points_in_box
+from .lattice import Box, BudgetError, Lattice, density, dual, lattice_points_in_box
 from .cps import (
     CutProjectScheme,
     DensityReport,
     InjectivityReport,
-    LatticePointRef,
     Window,
     dual_cps,
     internal_density_check,

@@ -276,16 +276,17 @@ def cmd_check(cfg: SchemeConfig, args) -> int:
 
 
 def cmd_modelset(cfg: SchemeConfig, args) -> int:
-    points = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
+    z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
+    x, xstar = cfg.scheme.split(z)
     header = (
         [f"x{i + 1}" for i in range(cfg.d)]
         + [f"xstar{i + 1}" for i in range(cfg.m)]
         + [f"z{i + 1}" for i in range(cfg.d + cfg.m)]
     )
     lines = [",".join(header)]
-    for p in points:
-        lines.append(",".join([_fmt(v) for v in p.x] + [_fmt(v) for v in p.xstar]
-                              + [str(int(v)) for v in p.z]))
+    for xi, si, zi in zip(x, xstar, z):
+        lines.append(",".join([_fmt(v) for v in xi] + [_fmt(v) for v in si]
+                              + [str(int(v)) for v in zi]))
     _write_lines(lines, args.out)
     return EXIT_OK
 
@@ -365,10 +366,9 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
 
 
 def _patch_comb(cfg: SchemeConfig, rng) -> WeightedComb:
-    points = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
-    if not points:
+    z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
+    if len(z) == 0:
         raise ConfigError("query holds no model-set points")
-    z = np.stack([p.z for p in points])
     weights = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
     return model_comb(cfg.scheme, z, weights)
 
@@ -398,10 +398,9 @@ def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
 
 
 def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
-    points = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
-    if not points:
+    z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
+    if len(z) == 0:
         raise ConfigError("query holds no model-set points")
-    z = np.stack([p.z for p in points])
     comb = model_comb(cfg.scheme, z, np.ones(len(z)))
     xs = comb.positions
     span = comb.extent.sides

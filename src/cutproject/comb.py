@@ -4,8 +4,10 @@ A comb is a finite list of atoms (position, complex weight) standing in for a
 translation-bounded atomic measure; quantities of sup type (window norms,
 almost-period defects) are evaluated on declared interior regions so the
 patch boundary never leaks into a result.  Combs supported on a lattice can
-carry the integer coordinates of their atoms, which makes the lift/descent
-round trip exact instead of a floating-point position match.
+carry the integer coordinates of their atoms.  Those coordinates are then the
+atom's identity: duplicates, merging and the lift/descent round trip are
+decided exactly on them, and only combs without them match positions within
+``MERGE_TOL``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cps import CutProjectScheme, Window
-from .lattice import BOUNDARY_TOL, DEFAULT_BUDGET, Box, BudgetError, lattice_points_in_box
+from .lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, Box, BudgetError, _group_rows,
+                      lattice_points_in_box)
 
 MERGE_TOL = 1e-9  # absolute position tolerance when coinciding atoms are merged
 LIFT_TOL = 1e-7  # how far an atom may sit from the lattice point it is lifted to
@@ -32,11 +35,13 @@ def _min_pairwise_distance(positions: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class WeightedComb:
-    """Finite weighted Dirac comb: distinct atom positions with complex weights.
+    """Finite weighted Dirac comb: distinct atoms with complex weights.
 
     ``refs`` optionally carries a parallel array of integer lattice
     coordinates when the comb is supported on a lattice (positions then equal
-    the lattice map of the coordinates, or its physical projection).
+    the lattice map of the coordinates, or its physical projection).  Atoms
+    are distinct when their ``refs`` rows are; a comb without ``refs`` needs
+    positions more than ``MERGE_TOL`` apart.
     """
 
     dim: int
@@ -61,7 +66,10 @@ class WeightedComb:
                 raise ValueError("atom positions must be finite")
             if not np.isfinite(weights).all():
                 raise ValueError("atom weights must be finite")
-            if _min_pairwise_distance(positions) <= MERGE_TOL:
+            if refs is not None:
+                if len(_group_rows(refs)[1]) < len(refs):
+                    raise ValueError("duplicate positions: atoms share integer coordinates")
+            elif _min_pairwise_distance(positions) <= MERGE_TOL:
                 raise ValueError("duplicate positions: atoms closer than the merge tolerance")
         positions = positions.copy()
         weights = weights.copy()
@@ -120,42 +128,29 @@ def merge_atoms(
     refs: np.ndarray | None = None,
     tol: float = MERGE_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Merge atoms whose positions coincide within ``tol`` (sup-norm).
+    """Merge the atoms that sit at the same point.
 
-    Groups are connected components of the within-tol relation; the group
-    representative is its lowest-index member and weights are summed in index
-    order, so the result is deterministic.  When ``refs`` are given, all
-    members of a group must share the same integer coordinates.
+    With ``refs`` an atom is its integer coordinates: atoms merge exactly when
+    their rows are equal, whatever their positions.  Without them, groups are
+    the connected components of the within-``tol`` relation (sup-norm) on
+    positions.  The group representative is its lowest-index member, groups
+    are ordered by it, and weights are summed in index order, so the result
+    is deterministic.
     """
-    n = len(positions)
-    if n == 0:
-        return positions, weights, refs
-    parent = np.arange(n)
+    if refs is None:
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in cKDTree(positions).query_pairs(r=tol, p=np.inf):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    roots = np.array([find(i) for i in range(n)])
-    order = np.argsort(roots, kind="stable")
-    uniq, starts = np.unique(roots[order], return_index=True)
-    out_pos = positions[uniq]
+        n = len(positions)
+        pairs = cKDTree(positions).query_pairs(r=tol, p=np.inf, output_type="ndarray")
+        graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        label, first = _group_rows(connected_components(graph, directed=False)[1][:, None])
+    else:
+        label, first = _group_rows(refs)
+    order = np.argsort(label, kind="stable")
+    starts = np.searchsorted(label[order], np.arange(len(first)))
     out_w = np.add.reduceat(weights[order], starts)
-    out_refs = None
-    if refs is not None:
-        out_refs = refs[uniq]
-        for k, root in enumerate(uniq):
-            members = order[starts[k] : starts[k + 1] if k + 1 < len(starts) else n]
-            if not (refs[members] == refs[root]).all():
-                raise ValueError("atoms merged across distinct integer coordinates")
-    return out_pos, out_w, out_refs
+    return positions[first], out_w, refs[first] if refs is not None else None
 
 
 def lift(

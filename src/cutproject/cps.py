@@ -3,8 +3,10 @@
 A scheme is a full-rank lattice in R^(d+m) together with the declared split
 into a physical part (first d coordinates) and an internal part (last m).
 The star map sends the integer coordinates of a lattice point to its internal
-part; a window in internal space selects the model set.  Injectivity of the
-physical projection and density of the internal one are asymptotic
+part; a window in internal space selects the model set, which is returned
+as the integer coordinates of its points: each point is the projection of
+exactly one lattice point, so those coordinates identify it.  Injectivity
+of the physical projection and density of the internal one are asymptotic
 properties, so the checks below only produce finite certificates over a
 declared search radius, never proofs.
 """
@@ -68,15 +70,6 @@ class Window:
 
 
 @dataclass(frozen=True)
-class LatticePointRef:
-    """One lattice point: integer coordinates plus its physical/internal split."""
-
-    z: np.ndarray
-    x: np.ndarray
-    xstar: np.ndarray
-
-
-@dataclass(frozen=True)
 class CutProjectScheme:
     """Lattice in R^(d+m) with physical dimension d and internal dimension m."""
 
@@ -112,29 +105,26 @@ def star(cps: CutProjectScheme, z) -> np.ndarray:
     return cps.lat.points(z)[..., cps.d :]
 
 
-def _model_set_arrays(
-    cps: CutProjectScheme,
-    window: Window,
-    query: Box,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = BOUNDARY_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Z, X, XSTAR) arrays of the model set restricted to the query box, x-sorted."""
+def _model_set(cps: CutProjectScheme, window: Window, query: Box, budget: int, tol: float):
+    """Body of ``model_set``.
+
+    The patch oracle in ``spectra`` sums over the same rows in the same order
+    and calls this directly, so its enumeration stays an oracle stage rather
+    than a model-set request.
+    """
     if window.m != cps.m:
         raise ValueError("window dimension does not match the scheme's internal dimension")
     if query.dim != cps.d:
         raise ValueError("query dimension does not match the scheme's physical dimension")
     full = Box.product(query, window.bounding_box())
     z, p = lattice_points_in_box(cps.lat, full, budget=budget, tol=tol)
-    x, xstar = p[:, : cps.d], p[:, cps.d :]
-    keep = window.contains(xstar, tol=tol)
-    z, x, xstar = z[keep], x[keep], xstar[keep]
+    keep = window.contains(p[:, cps.d :], tol=tol)
+    z, x = z[keep], p[keep, : cps.d]
     # lexicographic in x, integer coordinates as deterministic tie-breaker
     keys = tuple(z[:, i] for i in reversed(range(z.shape[1]))) + tuple(
         x[:, i] for i in reversed(range(x.shape[1]))
     )
-    order = np.lexsort(keys)
-    return z[order], x[order], xstar[order]
+    return z[np.lexsort(keys)]
 
 
 def model_set(
@@ -143,10 +133,15 @@ def model_set(
     query: Box,
     budget: int = DEFAULT_BUDGET,
     tol: float = BOUNDARY_TOL,
-) -> list[LatticePointRef]:
-    """Lattice points with physical part in ``query`` and internal part in ``window``."""
-    z, x, xstar = _model_set_arrays(cps, window, query, budget=budget, tol=tol)
-    return [LatticePointRef(z=z[i], x=x[i], xstar=xstar[i]) for i in range(len(z))]
+) -> np.ndarray:
+    """Integer coordinates Z of the lattice points over ``query`` x ``window``.
+
+    One int64 row per point whose physical part lies in ``query`` and whose
+    internal part lies in ``window``, sorted lexicographically in the
+    physical part with ``z`` as tie-breaker.  ``cps.split(Z)`` gives the
+    positions, bit for bit those the enumeration filtered.
+    """
+    return _model_set(cps, window, query, budget, tol)
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,13 @@ def _integer_ranges(lat: Lattice, box: Box) -> tuple[np.ndarray, np.ndarray]:
         t_lo = np.minimum(row * box.lo, row * box.hi)
         t_hi = np.maximum(row * box.lo, row * box.hi)
         s_lo, s_hi = float(t_lo.sum()), float(t_hi.sum())
-        pad = 1e-6 + 1e-12 * max(abs(s_lo), abs(s_hi))
+        reach = float(np.max(np.abs([s_lo, s_hi])))  # nan propagates
+        if not reach <= 2.0**53:  # beyond it consecutive integers are not distinct floats
+            raise BudgetError(
+                f"enumeration budget exceeded: the box's preimage reaches |z{i}| = {reach:.3e} "
+                "> 2**53; shrink the box or use a better-conditioned basis"
+            )
+        pad = 1e-6 + 1e-12 * reach
         lo[i] = int(np.ceil(s_lo - pad))
         hi[i] = int(np.floor(s_hi + pad))
     return lo, hi
@@ -291,12 +297,19 @@ def lattice_points_in_box(
     return z[keep], p[keep]
 
 
-def enumerate_in_box(
-    lat: Lattice,
-    box: Box,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = BOUNDARY_TOL,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """List of (z, p) pairs for every lattice point p = basis @ z inside ``box``."""
-    z, p = lattice_points_in_box(lat, box, budget=budget, tol=tol)
-    return [(z[i], p[i]) for i in range(len(z))]
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of an int64 array exactly: arrays (label, first).
+
+    Groups are numbered by their lowest member index; ``label[i]`` is the
+    group of row i and ``first[g]`` the lowest index in group g.  Looking up
+    queries among keys is this grouping of the keys and queries concatenated.
+    """
+    order = np.lexsort(rows.T)  # stable: equal rows stay in index order
+    srt = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    run_first = order[starts]
+    by_first = np.argsort(run_first)
+    label = np.empty(len(rows), dtype=np.int64)
+    label[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+    return label, run_first[by_first]

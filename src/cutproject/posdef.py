@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 
 from .comb import WeightedComb, lift
 from .cps import CutProjectScheme, Window
+from .lattice import _group_rows
 
 PSD_TOL = 1e-8
 HERMITIAN_TOL = 1e-6
@@ -26,35 +27,30 @@ LOOKUP_TOL = 1e-9
 MAX_GRAM_POINTS = 500
 
 
+def _lookup_weights(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> np.ndarray:
+    """f evaluated at the given points, zero where no atom sits.
+
+    Exact on integer coordinates when both ``f`` and the points carry them;
+    otherwise the nearest atom within ``LOOKUP_TOL``.
+    """
+    if refs is not None and f.refs is not None:
+        label, first = _group_rows(np.concatenate([f.refs, refs]))
+        idx = first[label[f.n_atoms :]]
+    else:
+        dist, idx = cKDTree(f.positions).query(points, k=1)
+        idx[dist > LOOKUP_TOL] = f.n_atoms
+    # an index of n_atoms or more means no atom and picks the appended zero
+    return np.append(f.weights, 0)[np.minimum(idx, f.n_atoms)]
+
+
 def _check_hermitian(f: WeightedComb) -> None:
     """Verify f(-t) = conj(f(t)) across the comb's atoms."""
-    if f.n_atoms == 0:
-        return
-    tree = cKDTree(f.positions)
-    dist, idx = tree.query(-f.positions, k=1)
-    matched = dist <= LOOKUP_TOL
-    disc = np.zeros(f.n_atoms)
-    disc[~matched] = np.abs(f.weights[~matched])
-    disc[matched] = np.abs(f.weights[idx[matched]] - np.conj(f.weights[matched]))
-    worst = float(disc.max())
+    mirror = _lookup_weights(f, -f.positions, -f.refs if f.refs is not None else None)
+    worst = float(np.max(np.abs(mirror - np.conj(f.weights)), initial=0.0))
     if worst > HERMITIAN_TOL:
         raise ValueError(f"not Hermitian: discrepancy {worst:.3e}")
     if worst > 1e-9:
         warnings.warn(f"weight function only approximately Hermitian ({worst:.3e})", stacklevel=3)
-
-
-def _lookup_weights(f: WeightedComb, diffs: np.ndarray, ref_diffs: np.ndarray | None) -> np.ndarray:
-    """f evaluated at difference vectors, zero where no atom sits."""
-    if f.n_atoms == 0:
-        return np.zeros(len(diffs), dtype=complex)
-    if ref_diffs is not None and f.refs is not None:
-        table = {tuple(z): w for z, w in zip(map(tuple, f.refs), f.weights)}
-        return np.array([table.get(tuple(z), 0.0) for z in map(tuple, ref_diffs)], dtype=complex)
-    dist, idx = cKDTree(f.positions).query(diffs, k=1)
-    out = np.zeros(len(diffs), dtype=complex)
-    hit = dist <= LOOKUP_TOL
-    out[hit] = f.weights[idx[hit]]
-    return out
 
 
 def gram_matrix(
@@ -66,7 +62,8 @@ def gram_matrix(
 
     Only the upper triangle is looked up; the lower triangle is its conjugate
     mirror, so the matrix is Hermitian by construction.  With integer
-    coordinates for both the comb and the points the lookup is exact.
+    coordinates for both the comb and the points the lookup is exact;
+    otherwise it matches positions within ``LOOKUP_TOL``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)

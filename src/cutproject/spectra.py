@@ -32,7 +32,7 @@ from scipy.spatial import cKDTree
 
 from ._version import __version__
 from .comb import WeightedComb, a_norm, merge_atoms
-from .cps import CutProjectScheme, Window, _model_set_arrays, dual_cps
+from .cps import CutProjectScheme, Window, _model_set, dual_cps
 from .lattice import (
     BOUNDARY_TOL,
     DEFAULT_BUDGET,
@@ -908,7 +908,7 @@ def oracle_amplitudes(
         raise ValueError("patch radius must be positive")
     ks = np.atleast_2d(np.asarray(ks, dtype=float))
     query = Box(-patch_radius * np.ones(cps.d), patch_radius * np.ones(cps.d))
-    _, x, xstar = _model_set_arrays(cps, window, query, budget=budget)
+    x, xstar = cps.split(_model_set(cps, window, query, budget, BOUNDARY_TOL))
     volume = (2.0 * patch_radius) ** cps.d
     if len(x) == 0:
         return np.zeros(len(ks), dtype=complex)

@@ -46,6 +46,31 @@ def fibonacci_strip_points(lat: Lattice, query: Box, window: Box, tol: float = 1
     return {tuple(row) for row in z[keep]}
 
 
+def brute_components(positions, tol: float):
+    """Connected components of the within-``tol`` sup-norm relation, by an O(n^2) flood fill.
+
+    Returns one list of member indices per component, ordered by lowest member.
+    """
+    pts = np.atleast_2d(np.asarray(positions, dtype=float))
+    near = (np.abs(pts[:, None, :] - pts[None, :, :]) <= tol).all(axis=2)
+    label = [-1] * len(pts)
+    groups = []
+    for start in range(len(pts)):
+        if label[start] >= 0:
+            continue
+        label[start] = len(groups)
+        members, frontier = [start], [start]
+        while frontier:
+            i = frontier.pop()
+            for j in np.flatnonzero(near[i]):
+                if label[j] < 0:
+                    label[j] = label[start]
+                    members.append(int(j))
+                    frontier.append(int(j))
+        groups.append(sorted(members))
+    return groups
+
+
 def grid_a_norm(comb: WeightedComb, a_box: Box, region: Box, pitch: float = 1e-3,
                 tol: float = 1e-9) -> float:
     """Window-norm oracle: exhaustive scan over a regular grid of translates."""

@@ -90,8 +90,7 @@ def test_criterion_1_dual_pairing(fib, cps2d):
 def test_criterion_2_lift_descent_round_trip(fib):
     with criterion(2, "lift/descent round trips, exact in integer coordinates", 1.0):
         window = Window(Box([0.0], [1.0]))
-        points = model_set(fib, window, Box([0.0], [60.0]))
-        z_all = np.stack([p.z for p in points])
+        z_all = model_set(fib, window, Box([0.0], [60.0]))
         rng = np.random.default_rng(202)
         for _ in range(100):
             size = int(rng.integers(1, len(z_all) + 1))
@@ -119,8 +118,7 @@ def _patch_for(cps, rng):
     else:
         window = Window(Box([0.0, 0.0], [1.0, 1.0]))
         query = Box([-4.0, -4.0], [4.0, 4.0])
-    points = model_set(cps, window, query)
-    z = np.stack([p.z for p in points])
+    z = model_set(cps, window, query)
     weights = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
     comb = model_comb(cps, z, weights)
     lo = comb.extent.lo - 1.0
@@ -199,8 +197,8 @@ def test_criterion_5_oracle_convergence(fib):
         ref = float(np.max(np.abs(closed)))
         assert np.max(np.abs(oracle - closed)) < 0.03 * ref
 
-        points = model_set(fib, window, Box([-2000.0], [2000.0]))
-        empirical = len(points) / 4000.0
+        z = model_set(fib, window, Box([-2000.0], [2000.0]))
+        empirical = len(z) / 4000.0
         at_zero = closed[np.argmin(np.linalg.norm(ks, axis=1))]
         assert abs(at_zero.real - empirical) < 0.01 * empirical
 

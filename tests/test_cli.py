@@ -109,11 +109,11 @@ def test_modelset_csv(tmp_path, fib, fib_window):
     assert lines[0] == "x1,xstar1,z1,z2"
     from cutproject import Box, model_set
 
-    points = model_set(fib, fib_window, Box([0.0], [120.0]))
-    assert len(lines) == len(points) + 1
+    z = model_set(fib, fib_window, Box([0.0], [120.0]))
+    assert len(lines) == len(z) + 1
     first = lines[1].split(",")
-    assert float(first[0]) == points[0].x[0]
-    assert int(first[2]) == points[0].z[0]
+    assert float(first[0]) == fib.split(z)[0][0, 0]
+    assert int(first[2]) == z[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,15 @@ from cutproject import (
     model_set,
     strip_comb,
 )
+from cutproject.comb import MERGE_TOL, merge_atoms
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
-from .helpers import grid_a_norm
+from .helpers import brute_components, grid_a_norm
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
-    pts = model_set(fib, fib_window, Box([0.0], [hi]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, fib_window, Box([0.0], [hi]))
     if weights is None:
         weights = np.ones(len(z)) if rng is None else rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
     return model_comb(fib, z, weights)
@@ -44,6 +44,17 @@ def test_duplicate_positions_rejected():
         WeightedComb([[0.0], [1e-10]], [1.0, 1.0])
 
 
+def test_duplicate_refs_rejected():
+    # with integer coordinates a duplicate is a repeated row, however far apart the positions
+    with pytest.raises(ValueError, match="duplicate positions"):
+        WeightedComb([[0.0], [5.0], [9.0]], [1.0, 1.0, 1.0], refs=[[1, 2], [0, 1], [1, 2]])
+
+
+def test_distinct_refs_accepted_at_equal_positions():
+    comb = WeightedComb([[0.0], [1e-12]], [1.0, 1.0], refs=[[1, 0], [0, 1]])
+    assert comb.n_atoms == 2
+
+
 def test_empty_comb_allowed():
     comb = WeightedComb(np.zeros((0, 2)), np.zeros(0), dim=2)
     assert comb.n_atoms == 0 and comb.extent is None
@@ -53,6 +64,51 @@ def test_extent():
     comb = WeightedComb([[0.0, 1.0], [2.0, -1.0]], [1.0, 1.0])
     assert np.array_equal(comb.extent.lo, [0.0, -1.0])
     assert np.array_equal(comb.extent.hi, [2.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# merging
+
+
+def test_merge_keeps_distinct_refs_apart():
+    pos, w, refs = merge_atoms(np.array([[0.0], [1e-12]]), np.array([1.0, 2.0], complex),
+                               np.array([[1, 0], [0, 1]]))
+    assert np.array_equal(pos, [[0.0], [1e-12]])
+    assert np.array_equal(w, [1.0, 2.0])
+    assert np.array_equal(refs, [[1, 0], [0, 1]])
+
+
+def test_merge_equal_refs_summed_in_index_order():
+    positions = np.array([[0.0], [7.0], [3e-9], [-3e-9], [7.0]])
+    weights = np.array([1e16, 5.0, 1.0, -1e16, 2.0], dtype=complex)
+    refs = np.array([[2, -1], [0, 3], [2, -1], [2, -1], [0, 3]])
+    pos, w, out_refs = merge_atoms(positions, weights, refs)
+    assert np.array_equal(pos, [[0.0], [7.0]])
+    assert np.array_equal(out_refs, [[2, -1], [0, 3]])
+    # (1e16 + 1) - 1e16 is 0 in doubles; any other order gives 1
+    assert w[0] == (weights[0] + weights[2]) + weights[3] == 0.0
+    assert w[1] == 7.0
+
+
+def test_merge_float_chain_is_transitive():
+    pos, w, refs = merge_atoms(np.array([[0.0], [0.8e-9], [1.6e-9]]), np.array([1.0, 2.0, 3.0], complex))
+    assert np.array_equal(pos, [[0.0]])
+    assert np.array_equal(w, [6.0])
+    assert refs is None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_merge_float_matches_brute_components(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(20):
+        centres = rng.integers(0, 6, size=(rng.integers(1, 8), dim)) * 1e-8
+        positions = centres[rng.integers(0, len(centres), size=40)]
+        positions = positions + rng.uniform(-6e-10, 6e-10, size=positions.shape)
+        weights = rng.integers(-5, 6, size=40) + 1j * rng.integers(-5, 6, size=40)
+        pos, w, _ = merge_atoms(positions, weights)
+        groups = brute_components(positions, MERGE_TOL)
+        assert np.array_equal(pos, positions[[g[0] for g in groups]])
+        assert np.array_equal(w, [weights[g].sum() for g in groups])
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +125,8 @@ def test_lift_single_origin_atom(fib, fib_window):
 
 
 def test_lift_indicator_comb_preserves_atoms(fib, fib_window):
-    pts = model_set(fib, fib_window, Box([0.0], [20.0]))
-    gamma = WeightedComb([p.x for p in pts], np.ones(len(pts)))
+    x, _ = fib.split(model_set(fib, fib_window, Box([0.0], [20.0])))
+    gamma = WeightedComb(x, np.ones(len(x)))
     eta = lift(fib, gamma, fib_window, fib_window)
     assert eta.n_atoms == gamma.n_atoms
     assert np.all(eta.positions[:, 1] >= -1e-9) and np.all(eta.positions[:, 1] <= 1 + 1e-9)
@@ -108,8 +164,7 @@ def test_descent_requires_refs(fib):
 
 def test_round_trip_exact(fib, fib_window):
     rng = np.random.default_rng(2)
-    pts = model_set(fib, fib_window, Box([0.0], [50.0]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, fib_window, Box([0.0], [50.0]))
     w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
 
     gamma = model_comb(fib, z, w)
@@ -127,8 +182,7 @@ def test_round_trip_exact(fib, fib_window):
 
 
 def test_lift_descent_linear(fib, fib_window):
-    pts = model_set(fib, fib_window, Box([0.0], [20.0]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, fib_window, Box([0.0], [20.0]))
     w1 = np.linspace(1, 2, len(z))
     w2 = np.exp(1j * np.linspace(0, 3, len(z)))
     a, b = 2.0 - 1j, 0.5 + 0.25j
@@ -140,8 +194,7 @@ def test_lift_descent_linear(fib, fib_window):
 
 
 def test_descent_scales_weights(fib, fib_window):
-    pts = model_set(fib, fib_window, Box([0.0], [10.0]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, fib_window, Box([0.0], [10.0]))
     eta = strip_comb(fib, z, np.ones(len(z)))
     down = descent(fib, eta.scaled(1j))
     assert np.array_equal(down.weights, 1j * np.ones(len(z)))
@@ -159,8 +212,8 @@ def test_a_norm_single_atom():
 
 def test_a_norm_fibonacci_tau_window(fib):
     # window of volume tau: gaps {1, tau}, a closed unit box captures 2 atoms
-    pts = model_set(fib, Window(Box([0.0], [TAU])), Box([0.0], [100.0]))
-    comb = WeightedComb([p.x for p in pts], np.ones(len(pts)))
+    x, _ = fib.split(model_set(fib, Window(Box([0.0], [TAU])), Box([0.0], [100.0])))
+    comb = WeightedComb(x, np.ones(len(x)))
     assert a_norm(comb, Box([0.0], [1.0]), Box([5.0], [95.0])) == 2.0
 
 
@@ -339,7 +392,7 @@ def test_autocorrelation_2x2_refs_unique_and_hermitian():
     cps = CutProjectScheme(lat=Lattice([[1, c, 0, -c], [0, c, 1, c], [1, -c, 0, c], [0, c, -1, c]]),
                            d=2, m=2)
     window = Window(Box([-1.0, -1.0], [1.0, 1.0]))
-    z = np.stack([p.z for p in model_set(cps, window, Box([0.0, 0.0], [6.0, 6.0]))])
+    z = model_set(cps, window, Box([0.0, 0.0], [6.0, 6.0]))
     rng = np.random.default_rng(0)
     comb = model_comb(cps, z, rng.normal(size=len(z)) + 1j * rng.normal(size=len(z)))
     ac = autocorrelation_patch(comb, Box(comb.extent.lo - 1.0, comb.extent.hi + 1.0))
@@ -380,8 +433,8 @@ def test_meyer_gap_near_collision():
 def test_meyer_gap_fibonacci_stable(fib, fib_window):
     gaps = []
     for hi in (30.0, 50.0):
-        pts = model_set(fib, fib_window, Box([0.0], [hi]))
-        gaps.append(meyer_gap(np.array([p.x[0] for p in pts]), folds=2))
+        x, _ = fib.split(model_set(fib, fib_window, Box([0.0], [hi])))
+        gaps.append(meyer_gap(x[:, 0], folds=2))
     assert gaps[0] > 0
     assert gaps[0] == pytest.approx(gaps[1], abs=1e-9)
     # the smallest three-fold difference gap at this window is 1/tau^2

@@ -55,8 +55,9 @@ def test_star_wrong_length(fib):
 
 
 def test_model_set_matches_brute_scan(fib, fib_window):
-    pts = model_set(fib, fib_window, Box([0.0], [20.0]))
-    got = {tuple(p.z) for p in pts}
+    z = model_set(fib, fib_window, Box([0.0], [20.0]))
+    assert z.dtype == np.int64
+    got = {tuple(row) for row in z}
     box = Box([0.0, 0.0], [20.0, 1.0])
     assert got == brute_lattice_points(fib.lat, box, 30)
 
@@ -66,14 +67,13 @@ def test_model_set_matches_fibonacci_oracle(fib, fib_window, radius):
     # at radius 1e5 the strip's integer bounding box holds about 4.9e9
     # candidates, far beyond the default budget of a full scan
     query = Box([-radius], [radius])
-    z = np.stack([p.z for p in model_set(fib, fib_window, query)])
+    z = model_set(fib, fib_window, query)
     assert len(z) == len({tuple(row) for row in z})
     assert {tuple(row) for row in z} == fibonacci_strip_points(fib.lat, query, fib_window.parts[0])
 
 
 def test_model_set_sorted_and_spacings(fib, fib_window):
-    pts = model_set(fib, fib_window, Box([0.0], [40.0]))
-    xs = np.array([p.x[0] for p in pts])
+    xs = fib.split(model_set(fib, fib_window, Box([0.0], [40.0])))[0][:, 0]
     assert np.all(np.diff(xs) > 0)
     spacings = np.diff(xs)
     # unit-volume window: gaps take the values 1 (window boundary pair),
@@ -86,14 +86,14 @@ def test_model_set_sorted_and_spacings(fib, fib_window):
 
 def test_weak_window_single_point(fib):
     # a + b(1-tau) = 0 forces a = b = 0 by irrationality
-    pts = model_set(fib, Window(Box([0.0], [0.0])), Box([-5.0], [5.0]))
-    assert len(pts) == 1
-    assert np.array_equal(pts[0].z, [0, 0])
+    z = model_set(fib, Window(Box([0.0], [0.0])), Box([-5.0], [5.0]))
+    assert np.array_equal(z, [[0, 0]])
 
 
 def test_disjoint_query_empty(fib, fib_window):
     # (0.25, 0.45) falls strictly between consecutive projections
-    assert model_set(fib, fib_window, Box([0.25], [0.45])) == []
+    z = model_set(fib, fib_window, Box([0.25], [0.45]))
+    assert z.shape == (0, 2) and z.dtype == np.int64
 
 
 def test_window_union_is_union_of_model_sets(fib):
@@ -101,31 +101,37 @@ def test_window_union_is_union_of_model_sets(fib):
     w2 = Window(Box([0.3], [1.0]))
     union = Window([Box([0.0], [0.4]), Box([0.3], [1.0])])
     query = Box([0.0], [30.0])
-    s1 = {tuple(p.z) for p in model_set(fib, w1, query)}
-    s2 = {tuple(p.z) for p in model_set(fib, w2, query)}
-    su = {tuple(p.z) for p in model_set(fib, union, query)}
+    s1 = {tuple(row) for row in model_set(fib, w1, query)}
+    s2 = {tuple(row) for row in model_set(fib, w2, query)}
+    su = {tuple(row) for row in model_set(fib, union, query)}
     assert su == s1 | s2
 
 
 def test_window_monotonicity(fib):
     query = Box([-20.0], [20.0])
-    inner = {tuple(p.z) for p in model_set(fib, Window(Box([0.1], [0.6])), query)}
-    outer = {tuple(p.z) for p in model_set(fib, Window(Box([0.0], [1.0])), query)}
+    inner = {tuple(row) for row in model_set(fib, Window(Box([0.1], [0.6])), query)}
+    outer = {tuple(row) for row in model_set(fib, Window(Box([0.0], [1.0])), query)}
     assert inner <= outer
 
 
 def test_model_set_uniformly_discrete(fib, fib_window):
-    pts = model_set(fib, fib_window, Box([0.0], [100.0]))
-    xs = np.sort([p.x[0] for p in pts])
+    xs = np.sort(fib.split(model_set(fib, fib_window, Box([0.0], [100.0])))[0][:, 0])
     min_gap = float(np.min(np.diff(xs)))
     assert min_gap > 0.9  # recorded: smallest gap is 1 at this window
 
 
 def test_point_refs_consistent(fib, fib_window):
-    for p in model_set(fib, fib_window, Box([0.0], [10.0])):
-        full = fib.lat.points(p.z)
-        assert np.max(np.abs(full[:1] - p.x)) < 1e-9
-        assert np.max(np.abs(full[1:] - p.xstar)) < 1e-9
+    query = Box([0.0], [10.0])
+    z = model_set(fib, fib_window, query)
+    assert len(z) > 0
+    x, xstar = fib.split(z)
+    assert query.contains(x).all()
+    assert fib_window.contains(xstar).all()
+    full = fib.lat.points(z)
+    assert np.array_equal(x, full[:, :1]) and np.array_equal(xstar, full[:, 1:])
+    # positions do not depend on the batch a row is mapped in
+    for row, xi, si in zip(z, x, xstar):
+        assert np.array_equal(np.concatenate([xi, si]), fib.lat.points(row))
 
 
 def test_injectivity_fibonacci_ok(fib):

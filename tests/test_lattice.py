@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cutproject import Box, BudgetError, Lattice, density, dual, enumerate_in_box, lattice_points_in_box
+from cutproject import Box, BudgetError, Lattice, density, dual, lattice_points_in_box
+from cutproject.lattice import _group_rows
 
 from .conftest import TAU
 from .helpers import brute_lattice_points, brute_z_range
@@ -65,10 +66,10 @@ def test_density_dual_product():
 
 
 def test_enumerate_unit_grid():
-    pts = enumerate_in_box(Lattice(np.eye(2)), Box([0.0, 0.0], [2.0, 2.0]))
-    assert len(pts) == 9
-    for z, p in pts:
-        assert np.array_equal(z.astype(float), p)
+    z, p = lattice_points_in_box(Lattice(np.eye(2)), Box([0.0, 0.0], [2.0, 2.0]))
+    assert len(z) == 9
+    assert z.dtype == np.int64
+    assert np.array_equal(z.astype(float), p)
 
 
 def test_enumerate_fibonacci_vs_brute_scan():
@@ -81,7 +82,8 @@ def test_enumerate_fibonacci_vs_brute_scan():
 
 
 def test_enumerate_inverted_box_empty():
-    assert enumerate_in_box(Lattice(np.eye(2)), Box([0.0, 0.0], [1.0, -1.0])) == []
+    z, p = lattice_points_in_box(Lattice(np.eye(2)), Box([0.0, 0.0], [1.0, -1.0]))
+    assert z.shape == (0, 2) and p.shape == (0, 2)
 
 
 def test_enumerate_boundary_point_included():
@@ -92,6 +94,24 @@ def test_enumerate_boundary_point_included():
 def test_enumerate_budget():
     with pytest.raises(BudgetError, match="budget exceeded"):
         lattice_points_in_box(Lattice(np.eye(2)), Box([0.0, 0.0], [1e4, 1e4]), budget=1000)
+
+
+def test_enumerate_cover_beyond_int64_is_budget_error():
+    # a 1e-300 basis passes the singularity check; its preimage cover reaches 1e300
+    with pytest.raises(BudgetError, match="budget exceeded"):
+        lattice_points_in_box(Lattice([[1e-300]]), Box([-1.0], [1.0]))
+
+
+def test_group_rows_matches_first_occurrence_numbering():
+    rng = np.random.default_rng(5)
+    for n, k in [(0, 2), (1, 1), (40, 1), (60, 3), (200, 4)]:
+        rows = rng.integers(-2, 3, size=(n, k)).astype(np.int64)
+        seen = {}
+        for row in map(tuple, rows):
+            seen.setdefault(row, len(seen))
+        label, first = _group_rows(rows)
+        assert label.tolist() == [seen[row] for row in map(tuple, rows)]
+        assert first.tolist() == [label.tolist().index(g) for g in range(len(seen))]
 
 
 def test_points_bit_identical_across_batch_sizes():

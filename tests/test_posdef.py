@@ -13,11 +13,11 @@ from cutproject import (
     model_set,
     restriction_check,
 )
+from cutproject.posdef import _check_hermitian
 
 
 def random_autocorrelation(fib, fib_window, rng, hi=40.0):
-    pts = model_set(fib, fib_window, Box([0.0], [hi]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, fib_window, Box([0.0], [hi]))
     w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
     comb = model_comb(fib, z, w)
     return comb, autocorrelation_patch(comb, Box([-1.0], [hi + 1.0]))
@@ -63,6 +63,29 @@ def test_non_hermitian_rejected():
     f = WeightedComb([[1.0], [-1.0]], [1.0, 0.5])
     with pytest.raises(ValueError, match="not Hermitian"):
         gram_min_eigenvalue(f, [[0.0], [1.0]])
+
+
+def test_hermitian_check_needs_every_mirror_ref(fib, fib_window):
+    rng = np.random.default_rng(23)
+    _, ac = random_autocorrelation(fib, fib_window, rng, hi=20.0)
+    _check_hermitian(ac)
+    drop = int(np.argmax(np.where(ac.refs.any(axis=1), np.abs(ac.weights), 0.0)))
+    keep = np.arange(ac.n_atoms) != drop
+    broken = WeightedComb(ac.positions[keep], ac.weights[keep], refs=ac.refs[keep], dim=1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _check_hermitian(broken)
+
+
+def test_lookup_with_refs_ignores_positions(fib, fib_window):
+    # atoms are matched on integer coordinates, so positions moved far beyond
+    # the lookup tolerance change neither the check nor the matrix
+    rng = np.random.default_rng(29)
+    comb, ac = random_autocorrelation(fib, fib_window, rng)
+    moved = WeightedComb(ac.positions + 1e-6, ac.weights, refs=ac.refs, dim=1)
+    idx = rng.choice(comb.n_atoms, size=12, replace=False)
+    expected = gram_matrix(ac, comb.positions[idx], refs=comb.refs[idx])
+    assert np.array_equal(gram_matrix(moved, comb.positions[idx], refs=comb.refs[idx]), expected)
+    assert not np.array_equal(gram_matrix(moved, comb.positions[idx]), expected)
 
 
 def test_eigen_budget():
@@ -122,8 +145,7 @@ def test_crosscheck_pd_both_sides(fib):
     rng = np.random.default_rng(31)
     window = Window(Box([-1.0], [1.0]))  # differences live in W - W
     base = Window(Box([0.0], [1.0]))
-    pts = model_set(fib, base, Box([0.0], [30.0]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, base, Box([0.0], [30.0]))
     w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
     gamma = autocorrelation_patch(model_comb(fib, z, w), Box([-1.0], [31.0]))
     report = lift_pd_crosscheck(fib, gamma, window, trials=10, seed=3)
@@ -136,8 +158,7 @@ def test_crosscheck_corrupted_fails_on_both_sides(fib):
     rng = np.random.default_rng(37)
     window = Window(Box([-1.0], [1.0]))
     base = Window(Box([0.0], [1.0]))
-    pts = model_set(fib, base, Box([0.0], [30.0]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, base, Box([0.0], [30.0]))
     w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
     gamma = flip_zero_weight(autocorrelation_patch(model_comb(fib, z, w), Box([-1.0], [31.0])))
     report = lift_pd_crosscheck(fib, gamma, window, trials=10, seed=3)
@@ -148,8 +169,7 @@ def test_crosscheck_corrupted_fails_on_both_sides(fib):
 def test_crosscheck_sign_flip_pair_detected(fib):
     # flip one +-t weight pair and probe it with a chain configuration
     base = Window(Box([0.0], [1.0]))
-    pts = model_set(fib, base, Box([0.0], [60.0]))
-    z = np.stack([p.z for p in pts])
+    z = model_set(fib, base, Box([0.0], [60.0]))
     gamma = autocorrelation_patch(model_comb(fib, z, np.ones(len(z))), Box([-1.0], [61.0]))
     mags = np.abs(gamma.weights)
     away = np.linalg.norm(gamma.positions, axis=1) > 1e-9
