@@ -37,7 +37,9 @@ from .posdef import (
     restriction_check,
 )
 from .spectra import (
+    Atomic,
     AtomicTransform,
+    Axis,
     Cutoff,
     DiffractionSpectrum,
     InternalProfile,
@@ -47,6 +49,7 @@ from .spectra import (
     PeriodicMeasure,
     ProjectedDensity,
     ProjectionResult,
+    Separable,
     SeparableTransform,
     TruncationError,
     TruncationSpec,

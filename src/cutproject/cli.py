@@ -22,7 +22,8 @@ from .cps import CutProjectScheme, Window, internal_density_check, model_set, ve
 from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice
 from .posdef import lift_pd_crosscheck
 from .spectra import (
-    InternalProfile,
+    Atomic,
+    Separable,
     TruncationError,
     atomic_profile,
     box_profile,
@@ -121,7 +122,7 @@ class SchemeConfig:
     m: int
     scheme: CutProjectScheme
     window: Window
-    profile: InternalProfile
+    profile: Separable | Atomic
     cutoff_plateau: Box
     cutoff_margin: np.ndarray
     query: Box
@@ -295,7 +296,7 @@ def cmd_diffract(cfg: SchemeConfig, args) -> int:
     try:
         spectrum = diffraction(
             cfg.scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(),
-            budget=cfg.budget, threads=args.threads,
+            budget=cfg.budget,
         )
     except TruncationError as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffract", help="closed-form diffraction spectrum")
     common(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("oracle", help="compare closed-form amplitudes against the patch oracle")
     common(p)

@@ -116,8 +116,11 @@ class Lattice:
         col_scale = float(np.max(np.linalg.norm(basis, axis=0)))
         if abs(det) <= 1e-12 * max(col_scale, 1e-300) ** n:
             raise ValueError("singular basis")
+        inv_basis = np.linalg.inv(basis)
+        if not np.isfinite(inv_basis).all():
+            raise ValueError("basis inverse is not finite; rescale the basis")
         object.__setattr__(self, "basis", _readonly(basis))
-        object.__setattr__(self, "inv_basis", _readonly(np.linalg.inv(basis)))
+        object.__setattr__(self, "inv_basis", _readonly(inv_basis))
         object.__setattr__(self, "det_abs", abs(det))
 
     @property

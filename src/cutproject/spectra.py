@@ -2,9 +2,12 @@
 
 Transform convention, fixed library-wide: the forward transform is
 F[g](xi) = integral of g(y) exp(-2*pi*i xi.y) dy, with no 2*pi in the
-measure.  Profile objects expose their forward transform in closed form;
-cutoff functions are paired through their inverse transform, whose modulus
-agrees with the forward one and whose phase is the conjugate.
+measure.  Box and trapezoid profiles and cutoffs are one type,
+``Separable``, a product of ``Axis`` trapezoids (an interval is an axis
+without a ramp); ``transform()`` and ``dual_transform()`` are the same
+product evaluated in closed form at phase -1 and +1.  ``Atomic`` is the
+finite-sum profile and its transform.  Cutoffs are paired through their
+inverse transform, whose modulus agrees with the forward one.
 
 The central objects:
 
@@ -23,8 +26,8 @@ The central objects:
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,12 +84,9 @@ class AxisEnvelope:
         c0, c1, c2 = self.c0, self.c1, self.c2
         if c0 == 0.0:
             return [(0.0, np.inf, -1)]  # identically zero
-        if np.isfinite(c1) and np.isfinite(c2):
+        if np.isfinite(c1) and np.isfinite(c2) and c1 / c0 <= c2 / c1:
             r1, r2 = c1 / c0, c2 / c1
-            if r1 <= r2:
-                return [(0.0, r1, 0), (r1, r2, 1), (r2, np.inf, 2)]
-            rc = np.sqrt(c2 / c0)
-            return [(0.0, rc, 0), (rc, np.inf, 2)]
+            return [(0.0, r1, 0), (r1, r2, 1), (r2, np.inf, 2)]
         if np.isfinite(c2):
             rc = np.sqrt(c2 / c0)
             return [(0.0, rc, 0), (rc, np.inf, 2)]
@@ -99,9 +99,7 @@ class AxisEnvelope:
         total = 0.0
         for start, end, order in self._pieces():
             hi = min(end, r)
-            if hi <= start:
-                continue
-            if order == -1:
+            if hi <= start or order == -1:
                 continue
             if order == 0:
                 total += self.c0 * (hi - start)
@@ -127,10 +125,6 @@ class AxisEnvelope:
             return np.inf
         return max(total - 2.0 * self.integral_0_to(r), 0.0)
 
-    def window_l1(self, width: float) -> float:
-        """Largest integral of the majorant over any window of the given width."""
-        return 2.0 * self.integral_0_to(width / 2.0)
-
     def admissibility_sup(self) -> float:
         """sup over xi of (1 + xi^2) * majorant(xi); finite only with quadratic decay."""
         if self.c0 == 0.0:
@@ -150,7 +144,7 @@ class AxisEnvelope:
 def _unit_cell_window_sum(env: AxisEnvelope, terms: int = 64) -> float:
     """Upper bound for the sum over integer shifts n of the largest mass the
     majorant can put in any unit window at distance about n."""
-    j = env.window_l1(1.0)
+    j = 2.0 * env.integral_0_to(0.5)  # the most mass any unit window holds
     if not np.isfinite(env.c2):
         return np.inf
     ks = np.arange(1, terms + 1, dtype=float)
@@ -159,99 +153,69 @@ def _unit_cell_window_sum(env: AxisEnvelope, terms: int = 64) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form transform axes
-
-
-def _trapezoid_value(q, a: float, b: float, delta: float):
-    q = np.asarray(q, dtype=float)
-    with np.errstate(invalid="ignore"):
-        ramp = np.minimum((q - (a - delta)) / delta, ((b + delta) - q) / delta)
-    return np.clip(np.minimum(ramp, 1.0), 0.0, 1.0)
+# separable functions, atomic sums, and their closed-form transforms
 
 
 @dataclass(frozen=True)
-class IntervalTransformAxis:
-    """Transform of an interval indicator along one axis.
+class Axis:
+    """Trapezoid on one axis: 1 on the plateau [a, b], linear ramps of width
+    ``delta``; with ``delta == 0`` the indicator of [a, b] (boundary tolerance).
 
-    phase -1 is the forward transform, +1 the inverse; they share modulus
-    (hi - lo) * |sinc((hi - lo) xi)|.
+    It is the convolution of two interval indicators over delta, so its
+    transform is length * sinc(length xi) * sinc(delta xi) times a phase; the
+    interval has the first sinc only.  ``values`` evaluates the function at
+    ``phase`` 0, its forward transform at -1 and its inverse at +1.
     """
-
-    lo: float
-    hi: float
-    phase: int = -1
-
-    def values(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        length = self.hi - self.lo
-        mid = self.lo + self.hi
-        return length * np.sinc(length * xi) * np.exp(1j * self.phase * np.pi * mid * xi)
-
-    def envelope(self) -> AxisEnvelope:
-        length = self.hi - self.lo
-        if length == 0.0:
-            return AxisEnvelope(0.0, 0.0, 0.0)
-        return AxisEnvelope(length, 1.0 / np.pi, np.inf)
-
-    def _spatial_value(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return ((q >= self.lo - BOUNDARY_TOL) & (q <= self.hi + BOUNDARY_TOL)).astype(float)
-
-    def spatial_support(self) -> tuple[float, float]:
-        return self.lo, self.hi
-
-    def fourier_at(self, p) -> np.ndarray:
-        """Forward transform of this axis function, evaluated at p: the
-        underlying indicator (reflected for the forward-phase case)."""
-        return self._spatial_value(np.asarray(p, dtype=float) * self.phase)
-
-    def underlying_value(self, t) -> np.ndarray:
-        """Function beta with values(u) = integral beta(t) exp(-2 pi i u t) dt."""
-        return self._spatial_value(-self.phase * np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
-class TrapezoidTransformAxis:
-    """Transform of a trapezoid with plateau [a, b] and ramp width delta."""
 
     a: float
     b: float
-    delta: float
-    phase: int = -1
+    delta: float = 0.0
+    phase: int = 0
 
-    def values(self, xi) -> np.ndarray:
+    def spatial(self, q) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
+        if not self.delta:
+            return ((q >= self.a - BOUNDARY_TOL) & (q <= self.b + BOUNDARY_TOL)).astype(float)
+        with np.errstate(invalid="ignore"):
+            ramp = np.minimum((q - (self.a - self.delta)) / self.delta,
+                              ((self.b + self.delta) - q) / self.delta)
+        return np.clip(np.minimum(ramp, 1.0), 0.0, 1.0)
+
+    def transform(self, xi, phase: int) -> np.ndarray:
+        """Closed-form transform at phase -1 (forward) or +1 (inverse)."""
         xi = np.asarray(xi, dtype=float)
         length = self.b - self.a + self.delta
-        return (
-            length
-            * np.sinc(length * xi)
-            * np.sinc(self.delta * xi)
-            * np.exp(1j * self.phase * np.pi * (self.a + self.b) * xi)
-        )
+        out = length * np.sinc(length * xi)
+        if self.delta:
+            out = out * np.sinc(self.delta * xi)
+        return out * np.exp(1j * phase * np.pi * (self.a + self.b) * xi)
+
+    def values(self, x) -> np.ndarray:
+        return self.transform(x, self.phase) if self.phase else self.spatial(x)
 
     def envelope(self) -> AxisEnvelope:
+        """Majorant of the transform modulus; quadratic decay needs a ramp."""
         length = self.b - self.a + self.delta
-        return AxisEnvelope(length, 1.0 / np.pi, 1.0 / (np.pi ** 2 * self.delta))
+        if length == 0.0:
+            return AxisEnvelope(0.0, 0.0, 0.0)
+        c2 = 1.0 / (np.pi ** 2 * self.delta) if self.delta else np.inf
+        return AxisEnvelope(length, 1.0 / np.pi, c2)
 
-    def spatial_support(self) -> tuple[float, float]:
+    def support(self) -> tuple[float, float]:
         return self.a - self.delta, self.b + self.delta
 
-    def fourier_at(self, p) -> np.ndarray:
-        q = np.asarray(p, dtype=float) * self.phase
-        return _trapezoid_value(q, self.a, self.b, self.delta)
-
-    def underlying_value(self, t) -> np.ndarray:
-        q = -self.phase * np.asarray(t, dtype=float)
-        return _trapezoid_value(q, self.a, self.b, self.delta)
+    def breakpoints(self) -> np.ndarray:
+        """Kinks of the spatial function; repeated when there is no ramp."""
+        return np.array([self.a - self.delta, self.a, self.b, self.b + self.delta])
 
 
 @dataclass(frozen=True)
-class SeparableTransform:
-    """Tensor product of axis transforms; the admissible-function type.
+class Separable:
+    """Product of axes: box and trapezoid profiles, cutoffs, and their transforms.
 
-    The per-axis quadratic-decay certificate, when every axis has one, gives
-    the finite admissibility bound sup over xi of the product of
-    (1 + xi_i^2) |f_i(xi_i)|.
+    A cutoff is identically 1 on its ``plateau``; the quadratic per-axis decay
+    of its transform gives the admissibility bound, sup over xi of the product
+    of (1 + xi_i^2) |f_i(xi_i)|.
     """
 
     axes: tuple
@@ -269,134 +233,106 @@ class SeparableTransform:
             out = out * axis.values(pts[:, i])
         return out[0] if single else out
 
+    def transform(self) -> Separable:
+        """Forward transform F[h], exact in closed form."""
+        return Separable(tuple(replace(axis, phase=-1) for axis in self.axes))
+
+    def dual_transform(self) -> Separable:
+        """Inverse transform, the function a cutoff is paired through."""
+        return Separable(tuple(replace(axis, phase=+1) for axis in self.axes))
+
     def envelope(self, i: int) -> AxisEnvelope:
         return self.axes[i].envelope()
-
-    def sup_bound(self) -> float:
-        return float(np.prod([ax.envelope().c0 for ax in self.axes]))
 
     def admissibility_bound(self) -> float:
         return float(np.prod([ax.envelope().admissibility_sup() for ax in self.axes]))
 
+    @property
+    def plateau(self) -> Box:
+        return Box([ax.a for ax in self.axes], [ax.b for ax in self.axes])
+
+    def covers(self, window: Window, tol: float = BOUNDARY_TOL) -> bool:
+        return all(self.plateau.contains_box(part, tol=tol) for part in window.parts)
+
+    def support_box(self) -> Box:
+        lo, hi = zip(*(ax.support() for ax in self.axes))
+        return Box(lo, hi)
+
+    def total(self) -> complex:
+        """Total integral; equals the transform at 0."""
+        return complex(np.prod([ax.b - ax.a + ax.delta for ax in self.axes]))
+
+    def abs_integral(self) -> float:
+        return float(abs(self.total()))
+
 
 @dataclass(frozen=True)
-class AtomicTransform:
-    """Transform of a finite atomic profile: a trigonometric sum, no decay."""
+class Atomic:
+    """Finite sum of weighted point masses, or (phase -1) its transform.
+
+    At phase 0 ``value`` returns the weight of the atom within the boundary
+    tolerance of each point, 0 elsewhere.  At phase -1 it is the trigonometric
+    sum, bounded by the total absolute weight and without decay.
+    """
 
     points: np.ndarray
     weights: np.ndarray
+    phase: int = 0
 
-    def __init__(self, points, weights) -> None:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        weights = np.asarray(weights, dtype=complex).reshape(-1)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, points, weights, phase: int = 0) -> None:
+        object.__setattr__(self, "points", np.atleast_2d(np.asarray(points, dtype=float)))
+        object.__setattr__(self, "weights", np.asarray(weights, dtype=complex).reshape(-1))
+        object.__setattr__(self, "phase", phase)
 
     @property
     def m(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
-
     def value(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        out = np.exp(-2j * np.pi * pts @ self.points.T) @ self.weights
-        return out[0] if single else out
-
-
-# ---------------------------------------------------------------------------
-# profiles and cutoffs
-
-
-@dataclass(frozen=True)
-class InternalProfile:
-    """Compactly supported weight profile with a closed-form transform.
-
-    Kinds: ``box`` (indicator of a box), ``trapezoid`` (tensor product of
-    per-axis trapezoids), ``atoms`` (finite point weights, matched within a
-    tolerance when evaluated).
-    """
-
-    m: int
-    kind: str
-    box: Box | None = None
-    trap: tuple | None = None
-    atoms: tuple | None = None
-
-    def value(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if self.kind == "box":
-            out = self.box.contains(pts).astype(complex)
-        elif self.kind == "trapezoid":
-            a, b, delta = self.trap
-            out = np.ones(len(pts), dtype=complex)
-            for i in range(self.m):
-                out = out * _trapezoid_value(pts[:, i], a[i], b[i], delta[i])
+        if self.phase:
+            out = np.exp(self.phase * 2j * np.pi * pts @ self.points.T) @ self.weights
         else:
-            positions, weights = self.atoms
             out = np.zeros(len(pts), dtype=complex)
-            if len(positions):
-                dist, idx = cKDTree(positions).query(pts, k=1)
-                hit = dist <= BOUNDARY_TOL
-                out[hit] = weights[idx[hit]]
+            dist, idx = cKDTree(self.points).query(pts, k=1)
+            hit = dist <= BOUNDARY_TOL
+            out[hit] = self.weights[idx[hit]]
         return out[0] if single else out
 
-    def transform(self):
-        """Forward transform F[h], exact in closed form."""
-        if self.kind == "box":
-            return SeparableTransform(
-                tuple(IntervalTransformAxis(self.box.lo[i], self.box.hi[i], -1) for i in range(self.m))
-            )
-        if self.kind == "trapezoid":
-            a, b, delta = self.trap
-            return SeparableTransform(
-                tuple(TrapezoidTransformAxis(a[i], b[i], delta[i], -1) for i in range(self.m))
-            )
-        positions, weights = self.atoms
-        return AtomicTransform(positions, weights)
+    def transform(self) -> Atomic:
+        return replace(self, phase=-1)
+
+    def envelope(self, i: int) -> AxisEnvelope:
+        """Per-axis majorant of the transform: the total weight, no decay."""
+        return AxisEnvelope(self.abs_integral() if i == 0 else 1.0, np.inf, np.inf)
 
     def support_box(self) -> Box:
-        if self.kind == "box":
-            return self.box
-        if self.kind == "trapezoid":
-            a, b, delta = self.trap
-            return Box(a - delta, b + delta)
-        positions, _ = self.atoms
-        return Box(positions.min(axis=0), positions.max(axis=0))
+        return Box(self.points.min(axis=0), self.points.max(axis=0))
 
     def total(self) -> complex:
-        """Total integral (or total weight); equals the transform at 0."""
-        if self.kind == "box":
-            return complex(self.box.volume)
-        if self.kind == "trapezoid":
-            a, b, delta = self.trap
-            return complex(np.prod(b - a + delta))
-        _, weights = self.atoms
-        return complex(np.sum(weights))
+        return complex(np.sum(self.weights))
 
     def abs_integral(self) -> float:
-        """Integral of |h| (total absolute weight for the atomic kind)."""
-        if self.kind == "atoms":
-            _, weights = self.atoms
-            return float(np.sum(np.abs(weights)))
-        return float(abs(self.total()))
+        return float(np.sum(np.abs(self.weights)))
 
 
-def box_profile(box: Box | tuple) -> InternalProfile:
+# Public names of the profile, cutoff and transform types, kept as aliases.
+InternalProfile = Separable | Atomic
+SeparableTransform = Cutoff = Separable
+AtomicTransform = Atomic
+
+
+def box_profile(box: Box | tuple) -> Separable:
     if not isinstance(box, Box):
         box = Box(*box)
     if box.is_empty:
         raise ValueError("profile box must be nonempty")
-    return InternalProfile(m=box.dim, kind="box", box=box)
+    return Separable(tuple(Axis(lo, hi) for lo, hi in zip(box.lo, box.hi)))
 
 
-def trapezoid_profile(a, b, delta) -> InternalProfile:
+def trapezoid_profile(a, b, delta) -> Separable:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     delta = np.broadcast_to(np.asarray(delta, dtype=float), a.shape).copy()
@@ -404,62 +340,18 @@ def trapezoid_profile(a, b, delta) -> InternalProfile:
         raise ValueError("trapezoid ramp widths must be positive")
     if (b < a).any():
         raise ValueError("trapezoid plateau must be a nonempty box")
-    return InternalProfile(m=len(a), kind="trapezoid", trap=(a, b, delta))
+    return Separable(tuple(Axis(*abd) for abd in zip(a, b, delta)))
 
 
-def atomic_profile(points, weights) -> InternalProfile:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    weights = np.asarray(weights, dtype=complex).reshape(-1)
-    if len(points) != len(weights) or len(points) == 0:
+def atomic_profile(points, weights) -> Atomic:
+    profile = Atomic(points, weights)
+    if len(profile.points) != len(profile.weights) or len(profile.points) == 0:
         raise ValueError("atomic profile needs matching nonempty points and weights")
-    return InternalProfile(m=points.shape[1], kind="atoms", atoms=(points, weights))
+    return profile
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Tensor-product trapezoid cutoff: identically 1 on its plateau box.
-
-    Each axis is the convolution of two interval indicators, so the closed
-    form of the transform is a product of two sinc factors; the quadratic
-    per-axis decay is what certifies admissibility.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    delta: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.a)
-
-    @property
-    def plateau(self) -> Box:
-        return Box(self.a, self.b)
-
-    @property
-    def sup_norm(self) -> float:
-        return 1.0
-
-    def value(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = np.ones(len(pts))
-        for i in range(self.m):
-            out = out * _trapezoid_value(pts[:, i], self.a[i], self.b[i], self.delta[i])
-        return out[0] if single else out
-
-    def dual_transform(self) -> SeparableTransform:
-        """Inverse transform of the cutoff, the function paired against fibers."""
-        return SeparableTransform(
-            tuple(TrapezoidTransformAxis(self.a[i], self.b[i], self.delta[i], +1) for i in range(self.m))
-        )
-
-    def covers(self, window: Window, tol: float = BOUNDARY_TOL) -> bool:
-        return all(self.plateau.contains_box(part, tol=tol) for part in window.parts)
-
-
-def make_cutoff(plateau: Box | tuple, margin) -> Cutoff:
+def make_cutoff(plateau: Box | tuple, margin) -> Separable:
+    """Trapezoid cutoff, identically 1 on ``plateau``, with ramp widths ``margin``."""
     if not isinstance(plateau, Box):
         plateau = Box(*plateau)
     if plateau.is_empty:
@@ -467,7 +359,7 @@ def make_cutoff(plateau: Box | tuple, margin) -> Cutoff:
     margin = np.broadcast_to(np.asarray(margin, dtype=float), plateau.lo.shape).copy()
     if (margin <= 0).any():
         raise ValueError("cutoff margins must be positive")
-    return Cutoff(a=plateau.lo.copy(), b=plateau.hi.copy(), delta=margin)
+    return Separable(tuple(Axis(*abd) for abd in zip(plateau.lo, plateau.hi, margin)))
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +416,15 @@ def _axis_pair_tail(env_f: AxisEnvelope, env_g: AxisEnvelope, radius: float, shi
     """Upper bound for the pairing mass outside [-radius, radius], per shift."""
     s = np.abs(np.asarray(shifts, dtype=float))
     best = np.full(s.shape, np.inf)
-    for pf, cf in ((2, env_f.c2), (1, env_f.c1), (0, env_f.c0)):
-        if not np.isfinite(cf):
+    terms_f = ((2, env_f.c2), (1, env_f.c1), (0, env_f.c0))
+    terms_g = ((2, env_g.c2), (1, env_g.c1), (0, env_g.c0))
+    for (pf, cf), (pg, cg) in itertools.product(terms_f, terms_g):
+        p = pf + pg
+        if p < 2 or not (np.isfinite(cf) and np.isfinite(cg)):
             continue
-        for pg, cg in ((2, env_g.c2), (1, env_g.c1), (0, env_g.c0)):
-            if not np.isfinite(cg):
-                continue
-            p = pf + pg
-            if p < 2:
-                continue
-            margin = np.maximum(1.0 - s / radius, 1e-12) ** pg
-            bound = 2.0 * cf * cg / margin * radius ** (1 - p) / (p - 1)
-            best = np.minimum(best, bound)
+        margin = np.maximum(1.0 - s / radius, 1e-12) ** pg
+        bound = 2.0 * cf * cg / margin * radius ** (1 - p) / (p - 1)
+        best = np.minimum(best, bound)
     return best
 
 
@@ -550,22 +439,9 @@ def _axis_pair(f_axis, g_axis, shifts: np.ndarray, trunc: TruncationSpec) -> tup
         cur = _axis_pair_once(f_axis, g_axis, shifts, trunc.radius, panel, trunc.order)
         err = np.abs(cur - prev)
         if np.all(err <= trunc.rel_tol * np.maximum(np.abs(cur), 1e-3 * scale_hint)):
-            tails = _axis_pair_tail(f_axis.envelope(), g_axis.envelope(), trunc.radius, shifts)
-            return cur, tails
+            return cur, _axis_pair_tail(f_axis.envelope(), g_axis.envelope(), trunc.radius, shifts)
         prev = cur
     raise TruncationError("quadrature did not converge to the requested tolerance")
-
-
-def _spatial_pieces(axis, reflect: bool) -> tuple[float, float, np.ndarray]:
-    lo, hi = axis.spatial_support()
-    if isinstance(axis, TrapezoidTransformAxis):
-        breaks = np.array([axis.a - axis.delta, axis.a, axis.b, axis.b + axis.delta])
-    else:
-        breaks = np.array([lo, hi])
-    if reflect:
-        lo, hi = -hi, -lo
-        breaks = -breaks
-    return lo, hi, np.sort(breaks)
 
 
 def _compact_axis_pair(a_axis, b_axis, shifts: np.ndarray, order: int = 16) -> np.ndarray:
@@ -574,14 +450,18 @@ def _compact_axis_pair(a_axis, b_axis, shifts: np.ndarray, order: int = 16) -> n
     integral a(y) b(y - s) dy = integral F[a](t) beta_b(t) exp(2 pi i s t) dt
     with both factors compactly supported and piecewise polynomial, so
     Gauss-Legendre panels split at the kink points are exact to rounding.
+    F[a](t) is the function under a at a.phase * t and beta_b(t) the one
+    under b at -b.phase * t, so a sign of -1 reflects support and kinks.
     """
     shifts = np.asarray(shifts, dtype=float)
-    a_lo, a_hi, a_breaks = _spatial_pieces(a_axis, reflect=(a_axis.phase == -1))
-    b_lo, b_hi, b_breaks = _spatial_pieces(b_axis, reflect=(b_axis.phase == +1))
-    lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+    lo, hi, kinks = -np.inf, np.inf, []
+    for axis, sign in ((a_axis, a_axis.phase), (b_axis, -b_axis.phase)):
+        axis_lo, axis_hi = np.sort(sign * np.array(axis.support()))
+        lo, hi = max(lo, axis_lo), min(hi, axis_hi)
+        kinks.append(sign * axis.breakpoints())
     if hi <= lo:
         return np.zeros(len(shifts), dtype=complex)
-    cuts = np.unique(np.concatenate([[lo, hi], a_breaks, b_breaks]))
+    cuts = np.unique(np.concatenate([[lo, hi], *kinks]))
     cuts = cuts[(cuts >= lo) & (cuts <= hi)]
     smax = float(np.max(np.abs(shifts))) if len(shifts) else 0.0
     nodes, wts = np.polynomial.legendre.leggauss(order)
@@ -598,7 +478,7 @@ def _compact_axis_pair(a_axis, b_axis, shifts: np.ndarray, order: int = 16) -> n
         w_all.append(np.tile(half * wts, n_panels))
     t = np.concatenate(t_all)
     w = np.concatenate(w_all)
-    base = a_axis.fourier_at(t) * b_axis.underlying_value(t) * w
+    base = a_axis.spatial(a_axis.phase * t) * b_axis.spatial(-b_axis.phase * t) * w
     out = np.empty(len(shifts), dtype=complex)
     block = max(1, 4_000_000 // max(len(t), 1))
     for start in range(0, len(shifts), block):
@@ -608,8 +488,8 @@ def _compact_axis_pair(a_axis, b_axis, shifts: np.ndarray, order: int = 16) -> n
 
 
 def pairing_values(
-    f: SeparableTransform,
-    fiber,
+    f: Separable,
+    fiber: Separable | Atomic,
     shifts,
     trunc: TruncationSpec,
     method: str = "dual",
@@ -624,35 +504,30 @@ def pairing_values(
     """
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     n = len(shifts)
-    if isinstance(fiber, AtomicTransform):
+    if isinstance(fiber, Atomic):
+        # F[f](p) is the function under f at f.phase * p, axis by axis
         values = np.zeros(n, dtype=complex)
         for p, w in zip(fiber.points, fiber.weights):
             factor = complex(w)
             for i, axis in enumerate(f.axes):
-                factor *= complex(np.asarray(axis.fourier_at(p[i]), dtype=complex))
+                factor *= complex(axis.spatial(axis.phase * p[i]))
             values += factor * np.exp(2j * np.pi * shifts @ p)
         return values, np.zeros(n)
-    if method == "compact":
-        values = np.ones(n, dtype=complex)
-        for i in range(f.m):
-            values = values * _compact_axis_pair(f.axes[i], fiber.axes[i], shifts[:, i],
-                                                 order=trunc.order)
-        return values, np.zeros(n)
+    per_axis = [
+        (_compact_axis_pair(f.axes[i], fiber.axes[i], shifts[:, i], order=trunc.order), np.zeros(n))
+        if method == "compact" else _axis_pair(f.axes[i], fiber.axes[i], shifts[:, i], trunc)
+        for i in range(f.m)
+    ]
     values = np.ones(n, dtype=complex)
-    per_axis_vals = []
-    per_axis_tails = []
-    for i in range(f.m):
-        v, t = _axis_pair(f.axes[i], fiber.axes[i], shifts[:, i], trunc)
-        per_axis_vals.append(v)
-        per_axis_tails.append(t)
+    for v, _ in per_axis:
         values = values * v
     tails = np.zeros(n)
-    for i in range(f.m):
+    for i, (_, tail) in enumerate(per_axis):
         other = np.ones(n)
-        for j in range(f.m):
+        for j, (v, t) in enumerate(per_axis):
             if j != i:
-                other = other * (np.abs(per_axis_vals[j]) + per_axis_tails[j])
-        tails += per_axis_tails[i] * other
+                other = other * (np.abs(v) + t)
+        tails += tail * other
     return values, tails
 
 
@@ -670,8 +545,8 @@ def _axis_pairing_bound(env_f: AxisEnvelope, env_g: AxisEnvelope, s: float) -> f
     return min(candidates) if candidates else np.inf
 
 
-def _solve_radius(bound, target: float, start: float = 1.0) -> float:
-    r = start
+def _solve_radius(bound, target: float) -> float:
+    r = 1.0
     for _ in range(80):
         if bound(r) <= target:
             return r
@@ -683,31 +558,84 @@ def _solve_radius(bound, target: float, start: float = 1.0) -> float:
 # periodic measures on the dual side
 
 
+# Every motif component gives ``pure_point``, ``weight``, ``internal``, the
+# physical box of period vectors whose translate meets a query
+# (``offset``), internal radii and unweighted (values, tails) for pairing
+# against f (``radii``, ``pairing``), and a per-point unit-window mass bound
+# (``cell_mass``); the loops below never ask for a component's type.
+
+
+class _PhysicalPoint:
+    """Component concentrated at the physical point ``phys``."""
+
+    pure_point = True
+
+    def offset(self, query: Box) -> Box:
+        return Box(query.lo - self.phys, query.hi - self.phys)
+
+
+class _Fibered:
+    """Component carrying an internal density ``fiber``, paired by quadrature."""
+
+    def radii(self, f: Separable, floor: float, scale: float, trunc: TruncationSpec) -> np.ndarray:
+        return _pair_radii(f, self.fiber, floor / max(abs(self.weight) * scale, 1e-300), trunc)
+
+    def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
+        return pairing_values(f, self.fiber, shifts, trunc, method=method)
+
+
 @dataclass(frozen=True)
-class MotifAtom:
+class MotifAtom(_PhysicalPoint):
     """Point mass at (phys, internal) within one period cell."""
 
     phys: np.ndarray
     internal: np.ndarray
     weight: complex
 
+    def radii(self, f: Separable, floor: float, scale: float, trunc: TruncationSpec) -> np.ndarray:
+        if trunc.internal_radius is not None:
+            return np.full(f.m, float(trunc.internal_radius))
+        return _fiber_radii(f, floor / max(abs(self.weight), 1e-300))
+
+    def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
+        return f.value(shifts), np.zeros(len(shifts))
+
+    def cell_mass(self) -> float:
+        return abs(self.weight)
+
 
 @dataclass(frozen=True)
-class MotifAtomFiber:
+class MotifAtomFiber(_PhysicalPoint, _Fibered):
     """Point mass in the physical variable carrying an internal density fiber."""
 
     phys: np.ndarray
     internal: np.ndarray
     weight: complex
-    fiber: object
+    fiber: Separable | Atomic
+
+    def cell_mass(self) -> float:
+        return abs(self.weight) * _fiber_window_sum(self.fiber)
 
 
 @dataclass(frozen=True)
-class MotifDensityFiber:
+class MotifDensityFiber(_Fibered):
     """Separable absolutely continuous component: physical density times fiber."""
 
-    density: InternalProfile
-    fiber: object
+    density: Separable | Atomic
+    fiber: Separable | Atomic
+    pure_point = False
+    weight = 1.0
+
+    @property
+    def internal(self) -> np.ndarray:
+        return np.zeros(self.density.m)
+
+    def offset(self, query: Box) -> Box:
+        support = self.density.support_box()
+        return Box(query.lo - support.hi, query.hi - support.lo)
+
+    def cell_mass(self) -> float:
+        return self.density.abs_integral() * _fiber_window_sum(self.fiber)
 
 
 @dataclass(frozen=True)
@@ -725,10 +653,10 @@ class PeriodicMeasure:
     motif: tuple
 
     def pp_motif(self) -> tuple:
-        return tuple(c for c in self.motif if isinstance(c, (MotifAtom, MotifAtomFiber)))
+        return tuple(c for c in self.motif if c.pure_point)
 
     def ac_motif(self) -> tuple:
-        return tuple(c for c in self.motif if isinstance(c, MotifDensityFiber))
+        return tuple(c for c in self.motif if not c.pure_point)
 
 
 def spectral_projector(rho: PeriodicMeasure, component: str) -> PeriodicMeasure:
@@ -739,18 +667,13 @@ def spectral_projector(rho: PeriodicMeasure, component: str) -> PeriodicMeasure:
     projector returns the zero measure; it exists so the three projectors
     partition every representable measure.
     """
-    if component == "pp":
-        motif = rho.pp_motif()
-    elif component == "ac":
-        motif = rho.ac_motif()
-    elif component == "sc":
-        motif = ()
-    else:
+    motifs = {"pp": rho.pp_motif(), "ac": rho.ac_motif(), "sc": ()}
+    if component not in motifs:
         raise ValueError(f"unknown spectral component {component!r}")
-    return replace(rho, motif=motif)
+    return replace(rho, motif=motifs[component])
 
 
-def lattice_comb_transform(cps: CutProjectScheme, profile: InternalProfile) -> PeriodicMeasure:
+def lattice_comb_transform(cps: CutProjectScheme, profile: Separable | Atomic) -> PeriodicMeasure:
     """Fourier transform of the profile-weighted lattice comb.
 
     The comb sum of h(xstar) at every lattice point (x, xstar) transforms, by
@@ -796,14 +719,14 @@ class DiffractionSpectrum:
         return len(self.ks)
 
 
-def _fiber_radii(transform: SeparableTransform, target: float) -> np.ndarray:
+def _fiber_radii(transform: Separable | Atomic, target: float) -> np.ndarray:
     """Per-axis internal radii outside which the transform modulus is below target."""
-    c0s = np.array([ax.envelope().c0 for ax in transform.axes])
+    envs = [transform.envelope(i) for i in range(transform.m)]
+    c0s = np.array([env.c0 for env in envs])
     radii = np.empty(len(c0s))
-    for i, axis in enumerate(transform.axes):
+    for i, env in enumerate(envs):
         others = float(np.prod(np.delete(c0s, i))) if len(c0s) > 1 else 1.0
         t = target / max(others, 1e-300)
-        env = axis.envelope()
         options = []
         if np.isfinite(env.c1):
             options.append(env.c1 / t)
@@ -815,29 +738,14 @@ def _fiber_radii(transform: SeparableTransform, target: float) -> np.ndarray:
     return radii
 
 
-def _chunked_amplitudes(transform, shifts: np.ndarray, scale: float, threads: int) -> np.ndarray:
-    if threads <= 1 or len(shifts) < 256:
-        return scale * transform.value(shifts)
-    out = np.empty(len(shifts), dtype=complex)
-    chunks = np.array_split(np.arange(len(shifts)), threads * 4)
-
-    def work(idx):
-        out[idx] = scale * transform.value(shifts[idx])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, [c for c in chunks if len(c)]))
-    return out
-
-
 def diffraction(
     cps: CutProjectScheme,
     window: Window,
-    profile: InternalProfile,
+    profile: Separable | Atomic,
     query: Box,
     threshold: float,
-    cutoff: Cutoff,
+    cutoff: Separable,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> DiffractionSpectrum:
     """Closed-form diffraction spectrum of the profile-weighted model-set comb.
 
@@ -856,15 +764,13 @@ def diffraction(
     if not any(part.contains_box(support) for part in window.parts):
         raise ValueError("profile support must lie inside the window")
     transform = profile.transform()
-    if isinstance(transform, AtomicTransform):
-        raise ValueError("atomic profiles have no transform decay; the enumeration cannot be bounded")
     scale = density(cps.lat)
     dcps = dual_cps(cps)
     radii = _fiber_radii(transform, threshold / (10.0 * scale))
     box = Box.product(query, Box(-radii, radii))
     z, p = lattice_points_in_box(dcps.lat, box, budget=budget)
     ks, stars = p[:, : cps.d], p[:, cps.d :]
-    amplitudes = _chunked_amplitudes(transform, PEAK_PHASE_SIGN * stars, scale, threads)
+    amplitudes = scale * transform.value(PEAK_PHASE_SIGN * stars)
     keep = np.abs(amplitudes) >= threshold
     z, ks, stars, amplitudes = z[keep], ks[keep], stars[keep], amplitudes[keep]
     keys = tuple(z[:, i] for i in reversed(range(z.shape[1]))) + tuple(
@@ -876,7 +782,7 @@ def diffraction(
         "threshold": threshold,
         "internal_radii": radii.tolist(),
         "peak_phase_sign": PEAK_PHASE_SIGN,
-        "cutoff": {"a": cutoff.a.tolist(), "b": cutoff.b.tolist(), "delta": cutoff.delta.tolist()},
+        "cutoff": {key: [float(getattr(ax, key)) for ax in cutoff.axes] for key in ("a", "b", "delta")},
         "version": __version__,
     }
     return DiffractionSpectrum(
@@ -893,7 +799,7 @@ def diffraction(
 def oracle_amplitudes(
     cps: CutProjectScheme,
     window: Window,
-    profile: InternalProfile,
+    profile: Separable | Atomic,
     ks,
     patch_radius: float,
     budget: int = DEFAULT_BUDGET,
@@ -929,7 +835,7 @@ def oracle_amplitude(cps, window, profile, k, patch_radius, budget: int = DEFAUL
 class ProjectedDensity:
     """Absolutely continuous part of a projection: sum of translated profiles."""
 
-    profile: InternalProfile
+    profile: Separable | Atomic
     translates: np.ndarray
     coefficients: np.ndarray
 
@@ -955,33 +861,25 @@ def _internal_box(internal_offset: np.ndarray, radii: np.ndarray) -> Box:
     return Box(-radii - internal_offset, radii - internal_offset)
 
 
-def _pair_radii(f: SeparableTransform, fiber, target: float, trunc: TruncationSpec) -> np.ndarray:
+def _pair_radii(f: Separable, fiber: Separable | Atomic, target: float, trunc: TruncationSpec) -> np.ndarray:
     """Per-axis internal radii beyond which the pairing bound is below target."""
     if trunc.internal_radius is not None:
         return np.full(f.m, float(trunc.internal_radius))
-    if isinstance(fiber, AtomicTransform):
-        raise ValueError("atomic fibers give no pairing decay; set an explicit internal_radius")
-    zeros = [
-        _axis_pairing_bound(f.envelope(i), fiber.envelope(i), 0.0) for i in range(f.m)
-    ]
+    envs = [(f.envelope(i), fiber.envelope(i)) for i in range(f.m)]
+    if not all(np.isfinite(env_g.c1) or np.isfinite(env_g.c2) for _, env_g in envs):
+        raise ValueError("the fiber gives no pairing decay; set an explicit internal_radius")
+    zeros = [_axis_pairing_bound(env_f, env_g, 0.0) for env_f, env_g in envs]
     radii = np.empty(f.m)
-    for i in range(f.m):
+    for i, (env_f, env_g) in enumerate(envs):
         others = float(np.prod([zeros[j] for j in range(f.m) if j != i])) if f.m > 1 else 1.0
         t = target / max(others, 1e-300)
-        env_f, env_g = f.envelope(i), fiber.envelope(i)
         radii[i] = _solve_radius(lambda r: _axis_pairing_bound(env_f, env_g, r), t)
     return radii
 
 
-def _value_radii(f: SeparableTransform, target: float, trunc: TruncationSpec) -> np.ndarray:
-    if trunc.internal_radius is not None:
-        return np.full(f.m, float(trunc.internal_radius))
-    return _fiber_radii(f, target)
-
-
 def project(
     rho: PeriodicMeasure,
-    f: SeparableTransform,
+    f: Separable,
     query: Box,
     threshold: float,
     trunc: TruncationSpec | None = None,
@@ -1011,50 +909,20 @@ def project(
     worst_tail = 0.0
 
     for comp in rho.motif:
-        if isinstance(comp, MotifAtom):
-            radii = _value_radii(f, floor / max(abs(comp.weight), 1e-300), trunc)
-            box = Box.product(
-                Box(query.lo - comp.phys, query.hi - comp.phys),
-                _internal_box(comp.internal, radii),
-            )
-            _, p = lattice_points_in_box(rho.period, box, budget=budget)
-            if not len(p):
-                continue
-            shifts = comp.internal + p[:, rho.d :]
-            vals = rho.scale * comp.weight * f.value(shifts)
+        radii = comp.radii(f, floor, rho.scale, trunc)
+        box = Box.product(comp.offset(query), _internal_box(comp.internal, radii))
+        _, p = lattice_points_in_box(rho.period, box, budget=budget)
+        if not len(p):
+            continue
+        vals, tails = comp.pairing(f, comp.internal + p[:, rho.d :], trunc, "compact")
+        worst_tail = max(worst_tail, float(np.max(tails)) * abs(comp.weight) * rho.scale)
+        weights = rho.scale * comp.weight * vals
+        if comp.pure_point:
             atom_positions.append(comp.phys + p[:, : rho.d])
-            atom_weights.append(vals)
-        elif isinstance(comp, MotifAtomFiber):
-            radii = _pair_radii(f, comp.fiber, floor / max(abs(comp.weight) * rho.scale, 1e-300), trunc)
-            box = Box.product(
-                Box(query.lo - comp.phys, query.hi - comp.phys),
-                _internal_box(comp.internal, radii),
-            )
-            _, p = lattice_points_in_box(rho.period, box, budget=budget)
-            if not len(p):
-                continue
-            shifts = comp.internal + p[:, rho.d :]
-            vals, tails = pairing_values(f, comp.fiber, shifts, trunc, method="compact")
-            worst_tail = max(worst_tail, float(np.max(tails)) * abs(comp.weight) * rho.scale)
-            atom_positions.append(comp.phys + p[:, : rho.d])
-            atom_weights.append(rho.scale * comp.weight * vals)
+            atom_weights.append(weights)
         else:
-            g_support = comp.density.support_box()
-            radii = _pair_radii(f, comp.fiber, floor / max(rho.scale, 1e-300), trunc)
-            box = Box.product(
-                Box(query.lo - g_support.hi, query.hi - g_support.lo),
-                _internal_box(np.zeros(rho.m), radii),
-            )
-            _, p = lattice_points_in_box(rho.period, box, budget=budget)
-            if not len(p):
-                continue
-            vals, tails = pairing_values(f, comp.fiber, p[:, rho.d :], trunc, method="compact")
-            worst_tail = max(worst_tail, float(np.max(tails)) * rho.scale if len(tails) else 0.0)
-            coeffs = rho.scale * vals
-            keep = np.abs(coeffs) >= threshold
-            densities.append(
-                ProjectedDensity(comp.density, p[:, : rho.d][keep], coeffs[keep])
-            )
+            keep = np.abs(weights) >= threshold
+            densities.append(ProjectedDensity(comp.density, p[:, : rho.d][keep], weights[keep]))
 
     if worst_tail > trunc.tail_tol:
         raise TruncationError(f"increase truncation radius: tail bound {worst_tail:.3e}")
@@ -1072,7 +940,7 @@ def project(
     return ProjectionResult(atoms=atoms, densities=tuple(densities))
 
 
-def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Cutoff, trunc: TruncationSpec | None = None,
+def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: TruncationSpec | None = None,
                  budget: int = DEFAULT_BUDGET, strict: bool = True) -> complex:
     """Pair the periodic measure against psi tensor the cutoff's inverse transform.
 
@@ -1094,31 +962,22 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Cutoff, trunc: TruncationSpe
     total = 0.0 + 0.0j
     total_tail = 0.0
 
+    tree = cKDTree(positions)
+    reach = Box(positions.min(axis=0), positions.max(axis=0))
     slice_radius = trunc.internal_radius if trunc.internal_radius is not None else DEFAULT_INTERNAL_SLICE
-    for comp in rho.motif:
-        if isinstance(comp, MotifDensityFiber):
-            continue
-        fiber = comp.fiber if isinstance(comp, MotifAtomFiber) else None
-        radii = np.full(rho.m, float(slice_radius))
-        lo = positions.min(axis=0) - comp.phys - trunc.match_tol
-        hi = positions.max(axis=0) - comp.phys + trunc.match_tol
-        box = Box.product(Box(lo, hi), _internal_box(comp.internal, radii))
+    radii = np.full(rho.m, float(slice_radius))
+    for comp in rho.pp_motif():
+        box = Box.product(comp.offset(reach).inflate(trunc.match_tol), _internal_box(comp.internal, radii))
         _, p = lattice_points_in_box(rho.period, box, budget=budget)
         if not len(p):
             continue
-        phys = comp.phys + p[:, : rho.d]
-        dist, idx = cKDTree(positions).query(phys, k=1)
+        dist, idx = tree.query(comp.phys + p[:, : rho.d], k=1)
         hit = dist <= trunc.match_tol
         if not hit.any():
             continue
         matched[idx[hit]] = True
-        shifts = comp.internal + p[hit, rho.d :]
-        if fiber is None:
-            vals = comp.weight * f.value(shifts)
-            tails = np.zeros(len(shifts))
-        else:
-            vals, tails = pairing_values(f, fiber, shifts, trunc)
-            vals = comp.weight * vals
+        vals, tails = comp.pairing(f, comp.internal + p[hit, rho.d :], trunc, "dual")
+        vals = comp.weight * vals
         psi_vals = values[idx[hit]]
         total += rho.scale * np.sum(psi_vals * vals)
         total_tail += rho.scale * float(np.sum(np.abs(psi_vals)) * np.max(tails, initial=0.0))
@@ -1176,11 +1035,9 @@ class NormBoundReport:
     left_density: float
 
 
-def _fiber_window_sum(fiber, m: int) -> float:
+def _fiber_window_sum(fiber: Separable | Atomic) -> float:
     """Per-axis product bound for the summed unit-window masses of a fiber."""
-    if isinstance(fiber, AtomicTransform):
-        return np.inf
-    return float(np.prod([_unit_cell_window_sum(fiber.envelope(i)) for i in range(m)]))
+    return float(np.prod([_unit_cell_window_sum(fiber.envelope(i)) for i in range(fiber.m)]))
 
 
 def _max_window_count(points: np.ndarray, box: Box, sweep: Box) -> float:
@@ -1197,7 +1054,7 @@ def _max_window_count(points: np.ndarray, box: Box, sweep: Box) -> float:
 def norm_bound_check(
     dims: tuple[int, int],
     rho: PeriodicMeasure,
-    f: SeparableTransform,
+    f: Separable,
     k_box: Box,
     k1_box: Box,
     sweep_halfwidth: float = 25.0,
@@ -1227,9 +1084,7 @@ def norm_bound_check(
     c1, _ = unit_cell_decay_constant()
     constant = c1 ** m
 
-    hint = max(
-        [rho.scale * abs(getattr(c, "weight", 1.0)) for c in rho.motif] + [1e-6]
-    )
+    hint = max([rho.scale * abs(c.weight) for c in rho.motif] + [1e-6])
     sweep = Box(-sweep_halfwidth * np.ones(d), sweep_halfwidth * np.ones(d))
     proj = project(rho, f, sweep, threshold_rel * hint, trunc, budget=budget)
     span = k_box.sides
@@ -1254,24 +1109,9 @@ def norm_bound_check(
     _, p_all = lattice_points_in_box(rho.period, sweep_full, budget=budget)
     rho_norm = 0.0
     for comp in rho.motif:
-        if isinstance(comp, MotifAtom):
-            count_box = Box.product(k1_box, unit.inflate(1e-6))
-            eval_full = Box(sweep_full.lo + count_box.sides, sweep_full.hi - count_box.sides)
-            rho_norm += abs(comp.weight) * _max_window_count(p_all, count_box, eval_full)
-        elif isinstance(comp, MotifAtomFiber):
-            window_sum = _fiber_window_sum(comp.fiber, m)
-            count_box = Box.product(k1_box, unit.inflate(1e-6))
-            eval_full = Box(sweep_full.lo + count_box.sides, sweep_full.hi - count_box.sides)
-            rho_norm += abs(comp.weight) * window_sum * _max_window_count(p_all, count_box, eval_full)
-        else:
-            g_box = comp.density.support_box()
-            window_sum = _fiber_window_sum(comp.fiber, m)
-            grown = Box(k1_box.lo - g_box.hi, k1_box.hi - g_box.lo)
-            count_box = Box.product(grown, unit.inflate(1e-6))
-            eval_full = Box(sweep_full.lo + count_box.sides, sweep_full.hi - count_box.sides)
-            rho_norm += comp.density.abs_integral() * window_sum * _max_window_count(
-                p_all, count_box, eval_full
-            )
+        count_box = Box.product(comp.offset(k1_box), unit.inflate(1e-6))
+        eval_full = Box(sweep_full.lo + count_box.sides, sweep_full.hi - count_box.sides)
+        rho_norm += comp.cell_mass() * _max_window_count(p_all, count_box, eval_full)
     rho_norm *= rho.scale
 
     phi_sup = 1.0

@@ -102,6 +102,12 @@ def test_enumerate_cover_beyond_int64_is_budget_error():
         lattice_points_in_box(Lattice([[1e-300]]), Box([-1.0], [1.0]))
 
 
+def test_basis_with_overflowing_inverse_rejected():
+    # 1e-310 passes the singularity check, but its inverse overflows to inf
+    with pytest.raises(ValueError, match="inverse is not finite"):
+        Lattice([[1e-310]])
+
+
 def test_group_rows_matches_first_occurrence_numbering():
     rng = np.random.default_rng(5)
     for n, k in [(0, 2), (1, 1), (40, 1), (60, 3), (200, 4)]:
