@@ -26,7 +26,6 @@ The central objects:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -84,9 +83,12 @@ class AxisEnvelope:
         c0, c1, c2 = self.c0, self.c1, self.c2
         if c0 == 0.0:
             return [(0.0, np.inf, -1)]  # identically zero
-        if np.isfinite(c1) and np.isfinite(c2) and c1 / c0 <= c2 / c1:
+        if np.isfinite(c1) and np.isfinite(c2):
             r1, r2 = c1 / c0, c2 / c1
-            return [(0.0, r1, 0), (r1, r2, 1), (r2, np.inf, 2)]
+            if r1 <= r2:
+                return [(0.0, r1, 0), (r1, r2, 1), (r2, np.inf, 2)]
+            rc = np.sqrt(c2 / c0)
+            return [(0.0, rc, 0), (rc, np.inf, 2)]
         if np.isfinite(c2):
             rc = np.sqrt(c2 / c0)
             return [(0.0, rc, 0), (rc, np.inf, 2)]
@@ -99,7 +101,9 @@ class AxisEnvelope:
         total = 0.0
         for start, end, order in self._pieces():
             hi = min(end, r)
-            if hi <= start or order == -1:
+            if hi <= start:
+                continue
+            if order == -1:
                 continue
             if order == 0:
                 total += self.c0 * (hi - start)
@@ -280,8 +284,10 @@ class Atomic:
     phase: int = 0
 
     def __init__(self, points, weights, phase: int = 0) -> None:
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(points, dtype=float)))
-        object.__setattr__(self, "weights", np.asarray(weights, dtype=complex).reshape(-1))
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        weights = np.asarray(weights, dtype=complex).reshape(-1)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "phase", phase)
 
     @property
@@ -321,7 +327,11 @@ class Atomic:
 # Public names of the profile, cutoff and transform types, kept as aliases.
 InternalProfile = Separable | Atomic
 SeparableTransform = Cutoff = Separable
-AtomicTransform = Atomic
+
+
+def AtomicTransform(points, weights) -> Atomic:
+    """Transform of a finite atomic profile: the trigonometric sum, phase -1."""
+    return Atomic(points, weights, phase=-1)
 
 
 def box_profile(box: Box | tuple) -> Separable:
@@ -416,15 +426,18 @@ def _axis_pair_tail(env_f: AxisEnvelope, env_g: AxisEnvelope, radius: float, shi
     """Upper bound for the pairing mass outside [-radius, radius], per shift."""
     s = np.abs(np.asarray(shifts, dtype=float))
     best = np.full(s.shape, np.inf)
-    terms_f = ((2, env_f.c2), (1, env_f.c1), (0, env_f.c0))
-    terms_g = ((2, env_g.c2), (1, env_g.c1), (0, env_g.c0))
-    for (pf, cf), (pg, cg) in itertools.product(terms_f, terms_g):
-        p = pf + pg
-        if p < 2 or not (np.isfinite(cf) and np.isfinite(cg)):
+    for pf, cf in ((2, env_f.c2), (1, env_f.c1), (0, env_f.c0)):
+        if not np.isfinite(cf):
             continue
-        margin = np.maximum(1.0 - s / radius, 1e-12) ** pg
-        bound = 2.0 * cf * cg / margin * radius ** (1 - p) / (p - 1)
-        best = np.minimum(best, bound)
+        for pg, cg in ((2, env_g.c2), (1, env_g.c1), (0, env_g.c0)):
+            if not np.isfinite(cg):
+                continue
+            p = pf + pg
+            if p < 2:
+                continue
+            margin = np.maximum(1.0 - s / radius, 1e-12) ** pg
+            bound = 2.0 * cf * cg / margin * radius ** (1 - p) / (p - 1)
+            best = np.minimum(best, bound)
     return best
 
 
@@ -439,7 +452,8 @@ def _axis_pair(f_axis, g_axis, shifts: np.ndarray, trunc: TruncationSpec) -> tup
         cur = _axis_pair_once(f_axis, g_axis, shifts, trunc.radius, panel, trunc.order)
         err = np.abs(cur - prev)
         if np.all(err <= trunc.rel_tol * np.maximum(np.abs(cur), 1e-3 * scale_hint)):
-            return cur, _axis_pair_tail(f_axis.envelope(), g_axis.envelope(), trunc.radius, shifts)
+            tails = _axis_pair_tail(f_axis.envelope(), g_axis.envelope(), trunc.radius, shifts)
+            return cur, tails
         prev = cur
     raise TruncationError("quadrature did not converge to the requested tolerance")
 
@@ -577,8 +591,8 @@ class _PhysicalPoint:
 class _Fibered:
     """Component carrying an internal density ``fiber``, paired by quadrature."""
 
-    def radii(self, f: Separable, floor: float, scale: float, trunc: TruncationSpec) -> np.ndarray:
-        return _pair_radii(f, self.fiber, floor / max(abs(self.weight) * scale, 1e-300), trunc)
+    def radii(self, f: Separable, floor: float, scale: float) -> np.ndarray:
+        return _pair_radii(f, self.fiber, floor / max(abs(self.weight) * scale, 1e-300))
 
     def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
         return pairing_values(f, self.fiber, shifts, trunc, method=method)
@@ -592,9 +606,7 @@ class MotifAtom(_PhysicalPoint):
     internal: np.ndarray
     weight: complex
 
-    def radii(self, f: Separable, floor: float, scale: float, trunc: TruncationSpec) -> np.ndarray:
-        if trunc.internal_radius is not None:
-            return np.full(f.m, float(trunc.internal_radius))
+    def radii(self, f: Separable, floor: float, scale: float) -> np.ndarray:
         return _fiber_radii(f, floor / max(abs(self.weight), 1e-300))
 
     def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
@@ -628,7 +640,7 @@ class MotifDensityFiber(_Fibered):
 
     @property
     def internal(self) -> np.ndarray:
-        return np.zeros(self.density.m)
+        return np.zeros(self.fiber.m)
 
     def offset(self, query: Box) -> Box:
         support = self.density.support_box()
@@ -667,10 +679,15 @@ def spectral_projector(rho: PeriodicMeasure, component: str) -> PeriodicMeasure:
     projector returns the zero measure; it exists so the three projectors
     partition every representable measure.
     """
-    motifs = {"pp": rho.pp_motif(), "ac": rho.ac_motif(), "sc": ()}
-    if component not in motifs:
+    if component == "pp":
+        motif = rho.pp_motif()
+    elif component == "ac":
+        motif = rho.ac_motif()
+    elif component == "sc":
+        motif = ()
+    else:
         raise ValueError(f"unknown spectral component {component!r}")
-    return replace(rho, motif=motifs[component])
+    return replace(rho, motif=motif)
 
 
 def lattice_comb_transform(cps: CutProjectScheme, profile: Separable | Atomic) -> PeriodicMeasure:
@@ -861,10 +878,8 @@ def _internal_box(internal_offset: np.ndarray, radii: np.ndarray) -> Box:
     return Box(-radii - internal_offset, radii - internal_offset)
 
 
-def _pair_radii(f: Separable, fiber: Separable | Atomic, target: float, trunc: TruncationSpec) -> np.ndarray:
+def _pair_radii(f: Separable, fiber: Separable | Atomic, target: float) -> np.ndarray:
     """Per-axis internal radii beyond which the pairing bound is below target."""
-    if trunc.internal_radius is not None:
-        return np.full(f.m, float(trunc.internal_radius))
     envs = [(f.envelope(i), fiber.envelope(i)) for i in range(f.m)]
     if not all(np.isfinite(env_g.c1) or np.isfinite(env_g.c2) for _, env_g in envs):
         raise ValueError("the fiber gives no pairing decay; set an explicit internal_radius")
@@ -908,8 +923,9 @@ def project(
     densities: list[ProjectedDensity] = []
     worst_tail = 0.0
 
+    fixed = trunc.internal_radius
     for comp in rho.motif:
-        radii = comp.radii(f, floor, rho.scale, trunc)
+        radii = comp.radii(f, floor, rho.scale) if fixed is None else np.full(f.m, float(fixed))
         box = Box.product(comp.offset(query), _internal_box(comp.internal, radii))
         _, p = lattice_points_in_box(rho.period, box, budget=budget)
         if not len(p):
@@ -1084,7 +1100,9 @@ def norm_bound_check(
     c1, _ = unit_cell_decay_constant()
     constant = c1 ** m
 
-    hint = max([rho.scale * abs(c.weight) for c in rho.motif] + [1e-6])
+    hint = max(
+        [rho.scale * abs(c.weight) for c in rho.motif] + [1e-6]
+    )
     sweep = Box(-sweep_halfwidth * np.ones(d), sweep_halfwidth * np.ones(d))
     proj = project(rho, f, sweep, threshold_rel * hint, trunc, budget=budget)
     span = k_box.sides

@@ -6,6 +6,7 @@ from scipy.special import sici
 
 from cutproject import (
     Box,
+    Lattice,
     MotifAtom,
     MotifAtomFiber,
     MotifDensityFiber,
@@ -217,7 +218,21 @@ def test_public_names_still_resolve():
     assert isinstance(box_profile(Box([0.0], [1.0])), cutproject.InternalProfile)
     assert isinstance(atomic_profile([[0.5]], [1.0]), cutproject.InternalProfile)
     assert isinstance(make_cutoff(Box([0.0], [1.0]), 0.1), cutproject.Cutoff)
-    assert isinstance(atomic_profile([[0.5]], [1.0]).transform(), cutproject.AtomicTransform)
+    assert atomic_profile([[0.5]], [1.0]).transform().phase == -1
+    assert cutproject.AtomicTransform([[0.5]], [1.0]).phase == -1
+
+
+def test_atomic_transform_is_the_trigonometric_sum():
+    from cutproject import AtomicTransform
+
+    points, weights = [[0.25], [0.75]], [1.0, -0.5j]
+    xi = np.linspace(-3.0, 3.0, 13)[:, None]
+    expected = np.array(
+        [sum(w * np.exp(-2j * np.pi * x[0] * p[0]) for p, w in zip(points, weights)) for x in xi]
+    )
+    got = AtomicTransform(points, weights).value(xi)
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert np.array_equal(got, atomic_profile(points, weights).transform().value(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +484,25 @@ def test_project_zero_function_empty(fib):
     zero_f = Separable((Axis(0.0, 0.0, phase=+1),))
     proj = project(rho, zero_f, Box([-3.0], [3.0]), threshold=1e-9)
     assert proj.atoms.n_atoms == 0
+
+
+def test_project_density_fiber_with_d_unequal_m():
+    # d = 2, m = 1: the internal offset has m entries and the second
+    # physical axis is a spectator, so its n2 = 0 slice is the d = 1 result
+    fiber = trapezoid_profile([-0.4], [0.4], 0.2).transform()
+    f = make_cutoff(Box([-0.5], [0.5]), 0.25).dual_transform()
+    flat = MotifDensityFiber(density=trapezoid_profile([-0.25], [0.25], 0.25), fiber=fiber)
+    wide = MotifDensityFiber(density=trapezoid_profile([-0.25] * 2, [0.25] * 2, 0.25), fiber=fiber)
+    assert wide.internal.shape == (1,)
+    rho1 = PeriodicMeasure(period=Lattice(np.eye(2)), d=1, m=1, scale=1.0, motif=(flat,))
+    rho2 = PeriodicMeasure(period=Lattice(np.eye(3)), d=2, m=1, scale=1.0, motif=(wide,))
+    (dens1,) = project(rho1, f, Box([-2.0], [2.0]), threshold=1e-3).densities
+    (dens2,) = project(rho2, f, Box([-2.0, -2.0], [2.0, 2.0]), threshold=1e-3).densities
+    assert len(dens1.translates) > 0
+    assert set(dens2.translates[:, 1]) == {-2.0, -1.0, 0.0, 1.0, 2.0}
+    spectator = dens2.translates[:, 1] == 0.0
+    assert np.array_equal(dens2.translates[spectator, 0], dens1.translates[:, 0])
+    assert np.array_equal(dens2.coefficients[spectator], dens1.coefficients)
 
 
 def test_project_matches_diffraction(fib):
