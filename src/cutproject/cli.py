@@ -19,7 +19,7 @@ import numpy as np
 from ._version import __version__
 from .comb import WeightedComb, autocorrelation_patch, eps_norm_almost_periods, model_comb
 from .cps import CutProjectScheme, Window, internal_density_check, model_set, verify_injectivity
-from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice
+from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, _group_rows
 from .posdef import lift_pd_crosscheck
 from .spectra import (
     Atomic,
@@ -398,23 +398,51 @@ def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _difference_candidates(comb: WeightedComb, max_candidates: int):
+    """Translations between the patch's atoms, each with its integer translate.
+
+    A difference x_i - x_j is kept when its norm passes 1e-9 and every
+    coordinate is within a third of the patch span; it is rounded to 12
+    decimals, with -0 read as 0.  The rounded values are deduplicated, sorted
+    lexicographically and, past ``max_candidates``, cut to the shortest; t = 0
+    leads.  Differences are grouped exactly by z_i - z_j, and only each
+    group's first row and its rare twins (rows whose rounding differs from
+    it) reach the float ``unique``, so every rounded value is still seen and
+    each candidate carries the z_i - z_j of its first occurrence.
+    """
+    xs, z = comb.positions, comb.refs
+    span = comb.extent.sides
+    diffs = xs[:, None, :] - xs[None, :, :]
+    keep = (np.linalg.norm(diffs, axis=2) > 1e-9) & np.all(np.abs(diffs) <= span / 3.0, axis=2)
+    ii, jj = np.nonzero(keep)
+    rounded = diffs[ii, jj]
+    del diffs, keep  # freed before the pair arrays are built, which bounds peak memory
+    np.round(rounded, 12, out=rounded)
+    rounded += 0.0  # -0 + 0 is +0
+    dz = z[ii]
+    dz -= z[jj]
+    del ii, jj
+    label, first = _group_rows(dz)
+    twins = np.nonzero((rounded != rounded[first[label]]).any(axis=1))[0]
+    rows = np.union1d(first, twins)
+    cands, pick = np.unique(rounded[rows], axis=0, return_index=True)
+    shifts = dz[rows[pick]]
+    if len(cands) > max_candidates:
+        order = np.argsort(np.linalg.norm(cands, axis=1))[:max_candidates]
+        cands, shifts = cands[order], shifts[order]
+    return (np.concatenate([np.zeros((1, comb.dim)), cands]),
+            np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts]))
+
+
 def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
     if len(z) == 0:
         raise ConfigError("query holds no model-set points")
     comb = model_comb(cfg.scheme, z, np.ones(len(z)))
-    xs = comb.positions
-    span = comb.extent.sides
-    diffs = (xs[:, None, :] - xs[None, :, :]).reshape(-1, cfg.d)
-    keep = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= span / 3.0, axis=1)
-    cands = np.unique(np.round(diffs[keep], 12), axis=0)
-    if len(cands) > args.max_candidates:
-        order = np.argsort(np.linalg.norm(cands, axis=1))
-        cands = cands[order[: args.max_candidates]]
-    cands = np.concatenate([np.zeros((1, cfg.d)), cands])
+    cands, shifts = _difference_candidates(comb, args.max_candidates)
     eps = max(args.eps, 1e-12)  # eps 0 means exact periods only
     a_box = Box(np.zeros(cfg.d), np.ones(cfg.d))
-    scan = eps_norm_almost_periods(comb, a_box, eps, cands)
+    scan = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     header = [f"t{i + 1}" for i in range(cfg.d)] + ["norm", "accepted"]
     lines = [",".join(header)]
     rows = [(t, v, 1) for t, v in scan.accepted] + [(t, v, 0) for t, v in scan.rejected]
@@ -425,6 +453,18 @@ def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     print(f"accepted {len(scan.accepted)} of {len(cands)} candidates "
           f"({len(scan.skipped)} skipped), max gap {_fmt(scan.max_gap)}")
     return EXIT_OK
+
+
+def _count(minimum: int):
+    """argparse type for an integer flag that must be at least ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" messages
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pdcheck", help="positive definiteness downstairs and on the lift")
     common(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count(1), default=100)
     p.add_argument("--corrupt", action="store_true",
                    help="flip the central autocorrelation weight (expected to fail)")
 
@@ -465,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eps", type=float, required=True,
                    help="acceptance level; 0 keeps exact periods only")
-    p.add_argument("--max-candidates", type=int, default=200)
+    p.add_argument("--max-candidates", type=_count(0), default=200,
+                   help="keep the shortest this many nonzero translations; 0 keeps t = 0 only")
     return parser
 
 

@@ -321,6 +321,7 @@ def eps_norm_almost_periods(
     eps: float,
     candidates,
     min_diameters: float = 10.0,
+    shifts=None,
 ) -> AlmostPeriodScan:
     """Evaluate || T^t comb - comb ||_A on the overlap interior for each candidate t.
 
@@ -329,6 +330,12 @@ def eps_norm_almost_periods(
     than failing the scan.  Accepted translations are those with norm below
     ``eps``; the recorded max gap over the accepted set is the finite-scale
     relative-denseness diagnostic.
+
+    ``shifts`` optionally gives, parallel to the candidates, the integer
+    translate whose image is each t; the comb must then carry ``refs``.  The
+    atoms of T^t comb - comb are merged exactly on (refs + shift, refs), the
+    translated copy first, and a merged pair more than ``MERGE_TOL`` apart
+    raises ``ValueError``.  Without shifts, atoms within ``MERGE_TOL`` merge.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -337,11 +344,17 @@ def eps_norm_almost_periods(
         raise ValueError("candidate translations must match the comb dimension")
     if comb.n_atoms == 0:
         raise ValueError("cannot scan an empty comb")
+    if shifts is not None:
+        if comb.refs is None:
+            raise ValueError("shifts need a comb that carries integer coordinates")
+        shifts = np.atleast_2d(np.asarray(shifts, dtype=np.int64))
+        if shifts.shape != (len(cands), comb.refs.shape[1]):
+            raise ValueError("shifts must hold one integer row per candidate translation")
     extent = comb.extent
     span = a_box.sides
 
     accepted, rejected, skipped = [], [], []
-    for t in cands:
+    for k, t in enumerate(cands):
         overlap = extent.intersect(extent.shifted(t))
         usable = overlap.sides - 2 * span
         if overlap.is_empty or (usable < min_diameters * span).any():
@@ -351,7 +364,15 @@ def eps_norm_almost_periods(
         moved = comb.positions + t
         pos = np.concatenate([moved, comb.positions])
         wts = np.concatenate([comb.weights, -comb.weights])
-        pos, wts, _ = merge_atoms(pos, wts)
+        refs = None
+        if shifts is not None:
+            refs = np.concatenate([comb.refs + shifts[k], comb.refs])
+            label, first = _group_rows(refs)
+            gap = float(np.max(np.abs(pos - pos[first[label]])))
+            if gap > MERGE_TOL:
+                raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
+                                 f"{t.tolist()}: merged atoms {gap:.3e} apart")
+        pos, wts, _ = merge_atoms(pos, wts, refs)
         live = wts != 0
         pos, wts = pos[live], wts[live]
         inside = overlap.contains(pos) if len(pos) else np.zeros(0, bool)

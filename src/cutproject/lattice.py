@@ -300,19 +300,52 @@ def lattice_points_in_box(
     return z[keep], p[keep]
 
 
+def _row_key(rows: np.ndarray) -> np.ndarray | None:
+    """One int64 per row, equal exactly where the rows are, or None.
+
+    The key is the row's offset from the column minima read as a mixed-radix
+    number whose digits run over the column spans.  It is None when the
+    product of the spans passes 2**63, where the key would overflow int64.
+    """
+    if rows.size == 0:
+        return None
+    key, total = None, 1
+    for col in rows.T:
+        lo = col.min()
+        span = int(col.max()) - int(lo) + 1
+        if total * span > 2**63:
+            return None
+        digit = np.subtract(col, lo, dtype=np.int64)
+        # while every earlier column is constant the key is this digit; after
+        # that total >= 2, so span <= 2**62 and key * span cannot overflow
+        key = digit if total == 1 else key * span + digit
+        total *= span
+    return key
+
+
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of an int64 array exactly: arrays (label, first).
 
     Groups are numbered by their lowest member index; ``label[i]`` is the
     group of row i and ``first[g]`` the lowest index in group g.  Looking up
     queries among keys is this grouping of the keys and queries concatenated.
+    Rows are sorted on their ``_row_key`` when it exists, else on all columns.
     """
-    order = np.lexsort(rows.T)  # stable: equal rows stay in index order
-    srt = rows[order]
     starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    run_first = order[starts]
+    key = _row_key(rows)
+    if key is None:
+        order = np.lexsort(rows.T)
+        srt = rows[order]
+        starts[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    else:
+        order = np.argsort(key)  # not stable: each run's lowest index is taken below
+        srt = key[order]
+        starts[1:] = srt[1:] != srt[:-1]
+    del key, srt  # freed before the label arrays are built
+    run_first = np.minimum.reduceat(order, np.flatnonzero(starts))
     by_first = np.argsort(run_first)
+    rank = np.empty(len(by_first), dtype=np.int64)
+    rank[by_first] = np.arange(len(by_first))
     label = np.empty(len(rows), dtype=np.int64)
-    label[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+    label[order] = rank[np.cumsum(starts) - 1]
     return label, run_first[by_first]

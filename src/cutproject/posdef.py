@@ -65,11 +65,16 @@ def gram_matrix(
     coordinates for both the comb and the points the lookup is exact;
     otherwise it matches positions within ``LOOKUP_TOL``.
     """
+    _check_hermitian(f)
+    return _gram(f, points, refs)
+
+
+def _gram(f: WeightedComb, points, refs) -> np.ndarray:
+    """``gram_matrix`` for a comb whose Hermitian symmetry is already checked."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     if n > MAX_GRAM_POINTS:
         raise ValueError(f"too many sample points for the eigen budget ({n} > {MAX_GRAM_POINTS})")
-    _check_hermitian(f)
     ii, jj = np.triu_indices(n)
     diffs = pts[ii] - pts[jj]
     ref_diffs = None
@@ -180,6 +185,8 @@ def lift_pd_crosscheck(
     if gamma.n_atoms == 0:
         empty = np.zeros(0)
         return CrosscheckReport(True, True, True, empty, empty, seed)
+    _check_hermitian(gamma)
+    _check_hermitian(eta)
     rng = np.random.default_rng(seed)
     down_eigs = np.empty(trials)
     up_eigs = np.empty(trials)
@@ -189,8 +196,8 @@ def lift_pd_crosscheck(
         size = min(config_size, gamma.n_atoms)
         idx = rng.choice(gamma.n_atoms, size=size, replace=False)
         refs = gamma.refs[idx] if gamma.refs is not None else None
-        m_down = gram_matrix(gamma, gamma.positions[idx], refs=refs)
-        m_up = gram_matrix(eta, eta.positions[idx], refs=eta.refs[idx])
+        m_down = _gram(gamma, gamma.positions[idx], refs)
+        m_up = _gram(eta, eta.positions[idx], eta.refs[idx])
         equal &= bool(np.array_equal(m_down, m_up))
         lo_down = float(np.linalg.eigvalsh(m_down)[0]) if len(m_down) else 0.0
         lo_up = float(np.linalg.eigvalsh(m_up)[0]) if len(m_up) else 0.0

@@ -99,3 +99,21 @@ def grid_a_norm(comb: WeightedComb, a_box: Box, region: Box, pitch: float = 1e-3
             acc[i0:i1, j0:j1] += w
         return float(acc.max())
     raise NotImplementedError
+
+
+def float_difference_candidates(positions, max_candidates: int):
+    """Almost-period candidates from all float differences, deduplicated as rounded floats.
+
+    Every pair difference with norm above 1e-9 and each coordinate within a
+    third of the patch span, rounded to 12 decimals and deduplicated by
+    ``np.unique`` over all of them; then cut to the ``max_candidates``
+    shortest, t = 0 prepended, and -0 written as 0.
+    """
+    xs = np.atleast_2d(np.asarray(positions, dtype=float))
+    span = xs.max(axis=0) - xs.min(axis=0)
+    diffs = (xs[:, None, :] - xs[None, :, :]).reshape(-1, xs.shape[1])
+    keep = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= span / 3.0, axis=1)
+    cands = np.unique(np.round(diffs[keep], 12), axis=0)
+    if len(cands) > max_candidates:
+        cands = cands[np.argsort(np.linalg.norm(cands, axis=1))[:max_candidates]]
+    return np.concatenate([np.zeros((1, xs.shape[1])), cands]) + 0.0

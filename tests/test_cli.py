@@ -202,6 +202,73 @@ def test_almostperiods_eps_zero_only_identity(tmp_path):
     assert "accepted 1 of" in proc.stdout
 
 
+AMMANN_BEENKER = """
+d = 2
+m = 2
+basis = [[1, 0.70710678118654752, 0, -0.70710678118654752], [0, 0.70710678118654752, 1, 0.70710678118654752], [1, -0.70710678118654752, 0, 0.70710678118654752], [0, 0.70710678118654752, -1, 0.70710678118654752]]
+window = [[-1, 1, -1, 1]]
+profile = "trapezoid"
+profile_plateau = [-0.8, 0.8, -0.8, 0.8]
+profile_margin = 0.2
+query = [-4, 4, -4, 4]
+patch_query = [17.3, 45.3, -40, -12]
+"""
+
+
+@pytest.mark.parametrize("scheme, eps", [("fib", "1.5"), ("ab", "0")])
+def test_almostperiods_merges_on_integer_coordinates(tmp_path, monkeypatch, capsys, scheme, eps):
+    from cutproject import comb
+
+    def no_float_path(*args, **kwargs):
+        raise AssertionError("float merge reached")
+
+    if scheme == "fib":
+        config = FIB_CONFIG
+    else:
+        config = tmp_path / "ab.toml"
+        config.write_text(AMMANN_BEENKER)
+    # eps 0 on the 2-D scheme keeps the accepted set at t = 0, so the max-gap
+    # diagnostic, which matches accepted translations in a k-d tree, stays idle
+    monkeypatch.setattr(comb, "cKDTree", no_float_path)
+    out = tmp_path / "ap.csv"
+    code = main(["almostperiods", "--config", str(config), "--eps", eps,
+                 "--max-candidates", "50", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert f"of {len(rows)} candidates (0 skipped)" in capsys.readouterr().out
+    assert len(rows) == 51
+
+
+def test_almostperiods_single_atom_patch(tmp_path, capsys):
+    config = tmp_path / "one.toml"
+    config.write_text(FIB_CONFIG.read_text() + "patch_query = [0, 0.5]\n")
+    out = tmp_path / "ap.csv"
+    assert main(["almostperiods", "--config", str(config), "--eps", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "accepted 0 of 1 candidates (1 skipped), max gap inf\n"
+    assert out.read_text() == "t1,norm,accepted\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pdcheck", "--trials", "0"], "--trials"),
+    (["almostperiods", "--eps", "1", "--max-candidates", "-3"], "--max-candidates"),
+])
+def test_bad_counts_rejected_at_parse_time(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(FIB_CONFIG)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err
+
+
+def test_max_candidates_zero_keeps_identity(tmp_path, capsys):
+    out = tmp_path / "ap.csv"
+    code = main(["almostperiods", "--config", str(FIB_CONFIG), "--eps", "1",
+                 "--max-candidates", "0", "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == "t1,norm,accepted\n0,0,1\n"
+    assert capsys.readouterr().out.startswith("accepted 1 of 1 candidates (0 skipped)")
+
+
 def test_main_in_process_matches_subprocess(capsys):
     code = main(["check", "--config", str(FIB_CONFIG)])
     assert code == 0

@@ -21,11 +21,12 @@ from cutproject import (
     model_set,
     strip_comb,
 )
+from cutproject.cli import _difference_candidates
 from cutproject.comb import MERGE_TOL, merge_atoms
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
-from .helpers import brute_components, grid_a_norm
+from .helpers import brute_components, float_difference_candidates, grid_a_norm
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -352,6 +353,70 @@ def test_norm_for_two_window_choices_recorded(fib, fib_window):
     scan_b = eps_norm_almost_periods(comb, Box([0.0], [2.5]), eps=0.4, candidates=cands)
     assert len(scan_a.accepted) + len(scan_a.rejected) == len(cands)
     assert len(scan_b.accepted) + len(scan_b.rejected) == len(cands)
+
+
+def _schemes():
+    """Fibonacci, Ammann-Beenker 2+2, and the d = 1, m = 2 tribonacci scheme."""
+    fib = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1, m=1)
+    c = np.sqrt(0.5)
+    ab = CutProjectScheme(lat=Lattice([[1, c, 0, -c], [0, c, 1, c], [1, -c, 0, c], [0, c, -1, c]]),
+                          d=2, m=2)
+    # Minkowski embedding of Z[beta], beta the real root of x^3 = x^2 + x + 1:
+    # the physical coordinate is the real embedding, the internal plane the complex one
+    roots = np.roots([1.0, -1.0, -1.0, -1.0])
+    beta = roots[np.argmin(np.abs(roots.imag))].real
+    alpha = roots[np.argmax(roots.imag)]
+    trib = CutProjectScheme(lat=Lattice([[1.0, beta, beta**2], [1.0, alpha.real, (alpha**2).real],
+                                         [0.0, alpha.imag, (alpha**2).imag]]), d=1, m=2)
+    return {
+        "fib": (fib, Window(Box([0.0], [1.0])), 60.0),
+        "ab": (ab, Window(Box([-1.0, -1.0], [1.0, 1.0])), 14.0),
+        "trib": (trib, Window(Box([-0.8, -0.8], [0.8, 0.8])), 60.0),
+    }
+
+
+SCHEMES = _schemes()
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(SCHEMES)), st.floats(-3000.0, 3000.0), st.floats(0.6, 1.0),
+       st.booleans(), st.integers(0, 60), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+def test_exact_shift_merge_matches_float_merge(name, offset, scale, unit, max_cands, eps, seed):
+    cps, window, side = SCHEMES[name]
+    lo = np.full(cps.d, offset)
+    z = model_set(cps, window, Box(lo, lo + scale * side))
+    rng = np.random.default_rng(seed)
+    weights = np.ones(len(z)) if unit else rng.integers(-2, 3, size=len(z)) + 1j * rng.normal(size=len(z))
+    comb = model_comb(cps, z, weights)
+    cands, shifts = _difference_candidates(comb, max_cands)
+    # bytes, not values: a -0 coordinate must come out as 0
+    assert cands.tobytes() == float_difference_candidates(comb.positions, max_cands).tobytes()
+    assert np.allclose(cps.lat.points(shifts)[:, : cps.d], cands, rtol=0.0, atol=1e-9)
+    a_box = Box(np.zeros(cps.d), np.full(cps.d, 0.5 if name == "ab" else 1.0))
+    exact = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
+    floats = eps_norm_almost_periods(comb, a_box, eps, cands)
+    for got, want in [(exact.accepted, floats.accepted), (exact.rejected, floats.rejected),
+                      (exact.skipped, floats.skipped)]:
+        assert [(t.tobytes(), v) for t, v in got] == [(t.tobytes(), v) for t, v in want]
+    assert exact.max_gap == floats.max_gap
+
+
+def test_shift_that_does_not_match_its_translation_raises(fib, fib_window):
+    comb = fib_patch(fib, fib_window, hi=200.0)
+    cands, shifts = _difference_candidates(comb, 5)
+    assert np.array_equal(cands[1:2], np.round(fib.lat.points(shifts[1:2])[:, :1], 12))
+    with pytest.raises(ValueError, match="does not translate"):
+        eps_norm_almost_periods(comb, Box([0.0], [1.0]), 1.0, cands[1:2], shifts=shifts[2:3])
+
+
+def test_shifts_need_refs_and_one_row_per_candidate(fib, fib_window):
+    comb = fib_patch(fib, fib_window, hi=200.0)
+    cands, shifts = _difference_candidates(comb, 5)
+    bare = WeightedComb(comb.positions, comb.weights)
+    with pytest.raises(ValueError, match="integer coordinates"):
+        eps_norm_almost_periods(bare, Box([0.0], [1.0]), 1.0, cands, shifts=shifts)
+    with pytest.raises(ValueError, match="one integer row per candidate"):
+        eps_norm_almost_periods(comb, Box([0.0], [1.0]), 1.0, cands, shifts=shifts[1:])
 
 
 # ---------------------------------------------------------------------------

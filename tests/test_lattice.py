@@ -1,4 +1,6 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutproject import Box, BudgetError, Lattice, density, dual, lattice_points_in_box
-from cutproject.lattice import _group_rows
+from cutproject import lattice
+from cutproject.lattice import _group_rows, _row_key
 
 from .conftest import TAU
 from .helpers import brute_lattice_points, brute_z_range
@@ -118,6 +121,49 @@ def test_group_rows_matches_first_occurrence_numbering():
         label, first = _group_rows(rows)
         assert label.tolist() == [seen[row] for row in map(tuple, rows)]
         assert first.tolist() == [label.tolist().index(g) for g in range(len(seen))]
+
+
+@st.composite
+def rows_near_key_overflow(draw):
+    """int64 rows whose column spans multiply to about 2**63.
+
+    The spans are powers of two whose exponents sum to 63 (the largest key
+    that fits), one of them is optionally raised by one (the smallest that
+    does not), or all are small.  Both extreme values of every column occur.
+    """
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["fits", "overflows", "small"]))
+    if kind == "small":
+        spans = [draw(st.integers(1, 5)) for _ in range(k)]
+    else:
+        cuts = sorted(draw(st.integers(0, 63)) for _ in range(k - 1))
+        spans = [2 ** (b - a) for a, b in zip([0] + cuts, cuts + [63])]
+        if kind == "overflows":
+            spans[draw(st.integers(0, k - 1))] += 1
+    lo = [draw(st.integers(-(2**63), 2**63 - s)) for s in spans]
+    pool = [[lo[c], lo[c] + spans[c] - 1] + [draw(st.integers(lo[c], lo[c] + spans[c] - 1))]
+            for c in range(k)]
+    picks = draw(st.lists(st.tuples(*[st.integers(0, 2)] * k), min_size=0, max_size=40))
+    rows = [[pool[c][0] for c in range(k)], [pool[c][1] for c in range(k)]]
+    rows += [[pool[c][p[c]] for c in range(k)] for p in picks]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.int64), math.prod(spans)
+
+
+@settings(max_examples=200)
+@given(rows_near_key_overflow())
+def test_group_rows_key_matches_lexsort(case):
+    rows, span_product = case
+    assert (_row_key(rows) is None) == (span_product > 2**63)
+    label, first = _group_rows(rows)
+    with mock.patch.object(lattice, "_row_key", return_value=None):
+        lex_label, lex_first = _group_rows(rows)
+    assert np.array_equal(label, lex_label) and np.array_equal(first, lex_first)
+    seen = {}
+    for row in map(tuple, rows):
+        seen.setdefault(row, len(seen))
+    assert label.tolist() == [seen[row] for row in map(tuple, rows)]
+    assert first.tolist() == [label.tolist().index(g) for g in range(len(seen))]
 
 
 def test_points_bit_identical_across_batch_sizes():

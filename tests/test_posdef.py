@@ -184,6 +184,25 @@ def test_crosscheck_sign_flip_pair_detected(fib):
     assert not report.ok
 
 
+def test_crosscheck_checks_hermitian_once_per_comb(fib, monkeypatch):
+    from cutproject import posdef
+
+    base = Window(Box([0.0], [1.0]))
+    window = Window(Box([-1.0], [1.0]))
+    z = model_set(fib, base, Box([0.0], [30.0]))
+    gamma = autocorrelation_patch(model_comb(fib, z, np.ones(len(z))), Box([-1.0], [31.0]))
+    checked = []
+    check = posdef._check_hermitian
+    monkeypatch.setattr(posdef, "_check_hermitian", lambda f: (checked.append(f.dim), check(f)))
+    lift_pd_crosscheck(fib, gamma, window, trials=10, seed=3)
+    assert checked == [1, 2]  # the comb, then its lift
+    w = gamma.weights.copy()
+    w[int(np.argmax(np.linalg.norm(gamma.positions, axis=1)))] += 1.0
+    bad = WeightedComb(gamma.positions, w, refs=gamma.refs, dim=1, validate=False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        lift_pd_crosscheck(fib, bad, window, trials=10, seed=3)
+
+
 def test_crosscheck_empty_comb(fib):
     window = Window(Box([-1.0], [1.0]))
     gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0), dim=1)
