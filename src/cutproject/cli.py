@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .comb import WeightedComb, autocorrelation_patch, eps_norm_almost_periods, model_comb
+from .comb import (WeightedComb, _write_table, autocorrelation_patch, eps_norm_almost_periods,
+                   model_comb)
 from .cps import CutProjectScheme, Window, internal_density_check, model_set, verify_injectivity
 from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, _group_rows
 from .posdef import lift_pd_crosscheck
@@ -239,15 +240,6 @@ def load_config(path: str) -> SchemeConfig:
     return resolve_config(parse_config_text(text))
 
 
-def _write_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -284,11 +276,7 @@ def cmd_modelset(cfg: SchemeConfig, args) -> int:
         + [f"xstar{i + 1}" for i in range(cfg.m)]
         + [f"z{i + 1}" for i in range(cfg.d + cfg.m)]
     )
-    lines = [",".join(header)]
-    for xi, si, zi in zip(x, xstar, z):
-        lines.append(",".join([_fmt(v) for v in xi] + [_fmt(v) for v in si]
-                              + [str(int(v)) for v in zi]))
-    _write_lines(lines, args.out)
+    _write_table(args.out, header, [*x.T, *xstar.T, *z.T])
     return EXIT_OK
 
 
@@ -301,19 +289,11 @@ def cmd_diffract(cfg: SchemeConfig, args) -> int:
     except TruncationError as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    spectrum_to_csv(spectrum, args.out)
     if args.out:
-        spectrum_to_csv(spectrum, args.out)
         meta = spectrum_metadata_json(spectrum, extra={"config": _jsonable(cfg.raw)})
         with open(args.out + ".json", "w") as fh:
             fh.write(meta + "\n")
-    else:
-        lines = ["k1,re,im,intensity"] if cfg.d == 1 else [
-            ",".join([f"k{i + 1}" for i in range(cfg.d)] + ["re", "im", "intensity"])
-        ]
-        for k, amp in zip(spectrum.ks, spectrum.amplitudes):
-            lines.append(",".join([_fmt(v) for v in k]
-                                  + [_fmt(amp.real), _fmt(amp.imag), _fmt(abs(amp) ** 2)]))
-        _write_lines(lines, None)
     return EXIT_OK
 
 
@@ -356,13 +336,10 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
     header = [f"k{i + 1}" for i in range(cfg.d)] + [
         "re_closed", "im_closed", "re_oracle", "im_oracle", "agreement",
     ]
-    lines = [",".join(header)]
-    for k, c, o in zip(ks, closed, oracle):
-        agreement = abs(c - o) / ref
-        lines.append(",".join([_fmt(v) for v in k]
-                              + [_fmt(c.real), _fmt(c.imag), _fmt(o.real), _fmt(o.imag),
-                                 _fmt(agreement)]))
-    _write_lines(lines, args.out)
+    gap = closed - oracle
+    agreement = np.hypot(gap.real, gap.imag) / ref  # hypot is the scalar abs, bit for bit
+    _write_table(args.out, header,
+                 [*ks.T, closed.real, closed.imag, oracle.real, oracle.imag, agreement])
     return EXIT_OK
 
 
@@ -444,12 +421,12 @@ def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     a_box = Box(np.zeros(cfg.d), np.ones(cfg.d))
     scan = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     header = [f"t{i + 1}" for i in range(cfg.d)] + ["norm", "accepted"]
-    lines = [",".join(header)]
-    rows = [(t, v, 1) for t, v in scan.accepted] + [(t, v, 0) for t, v in scan.rejected]
-    rows.sort(key=lambda r: tuple(r[0]))
-    for t, v, acc in rows:
-        lines.append(",".join([_fmt(x) for x in t] + [_fmt(v), str(acc)]))
-    _write_lines(lines, args.out)
+    scanned = scan.accepted + scan.rejected
+    ts = np.array([t for t, _ in scanned]).reshape(-1, cfg.d)
+    norms = np.array([v for _, v in scanned], dtype=float)
+    accepted = np.repeat([1, 0], [len(scan.accepted), len(scan.rejected)])
+    order = np.lexsort(ts.T[::-1])  # stable, so equal t keep accepted rows first
+    _write_table(args.out, header, [*ts[order].T, norms[order], accepted[order]])
     print(f"accepted {len(scan.accepted)} of {len(cands)} candidates "
           f"({len(scan.skipped)} skipped), max gap {_fmt(scan.max_gap)}")
     return EXIT_OK
@@ -492,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="compare closed-form amplitudes against the patch oracle")
     common(p)
     p.add_argument("--radius", type=float, default=None, help="oracle patch radius")
-    p.add_argument("--top", type=int, default=10, help="number of strongest peaks to compare")
+    p.add_argument("--top", type=_count(1), default=10, help="number of strongest peaks to compare")
     p.add_argument("--k", action="append", default=None, help="explicit peak position")
 
     p = sub.add_parser("pdcheck", help="positive definiteness downstairs and on the lift")

@@ -13,6 +13,8 @@ decided exactly on them, and only combs without them match positions within
 from __future__ import annotations
 
 import csv
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +149,15 @@ def merge_atoms(
         label, first = _group_rows(connected_components(graph, directed=False)[1][:, None])
     else:
         label, first = _group_rows(refs)
+    out_refs = refs[first] if refs is not None else None
+    return positions[first], _sum_groups(weights, label, first), out_refs
+
+
+def _sum_groups(weights: np.ndarray, label: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Weight sum of each group of ``_group_rows``, members added in index order."""
     order = np.argsort(label, kind="stable")
     starts = np.searchsorted(label[order], np.arange(len(first)))
-    out_w = np.add.reduceat(weights[order], starts)
-    return positions[first], out_w, refs[first] if refs is not None else None
+    return np.add.reduceat(weights[order], starts)
 
 
 def lift(
@@ -364,15 +371,15 @@ def eps_norm_almost_periods(
         moved = comb.positions + t
         pos = np.concatenate([moved, comb.positions])
         wts = np.concatenate([comb.weights, -comb.weights])
-        refs = None
         if shifts is not None:
-            refs = np.concatenate([comb.refs + shifts[k], comb.refs])
-            label, first = _group_rows(refs)
+            label, first = _group_rows(np.concatenate([comb.refs + shifts[k], comb.refs]))
             gap = float(np.max(np.abs(pos - pos[first[label]])))
             if gap > MERGE_TOL:
                 raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
                                  f"{t.tolist()}: merged atoms {gap:.3e} apart")
-        pos, wts, _ = merge_atoms(pos, wts, refs)
+            pos, wts = pos[first], _sum_groups(wts, label, first)
+        else:
+            pos, wts, _ = merge_atoms(pos, wts)
         live = wts != 0
         pos, wts = pos[live], wts[live]
         inside = overlap.contains(pos) if len(pos) else np.zeros(0, bool)
@@ -471,14 +478,33 @@ def meyer_gap(
     return float(positive.min()) if positive.size else np.inf
 
 
+def _write_table(path, header, columns, newline: str = "\n", chunk: int = 65536) -> None:
+    """Write a CSV table: the header, then row i holds element i of every column.
+
+    Float columns are written ``%.17g``, which round-trips every float64, and
+    integer columns in decimal.  ``chunk`` rows at a time are formatted by one
+    ``%`` over the columns' Python values, so no row is formatted on its own
+    and the text held at once stays bounded.
+    A ``path`` of None or "" writes to standard output.
+    """
+    formats = ["%d" if np.issubdtype(col.dtype, np.integer) else "%.17g" for col in columns]
+    line = ",".join(formats) + newline
+    width, n = len(columns), len(columns[0])
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        fh.write(",".join(header) + newline)
+        for lo in range(0, n, chunk):
+            rows = min(chunk, n - lo)
+            flat = [None] * (rows * width)
+            for j, col in enumerate(columns):
+                flat[j::width] = col[lo : lo + rows].tolist()
+            fh.write((line * rows) % tuple(flat))
+
+
 def comb_to_csv(comb: WeightedComb, path) -> None:
-    """Write atoms as rows x1,...,xd,re,im."""
+    """Write atoms as rows x1,...,xd,re,im, each line ended by CRLF."""
     header = [f"x{i + 1}" for i in range(comb.dim)] + ["re", "im"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for pos, w in zip(comb.positions, comb.weights):
-            writer.writerow([f"{v:.17g}" for v in pos] + [f"{w.real:.17g}", f"{w.imag:.17g}"])
+    _write_table(path, header, [*comb.positions.T, comb.weights.real, comb.weights.imag],
+                 newline="\r\n")
 
 
 def comb_from_csv(path) -> WeightedComb:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._version import __version__
-from .comb import WeightedComb, a_norm, merge_atoms
+from .comb import WeightedComb, _write_table, a_norm, merge_atoms
 from .cps import CutProjectScheme, Window, _model_set, dual_cps
 from .lattice import (
     BOUNDARY_TOL,
@@ -729,7 +729,10 @@ class DiffractionSpectrum:
 
     @property
     def intensities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        # hypot and C pow give Python's abs(a) ** 2 bit for bit; np.abs and
+        # squaring by multiplication differ from it in the last bit
+        amps = self.amplitudes
+        return np.float_power(np.hypot(amps.real, amps.imag), 2)
 
     @property
     def n_peaks(self) -> int:
@@ -1153,19 +1156,10 @@ def norm_bound_check(
 
 
 def spectrum_to_csv(spectrum: DiffractionSpectrum, path) -> None:
-    """Rows k1..kd,re,im,intensity in lexicographic peak order."""
+    """Rows k1..kd,re,im,intensity in lexicographic peak order; no path writes to stdout."""
     header = [f"k{i + 1}" for i in range(spectrum.d)] + ["re", "im", "intensity"]
-    lines = [",".join(header)]
-    for k, amp in zip(spectrum.ks, spectrum.amplitudes):
-        intensity = abs(amp) ** 2
-        lines.append(
-            ",".join(
-                [f"{v:.17g}" for v in k]
-                + [f"{amp.real:.17g}", f"{amp.imag:.17g}", f"{intensity:.17g}"]
-            )
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    amps = spectrum.amplitudes
+    _write_table(path, header, [*spectrum.ks.T, amps.real, amps.imag, spectrum.intensities])
 
 
 def spectrum_metadata_json(spectrum: DiffractionSpectrum, extra: dict | None = None) -> str:

@@ -1,5 +1,8 @@
 """Independent brute-force oracles the library-side implementations are checked against."""
 
+import csv
+import io
+
 import numpy as np
 
 from cutproject import Box, Lattice, WeightedComb
@@ -117,3 +120,67 @@ def float_difference_candidates(positions, max_candidates: int):
     if len(cands) > max_candidates:
         cands = cands[np.argsort(np.linalg.norm(cands, axis=1))[:max_candidates]]
     return np.concatenate([np.zeros((1, xs.shape[1])), cands]) + 0.0
+
+
+# ---------------------------------------------------------------------------
+# row-by-row table formatters: every CSV the package writes, one row at a time
+
+
+def _join(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _g(value) -> str:
+    return f"{value:.17g}"
+
+
+def rowwise_modelset_csv(x, xstar, z) -> str:
+    d, m = x.shape[1], xstar.shape[1]
+    header = ([f"x{i + 1}" for i in range(d)] + [f"xstar{i + 1}" for i in range(m)]
+              + [f"z{i + 1}" for i in range(d + m)])
+    lines = [",".join(header)]
+    for xi, si, zi in zip(x, xstar, z):
+        lines.append(",".join([_g(v) for v in xi] + [_g(v) for v in si]
+                              + [str(int(v)) for v in zi]))
+    return _join(lines)
+
+
+def rowwise_spectrum_csv(d: int, ks, amplitudes) -> str:
+    """Rows k1..kd,re,im,intensity, the intensity as Python's abs(amp) ** 2."""
+    lines = [",".join([f"k{i + 1}" for i in range(d)] + ["re", "im", "intensity"])]
+    for k, amp in zip(ks, amplitudes):
+        lines.append(",".join([_g(v) for v in k]
+                              + [_g(amp.real), _g(amp.imag), _g(abs(amp) ** 2)]))
+    return _join(lines)
+
+
+def rowwise_oracle_csv(d: int, ks, closed, oracle, ref: float) -> str:
+    header = [f"k{i + 1}" for i in range(d)] + [
+        "re_closed", "im_closed", "re_oracle", "im_oracle", "agreement",
+    ]
+    lines = [",".join(header)]
+    for k, c, o in zip(ks, closed, oracle):
+        agreement = abs(c - o) / ref
+        lines.append(",".join([_g(v) for v in k]
+                              + [_g(c.real), _g(c.imag), _g(o.real), _g(o.imag), _g(agreement)]))
+    return _join(lines)
+
+
+def rowwise_almostperiods_csv(d: int, accepted, rejected) -> str:
+    """Accepted then rejected (t, norm) rows, stably sorted by the tuple t."""
+    lines = [",".join([f"t{i + 1}" for i in range(d)] + ["norm", "accepted"])]
+    rows = [(t, v, 1) for t, v in accepted] + [(t, v, 0) for t, v in rejected]
+    rows.sort(key=lambda r: tuple(r[0]))
+    for t, v, acc in rows:
+        lines.append(",".join([_g(x) for x in t] + [_g(v), str(acc)]))
+    return _join(lines)
+
+
+def rowwise_comb_csv(comb: WeightedComb) -> str:
+    """Rows x1..xd,re,im through the csv module, whose lines end in CRLF."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"x{i + 1}" for i in range(comb.dim)] + ["re", "im"])
+    for pos, w in zip(comb.positions, comb.weights):
+        writer.writerow([_g(v) for v in pos] + [_g(w.real), _g(w.imag)])
+    return buf.getvalue()

@@ -251,6 +251,8 @@ def test_almostperiods_single_atom_patch(tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["pdcheck", "--trials", "0"], "--trials"),
     (["almostperiods", "--eps", "1", "--max-candidates", "-3"], "--max-candidates"),
+    (["oracle", "--top", "0"], "--top"),
+    (["oracle", "--top", "-8"], "--top"),
 ])
 def test_bad_counts_rejected_at_parse_time(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
