@@ -26,6 +26,7 @@ from .lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, Box, BudgetError, _group_row
 
 MERGE_TOL = 1e-9  # absolute position tolerance when coinciding atoms are merged
 LIFT_TOL = 1e-7  # how far an atom may sit from the lattice point it is lifted to
+_TABLE_CHUNK = 65536  # rows formatted at once by _write_table
 
 
 def _min_pairwise_distance(positions: np.ndarray) -> float:
@@ -478,12 +479,12 @@ def meyer_gap(
     return float(positive.min()) if positive.size else np.inf
 
 
-def _write_table(path, header, columns, newline: str = "\n", chunk: int = 65536) -> None:
+def _write_table(path, header, columns, newline: str = "\n") -> None:
     """Write a CSV table: the header, then row i holds element i of every column.
 
     Float columns are written ``%.17g``, which round-trips every float64, and
-    integer columns in decimal.  ``chunk`` rows at a time are formatted by one
-    ``%`` over the columns' Python values, so no row is formatted on its own
+    integer columns in decimal.  ``_TABLE_CHUNK`` rows at a time are formatted by
+    one ``%`` over the columns' Python values, so no row is formatted on its own
     and the text held at once stays bounded.
     A ``path`` of None or "" writes to standard output.
     """
@@ -492,8 +493,8 @@ def _write_table(path, header, columns, newline: str = "\n", chunk: int = 65536)
     width, n = len(columns), len(columns[0])
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + newline)
-        for lo in range(0, n, chunk):
-            rows = min(chunk, n - lo)
+        for lo in range(0, n, _TABLE_CHUNK):
+            rows = min(_TABLE_CHUNK, n - lo)
             flat = [None] * (rows * width)
             for j, col in enumerate(columns):
                 flat[j::width] = col[lo : lo + rows].tolist()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cutproject import WeightedComb, comb_from_csv, comb_to_csv, spectrum_to_csv
-from cutproject import cli
+from cutproject import cli, comb
 from cutproject.comb import AlmostPeriodScan, _write_table
 from cutproject.spectra import DiffractionSpectrum
 
@@ -132,10 +132,10 @@ def test_almostperiods_table_matches_rowwise(monkeypatch, tmp_path, capsys, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_comb_table_matches_rowwise(tmp_path, d):
     rng = np.random.default_rng(500 + d)
-    comb = WeightedComb(floats(rng, (300, d)), complexes(rng, 300), dim=d, validate=False)
+    c = WeightedComb(floats(rng, (300, d)), complexes(rng, 300), dim=d, validate=False)
     path = tmp_path / "comb.csv"
-    comb_to_csv(comb, path)
-    assert path.read_bytes() == rowwise_comb_csv(comb).encode()
+    comb_to_csv(c, path)
+    assert path.read_bytes() == rowwise_comb_csv(c).encode()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -146,25 +146,27 @@ def test_comb_csv_crlf_round_trip(tmp_path, d):
     positions[1] = 1e308
     if d == 2:  # kept apart from row 0 by its second coordinate
         positions[2, 0] = 5e-324
-    comb = WeightedComb(positions, complexes(rng, 200, FINITE_SPECIAL), dim=d)
+    c = WeightedComb(positions, complexes(rng, 200, FINITE_SPECIAL), dim=d)
     path = tmp_path / "comb.csv"
-    comb_to_csv(comb, path)
+    comb_to_csv(c, path)
     data = path.read_bytes()
     assert data.count(b"\r\n") == 201 and data.count(b"\n") == 201
     back = comb_from_csv(path)
-    assert np.array_equal(back.positions.view(np.int64), comb.positions.view(np.int64))
-    assert np.array_equal(back.weights.view(np.int64), comb.weights.view(np.int64))
+    assert np.array_equal(back.positions.view(np.int64), c.positions.view(np.int64))
+    assert np.array_equal(back.weights.view(np.int64), c.weights.view(np.int64))
 
 
-def test_table_chunks_join_to_one_table(tmp_path, capsys):
+def test_table_chunks_join_to_one_table(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(700)
     columns = [floats(rng, 10), rng.integers(INT64.min, INT64.max, 10), floats(rng, 10)]
     one, many = tmp_path / "one.csv", tmp_path / "many.csv"
     _write_table(one, ["a", "b", "c"], columns)
-    _write_table(many, ["a", "b", "c"], columns, chunk=3)
+    monkeypatch.setattr(comb, "_TABLE_CHUNK", 3)
+    _write_table(many, ["a", "b", "c"], columns)
     assert many.read_bytes() == one.read_bytes()
     assert len(one.read_text().splitlines()) == 11
-    _write_table(None, ["a", "b", "c"], columns, chunk=4)
+    monkeypatch.setattr(comb, "_TABLE_CHUNK", 4)
+    _write_table(None, ["a", "b", "c"], columns)
     assert capsys.readouterr().out == one.read_text()
 
 
