@@ -291,18 +291,10 @@ def cmd_diffract(cfg: SchemeConfig, args) -> int:
         return EXIT_CHECK_FAILED
     spectrum_to_csv(spectrum, args.out)
     if args.out:
-        meta = spectrum_metadata_json(spectrum, extra={"config": _jsonable(cfg.raw)})
+        meta = spectrum_metadata_json(spectrum, extra={"config": cfg.raw})
         with open(args.out + ".json", "w") as fh:
             fh.write(meta + "\n")
     return EXIT_OK
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def cmd_oracle(cfg: SchemeConfig, args) -> int:

@@ -26,6 +26,8 @@ from .lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, Box, BudgetError, _group_row
 
 MERGE_TOL = 1e-9  # absolute position tolerance when coinciding atoms are merged
 LIFT_TOL = 1e-7  # how far an atom may sit from the lattice point it is lifted to
+MIN_DIAMETERS = 10.0  # window spans per axis an almost-period evaluation region needs
+GAP_DEDUP_TOL = 1e-12  # difference-set gaps at most this are float duplicates
 _TABLE_CHUNK = 65536  # rows formatted at once by _write_table
 
 
@@ -102,12 +104,6 @@ class WeightedComb:
         return WeightedComb(self.positions + np.asarray(t, dtype=float), self.weights,
                             dim=self.dim, validate=False)
 
-    def restricted(self, box: Box, tol: float = BOUNDARY_TOL) -> "WeightedComb":
-        keep = box.contains(self.positions, tol=tol) if self.n_atoms else np.zeros(0, bool)
-        refs = self.refs[keep] if self.refs is not None else None
-        return WeightedComb(self.positions[keep], self.weights[keep], refs=refs,
-                            dim=self.dim, validate=False)
-
     def scaled(self, factor: complex) -> "WeightedComb":
         return WeightedComb(self.positions, self.weights * factor, refs=self.refs,
                             dim=self.dim, validate=False)
@@ -129,13 +125,12 @@ def merge_atoms(
     positions: np.ndarray,
     weights: np.ndarray,
     refs: np.ndarray | None = None,
-    tol: float = MERGE_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Merge the atoms that sit at the same point.
 
     With ``refs`` an atom is its integer coordinates: atoms merge exactly when
     their rows are equal, whatever their positions.  Without them, groups are
-    the connected components of the within-``tol`` relation (sup-norm) on
+    the connected components of the within-``MERGE_TOL`` relation (sup-norm) on
     positions.  The group representative is its lowest-index member, groups
     are ordered by it, and weights are summed in index order, so the result
     is deterministic.
@@ -145,7 +140,7 @@ def merge_atoms(
         from scipy.sparse.csgraph import connected_components
 
         n = len(positions)
-        pairs = cKDTree(positions).query_pairs(r=tol, p=np.inf, output_type="ndarray")
+        pairs = cKDTree(positions).query_pairs(r=MERGE_TOL, p=np.inf, output_type="ndarray")
         graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
         label, first = _group_rows(connected_components(graph, directed=False)[1][:, None])
     else:
@@ -166,12 +161,11 @@ def lift(
     gamma: WeightedComb,
     window: Window,
     search: Window,
-    tol: float = LIFT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> WeightedComb:
     """Lift a comb on R^d to the lattice strip: atom at x becomes atom at (x, xstar).
 
-    Every atom must sit (within ``tol``) on the physical part of exactly one
+    Every atom must sit (within ``LIFT_TOL``) on the physical part of exactly one
     lattice point whose internal part lies in the ``search`` window.  Weights
     and atom count are preserved.  When the input already carries integer
     coordinates they are trusted after validation, which keeps the round trip
@@ -192,11 +186,11 @@ def lift(
         full = cps.lat.points(z)
         if not search.contains(full[:, cps.d :]).all():
             raise ValueError("atom not on Lambda(search): internal part outside the search window")
-        if np.max(np.abs(full[:, : cps.d] - gamma.positions)) > tol:
+        if np.max(np.abs(full[:, : cps.d] - gamma.positions)) > LIFT_TOL:
             raise ValueError("atom not on Lambda(search): position does not match its coordinates")
         return WeightedComb(full, gamma.weights, refs=z, dim=cps.lat.n, validate=False)
 
-    phys_box = gamma.extent.inflate(tol)
+    phys_box = gamma.extent.inflate(LIFT_TOL)
     full_box = Box.product(phys_box, search.bounding_box())
     z, p = lattice_points_in_box(cps.lat, full_box, budget=budget)
     keep = search.contains(p[:, cps.d :])
@@ -209,9 +203,9 @@ def lift(
     dist = np.atleast_2d(dist.reshape(len(gamma.positions), -1))
     idx = np.atleast_2d(idx.reshape(len(gamma.positions), -1))
     for i in range(gamma.n_atoms):
-        if dist[i, 0] > tol:
+        if dist[i, 0] > LIFT_TOL:
             raise ValueError(f"atom not on Lambda(search): atom {i} at distance {dist[i, 0]:.3e}")
-        if k > 1 and dist[i, 1] <= tol:
+        if k > 1 and dist[i, 1] <= LIFT_TOL:
             raise ValueError(f"injectivity violation at atom {i}: two lattice points within tolerance")
     matched = idx[:, 0]
     return WeightedComb(p[matched], gamma.weights, refs=z[matched], dim=cps.lat.n, validate=False)
@@ -239,18 +233,13 @@ def _translate_range(a_box: Box, region: Box) -> tuple[np.ndarray, np.ndarray]:
     return t_lo, t_hi
 
 
-def _window_mass_1d(sorted_pos, csum, lo, hi, tol):
-    i = np.searchsorted(sorted_pos, lo - tol, side="left")
-    j = np.searchsorted(sorted_pos, hi + tol, side="right")
-    return csum[j] - csum[i]
-
-
-def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box, tol: float = BOUNDARY_TOL) -> float:
+def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
     """sup over translates t with t + a_box inside eval_region of |comb|(t + a_box).
 
     The supremum of the window mass is attained where some atom touches a
     face of the box, so only finitely many translates per axis need checking;
-    the sweep below enumerates exactly those events and is exact.
+    the sweep below enumerates exactly those events and is exact.  Boxes are
+    closed within ``BOUNDARY_TOL``.
     """
     if a_box.dim != comb.dim or eval_region.dim != comb.dim:
         raise ValueError("box dimensions must match the comb dimension")
@@ -268,8 +257,8 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box, tol: float = BOUNDA
         csum = np.concatenate([[0.0], np.cumsum(mags[order])])
         events = np.concatenate([pos - a_box.hi[0], pos - a_box.lo[0], t_lo, t_hi])
         events = np.clip(events, t_lo[0], t_hi[0])
-        lo_idx = np.searchsorted(sorted_pos, events + a_box.lo[0] - tol, side="left")
-        hi_idx = np.searchsorted(sorted_pos, events + a_box.hi[0] + tol, side="right")
+        lo_idx = np.searchsorted(sorted_pos, events + a_box.lo[0] - BOUNDARY_TOL, side="left")
+        hi_idx = np.searchsorted(sorted_pos, events + a_box.hi[0] + BOUNDARY_TOL, side="right")
         return float(np.max(csum[hi_idx] - csum[lo_idx]))
 
     # general case: per-axis face events, then a dense product sweep
@@ -283,8 +272,8 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box, tol: float = BOUNDA
     masks = []
     for i in range(comb.dim):
         ev = axis_events[i]
-        inside = (comb.positions[None, :, i] >= ev[:, None] + a_box.lo[i] - tol) & (
-            comb.positions[None, :, i] <= ev[:, None] + a_box.hi[i] + tol
+        inside = (comb.positions[None, :, i] >= ev[:, None] + a_box.lo[i] - BOUNDARY_TOL) & (
+            comb.positions[None, :, i] <= ev[:, None] + a_box.hi[i] + BOUNDARY_TOL
         )
         masks.append(inside)
     if comb.dim == 2:
@@ -313,6 +302,7 @@ class AlmostPeriodScan:
 
 
 def _accepted_max_gap(ts: list[np.ndarray]) -> float:
+    """Largest consecutive gap for d = 1; largest nearest-neighbour distance for d >= 2."""
     if len(ts) < 2:
         return np.inf
     arr = np.stack(ts)
@@ -328,16 +318,18 @@ def eps_norm_almost_periods(
     a_box: Box,
     eps: float,
     candidates,
-    min_diameters: float = 10.0,
     shifts=None,
 ) -> AlmostPeriodScan:
     """Evaluate || T^t comb - comb ||_A on the overlap interior for each candidate t.
 
     Candidates whose overlap cannot hold an evaluation region of at least
-    ``min_diameters`` window spans per axis are skipped with a reason rather
+    ``MIN_DIAMETERS`` window spans per axis are skipped with a reason rather
     than failing the scan.  Accepted translations are those with norm below
-    ``eps``; the recorded max gap over the accepted set is the finite-scale
-    relative-denseness diagnostic.
+    ``eps``.  ``max_gap`` summarises the accepted set at finite scale.  For
+    d = 1 it is the largest gap between consecutive accepted t, a relative-
+    denseness bound on the scanned range.  For d >= 2 it is the largest
+    distance from an accepted t to its nearest accepted neighbour, which
+    bounds no hole: two tight clusters far apart give a small value.
 
     ``shifts`` optionally gives, parallel to the candidates, the integer
     translate whose image is each t; the comb must then carry ``refs``.  The
@@ -365,7 +357,7 @@ def eps_norm_almost_periods(
     for k, t in enumerate(cands):
         overlap = extent.intersect(extent.shifted(t))
         usable = overlap.sides - 2 * span
-        if overlap.is_empty or (usable < min_diameters * span).any():
+        if overlap.is_empty or (usable < MIN_DIAMETERS * span).any():
             skipped.append((t, "overlap too small"))
             continue
         eval_region = Box(overlap.lo + span, overlap.hi - span)
@@ -450,12 +442,11 @@ def meyer_gap(
     positions,
     folds: int = 2,
     budget: int = 2_000_000,
-    dedup_tol: float = 1e-12,
 ) -> float:
     """Minimum positive pairwise gap of the iterated difference set.
 
     ``folds`` is the number of subtractions: folds=2 builds P - P - P from
-    the patch P.  Values closer than ``dedup_tol`` count as the same element,
+    the patch P.  Values within ``GAP_DEDUP_TOL`` count as the same element,
     which absorbs floating-point duplicates of algebraically equal points.
     """
     if folds < 1 or folds > 3:
@@ -472,10 +463,10 @@ def meyer_gap(
     if d == 1:
         vals = np.sort(current[:, 0])
         gaps = np.diff(vals)
-        gaps = gaps[gaps > dedup_tol]
+        gaps = gaps[gaps > GAP_DEDUP_TOL]
         return float(gaps.min()) if len(gaps) else np.inf
     dist, _ = cKDTree(current).query(current, k=min(len(current), 16))
-    positive = dist[:, 1:][dist[:, 1:] > dedup_tol]
+    positive = dist[:, 1:][dist[:, 1:] > GAP_DEDUP_TOL]
     return float(positive.min()) if positive.size else np.inf
 
 

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .lattice import (
-    BOUNDARY_TOL,
-    DEFAULT_BUDGET,
-    Box,
-    Lattice,
-    dual,
-    lattice_points_in_box,
-)
+from .lattice import DEFAULT_BUDGET, Box, Lattice, dual, lattice_points_in_box
 
 
 @dataclass(frozen=True)
@@ -54,13 +47,13 @@ class Window:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "parts", parts)
 
-    def contains(self, points, tol: float = BOUNDARY_TOL):
+    def contains(self, points):
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         ok = np.zeros(len(pts), dtype=bool)
         for part in self.parts:
-            ok |= part.contains(pts, tol=tol)
+            ok |= part.contains(pts)
         return bool(ok[0]) if single else ok
 
     def bounding_box(self) -> Box:
@@ -83,12 +76,6 @@ class CutProjectScheme:
         if self.d + self.m != self.lat.n:
             raise ValueError(f"d + m = {self.d + self.m} does not match lattice dimension {self.lat.n}")
 
-    def physical(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)[..., : self.d]
-
-    def internal(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)[..., self.d :]
-
     def split(self, z) -> tuple[np.ndarray, np.ndarray]:
         p = self.lat.points(z)
         return p[..., : self.d], p[..., self.d :]
@@ -105,7 +92,7 @@ def star(cps: CutProjectScheme, z) -> np.ndarray:
     return cps.lat.points(z)[..., cps.d :]
 
 
-def _model_set(cps: CutProjectScheme, window: Window, query: Box, budget: int, tol: float):
+def _model_set(cps: CutProjectScheme, window: Window, query: Box, budget: int):
     """Body of ``model_set``.
 
     The patch oracle in ``spectra`` sums over the same rows in the same order
@@ -117,8 +104,8 @@ def _model_set(cps: CutProjectScheme, window: Window, query: Box, budget: int, t
     if query.dim != cps.d:
         raise ValueError("query dimension does not match the scheme's physical dimension")
     full = Box.product(query, window.bounding_box())
-    z, p = lattice_points_in_box(cps.lat, full, budget=budget, tol=tol)
-    keep = window.contains(p[:, cps.d :], tol=tol)
+    z, p = lattice_points_in_box(cps.lat, full, budget=budget)
+    keep = window.contains(p[:, cps.d :])
     z, x = z[keep], p[keep, : cps.d]
     # lexicographic in x, integer coordinates as deterministic tie-breaker
     keys = tuple(z[:, i] for i in reversed(range(z.shape[1]))) + tuple(
@@ -128,11 +115,7 @@ def _model_set(cps: CutProjectScheme, window: Window, query: Box, budget: int, t
 
 
 def model_set(
-    cps: CutProjectScheme,
-    window: Window,
-    query: Box,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = BOUNDARY_TOL,
+    cps: CutProjectScheme, window: Window, query: Box, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Integer coordinates Z of the lattice points over ``query`` x ``window``.
 
@@ -141,7 +124,7 @@ def model_set(
     physical part with ``z`` as tie-breaker.  ``cps.split(Z)`` gives the
     positions, bit for bit those the enumeration filtered.
     """
-    return _model_set(cps, window, query, budget, tol)
+    return _model_set(cps, window, query, budget)
 
 
 @dataclass(frozen=True)

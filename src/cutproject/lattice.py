@@ -16,7 +16,7 @@ import numpy as np
 # Most candidates one level of ``lattice_points_in_box`` may materialise; the
 # last level holds about as many candidates as the box holds lattice points.
 DEFAULT_BUDGET = 100_000_000
-BOUNDARY_TOL = 1e-9
+BOUNDARY_TOL = 1e-9  # how far outside a closed box or window a point still counts as in
 
 
 class BudgetError(RuntimeError):
@@ -64,22 +64,20 @@ class Box:
             return 0.0
         return float(np.prod(self.sides))
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, points, tol: float = BOUNDARY_TOL):
-        """Closed-box membership with boundary tolerance; vectorised over rows."""
+    def contains(self, points):
+        """Closed-box membership within ``BOUNDARY_TOL``; vectorised over rows."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        ok = (pts >= self.lo - tol).all(axis=1) & (pts <= self.hi + tol).all(axis=1)
+        ok = ((pts >= self.lo - BOUNDARY_TOL).all(axis=1)
+              & (pts <= self.hi + BOUNDARY_TOL).all(axis=1))
         return bool(ok[0]) if single else ok
 
-    def contains_box(self, other: "Box", tol: float = BOUNDARY_TOL) -> bool:
+    def contains_box(self, other: "Box") -> bool:
         if other.is_empty:
             return True
-        return bool((other.lo >= self.lo - tol).all() and (other.hi <= self.hi + tol).all())
+        return bool((other.lo >= self.lo - BOUNDARY_TOL).all()
+                    and (other.hi <= self.hi + BOUNDARY_TOL).all())
 
     def intersect(self, other: "Box") -> "Box":
         return Box(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))
@@ -237,21 +235,18 @@ def _eliminate(a, b, hist, k, m):
 
 
 def lattice_points_in_box(
-    lat: Lattice,
-    box: Box,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = BOUNDARY_TOL,
+    lat: Lattice, box: Box, budget: int = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
     """All lattice points inside the closed ``box``: arrays (Z, P).
 
     Output-sensitive and complete by construction, in the style of
-    Fincke-Pohst.  The box is the system ``B z <= hi + tol``,
-    ``-B z <= -(lo - tol)``; Fourier-Motzkin elimination of z_{n-1}, ..., z_1
-    yields, for every k, rows bounding z_k given z_0..z_{k-1}.  Prefixes are
-    expanded level by level, z_0 outermost, each range clamped to the
-    interval-arithmetic cover of the preimage, so rows come out in
-    lexicographic order of z.  Positions are then filtered against the box
-    with the boundary tolerance.  Every row carries a small relative slack,
+    Fincke-Pohst.  The box is the system ``B z <= hi + BOUNDARY_TOL``,
+    ``-B z <= -(lo - BOUNDARY_TOL)``; Fourier-Motzkin elimination of
+    z_{n-1}, ..., z_1 yields, for every k, rows bounding z_k given
+    z_0..z_{k-1}.  Prefixes are expanded level by level, z_0 outermost, each
+    range clamped to the interval-arithmetic cover of the preimage, so rows
+    come out in lexicographic order of z.  Positions are then filtered
+    against the box with ``Box.contains``.  Every row carries a small relative slack,
     which can only add candidates.  Raises BudgetError before materialising
     a level whose candidate count exceeds ``budget``; the last level holds
     about as many candidates as there are points in the box.
@@ -268,7 +263,7 @@ def lattice_points_in_box(
     m = np.maximum(np.abs(cover_lo), np.abs(cover_hi)).astype(float)
 
     a = np.concatenate([lat.basis, -lat.basis])
-    b = np.concatenate([box.hi + tol, -(box.lo - tol)])
+    b = np.concatenate([box.hi + BOUNDARY_TOL, -(box.lo - BOUNDARY_TOL)])
     b = b + _ROW_PAD * (np.abs(a) @ m + np.abs(b))
     systems = [_tidy(a, b, np.eye(2 * n, dtype=bool), m)]
     for k in range(n - 1, 0, -1):
@@ -296,7 +291,7 @@ def lattice_points_in_box(
         z = np.column_stack([z[rows], first[rows] + step])
 
     p = lat.points(z)
-    keep = box.contains(p, tol=tol)
+    keep = box.contains(p)
     return z[keep], p[keep]
 
 

@@ -17,28 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .comb import WeightedComb, lift
+from .comb import MERGE_TOL, WeightedComb, lift
 from .cps import CutProjectScheme, Window
 from .lattice import _group_rows
 
 PSD_TOL = 1e-8
 HERMITIAN_TOL = 1e-6
-LOOKUP_TOL = 1e-9
 MAX_GRAM_POINTS = 500
+CONFIG_SIZE = 40  # sample points per trial configuration
 
 
 def _lookup_weights(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> np.ndarray:
     """f evaluated at the given points, zero where no atom sits.
 
     Exact on integer coordinates when both ``f`` and the points carry them;
-    otherwise the nearest atom within ``LOOKUP_TOL``.
+    otherwise the nearest atom within ``MERGE_TOL``.
     """
     if refs is not None and f.refs is not None:
         label, first = _group_rows(np.concatenate([f.refs, refs]))
         idx = first[label[f.n_atoms :]]
     else:
         dist, idx = cKDTree(f.positions).query(points, k=1)
-        idx[dist > LOOKUP_TOL] = f.n_atoms
+        idx[dist > MERGE_TOL] = f.n_atoms
     # an index of n_atoms or more means no atom and picks the appended zero
     return np.append(f.weights, 0)[np.minimum(idx, f.n_atoms)]
 
@@ -63,7 +63,7 @@ def gram_matrix(
     Only the upper triangle is looked up; the lower triangle is its conjugate
     mirror, so the matrix is Hermitian by construction.  With integer
     coordinates for both the comb and the points the lookup is exact;
-    otherwise it matches positions within ``LOOKUP_TOL``.
+    otherwise it matches positions within ``MERGE_TOL``.
     """
     _check_hermitian(f)
     return _gram(f, points, refs)
@@ -89,6 +89,20 @@ def _gram(f: WeightedComb, points, refs) -> np.ndarray:
     return m
 
 
+def _min_eig(m: np.ndarray) -> tuple[float, bool, float]:
+    """(minimum eigenvalue, PSD verdict, tolerance) of a Gram matrix.
+
+    The verdict is that the minimum eigenvalue clears -PSD_TOL scaled by the
+    matrix max-norm, the tolerance double-precision eigensolves warrant at
+    this size.  An empty matrix passes with the unscaled tolerance.
+    """
+    if len(m) == 0:
+        return 0.0, True, PSD_TOL
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    tol = PSD_TOL * max(1.0, float(np.max(np.abs(m))))
+    return min_eig, min_eig >= -tol, tol
+
+
 @dataclass(frozen=True)
 class GramReport:
     size: int
@@ -98,24 +112,11 @@ class GramReport:
     points: np.ndarray
 
 
-def gram_min_eigenvalue(
-    f: WeightedComb,
-    points,
-    refs=None,
-    psd_tol: float = PSD_TOL,
-) -> GramReport:
-    """Minimum eigenvalue of the Gram matrix over the sample points.
-
-    ``ok`` means the minimum eigenvalue clears -psd_tol scaled by the matrix
-    max-norm, the tolerance double-precision eigensolves warrant at this size.
-    """
+def gram_min_eigenvalue(f: WeightedComb, points, refs=None) -> GramReport:
+    """Minimum eigenvalue of the Gram matrix over the sample points, with its PSD verdict."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = gram_matrix(f, pts, refs=refs)
-    if len(m) == 0:
-        return GramReport(0, 0.0, True, psd_tol, pts)
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    tol = psd_tol * max(1.0, float(np.max(np.abs(m))))
-    return GramReport(len(m), min_eig, min_eig >= -tol, tol, pts)
+    return GramReport(len(m), *_min_eig(m), pts)
 
 
 @dataclass(frozen=True)
@@ -131,28 +132,27 @@ def restriction_check(
     subgroup_points,
     trials: int,
     seed: int,
-    config_size: int = 40,
+    config_size: int = CONFIG_SIZE,
     refs=None,
-    psd_tol: float = PSD_TOL,
 ) -> RestrictionReport:
     """Gram tests on random configurations drawn only from the given point set.
 
     Positive definiteness restricts to any subset closed under differences,
-    so every trial of a genuinely positive definite f must pass.
+    so every trial of a genuinely positive definite f must pass.  Hermitian
+    symmetry of f is checked once, before the first trial.
     """
     pts = np.atleast_2d(np.asarray(subgroup_points, dtype=float))
     if refs is not None:
         refs = np.atleast_2d(np.asarray(refs, dtype=np.int64))
+    _check_hermitian(f)
     rng = np.random.default_rng(seed)
     eigs = np.empty(trials)
     ok = True
     for t in range(trials):
         size = min(config_size, len(pts))
         idx = rng.choice(len(pts), size=size, replace=False)
-        report = gram_min_eigenvalue(f, pts[idx], refs=refs[idx] if refs is not None else None,
-                                     psd_tol=psd_tol)
-        eigs[t] = report.min_eig
-        ok &= report.ok
+        eigs[t], passed, _ = _min_eig(_gram(f, pts[idx], refs[idx] if refs is not None else None))
+        ok &= passed
     return RestrictionReport(ok, trials, eigs, seed)
 
 
@@ -172,8 +172,6 @@ def lift_pd_crosscheck(
     window: Window,
     trials: int,
     seed: int,
-    config_size: int = 40,
-    psd_tol: float = PSD_TOL,
 ) -> CrosscheckReport:
     """Test positive definiteness downstairs and on the lifted comb together.
 
@@ -193,15 +191,14 @@ def lift_pd_crosscheck(
     down_ok = up_ok = True
     equal = True
     for t in range(trials):
-        size = min(config_size, gamma.n_atoms)
+        size = min(CONFIG_SIZE, gamma.n_atoms)
         idx = rng.choice(gamma.n_atoms, size=size, replace=False)
         refs = gamma.refs[idx] if gamma.refs is not None else None
         m_down = _gram(gamma, gamma.positions[idx], refs)
         m_up = _gram(eta, eta.positions[idx], eta.refs[idx])
         equal &= bool(np.array_equal(m_down, m_up))
-        lo_down = float(np.linalg.eigvalsh(m_down)[0]) if len(m_down) else 0.0
-        lo_up = float(np.linalg.eigvalsh(m_up)[0]) if len(m_up) else 0.0
-        down_eigs[t], up_eigs[t] = lo_down, lo_up
-        down_ok &= lo_down >= -psd_tol * max(1.0, float(np.max(np.abs(m_down))))
-        up_ok &= lo_up >= -psd_tol * max(1.0, float(np.max(np.abs(m_up))))
+        down_eigs[t], passed_down, _ = _min_eig(m_down)
+        up_eigs[t], passed_up, _ = _min_eig(m_up)
+        down_ok &= passed_down
+        up_ok &= passed_up
     return CrosscheckReport(down_ok, up_ok, equal, down_eigs, up_eigs, seed)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._version import __version__
-from .comb import WeightedComb, _write_table, a_norm, merge_atoms
+from .comb import LIFT_TOL, WeightedComb, _write_table, a_norm, merge_atoms
 from .cps import CutProjectScheme, Window, _model_set, dual_cps
 from .lattice import (
     BOUNDARY_TOL,
@@ -255,8 +255,8 @@ class Separable:
     def plateau(self) -> Box:
         return Box([ax.a for ax in self.axes], [ax.b for ax in self.axes])
 
-    def covers(self, window: Window, tol: float = BOUNDARY_TOL) -> bool:
-        return all(self.plateau.contains_box(part, tol=tol) for part in window.parts)
+    def covers(self, window: Window) -> bool:
+        return all(self.plateau.contains_box(part) for part in window.parts)
 
     def support_box(self) -> Box:
         lo, hi = zip(*(ax.support() for ax in self.axes))
@@ -377,6 +377,8 @@ def make_cutoff(plateau: Box | tuple, margin) -> Separable:
 
 
 DEFAULT_INTERNAL_SLICE = 60.0
+QUADRATURE_REL_TOL = 1e-9  # relative change between panel halvings that ends refinement
+MAX_REFINE = 2  # panel halvings allowed beyond the first comparison
 
 
 @dataclass(frozen=True)
@@ -394,11 +396,8 @@ class TruncationSpec:
     radius: float = 200.0
     panel: float = 0.5
     order: int = 16
-    rel_tol: float = 1e-9
     tail_tol: float = 1e-8
     internal_radius: float | None = None
-    match_tol: float = 1e-7
-    max_refine: int = 2
 
 
 def _gl_grid(radius: float, panel: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -447,11 +446,11 @@ def _axis_pair(f_axis, g_axis, shifts: np.ndarray, trunc: TruncationSpec) -> tup
     scale_hint = f_axis.envelope().c0 * g_axis.envelope().c0 + 1e-300
     panel = trunc.panel
     prev = _axis_pair_once(f_axis, g_axis, shifts, trunc.radius, panel, trunc.order)
-    for _ in range(trunc.max_refine + 1):
+    for _ in range(MAX_REFINE + 1):
         panel *= 0.5
         cur = _axis_pair_once(f_axis, g_axis, shifts, trunc.radius, panel, trunc.order)
         err = np.abs(cur - prev)
-        if np.all(err <= trunc.rel_tol * np.maximum(np.abs(cur), 1e-3 * scale_hint)):
+        if np.all(err <= QUADRATURE_REL_TOL * np.maximum(np.abs(cur), 1e-3 * scale_hint)):
             tails = _axis_pair_tail(f_axis.envelope(), g_axis.envelope(), trunc.radius, shifts)
             return cur, tails
         prev = cur
@@ -834,7 +833,7 @@ def oracle_amplitudes(
         raise ValueError("patch radius must be positive")
     ks = np.atleast_2d(np.asarray(ks, dtype=float))
     query = Box(-patch_radius * np.ones(cps.d), patch_radius * np.ones(cps.d))
-    x, xstar = cps.split(_model_set(cps, window, query, budget, BOUNDARY_TOL))
+    x, xstar = cps.split(_model_set(cps, window, query, budget))
     volume = (2.0 * patch_radius) ** cps.d
     if len(x) == 0:
         return np.zeros(len(ks), dtype=complex)
@@ -964,8 +963,8 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: Truncation
     """Pair the periodic measure against psi tensor the cutoff's inverse transform.
 
     ``psi`` is a finite atomic test functional: pairs (position, value) with
-    positions on physical parts of period-lattice points (within the match
-    tolerance).  Density motif components carry no mass on the measure-zero
+    positions on physical parts of period-lattice points (within
+    ``LIFT_TOL``).  Density motif components carry no mass on the measure-zero
     physical fibers an atomic functional sees, so only point components
     contribute.  In strict mode an atom matching no enumerated lattice point
     raises; with strict=False such atoms simply contribute zero, which is the
@@ -986,12 +985,12 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: Truncation
     slice_radius = trunc.internal_radius if trunc.internal_radius is not None else DEFAULT_INTERNAL_SLICE
     radii = np.full(rho.m, float(slice_radius))
     for comp in rho.pp_motif():
-        box = Box.product(comp.offset(reach).inflate(trunc.match_tol), _internal_box(comp.internal, radii))
+        box = Box.product(comp.offset(reach).inflate(LIFT_TOL), _internal_box(comp.internal, radii))
         _, p = lattice_points_in_box(rho.period, box, budget=budget)
         if not len(p):
             continue
         dist, idx = tree.query(comp.phys + p[:, : rho.d], k=1)
-        hit = dist <= trunc.match_tol
+        hit = dist <= LIFT_TOL
         if not hit.any():
             continue
         matched[idx[hit]] = True
@@ -1026,14 +1025,18 @@ def _normalize_psi(psi, d: int) -> tuple[np.ndarray, np.ndarray]:
 # the norm bound for projections of periodic measures
 
 
-def unit_cell_decay_constant(tail_tol: float = 1e-6) -> tuple[float, float]:
+UNIT_CELL_TAIL_TOL = 1e-6  # certified remainder of the unit-cell decay sum
+NORM_THRESHOLD_REL = 1e-3  # projection threshold of norm_bound_check, relative to the motif scale
+
+
+def unit_cell_decay_constant() -> tuple[float, float]:
     """Per-axis constant: sum over integer cells of the peak of 1/(1+z^2).
 
     Evaluated by truncated summation with an arctangent integral bound on the
     remainder; the bound is added, so the returned value is an upper estimate
-    with certified tail below ``tail_tol``.
+    with certified tail below ``UNIT_CELL_TAIL_TOL``.
     """
-    n_terms = int(np.ceil(2.0 / tail_tol)) + 2
+    n_terms = int(np.ceil(2.0 / UNIT_CELL_TAIL_TOL)) + 2
     ns = np.arange(1, n_terms + 1, dtype=float)
     partial = 1.0 + 2.0 * float(np.sum(1.0 / (1.0 + (ns - 0.5) ** 2)))
     tail = 2.0 * (np.pi / 2.0 - np.arctan(n_terms - 0.5))
@@ -1078,7 +1081,6 @@ def norm_bound_check(
     k1_box: Box,
     sweep_halfwidth: float = 25.0,
     internal_sweep: float = 8.0,
-    threshold_rel: float = 1e-3,
     trunc: TruncationSpec | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> NormBoundReport:
@@ -1107,7 +1109,7 @@ def norm_bound_check(
         [rho.scale * abs(c.weight) for c in rho.motif] + [1e-6]
     )
     sweep = Box(-sweep_halfwidth * np.ones(d), sweep_halfwidth * np.ones(d))
-    proj = project(rho, f, sweep, threshold_rel * hint, trunc, budget=budget)
+    proj = project(rho, f, sweep, NORM_THRESHOLD_REL * hint, trunc, budget=budget)
     span = k_box.sides
     eval_region = Box(sweep.lo + span, sweep.hi - span)
     left_atoms = a_norm(proj.atoms, k_box, eval_region) if proj.atoms.n_atoms else 0.0

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 
 import numpy as np
 
@@ -24,7 +25,7 @@ def brute_z_range(lat: Lattice, box: Box) -> int:
     return int(np.ceil(np.max(np.abs(lat.inv_basis)) * lat.n * (corner + 1.0))) + 2
 
 
-def fibonacci_strip_points(lat: Lattice, query: Box, window: Box, tol: float = 1e-9):
+def fibonacci_strip_points(lat: Lattice, query: Box, window: Box):
     """Model set of the golden scheme (basis columns (1, 1) and (tau, 1 - tau)), row by row.
 
     A point z = (a, b) sits at x = a + b tau with x* = a + b (1 - tau), and
@@ -45,7 +46,7 @@ def fibonacci_strip_points(lat: Lattice, query: Box, window: Box, tol: float = 1
     a = a_lo[rows] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     z = np.stack([a, b[rows]], axis=1)
     p = lat.points(z)
-    keep = query.contains(p[:, :1], tol=tol) & window.contains(p[:, 1:], tol=tol)
+    keep = query.contains(p[:, :1]) & window.contains(p[:, 1:])
     return {tuple(row) for row in z[keep]}
 
 
@@ -102,6 +103,29 @@ def grid_a_norm(comb: WeightedComb, a_box: Box, region: Box, pitch: float = 1e-3
             acc[i0:i1, j0:j1] += w
         return float(acc.max())
     raise NotImplementedError
+
+
+def anchor_a_norm(comb: WeightedComb, a_box: Box, region: Box, tol: float = 1e-9) -> float:
+    """Window-norm oracle in any dimension: every combination of per-axis anchors.
+
+    On each axis the box's lower face is anchored at an atom coordinate or the
+    translate sits at an end of its range, clipped into the range.  Sliding a
+    box up until its lower face meets its lowest atom, or the range ends, never
+    loses mass, so the supremum is attained at one of these combinations.
+    """
+    t_lo = region.lo - a_box.lo
+    t_hi = region.hi - a_box.hi
+    axes = [np.unique(np.clip(np.append(comb.positions[:, i] - a_box.lo[i], [t_lo[i], t_hi[i]]),
+                              t_lo[i], t_hi[i]))
+            for i in range(comb.dim)]
+    mags = np.abs(comb.weights)
+    best = 0.0
+    for t in itertools.product(*axes):
+        lo = np.array(t) + a_box.lo - tol
+        hi = np.array(t) + a_box.hi + tol
+        inside = ((comb.positions >= lo) & (comb.positions <= hi)).all(axis=1)
+        best = max(best, float(mags[inside].sum()))
+    return best
 
 
 def float_difference_candidates(positions, max_candidates: int):

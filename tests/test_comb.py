@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from cutproject.comb import MERGE_TOL, merge_atoms
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
-from .helpers import brute_components, float_difference_candidates, grid_a_norm
+from .helpers import anchor_a_norm, brute_components, float_difference_candidates, grid_a_norm
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -154,7 +156,7 @@ def test_lift_reports_ambiguity():
     search = Window(Box([-2.0], [2.0]))
     gamma = WeightedComb([[0.0]], [1.0])
     with pytest.raises(ValueError, match="injectivity violation"):
-        lift(cps, gamma, search, search, tol=1e-7)
+        lift(cps, gamma, search, search)
 
 
 def test_descent_requires_refs(fib):
@@ -537,19 +539,18 @@ def test_csv_rejects_duplicates(tmp_path):
 
 def test_a_norm_3d_small():
     rng = np.random.default_rng(17)
-    pos = rng.choice(40, size=(12, 3), replace=True) / 8.0
-    pos = np.unique(pos, axis=0)
-    comb = WeightedComb(pos, np.ones(len(pos)))
-    box = Box([0.0, 0.0, 0.0], [1.3, 1.3, 1.3])
+    pos = np.unique(rng.choice(40, size=(12, 3), replace=True) / 8.0, axis=0)
+    # the heavy corners of a unit cube fit a unit box only with every face
+    # closed; light atoms sit on a quarter grid, some on the region's faces
+    corners = 2.0 + np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    light = np.concatenate([rng.choice(21, size=(14, 3), replace=True) / 4.0,
+                            [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [4.0, 0.0, 5.0]]])
+    light = light[~(light[:, None, :] == corners[None, :, :]).all(axis=2).any(axis=1)]
+    faces = np.concatenate([corners, np.unique(light, axis=0)])
+    face_weights = np.concatenate([np.ones(8), rng.uniform(0.05, 0.2, len(faces) - 8)])
     region = Box([0.0, 0.0, 0.0], [5.0, 5.0, 5.0])
-    value = a_norm(comb, box, region)
-    # oracle: exhaustive scan over windows anchored at every atom corner
-    best = 0
-    for anchor in pos:
-        for corner in ((anchor - 1.3), anchor):
-            inside = np.all((pos >= corner - 1e-9) & (pos <= corner + 1.3 + 1e-9), axis=1)
-            valid = np.all(corner >= -1e-9) and np.all(corner + 1.3 <= 5.0 + 1e-9)
-            if valid:
-                best = max(best, int(inside.sum()))
-    assert value >= best
-    assert value <= len(pos)
+    cases = ((pos, rng.uniform(0.5, 2.0, len(pos)), 1.3), (faces, face_weights, 1.0))
+    for points, weights, side in cases:
+        comb = WeightedComb(points, weights)
+        box = Box([0.0, 0.0, 0.0], [side, side, side])
+        assert a_norm(comb, box, region) == anchor_a_norm(comb, box, region)

@@ -141,6 +141,23 @@ def test_restriction_check_flags_non_pd(fib, fib_window):
     assert not report.ok
 
 
+def test_restriction_check_checks_hermitian_once_per_comb(fib, fib_window, monkeypatch):
+    from cutproject import posdef
+
+    rng = np.random.default_rng(23)
+    comb, ac = random_autocorrelation(fib, fib_window, rng)
+    checked = []
+    check = posdef._check_hermitian
+    monkeypatch.setattr(posdef, "_check_hermitian", lambda f: (checked.append(f.dim), check(f)))
+    report = restriction_check(ac, comb.positions, trials=20, seed=5, config_size=25)
+    assert report.ok and checked == [1]
+    w = ac.weights.copy()
+    w[int(np.argmax(np.linalg.norm(ac.positions, axis=1)))] += 1.0
+    bad = WeightedComb(ac.positions, w, refs=ac.refs, dim=1, validate=False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        restriction_check(bad, comb.positions, trials=20, seed=5, config_size=25)
+
+
 def test_crosscheck_pd_both_sides(fib):
     rng = np.random.default_rng(31)
     window = Window(Box([-1.0], [1.0]))  # differences live in W - W
