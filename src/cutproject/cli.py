@@ -208,6 +208,11 @@ def resolve_config(values: dict) -> SchemeConfig:
         if "density_box" in values
         else window.bounding_box()
     )
+    seed, budget = int(values.get("seed", 0)), int(values.get("budget", DEFAULT_BUDGET))
+    if seed < 0:
+        raise ConfigError(f"key 'seed': must be at least 0, got {seed}")
+    if budget < 1:
+        raise ConfigError(f"key 'budget': must be at least 1, got {budget}")
     return SchemeConfig(
         d=d,
         m=m,
@@ -219,8 +224,8 @@ def resolve_config(values: dict) -> SchemeConfig:
         query=query,
         patch_query=patch_query,
         threshold=float(values.get("threshold", 0.01)),
-        seed=int(values.get("seed", 0)),
-        budget=int(values.get("budget", DEFAULT_BUDGET)),
+        seed=seed,
+        budget=budget,
         oracle_radius=float(values.get("oracle_radius", 2000.0)),
         inj_radius=float(values.get("inj_radius", 50.0)),
         inj_tol=float(values.get("inj_tol", 1e-6)),
@@ -367,40 +372,33 @@ def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _difference_candidates(comb: WeightedComb, max_candidates: int):
-    """Translations between the patch's atoms, each with its integer translate.
+def _difference_candidates(cps: CutProjectScheme, comb: WeightedComb, max_candidates: int):
+    """One candidate per distinct integer translate between the patch's atoms.
 
-    A difference x_i - x_j is kept when its norm passes 1e-9 and every
-    coordinate is within a third of the patch span; it is rounded to 12
-    decimals, with -0 read as 0.  The rounded values are deduplicated, sorted
-    lexicographically and, past ``max_candidates``, cut to the shortest; t = 0
-    leads.  Differences are grouped exactly by z_i - z_j, and only each
-    group's first row and its rare twins (rows whose rounding differs from
-    it) reach the float ``unique``, so every rounded value is still seen and
-    each candidate carries the z_i - z_j of its first occurrence.
+    A pair is kept when x_i - x_j has norm above 1e-9 and every coordinate
+    within a third of the patch span.  Kept pairs are grouped exactly by
+    dz = z_i - z_j, and each group gives one candidate t, the physical part
+    ``cps.split(dz)[0]``.  Candidates are sorted lexicographically in t and,
+    past ``max_candidates``, cut to the shortest (a stable sort, so ties keep
+    lexicographic order); t = 0 leads.  Returns (t, dz) row by row.
     """
     xs, z = comb.positions, comb.refs
     span = comb.extent.sides
     diffs = xs[:, None, :] - xs[None, :, :]
-    keep = (np.linalg.norm(diffs, axis=2) > 1e-9) & np.all(np.abs(diffs) <= span / 3.0, axis=2)
-    ii, jj = np.nonzero(keep)
-    rounded = diffs[ii, jj]
-    del diffs, keep  # freed before the pair arrays are built, which bounds peak memory
-    np.round(rounded, 12, out=rounded)
-    rounded += 0.0  # -0 + 0 is +0
+    ii, jj = np.nonzero((np.linalg.norm(diffs, axis=2) > 1e-9)
+                        & np.all(np.abs(diffs) <= span / 3.0, axis=2))
+    del diffs  # freed before the pair arrays are built, which bounds peak memory
     dz = z[ii]
     dz -= z[jj]
     del ii, jj
-    label, first = _group_rows(dz)
-    twins = np.nonzero((rounded != rounded[first[label]]).any(axis=1))[0]
-    rows = np.union1d(first, twins)
-    cands, pick = np.unique(rounded[rows], axis=0, return_index=True)
-    shifts = dz[rows[pick]]
-    if len(cands) > max_candidates:
-        order = np.argsort(np.linalg.norm(cands, axis=1))[:max_candidates]
-        cands, shifts = cands[order], shifts[order]
-    return (np.concatenate([np.zeros((1, comb.dim)), cands]),
-            np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts]))
+    shifts = dz[_group_rows(dz)[1]]
+    ts = cps.split(shifts)[0]
+    order = np.lexsort(ts.T[::-1])
+    if len(order) > max_candidates:
+        norms = np.linalg.norm(ts[order], axis=1)
+        order = order[np.argsort(norms, kind="stable")[:max_candidates]]
+    shifts = np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts[order]])
+    return cps.split(shifts)[0], shifts
 
 
 def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
@@ -408,7 +406,7 @@ def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     if len(z) == 0:
         raise ConfigError("query holds no model-set points")
     comb = model_comb(cfg.scheme, z, np.ones(len(z)))
-    cands, shifts = _difference_candidates(comb, args.max_candidates)
+    cands, shifts = _difference_candidates(cfg.scheme, comb, args.max_candidates)
     eps = max(args.eps, 1e-12)  # eps 0 means exact periods only
     a_box = Box(np.zeros(cfg.d), np.ones(cfg.d))
     scan = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
@@ -445,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to a scheme config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--budget", type=int, default=None, help="override the enumeration budget")
+        p.add_argument("--seed", type=_count(0), default=None, help="override the config seed")
+        p.add_argument("--budget", type=_count(1), default=None,
+                       help="override the enumeration budget")
 
     p = sub.add_parser("check", help="injectivity, density, and dual-pairing diagnostics")
     common(p)

@@ -1025,22 +1025,18 @@ def _normalize_psi(psi, d: int) -> tuple[np.ndarray, np.ndarray]:
 # the norm bound for projections of periodic measures
 
 
-UNIT_CELL_TAIL_TOL = 1e-6  # certified remainder of the unit-cell decay sum
 NORM_THRESHOLD_REL = 1e-3  # projection threshold of norm_bound_check, relative to the motif scale
 
 
 def unit_cell_decay_constant() -> tuple[float, float]:
     """Per-axis constant: sum over integer cells of the peak of 1/(1+z^2).
 
-    Evaluated by truncated summation with an arctangent integral bound on the
-    remainder; the bound is added, so the returned value is an upper estimate
-    with certified tail below ``UNIT_CELL_TAIL_TOL``.
+    The sum is 1 + 2 sum_{n>=1} 1/(1 + (n - 1/2)^2) = 1 + pi tanh(pi), in
+    closed form by the partial-fraction expansion of tanh,
+    sum_{n in Z} 1/(1 + (n + 1/2)^2) = pi tanh(pi).  Returned with the
+    remainder of its evaluation, which is 0.
     """
-    n_terms = int(np.ceil(2.0 / UNIT_CELL_TAIL_TOL)) + 2
-    ns = np.arange(1, n_terms + 1, dtype=float)
-    partial = 1.0 + 2.0 * float(np.sum(1.0 / (1.0 + (ns - 0.5) ** 2)))
-    tail = 2.0 * (np.pi / 2.0 - np.arctan(n_terms - 0.5))
-    return partial + tail, tail
+    return 1.0 + np.pi * np.tanh(np.pi), 0.0
 
 
 @dataclass(frozen=True)

@@ -128,22 +128,28 @@ def anchor_a_norm(comb: WeightedComb, a_box: Box, region: Box, tol: float = 1e-9
     return best
 
 
-def float_difference_candidates(positions, max_candidates: int):
-    """Almost-period candidates from all float differences, deduplicated as rounded floats.
+def integer_difference_candidates(cps, positions, refs, max_candidates: int):
+    """Almost-period candidates, one per distinct integer translate, as (t, dz).
 
-    Every pair difference with norm above 1e-9 and each coordinate within a
-    third of the patch span, rounded to 12 decimals and deduplicated by
-    ``np.unique`` over all of them; then cut to the ``max_candidates``
-    shortest, t = 0 prepended, and -0 written as 0.
+    Every pair whose difference x_i - x_j has norm above 1e-9 and each
+    coordinate within a third of the patch span gives dz = z_i - z_j; the dz
+    are deduplicated by ``np.unique``, t = ``cps.split(dz)[0]`` is sorted
+    lexicographically, cut to the ``max_candidates`` shortest with a stable
+    sort, and t = 0 is prepended.
     """
     xs = np.atleast_2d(np.asarray(positions, dtype=float))
+    z = np.asarray(refs, dtype=np.int64)
     span = xs.max(axis=0) - xs.min(axis=0)
     diffs = (xs[:, None, :] - xs[None, :, :]).reshape(-1, xs.shape[1])
+    dz = (z[:, None, :] - z[None, :, :]).reshape(-1, z.shape[1])
     keep = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= span / 3.0, axis=1)
-    cands = np.unique(np.round(diffs[keep], 12), axis=0)
-    if len(cands) > max_candidates:
-        cands = cands[np.argsort(np.linalg.norm(cands, axis=1))[:max_candidates]]
-    return np.concatenate([np.zeros((1, xs.shape[1])), cands]) + 0.0
+    shifts = np.unique(dz[keep], axis=0)
+    shifts = shifts[np.lexsort(cps.split(shifts)[0].T[::-1])]
+    if len(shifts) > max_candidates:
+        norms = np.linalg.norm(cps.split(shifts)[0], axis=1)
+        shifts = shifts[np.argsort(norms, kind="stable")[:max_candidates]]
+    shifts = np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts])
+    return cps.split(shifts)[0], shifts
 
 
 # ---------------------------------------------------------------------------

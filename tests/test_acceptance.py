@@ -270,6 +270,24 @@ def test_criterion_7_norm_bound_and_almost_periods(fib):
             assert report.ok, f"case {case}: left {report.left} > right {report.right}"
             assert report.constant_per_axis == pytest.approx(1.0 + np.pi * np.tanh(np.pi), abs=2e-6)
 
+        # fixed, not drawn, so the cases above keep their draws: a density
+        # component puts mass on the left side's density branch
+        base = lattice_comb_transform(fib, trapezoid_profile([0.1], [0.7], 0.2))
+        rho = PeriodicMeasure(
+            period=base.period, d=1, m=1, scale=base.scale,
+            motif=base.motif + (
+                MotifDensityFiber(
+                    density=trapezoid_profile([-0.3], [0.3], 0.2),
+                    fiber=trapezoid_profile([-0.5], [0.5], 0.25).transform(),
+                ),
+            ),
+        )
+        f = make_cutoff(Box([-0.1], [0.9]), 0.2).dual_transform()
+        report = norm_bound_check((1, 1), rho, f, Box([-0.5], [0.5]), Box([-0.8], [0.8]),
+                                  sweep_halfwidth=20.0, internal_sweep=5.0, trunc=trunc)
+        assert report.ok, f"density case: left {report.left} > right {report.right}"
+        assert report.left_density > 0.0
+
         # almost periods of the projected pure-point measure on [-50, 50]
         rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
         f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cutproject.cli import GOLDEN, ConfigError, main, parse_config_text, resolve_config
@@ -253,6 +254,10 @@ def test_almostperiods_single_atom_patch(tmp_path, capsys):
     (["almostperiods", "--eps", "1", "--max-candidates", "-3"], "--max-candidates"),
     (["oracle", "--top", "0"], "--top"),
     (["oracle", "--top", "-8"], "--top"),
+    (["modelset", "--budget", "0"], "--budget"),
+    (["modelset", "--budget", "-5"], "--budget"),
+    (["check", "--seed", "-3"], "--seed"),
+    (["modelset", "--seed", "-3"], "--seed"),
 ])
 def test_bad_counts_rejected_at_parse_time(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -260,6 +265,39 @@ def test_bad_counts_rejected_at_parse_time(capsys, argv, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = -3", "key 'seed': must be at least 0"),
+    ("budget = 0", "key 'budget': must be at least 1"),
+])
+def test_bad_seed_and_budget_keys_rejected(line, message):
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(parse_config_text(f"{FIB_CONFIG.read_text()}\n{line}\n"))
+
+
+def test_almostperiods_one_row_per_translate(tmp_path):
+    # a long patch: distinct integer translates are distinct t, and float
+    # differences of one translate must not come out as near-equal twins
+    config = tmp_path / "long.toml"
+    config.write_text(FIB_CONFIG.read_text() + "patch_query = [0, 2000]\n")
+    out = tmp_path / "ap.csv"
+    assert main(["almostperiods", "--config", str(config), "--eps", "1.5",
+                 "--max-candidates", "200", "--out", str(out)]) == 0
+    ts = np.sort([float(line.split(",")[0]) for line in out.read_text().split("\n")[1:-1]])
+    assert len(ts) == 201
+    assert np.min(np.diff(ts)) > 1e-9
+
+
+def test_oracle_explicit_peaks(tmp_path, capsys):
+    out = tmp_path / "peaks.csv"
+    assert main(["oracle", "--config", str(FIB_CONFIG), "--k", "0", "--k", "1.6180339887498949",
+                 "--radius", "500", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().split("\n")[1:-1]]
+    assert [float(r[0]) for r in rows] == [0.0, 1.6180339887498949]
+    assert all(float(r[-1]) <= 0.03 for r in rows)
+    assert main(["oracle", "--config", str(FIB_CONFIG), "--k", "0.3"]) == 2
+    assert "matches no spectrum peak" in capsys.readouterr().err
 
 
 def test_max_candidates_zero_keeps_identity(tmp_path, capsys):

@@ -28,7 +28,7 @@ from cutproject.comb import MERGE_TOL, merge_atoms
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
-from .helpers import anchor_a_norm, brute_components, float_difference_candidates, grid_a_norm
+from .helpers import anchor_a_norm, brute_components, grid_a_norm, integer_difference_candidates
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -390,10 +390,12 @@ def test_exact_shift_merge_matches_float_merge(name, offset, scale, unit, max_ca
     rng = np.random.default_rng(seed)
     weights = np.ones(len(z)) if unit else rng.integers(-2, 3, size=len(z)) + 1j * rng.normal(size=len(z))
     comb = model_comb(cps, z, weights)
-    cands, shifts = _difference_candidates(comb, max_cands)
-    # bytes, not values: a -0 coordinate must come out as 0
-    assert cands.tobytes() == float_difference_candidates(comb.positions, max_cands).tobytes()
-    assert np.allclose(cps.lat.points(shifts)[:, : cps.d], cands, rtol=0.0, atol=1e-9)
+    cands, shifts = _difference_candidates(cps, comb, max_cands)
+    want_cands, want_shifts = integer_difference_candidates(cps, comb.positions, comb.refs,
+                                                            max_cands)
+    assert np.array_equal(shifts, want_shifts)
+    assert cands.tobytes() == want_cands.tobytes() == cps.split(shifts)[0].tobytes()
+    assert len(np.unique(shifts, axis=0)) == len(shifts)
     a_box = Box(np.zeros(cps.d), np.full(cps.d, 0.5 if name == "ab" else 1.0))
     exact = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     floats = eps_norm_almost_periods(comb, a_box, eps, cands)
@@ -405,15 +407,15 @@ def test_exact_shift_merge_matches_float_merge(name, offset, scale, unit, max_ca
 
 def test_shift_that_does_not_match_its_translation_raises(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=200.0)
-    cands, shifts = _difference_candidates(comb, 5)
-    assert np.array_equal(cands[1:2], np.round(fib.lat.points(shifts[1:2])[:, :1], 12))
+    cands, shifts = _difference_candidates(fib, comb, 5)
+    assert np.array_equal(cands[1:2], fib.split(shifts[1:2])[0])
     with pytest.raises(ValueError, match="does not translate"):
         eps_norm_almost_periods(comb, Box([0.0], [1.0]), 1.0, cands[1:2], shifts=shifts[2:3])
 
 
 def test_shifts_need_refs_and_one_row_per_candidate(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=200.0)
-    cands, shifts = _difference_candidates(comb, 5)
+    cands, shifts = _difference_candidates(fib, comb, 5)
     bare = WeightedComb(comb.positions, comb.weights)
     with pytest.raises(ValueError, match="integer coordinates"):
         eps_norm_almost_periods(bare, Box([0.0], [1.0]), 1.0, cands, shifts=shifts)
@@ -506,6 +508,14 @@ def test_meyer_gap_fibonacci_stable(fib, fib_window):
     assert gaps[0] == pytest.approx(gaps[1], abs=1e-9)
     # the smallest three-fold difference gap at this window is 1/tau^2
     assert gaps[1] == pytest.approx(TAU ** -2, abs=1e-9)
+
+
+def test_meyer_gap_ammann_beenker():
+    # d = 2 takes the k-d tree branch; the gaps are powers of the silver mean's inverse
+    ab, window, _ = SCHEMES["ab"]
+    x, _ = ab.split(model_set(ab, window, Box([0.0, 0.0], [3.0, 3.0])))
+    assert meyer_gap(x, folds=1) == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
+    assert meyer_gap(x, folds=2) == pytest.approx(3.0 - 2.0 * np.sqrt(2.0), abs=1e-12)
 
 
 def test_meyer_gap_budget():
