@@ -4,7 +4,11 @@
 Pairs the transform measure against psi tensor the cutoff's inverse transform
 for several ramp widths and tabulates the per-peak deviations.  As long as
 the plateau contains the window, the amplitudes agree to the truncation tail.
+Exits 1 when two margins disagree by more than CROSS_MARGIN_TOL or a
+certified tail exceeds ``tail_tol``.
 """
+
+import sys
 
 import numpy as np
 
@@ -22,9 +26,10 @@ from cutproject import (
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 MARGINS = (0.05, 0.1, 0.2, 0.4)
+CROSS_MARGIN_TOL = 1e-9  # acceptance criterion 4: the amplitudes do not move with the margin
 
 
-def main() -> None:
+def main() -> int:
     scheme = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1, m=1)
     window = Window(Box([0.0], [1.0]))
     profile = box_profile(Box([0.0], [1.0]))
@@ -36,11 +41,13 @@ def main() -> None:
     scale = spectrum.metadata["scale"]
 
     results = {}
+    tails_ok = True
     for margin in MARGINS:
         f = make_cutoff(Box([0.0], [1.0]), margin).dual_transform()
         trunc = TruncationSpec(radius=4000.0, panel=1.0, order=24, tail_tol=1e-6)
         values, tails = pairing_values(f, fiber, shifts, trunc)
         results[margin] = scale * values
+        tails_ok &= bool(tails.max() <= trunc.tail_tol)
         print(f"margin {margin}: max certified tail {tails.max():.2e}")
 
     print(f"\n{'k':>10} " + " ".join(f"margin {m:<8}" for m in MARGINS))
@@ -50,7 +57,12 @@ def main() -> None:
     base = results[MARGINS[0]]
     worst = max(np.max(np.abs(results[m] - base)) for m in MARGINS[1:])
     print(f"\nlargest cross-margin amplitude deviation: {worst:.2e}")
+    if not tails_ok:
+        print("a certified tail exceeds tail_tol", file=sys.stderr)
+    if worst > CROSS_MARGIN_TOL:
+        print(f"the deviation exceeds {CROSS_MARGIN_TOL:.0e}", file=sys.stderr)
+    return 0 if tails_ok and worst <= CROSS_MARGIN_TOL else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -307,13 +307,17 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
         print("oracle radius must be positive", file=sys.stderr)
         return EXIT_USAGE
     radius = args.radius if args.radius is not None else cfg.oracle_radius
+    for text in args.k or []:
+        if len(text.split(",")) != cfg.d:
+            print(f"--k {text!r} has {len(text.split(','))} coordinates; the scheme needs d = {cfg.d}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     spectrum = diffraction(
         cfg.scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(),
         budget=cfg.budget,
     )
     if args.k:
-        wanted = np.array([[float(x) for x in v.split(",")] for v in args.k],
-                          dtype=float).reshape(-1, cfg.d)
+        wanted = np.array([[float(x) for x in v.split(",")] for v in args.k], dtype=float)
         idx = []
         for k in wanted:
             gaps = np.linalg.norm(spectrum.ks - k, axis=1)

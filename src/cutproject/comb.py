@@ -16,12 +16,13 @@ import csv
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cps import CutProjectScheme, Window
-from .lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, Box, BudgetError, _group_rows,
+from .lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, Box, BudgetError, _group_rows, _RowIndex,
                       lattice_points_in_box)
 
 MERGE_TOL = 1e-9  # absolute position tolerance when coinciding atoms are merged
@@ -91,6 +92,11 @@ class WeightedComb:
     @property
     def n_atoms(self) -> int:
         return len(self.positions)
+
+    @cached_property
+    def ref_index(self) -> _RowIndex:
+        """``refs`` sorted once per comb, for exact lookups of atoms by coordinates."""
+        return _RowIndex(self.refs)
 
     @property
     def extent(self) -> Box | None:

@@ -295,27 +295,76 @@ def lattice_points_in_box(
     return z[keep], p[keep]
 
 
-def _row_key(rows: np.ndarray) -> np.ndarray | None:
-    """One int64 per row, equal exactly where the rows are, or None.
-
-    The key is the row's offset from the column minima read as a mixed-radix
-    number whose digits run over the column spans.  It is None when the
-    product of the spans passes 2**63, where the key would overflow int64.
-    """
+def _row_radix(rows: np.ndarray) -> tuple[list, list[int]] | None:
+    """Column minima and spans of int64 rows, or None when there are no rows or
+    the product of the spans passes 2**63, where a ``_radix_key`` would overflow."""
     if rows.size == 0:
         return None
-    key, total = None, 1
-    for col in rows.T:
-        lo = col.min()
-        span = int(col.max()) - int(lo) + 1
+    lo, spans, total = [], [], 1
+    for col in rows.T:  # column by column: a strided min(axis=0) is several times slower
+        col_lo = col.min()
+        span = int(col.max()) - int(col_lo) + 1
         if total * span > 2**63:
             return None
-        digit = np.subtract(col, lo, dtype=np.int64)
+        lo.append(col_lo)
+        spans.append(span)
+        total *= span
+    return lo, spans
+
+
+def _radix_key(rows: np.ndarray, lo: list, spans: list[int]) -> np.ndarray:
+    """One int64 per row, equal exactly where the rows are.
+
+    The key is the row's offset from ``lo`` read as a mixed-radix number whose
+    digits run over ``spans``.  A row outside the spans gets a meaningless
+    key: its int64 arithmetic may wrap.
+    """
+    key, total = None, 1
+    for col, col_lo, span in zip(rows.T, lo, spans):
+        digit = np.subtract(col, col_lo, dtype=np.int64)
         # while every earlier column is constant the key is this digit; after
         # that total >= 2, so span <= 2**62 and key * span cannot overflow
         key = digit if total == 1 else key * span + digit
         total *= span
     return key
+
+
+def _row_key(rows: np.ndarray) -> np.ndarray | None:
+    """``_radix_key`` over the rows' own column spans, or None where it would overflow."""
+    radix = _row_radix(rows)
+    return None if radix is None else _radix_key(rows, *radix)
+
+
+class _RowIndex:
+    """Exact lookup of int64 query rows among key rows sorted once.
+
+    The keys are sorted on ``_radix_key`` over their own column spans; a query
+    row outside those spans matches no key, one inside is found by
+    ``searchsorted``.  Keys whose spans would overflow the radix key are
+    grouped with each call's queries instead.
+    """
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+        self.radix = _row_radix(keys)
+        if self.radix is not None:
+            radix_key = _radix_key(keys, *self.radix)
+            self.order = np.argsort(radix_key, kind="stable")  # repeats find their lowest index
+            self.sorted = radix_key[self.order]
+            self.lo, self.hi = keys.min(axis=0), keys.max(axis=0)
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each row among the keys (the lowest on repeats), ``len(keys)`` where absent."""
+        n = len(self.keys)
+        if self.radix is None:
+            label, first = _group_rows(np.concatenate([self.keys, rows]))
+            return np.minimum(first[label[n:]], n)
+        inside = np.ones(len(rows), dtype=bool)
+        for col, col_lo, col_hi in zip(rows.T, self.lo, self.hi):  # faster than a 2-D all(axis=1)
+            inside &= (col >= col_lo) & (col <= col_hi)
+        key = _radix_key(rows, *self.radix)
+        pos = np.minimum(np.searchsorted(self.sorted, key), n - 1)
+        return np.where(inside & (self.sorted[pos] == key), self.order[pos], n)
 
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from scipy.spatial import cKDTree
 
 from .comb import MERGE_TOL, WeightedComb, lift
 from .cps import CutProjectScheme, Window
-from .lattice import _group_rows
 
 PSD_TOL = 1e-8
 HERMITIAN_TOL = 1e-6
@@ -30,12 +29,12 @@ CONFIG_SIZE = 40  # sample points per trial configuration
 def _lookup_weights(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> np.ndarray:
     """f evaluated at the given points, zero where no atom sits.
 
-    Exact on integer coordinates when both ``f`` and the points carry them;
-    otherwise the nearest atom within ``MERGE_TOL``.
+    Exact on integer coordinates when both ``f`` and the points carry them,
+    through the comb's ``ref_index``, sorted once per comb; otherwise the
+    nearest atom within ``MERGE_TOL``.
     """
     if refs is not None and f.refs is not None:
-        label, first = _group_rows(np.concatenate([f.refs, refs]))
-        idx = first[label[f.n_atoms :]]
+        idx = f.ref_index.find(refs)
     else:
         dist, idx = cKDTree(f.positions).query(points, k=1)
         idx[dist > MERGE_TOL] = f.n_atoms

@@ -26,6 +26,8 @@ The central objects:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -185,14 +187,19 @@ class Axis:
                               ((self.b + self.delta) - q) / self.delta)
         return np.clip(np.minimum(ramp, 1.0), 0.0, 1.0)
 
-    def transform(self, xi, phase: int) -> np.ndarray:
-        """Closed-form transform at phase -1 (forward) or +1 (inverse)."""
+    def amplitude(self, xi) -> np.ndarray:
+        """The transform without its phase: length sinc(length xi) sinc(delta xi)."""
         xi = np.asarray(xi, dtype=float)
         length = self.b - self.a + self.delta
         out = length * np.sinc(length * xi)
         if self.delta:
             out = out * np.sinc(self.delta * xi)
-        return out * np.exp(1j * phase * np.pi * (self.a + self.b) * xi)
+        return out
+
+    def transform(self, xi, phase: int) -> np.ndarray:
+        """Closed-form transform at phase -1 (forward) or +1 (inverse)."""
+        xi = np.asarray(xi, dtype=float)
+        return self.amplitude(xi) * np.exp(1j * phase * np.pi * (self.a + self.b) * xi)
 
     def values(self, x) -> np.ndarray:
         return self.transform(x, self.phase) if self.phase else self.spatial(x)
@@ -379,6 +386,8 @@ def make_cutoff(plateau: Box | tuple, margin) -> Separable:
 DEFAULT_INTERNAL_SLICE = 60.0
 QUADRATURE_REL_TOL = 1e-9  # relative change between panel halvings that ends refinement
 MAX_REFINE = 2  # panel halvings allowed beyond the first comparison
+EXACT_SINC_RADIUS = 1.0  # dual-route nodes this close to a shift take np.sinc, not angle addition
+BLOCK_ELEMENTS = 1 << 19  # node-by-shift elements per block of a pairing kernel's temporaries
 
 
 @dataclass(frozen=True)
@@ -411,14 +420,62 @@ def _gl_grid(radius: float, panel: float, order: int) -> tuple[np.ndarray, np.nd
 
 
 def _axis_pair_once(f_axis, g_axis, shifts: np.ndarray, radius: float, panel: float, order: int) -> np.ndarray:
+    """Grid sum of f(y) w(y) g(y - s) per shift s, both axes transforms.
+
+    g(x) is ``g_axis.amplitude(x)`` times exp(i pi phase (a + b) x).  That
+    phase splits into a factor of y, folded into the f-side weights, and one
+    of s.  Each sinc factor sin(pi l (y - s)) / (pi l (y - s)) of the
+    amplitude comes from sin and cos of pi l y, evaluated once per node, by
+    angle addition, so each shift costs one Cauchy sum over the nodes.  Nodes
+    within ``EXACT_SINC_RADIUS`` of a shift, where angle addition cancels,
+    take ``amplitude`` directly; the grid is sorted, so they are one slice
+    per shift.
+    """
     y, w = _gl_grid(radius, panel, order)
-    fa = f_axis.values(y) * w
+    centre = np.pi * g_axis.phase * (g_axis.a + g_axis.b)
+    turn = (np.pi * f_axis.phase * (f_axis.a + f_axis.b) + centre) * y
+    fw = f_axis.amplitude(y) * w
+    fw_re, fw_im = fw * np.cos(turn), fw * np.sin(turn)
+    del turn, fw
+    # amplitude(x) is the product over widths l of sin(pi l x), over norm * x**len(widths)
+    length = g_axis.b - g_axis.a + g_axis.delta
+    widths = [length, g_axis.delta] if g_axis.delta else [length]
+    norm = np.pi ** len(widths) * (g_axis.delta if g_axis.delta else 1.0)
+    # sin(pi l (y - s)) = sin(pi l y) cos(pi l s) + cos(pi l y) (-sin(pi l s)): a pick
+    # takes the first or second term for each width, and its node and shift
+    # factors are the products of the picked members of each pair
+    picks = list(itertools.product((0, 1), repeat=len(widths)))
+
+    def products(pairs):
+        return [functools.reduce(np.multiply, [pair[p] for pair, p in zip(pairs, pick)])
+                for pick in picks]
+
+    sums = np.empty((2 * len(picks), len(y)))  # per pick, fw_re and fw_im times its node factor
+    nodes = products([(np.sin(np.pi * l * y), np.cos(np.pi * l * y)) for l in widths])
+    for col, re, im in zip(nodes, sums[0::2], sums[1::2]):
+        np.multiply(fw_re, col, out=re)
+        np.multiply(fw_im, col, out=im)
+    del nodes
+    coef = np.stack(products([(np.cos(np.pi * l * shifts), -np.sin(np.pi * l * shifts))
+                              for l in widths]), axis=1) / norm
+    lo = np.searchsorted(y, shifts - EXACT_SINC_RADIUS, side="left")
+    hi = np.searchsorted(y, shifts + EXACT_SINC_RADIUS, side="right")
     out = np.empty(len(shifts), dtype=complex)
-    block = max(1, 4_000_000 // max(len(y), 1))
+    block = max(1, BLOCK_ELEMENTS // max(len(y), 1))
     for start in range(0, len(shifts), block):
-        s = shifts[start : start + block]
-        out[start : start + block] = g_axis.values(y[None, :] - s[:, None]) @ fa
-    return out
+        rows = range(start, min(start + block, len(shifts)))
+        cauchy = y[None, :] - shifts[rows, None]
+        for row, i in enumerate(rows):
+            cauchy[row, lo[i] : hi[i]] = np.inf  # their reciprocal is 0
+        np.reciprocal(cauchy, out=cauchy)
+        if len(widths) == 2:
+            np.square(cauchy, out=cauchy)
+        part = cauchy @ sums.T
+        out[rows] = np.sum(coef[rows] * (part[:, 0::2] + 1j * part[:, 1::2]), axis=1)
+    for i, s in enumerate(shifts):
+        near = g_axis.amplitude(y[lo[i] : hi[i]] - s)
+        out[i] += near @ fw_re[lo[i] : hi[i]] + 1j * (near @ fw_im[lo[i] : hi[i]])
+    return out * np.exp(-1j * centre * shifts)
 
 
 def _axis_pair_tail(env_f: AxisEnvelope, env_g: AxisEnvelope, radius: float, shifts: np.ndarray) -> np.ndarray:
@@ -441,7 +498,14 @@ def _axis_pair_tail(env_f: AxisEnvelope, env_g: AxisEnvelope, radius: float, shi
 
 
 def _axis_pair(f_axis, g_axis, shifts: np.ndarray, trunc: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive composite Gauss-Legendre pairing along one axis, with tails."""
+    """Adaptive composite Gauss-Legendre pairing along one axis, with tails.
+
+    The tails bound each axis by its transform envelope, so both axes must be
+    transforms (phase -1 or +1); a spatial axis raises ``ValueError``.
+    """
+    if not (f_axis.phase and g_axis.phase):
+        raise ValueError("the dual route pairs transforms; a phase-0 (spatial) axis has no "
+                         "envelope tail bound, use method='compact'")
     shifts = np.asarray(shifts, dtype=float)
     scale_hint = f_axis.envelope().c0 * g_axis.envelope().c0 + 1e-300
     panel = trunc.panel
@@ -493,7 +557,7 @@ def _compact_axis_pair(a_axis, b_axis, shifts: np.ndarray, order: int = 16) -> n
     w = np.concatenate(w_all)
     base = a_axis.spatial(a_axis.phase * t) * b_axis.spatial(-b_axis.phase * t) * w
     out = np.empty(len(shifts), dtype=complex)
-    block = max(1, 4_000_000 // max(len(t), 1))
+    block = max(1, BLOCK_ELEMENTS // max(len(t), 1))
     for start in range(0, len(shifts), block):
         s = shifts[start : start + block]
         out[start : start + block] = np.exp(2j * np.pi * s[:, None] * t[None, :]) @ base

@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 
 from cutproject import Box, Lattice, WeightedComb
+from cutproject.lattice import _group_rows
+from cutproject.spectra import _gl_grid
 
 
 def brute_lattice_points(lat: Lattice, box: Box, z_range: int, tol: float = 1e-9):
@@ -150,6 +152,23 @@ def integer_difference_candidates(cps, positions, refs, max_candidates: int):
         shifts = shifts[np.argsort(norms, kind="stable")[:max_candidates]]
     shifts = np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts])
     return cps.split(shifts)[0], shifts
+
+
+def per_shift_axis_pair(f_axis, g_axis, shifts, radius: float, panel: float, order: int):
+    """Dual-route grid sum of f(y) w(y) g(y - s), with g evaluated afresh at every y - s."""
+    y, w = _gl_grid(radius, panel, order)
+    fa = f_axis.values(y) * w
+    return np.array([g_axis.values(y - s) @ fa for s in np.asarray(shifts, dtype=float)])
+
+
+def grouped_lookup(keys, queries):
+    """Index of each query row among the int64 key rows (lowest on repeats), len(keys) if absent.
+
+    Groups keys and queries together, which sorts the keys again with every call.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    label, first = _group_rows(np.concatenate([keys, np.asarray(queries, dtype=np.int64)]))
+    return np.minimum(first[label[len(keys):]], len(keys))
 
 
 # ---------------------------------------------------------------------------

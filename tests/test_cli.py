@@ -300,6 +300,19 @@ def test_oracle_explicit_peaks(tmp_path, capsys):
     assert "matches no spectrum peak" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme, k", [("fib", "0,1.6180339887498949"), ("ab", "0")])
+def test_oracle_k_needs_d_coordinates(tmp_path, capsys, scheme, k):
+    config = FIB_CONFIG
+    if scheme == "ab":
+        config = tmp_path / "ab.toml"
+        config.write_text(AMMANN_BEENKER)
+    out = tmp_path / "peaks.csv"
+    assert main(["oracle", "--config", str(config), "--k", "0" + ",0" * (scheme == "ab"),
+                 "--k", k, "--out", str(out)]) == 2
+    assert f"--k '{k}' has" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_max_candidates_zero_keeps_identity(tmp_path, capsys):
     out = tmp_path / "ap.csv"
     code = main(["almostperiods", "--config", str(FIB_CONFIG), "--eps", "1",

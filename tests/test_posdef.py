@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutproject import (
     Box,
@@ -13,7 +15,10 @@ from cutproject import (
     model_set,
     restriction_check,
 )
+from cutproject.lattice import _RowIndex
 from cutproject.posdef import _check_hermitian
+
+from .helpers import grouped_lookup
 
 
 def random_autocorrelation(fib, fib_window, rng, hi=40.0):
@@ -225,3 +230,35 @@ def test_crosscheck_empty_comb(fib):
     gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0), dim=1)
     report = lift_pd_crosscheck(fib, gamma, window, trials=3, seed=1)
     assert report.down_ok and report.up_ok
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 60), st.sampled_from([3, 40, 2**40]))
+def test_sorted_ref_lookup_matches_grouped_lookup(seed, cols, n_keys, reach):
+    # small reaches repeat keys (the lowest index wins); 2**40 in two or more
+    # columns overflows the radix key and takes the grouped fallback
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-reach, reach + 1, size=(n_keys, cols))
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    edge = np.where(rng.random(size=(n_keys, cols)) < 0.5, lo - 1, hi + 1)  # just outside the span
+    inside_one = np.where(rng.random(size=(n_keys, cols)) < 0.3, edge, keys)
+    queries = np.concatenate([keys, -keys, edge, inside_one,
+                              rng.integers(-2 * reach, 2 * reach + 1, size=(30, cols)), keys[:0]])
+    assert np.array_equal(_RowIndex(keys).find(queries), grouped_lookup(keys, queries))
+    assert np.array_equal(_RowIndex(keys).find(keys[:0]), np.zeros(0, dtype=np.int64))
+
+
+def test_gram_lookup_matches_grouped_lookup(fib, fib_window):
+    # sample points reach past the patch, so some differences miss every atom
+    rng = np.random.default_rng(41)
+    _, ac = random_autocorrelation(fib, fib_window, rng)
+    z = model_set(fib, fib_window, Box([-30.0], [90.0]))
+    refs = z[rng.choice(len(z), size=30, replace=False)]
+    ii, jj = np.triu_indices(len(refs))
+    found = grouped_lookup(ac.refs, refs[ii] - refs[jj])
+    want = np.zeros((len(refs), len(refs)), dtype=complex)
+    want[ii, jj] = np.append(ac.weights, 0)[found]
+    want[jj, ii] = np.conj(want.T)[jj, ii]
+    assert (found == ac.n_atoms).any() and (found < ac.n_atoms).any()
+    points = fib.lat.points(refs)[:, :1]
+    assert np.array_equal(gram_matrix(ac, points, refs=refs), want)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import sici
 
 from cutproject import (
@@ -32,9 +34,11 @@ from cutproject import (
     unit_cell_decay_constant,
 )
 from cutproject.lattice import lattice_points_in_box
-from cutproject.spectra import PEAK_PHASE_SIGN, _gl_grid
+from cutproject import spectra
+from cutproject.spectra import PEAK_PHASE_SIGN, Axis, _axis_pair_once, _gl_grid
 
 from .conftest import TAU
+from .helpers import per_shift_axis_pair
 
 DENS = 1.0 / np.sqrt(5.0)
 
@@ -421,6 +425,77 @@ def test_pairing_values_quadrature_vs_closed_form(fib):
     compact, zero_tails = pairing_values(f, tf, shifts, TruncationSpec(), method="compact")
     assert np.max(np.abs(compact - closed)) < 1e-13
     assert np.all(zero_tails == 0.0)
+
+
+@st.composite
+def transform_axis(draw):
+    a = draw(st.floats(-2.0, 1.0))
+    length = draw(st.floats(0.1, 3.0))
+    delta = draw(st.sampled_from([0.0, draw(st.floats(0.02, 1.0))]))
+    axis = Axis(a, a + length, delta, draw(st.sampled_from([-1, 1])))
+    assume(abs(axis.a + axis.b) > 1e-3)
+    return axis
+
+
+def paired_plateau_overlap(f_axis, g_axis) -> float:
+    """Overlap of the plateaus the pairing meets, at f.phase * t and -g.phase * t.
+
+    Plateaus that miss each other give a pairing of ramps or nothing, so small
+    that both routes return mostly their rounding noise.
+    """
+    ends = [np.sort(sign * np.array([axis.a, axis.b]))
+            for axis, sign in ((f_axis, f_axis.phase), (g_axis, -g_axis.phase))]
+    return min(e[1] for e in ends) - max(e[0] for e in ends)
+
+
+@settings(max_examples=100)
+@given(transform_axis(), transform_axis(), st.floats(10.0, 60.0), st.sampled_from([0.25, 0.5, 1.0]),
+       st.sampled_from([6, 8, 16]), st.integers(0, 10**6), st.floats(-50.0, 50.0))
+def test_axis_pair_kernel_matches_per_shift_oracle(f_axis, g_axis, radius, panel, order, node, free):
+    assume(paired_plateau_overlap(f_axis, g_axis) >= 0.05)
+    # shifts at 0, on a grid node, beside it, near both ends of the grid and one free value
+    y, _ = _gl_grid(radius, panel, order)
+    on_node = y[node % len(y)]
+    shifts = np.array([0.0, on_node, on_node + 1e-9, np.nextafter(on_node, np.inf), 0.999, -1.0,
+                       radius, -radius, radius - 0.3, 1.0 - radius, free])
+    got = _axis_pair_once(f_axis, g_axis, shifts, radius, panel, order)
+    want = per_shift_axis_pair(f_axis, g_axis, shifts, radius, panel, order)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_axis_pair_kernel_blocks_join(monkeypatch):
+    f_axis, g_axis = Axis(-1.0, 1.3, 0.1, 1), Axis(0.2, 0.9, 0.3, -1)
+    shifts = np.linspace(-7.0, 9.0, 23)
+    whole = _axis_pair_once(f_axis, g_axis, shifts, 40.0, 0.5, 8)
+    n_nodes = len(_gl_grid(40.0, 0.5, 8)[0])
+    for per_block in (1, 4):  # blocks of one shift and blocks with a short remainder
+        monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", per_block * n_nodes)
+        blocked = _axis_pair_once(f_axis, g_axis, shifts, 40.0, 0.5, 8)
+        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+def test_dual_route_rejects_spatial_axes():
+    cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)
+    fiber = box_profile(Box([0.0], [1.0]))
+    shifts = np.array([[0.0], [0.4]])
+    for f, g in ((cutoff, fiber.transform()), (cutoff.dual_transform(), fiber)):
+        with pytest.raises(ValueError, match="phase-0"):
+            pairing_values(f, g, shifts, TruncationSpec(radius=20.0))
+        # the compact route takes either phase
+        pairing_values(f, g, shifts, TruncationSpec(), method="compact")
+
+
+def test_pairing_trapezoid_fiber_in_two_dimensions():
+    # the ab-2x2 profile and cutoff: a ramp on the fiber side, paired in m = 2
+    f = make_cutoff(Box([-1.0, -1.0], [1.0, 1.0]), 0.1).dual_transform()
+    fiber = trapezoid_profile([-0.8, -0.8], [0.8, 0.8], 0.2).transform()
+    c = 0.06066017178006
+    shifts = np.array([[0.0, 0.0], [c, c], [-c, c], [0.0, -0.0857864376], [0.37, -1.2], [2.5, 0.9]])
+    dual, tails = pairing_values(f, fiber, shifts, TruncationSpec())
+    compact, zero_tails = pairing_values(f, fiber, shifts, TruncationSpec(), method="compact")
+    assert np.all(zero_tails == 0.0)
+    assert np.all(tails < 1e-6)
+    assert np.all(np.abs(dual - compact) <= tails + 1e-12)
 
 
 def test_pairing_atomic_fiber_closed_form(fib):
