@@ -30,6 +30,7 @@ LIFT_TOL = 1e-7  # how far an atom may sit from the lattice point it is lifted t
 MIN_DIAMETERS = 10.0  # window spans per axis an almost-period evaluation region needs
 GAP_DEDUP_TOL = 1e-12  # difference-set gaps at most this are float duplicates
 _TABLE_CHUNK = 65536  # rows formatted at once by _write_table
+_LOOKUP_CHUNK = 1 << 18  # translated refs rows per ref_index lookup of an almost-period scan
 
 
 def _min_pairwise_distance(positions: np.ndarray) -> float:
@@ -339,9 +340,13 @@ def eps_norm_almost_periods(
 
     ``shifts`` optionally gives, parallel to the candidates, the integer
     translate whose image is each t; the comb must then carry ``refs``.  The
-    atoms of T^t comb - comb are merged exactly on (refs + shift, refs), the
-    translated copy first, and a merged pair more than ``MERGE_TOL`` apart
-    raises ``ValueError``.  Without shifts, atoms within ``MERGE_TOL`` merge.
+    atoms of T^t comb - comb are then matched exactly: one
+    ``ref_index.find`` of refs + shift per block of candidates pairs each
+    translated atom with the original it lands on, so no rows are sorted per
+    candidate.  A matched pair more than ``MERGE_TOL`` apart raises
+    ``ValueError``.  Without shifts, atoms within ``MERGE_TOL`` merge.  Either
+    way the merged atoms are the translated copy in index order, then the
+    unmatched originals in index order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -360,25 +365,18 @@ def eps_norm_almost_periods(
     span = a_box.sides
 
     accepted, rejected, skipped = [], [], []
+    scanned, overlaps = [], []
     for k, t in enumerate(cands):
         overlap = extent.intersect(extent.shifted(t))
         usable = overlap.sides - 2 * span
         if overlap.is_empty or (usable < MIN_DIAMETERS * span).any():
             skipped.append((t, "overlap too small"))
-            continue
-        eval_region = Box(overlap.lo + span, overlap.hi - span)
-        moved = comb.positions + t
-        pos = np.concatenate([moved, comb.positions])
-        wts = np.concatenate([comb.weights, -comb.weights])
-        if shifts is not None:
-            label, first = _group_rows(np.concatenate([comb.refs + shifts[k], comb.refs]))
-            gap = float(np.max(np.abs(pos - pos[first[label]])))
-            if gap > MERGE_TOL:
-                raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
-                                 f"{t.tolist()}: merged atoms {gap:.3e} apart")
-            pos, wts = pos[first], _sum_groups(wts, label, first)
         else:
-            pos, wts, _ = merge_atoms(pos, wts)
+            scanned.append(k)
+            overlaps.append(overlap)
+    differences = _translate_differences(comb, cands, shifts, scanned)
+    for overlap, (t, pos, wts) in zip(overlaps, differences):
+        eval_region = Box(overlap.lo + span, overlap.hi - span)
         live = wts != 0
         pos, wts = pos[live], wts[live]
         inside = overlap.contains(pos) if len(pos) else np.zeros(0, bool)
@@ -390,6 +388,78 @@ def eps_norm_almost_periods(
             rejected.append((t, value))
     gap = _accepted_max_gap([t for t, _ in accepted])
     return AlmostPeriodScan(tuple(accepted), tuple(rejected), tuple(skipped), gap)
+
+
+def _kept_translates(comb: WeightedComb, lead: np.ndarray, dz: np.ndarray, dz_lead: np.ndarray,
+                     slack: float, limit: np.ndarray) -> np.ndarray:
+    """Which integer translates ``dz`` some pair of atoms realises and keeps.
+
+    A pair (a, b) realises dz when refs_b = refs_a + dz, and is kept when
+    x_b - x_a has norm above 1e-9 and every coordinate within ``limit``.
+    ``lead`` is one coordinate of every atom that is linear in refs, and
+    ``dz_lead`` the same coordinate of each dz: only atoms with lead_a +
+    dz_lead within ``slack`` of the atoms' own range can realise dz, and with
+    the atoms sorted on ``lead`` they form one run per dz.  The runs are
+    looked up through ``ref_index`` in blocks of about ``_LOOKUP_CHUNK`` rows.
+    """
+    n = comb.n_atoms
+    order = np.argsort(lead, kind="stable")
+    key = lead[order]
+    lo = np.searchsorted(key, key[0] - dz_lead - slack, side="left")
+    count = np.maximum(np.searchsorted(key, key[-1] - dz_lead + slack, side="right") - lo, 0)
+    kept = np.zeros(len(dz), dtype=bool)
+    per = max(1, _LOOKUP_CHUNK // n)
+    for first in range(0, len(dz), per):
+        c, start = count[first : first + per], lo[first : first + per]
+        k = np.repeat(np.arange(first, first + len(c)), c)
+        a = order[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - start, c)]
+        # np.take on axis 0 gathers these narrow rows several times faster than indexing
+        b = comb.ref_index.find(np.take(comb.refs, a, axis=0) + np.take(dz, k, axis=0))
+        hit = b < n
+        k = k[hit]
+        diffs = np.take(comb.positions, b[hit], axis=0) - np.take(comb.positions, a[hit], axis=0)
+        ok = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= limit, axis=1)
+        kept[k[ok]] = True
+    return kept
+
+
+def _translate_differences(comb: WeightedComb, cands: np.ndarray, shifts, ks):
+    """(t, positions, weights) of the merged atoms of T^t comb - comb for each t = cands[k].
+
+    The translated atoms come first, in index order, then the originals that
+    no translated atom meets.  With ``shifts``, translated atom i meets the
+    original j whose refs are refs_i + shift, found by one ``ref_index.find``
+    of about ``_LOOKUP_CHUNK`` rows per block of candidates, and the pair
+    carries the weight w_i + (-w_j); a met pair more than ``MERGE_TOL`` apart
+    raises.  Without them, ``merge_atoms`` merges positions within ``MERGE_TOL``.
+    """
+    if shifts is None:
+        for k in ks:
+            pos = np.concatenate([comb.positions + cands[k], comb.positions])
+            wts = np.concatenate([comb.weights, -comb.weights])
+            yield (cands[k], *merge_atoms(pos, wts)[:2])
+        return
+    n, width = comb.refs.shape
+    ks = np.asarray(ks, dtype=np.intp)
+    per = max(1, _LOOKUP_CHUNK // n)
+    for lo in range(0, len(ks), per):  # one ref_index lookup per block of candidates
+        block = shifts[ks[lo : lo + per]]
+        found = comb.ref_index.find((block[:, None, :] + comb.refs[None, :, :]).reshape(-1, width))
+        for k, idx in zip(ks[lo : lo + per], found.reshape(len(block), n)):
+            t = cands[k]
+            moved = comb.positions + t
+            i = np.flatnonzero(idx < n)
+            j = idx[i]
+            gap = float(np.max(np.abs(moved[i] - comb.positions[j]), initial=0.0))
+            if gap > MERGE_TOL:
+                raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
+                                 f"{t.tolist()}: merged atoms {gap:.3e} apart")
+            wts = comb.weights.copy()
+            wts[i] += -comb.weights[j]
+            alone = np.ones(n, dtype=bool)
+            alone[j] = False
+            yield (t, np.concatenate([moved, comb.positions[alone]]),
+                   np.concatenate([wts, -comb.weights[alone]]))
 
 
 def _lex_positive(diffs: np.ndarray) -> np.ndarray:

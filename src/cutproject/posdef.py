@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -68,13 +69,22 @@ def gram_matrix(
     return _gram(f, points, refs)
 
 
+@lru_cache(maxsize=8)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, built once per size: every trial of a run has the same size."""
+    ii, jj = np.triu_indices(n)
+    ii.setflags(write=False)
+    jj.setflags(write=False)
+    return ii, jj
+
+
 def _gram(f: WeightedComb, points, refs) -> np.ndarray:
     """``gram_matrix`` for a comb whose Hermitian symmetry is already checked."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     if n > MAX_GRAM_POINTS:
         raise ValueError(f"too many sample points for the eigen budget ({n} > {MAX_GRAM_POINTS})")
-    ii, jj = np.triu_indices(n)
+    ii, jj = _triu(n)
     diffs = pts[ii] - pts[jj]
     ref_diffs = None
     if refs is not None and f.refs is not None:
@@ -177,6 +187,9 @@ def lift_pd_crosscheck(
     The same index sets are used on both sides, so the two Gram matrices are
     equal entry by entry through the lift bijection and the two verdicts must
     agree; the report records both so that agreement is observed, not assumed.
+    Equality is still compared in every trial.  When the two matrices are
+    equal the lifted one reuses the downstairs eigensolve, the same LAPACK
+    call on the same input; when they differ, each is solved on its own.
     """
     eta = lift(cps, gamma, window, window)
     if gamma.n_atoms == 0:
@@ -195,9 +208,12 @@ def lift_pd_crosscheck(
         refs = gamma.refs[idx] if gamma.refs is not None else None
         m_down = _gram(gamma, gamma.positions[idx], refs)
         m_up = _gram(eta, eta.positions[idx], eta.refs[idx])
-        equal &= bool(np.array_equal(m_down, m_up))
         down_eigs[t], passed_down, _ = _min_eig(m_down)
-        up_eigs[t], passed_up, _ = _min_eig(m_up)
+        if np.array_equal(m_down, m_up):
+            up_eigs[t], passed_up = down_eigs[t], passed_down
+        else:
+            equal = False
+            up_eigs[t], passed_up, _ = _min_eig(m_up)
         down_ok &= passed_down
         up_ok &= passed_up
     return CrosscheckReport(down_ok, up_ok, equal, down_eigs, up_eigs, seed)

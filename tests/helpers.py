@@ -6,7 +6,8 @@ import itertools
 
 import numpy as np
 
-from cutproject import Box, Lattice, WeightedComb
+from cutproject import Box, Lattice, WeightedComb, a_norm
+from cutproject.comb import MERGE_TOL, MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap, _sum_groups
 from cutproject.lattice import _group_rows
 from cutproject.spectra import _gl_grid
 
@@ -152,6 +153,40 @@ def integer_difference_candidates(cps, positions, refs, max_candidates: int):
         shifts = shifts[np.argsort(norms, kind="stable")[:max_candidates]]
     shifts = np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts])
     return cps.split(shifts)[0], shifts
+
+
+def grouped_almost_period_scan(comb: WeightedComb, a_box: Box, eps: float, cands, shifts):
+    """``eps_norm_almost_periods`` with shifts, merging each translate by grouping rows.
+
+    For every scanned candidate the 2N rows (refs + shift, refs) are grouped
+    exactly with ``_group_rows`` (a sort per candidate) and the weights summed
+    per group with ``_sum_groups`` (a second sort), translated copy first.
+    """
+    cands = np.atleast_2d(np.asarray(cands, dtype=float))
+    shifts = np.atleast_2d(np.asarray(shifts, dtype=np.int64))
+    extent, span = comb.extent, a_box.sides
+    accepted, rejected, skipped = [], [], []
+    for t, shift in zip(cands, shifts):
+        overlap = extent.intersect(extent.shifted(t))
+        if overlap.is_empty or (overlap.sides - 2 * span < MIN_DIAMETERS * span).any():
+            skipped.append((t, "overlap too small"))
+            continue
+        pos = np.concatenate([comb.positions + t, comb.positions])
+        wts = np.concatenate([comb.weights, -comb.weights])
+        label, first = _group_rows(np.concatenate([comb.refs + shift, comb.refs]))
+        gap = float(np.max(np.abs(pos - pos[first[label]])))
+        if gap > MERGE_TOL:
+            raise ValueError(f"shift {shift.tolist()} does not translate by t = {t.tolist()}")
+        pos, wts = pos[first], _sum_groups(wts, label, first)
+        live = wts != 0
+        pos, wts = pos[live], wts[live]
+        inside = overlap.contains(pos) if len(pos) else np.zeros(0, bool)
+        diff = WeightedComb(pos[inside], wts[inside], dim=comb.dim, validate=False)
+        region = Box(overlap.lo + span, overlap.hi - span)
+        value = a_norm(diff, a_box, region) if diff.n_atoms else 0.0
+        (accepted if value < eps else rejected).append((t, value))
+    gap = _accepted_max_gap([t for t, _ in accepted])
+    return AlmostPeriodScan(tuple(accepted), tuple(rejected), tuple(skipped), gap)
 
 
 def per_shift_axis_pair(f_axis, g_axis, shifts, radius: float, panel: float, order: int):

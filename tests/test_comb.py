@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutproject import (
@@ -23,12 +23,16 @@ from cutproject import (
     model_set,
     strip_comb,
 )
+from cutproject import cli
+from cutproject import comb as comb_module
 from cutproject.cli import _difference_candidates
 from cutproject.comb import MERGE_TOL, merge_atoms
+from cutproject.lattice import lattice_points_in_box
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
-from .helpers import anchor_a_norm, brute_components, grid_a_norm, integer_difference_candidates
+from .helpers import (anchor_a_norm, brute_components, grid_a_norm, grouped_almost_period_scan,
+                      integer_difference_candidates)
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -403,6 +407,110 @@ def test_exact_shift_merge_matches_float_merge(name, offset, scale, unit, max_ca
                       (exact.skipped, floats.skipped)]:
         assert [(t.tobytes(), v) for t, v in got] == [(t.tobytes(), v) for t, v in want]
     assert exact.max_gap == floats.max_gap
+
+
+def _scheme_patch(name, offset, scale, weights_seed=None):
+    cps, window, side = SCHEMES[name]
+    lo = np.full(cps.d, offset)
+    z = model_set(cps, window, Box(lo, lo + scale * side))
+    if weights_seed is None:
+        return cps, z, np.ones(len(z))
+    rng = np.random.default_rng(weights_seed)
+    return cps, z, rng.integers(-2, 3, size=len(z)) + 1j * rng.normal(size=len(z))
+
+
+def _assert_same_candidates(cps, comb, max_cands):
+    cands, shifts = _difference_candidates(cps, comb, max_cands)
+    want_cands, want_shifts = integer_difference_candidates(cps, comb.positions, comb.refs,
+                                                            max_cands)
+    assert shifts.tobytes() == want_shifts.tobytes() and shifts.shape == want_shifts.shape
+    assert cands.tobytes() == want_cands.tobytes()
+    return shifts
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(SCHEMES)), st.floats(-3000.0, 3000.0), st.floats(0.3, 1.0),
+       st.sampled_from([0.25, 2.0, 8.0, 64.0]), st.floats(0.0, 1.0),
+       st.sampled_from([None, 1, 100]))
+def test_strip_candidates_match_pair_oracle(name, offset, scale, radius, frac, block_rows):
+    # small first radii double several times before they stop or reach the span/3 cap;
+    # small lookup blocks split the strip points over many lookups
+    cps, z, weights = _scheme_patch(name, offset, scale)
+    assume(len(z) > 0)
+    comb = model_comb(cps, z, weights)
+    ts = integer_difference_candidates(cps, comb.positions, comb.refs, len(z) ** 2)[0][1:]
+    total = len(ts)
+    # exactly as many translates as a doubled box holds must not stop the doubling:
+    # with more beyond it, the cut orders by length, not lexicographically
+    within = [int(np.sum(np.linalg.norm(ts, axis=1) <= radius * 2**k)) for k in range(8)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_STRIP_RADIUS", radius)
+        if block_rows is not None:
+            mp.setattr(comb_module, "_LOOKUP_CHUNK", block_rows)
+        for max_cands in sorted({0, 1, 2, int(frac * total), total - 1, total, total + 1,
+                                 2 * total, *within}):
+            if max_cands >= 0:
+                _assert_same_candidates(cps, comb, max_cands)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_strip_candidates_with_a_translate_at_the_cap(name):
+    # atoms at a, a + dz, a + 3 dz: the patch spans 3 t(dz), so dz sits at span/3,
+    # where the float pair differences decide
+    cps = SCHEMES[name][0]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(12):
+        a = rng.integers(-60, 61, size=cps.lat.n)
+        dz = rng.integers(-3, 4, size=cps.lat.n)
+        if not dz.any():
+            continue
+        comb = model_comb(cps, np.stack([a, a + dz, a + 3 * dz]), np.ones(3))
+        for radius in (0.5, 64.0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_STRIP_RADIUS", radius)
+                for max_cands in range(4):  # at most +-dz are kept
+                    _assert_same_candidates(cps, comb, max_cands)
+
+
+def test_strip_candidates_keep_the_exact_cap(fib):
+    # x = 7, 8, 10: span/3 is exactly 1, so +-(1, 0) is kept and +-(2, 0) is not
+    comb = model_comb(fib, [[7, 0], [8, 0], [10, 0]], np.ones(3))
+    shifts = _assert_same_candidates(fib, comb, 10)
+    assert shifts.tolist() == [[0, 0], [-1, 0], [1, 0]]
+
+
+def _unmatched_shifts(cps):
+    """Lattice points near t = 0 whose internal part is far outside W - W: they map no atom."""
+    box = Box.product(Box(np.full(cps.d, -4.0), np.full(cps.d, 4.0)),
+                      Box(np.full(cps.m, 5.0), np.full(cps.m, 9.0)))
+    return lattice_points_in_box(cps.lat, box)[0][:4]
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(SCHEMES)), st.floats(-3000.0, 3000.0), st.floats(0.6, 1.0),
+       st.integers(0, 60), st.integers(0, 4), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+def test_translate_scan_matches_grouped_merge(name, offset, scale, max_cands, block, eps, seed):
+    cps, z, weights = _scheme_patch(name, offset, scale, weights_seed=seed)
+    comb = model_comb(cps, z, weights)
+    far = _unmatched_shifts(cps)
+    assert len(far)
+    # t = 0 maps every atom, the far shifts map none
+    shifts = np.concatenate([_difference_candidates(cps, comb, max_cands)[1], far,
+                             np.zeros((1, cps.lat.n), np.int64)])
+    cands = cps.split(shifts)[0]
+    a_box = Box(np.zeros(cps.d), np.full(cps.d, 0.5 if name == "ab" else 1.0))
+    want = grouped_almost_period_scan(comb, a_box, eps, cands, shifts)
+    # the default single block; one shift per block (a chunk below N rows); 2, 3 and 7 per block
+    rows = [None, 1, 2 * len(z), 3 * len(z) + 1, 7 * len(z)][block]
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(comb_module, "_LOOKUP_CHUNK", rows)
+        got = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
+    for g, w in [(got.accepted, want.accepted), (got.rejected, want.rejected)]:
+        assert [(t.tobytes(), v) for t, v in g] == [(t.tobytes(), v) for t, v in w]
+    assert [(t.tobytes(), r) for t, r in got.skipped] == [(t.tobytes(), r) for t, r in want.skipped]
+    assert got.max_gap == want.max_gap
+    assert len(got.accepted) + len(got.rejected) + len(got.skipped) == len(cands)
 
 
 def test_shift_that_does_not_match_its_translation_raises(fib, fib_window):

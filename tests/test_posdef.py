@@ -225,6 +225,58 @@ def test_crosscheck_checks_hermitian_once_per_comb(fib, monkeypatch):
         lift_pd_crosscheck(fib, bad, window, trials=10, seed=3)
 
 
+def _crosscheck_gamma(fib):
+    rng = np.random.default_rng(31)
+    z = model_set(fib, Window(Box([0.0], [1.0])), Box([0.0], [30.0]))
+    w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+    return autocorrelation_patch(model_comb(fib, z, w), Box([-1.0], [31.0]))
+
+
+def test_crosscheck_reuses_the_eigensolve_of_equal_matrices(fib, monkeypatch):
+    from cutproject import posdef
+
+    solved = []
+    min_eig = posdef._min_eig
+    monkeypatch.setattr(posdef, "_min_eig", lambda m: (solved.append(len(m)), min_eig(m))[1])
+    report = lift_pd_crosscheck(fib, _crosscheck_gamma(fib), Window(Box([-1.0], [1.0])),
+                                trials=10, seed=3)
+    assert report.entrywise_equal and len(solved) == 10
+    assert report.min_eigs_up.tobytes() == report.min_eigs_down.tobytes()
+
+
+def test_crosscheck_solves_a_differing_lifted_matrix(fib, monkeypatch):
+    from cutproject import posdef
+
+    gram, min_eig = posdef._gram, posdef._min_eig
+    ups, solved = [], []
+
+    def shifted_lift(f, points, refs):
+        m = gram(f, points, refs)
+        if f.dim == fib.lat.n:  # the lifted comb: add 2 to every eigenvalue
+            m = m + 2.0 * np.eye(len(m))
+            ups.append(m)
+        return m
+
+    monkeypatch.setattr(posdef, "_gram", shifted_lift)
+    monkeypatch.setattr(posdef, "_min_eig", lambda m: (solved.append(len(m)), min_eig(m))[1])
+    report = lift_pd_crosscheck(fib, _crosscheck_gamma(fib), Window(Box([-1.0], [1.0])),
+                                trials=10, seed=3)
+    assert not report.entrywise_equal and len(solved) == 20
+    assert report.min_eigs_up.tolist() == [min_eig(m)[0] for m in ups]
+    assert report.min_eigs_up == pytest.approx(report.min_eigs_down + 2.0, abs=1e-9)
+    assert report.down_ok and report.up_ok
+
+
+def test_triu_indices_built_once_per_size():
+    from cutproject import posdef
+
+    ii, jj = posdef._triu(7)
+    assert posdef._triu(7)[0] is ii
+    want = np.triu_indices(7)
+    assert np.array_equal(ii, want[0]) and np.array_equal(jj, want[1])
+    assert not ii.flags.writeable and not jj.flags.writeable
+
+
 def test_crosscheck_empty_comb(fib):
     window = Window(Box([-1.0], [1.0]))
     gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0), dim=1)
