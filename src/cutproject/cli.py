@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .comb import (WeightedComb, _kept_translates, _write_table, autocorrelation_patch,
+from .comb import (WeightedComb, _difference_candidates, _write_table, autocorrelation_patch,
                    eps_norm_almost_periods, model_comb)
 from .cps import CutProjectScheme, Window, internal_density_check, model_set, verify_injectivity
-from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, lattice_points_in_box
+from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice
 from .posdef import lift_pd_crosscheck
 from .spectra import (
     Atomic,
@@ -37,9 +37,6 @@ from .spectra import (
 )
 
 GOLDEN = 1.6180339887498949  # golden ratio to 17 significant digits
-
-_STRIP_RADIUS = 64.0  # physical half-side of the first strip box of _difference_candidates
-_STRIP_PAD = 1e-9  # strip box inflation relative to coordinate size, far above lat.points rounding
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -377,53 +374,6 @@ def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
     print(f"gram matrices entrywise equal: {'ok' if report.entrywise_equal else 'FAIL'}")
     ok = report.down_ok and report.up_ok and report.entrywise_equal
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _difference_candidates(cps: CutProjectScheme, comb: WeightedComb, max_candidates: int):
-    """One candidate per distinct integer translate between the patch's atoms.
-
-    A pair is kept when x_i - x_j has norm above 1e-9 and every coordinate
-    within a third of the patch span; its translate is dz = z_i - z_j and its
-    candidate t the physical part ``cps.split(dz)[0]``.  Every such dz lies in
-    the strip L ∩ (G × (S - S)), S the bounding box of the atoms' internal
-    parts, so the translates are read off that strip rather than off the N^2
-    pairs.  ``lattice_points_in_box`` lists the strip points with physical
-    part in [-r, r]^d; ``comb._kept_translates`` looks up refs + dz for the
-    atoms whose first internal coordinate leaves room for dz's, one
-    ``ref_index.find`` per block, and applies the pair filter to the float
-    differences of the pairs found, so the span/3 cap is decided pair by pair
-    as before.  r starts at ``_STRIP_RADIUS`` and doubles until more than
-    ``max_candidates`` kept translates have norm at most r (exactly as many
-    would not tell whether the cut below happens), or until the box covers a
-    third of the span on every axis; the cost follows the candidates asked
-    for, not N^2.  Candidates are sorted lexicographically in t and,
-    past ``max_candidates``, cut to the shortest (a stable sort, so ties keep
-    lexicographic order); t = 0 leads.  Returns (t, dz) row by row.
-    """
-    z = comb.refs
-    third = comb.extent.sides / 3.0
-    # a bound on |lat.points| of every atom and every difference of two, per coordinate
-    pad = _STRIP_PAD * (1.0 + 2.0 * (np.abs(cps.lat.basis) @ np.abs(z).max(axis=0)))
-    xstar = cps.split(z)[1]
-    reach = xstar.max(axis=0) - xstar.min(axis=0) + pad[cps.d :]
-    cap = third + pad[: cps.d]
-    radius = _STRIP_RADIUS
-    while True:
-        half = np.minimum(radius, cap)
-        dz, p = lattice_points_in_box(cps.lat, Box.product(Box(-half, half), Box(-reach, reach)))
-        kept = _kept_translates(comb, xstar[:, 0], dz, p[:, cps.d], pad[cps.d], third)
-        shifts = dz[kept]
-        ts = cps.split(shifts)[0]
-        if ((half >= cap).all()
-                or np.count_nonzero(np.linalg.norm(ts, axis=1) <= radius) > max_candidates):
-            break
-        radius *= 2.0
-    order = np.lexsort(ts.T[::-1])
-    if len(order) > max_candidates:
-        norms = np.linalg.norm(ts[order], axis=1)
-        order = order[np.argsort(norms, kind="stable")[:max_candidates]]
-    shifts = np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts[order]])
-    return cps.split(shifts)[0], shifts
 
 
 def cmd_almostperiods(cfg: SchemeConfig, args) -> int:

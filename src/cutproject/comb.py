@@ -31,13 +31,8 @@ MIN_DIAMETERS = 10.0  # window spans per axis an almost-period evaluation region
 GAP_DEDUP_TOL = 1e-12  # difference-set gaps at most this are float duplicates
 _TABLE_CHUNK = 65536  # rows formatted at once by _write_table
 _LOOKUP_CHUNK = 1 << 18  # translated refs rows per ref_index lookup of an almost-period scan
-
-
-def _min_pairwise_distance(positions: np.ndarray) -> float:
-    if len(positions) < 2:
-        return np.inf
-    dist, _ = cKDTree(positions).query(positions, k=2)
-    return float(np.min(dist[:, 1]))
+_STRIP_RADIUS = 64.0  # physical half-side of the first strip box of _difference_candidates
+_STRIP_PAD = 1e-9  # strip box inflation relative to coordinate size, far above lat.points rounding
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,8 @@ class WeightedComb:
     coordinates when the comb is supported on a lattice (positions then equal
     the lattice map of the coordinates, or its physical projection).  Atoms
     are distinct when their ``refs`` rows are; a comb without ``refs`` needs
-    positions more than ``MERGE_TOL`` apart.
+    positions more than ``MERGE_TOL`` apart in the sup norm, so that
+    ``merge_atoms`` would merge none of them.
     """
 
     dim: int
@@ -76,7 +72,7 @@ class WeightedComb:
             if refs is not None:
                 if len(_group_rows(refs)[1]) < len(refs):
                     raise ValueError("duplicate positions: atoms share integer coordinates")
-            elif _min_pairwise_distance(positions) <= MERGE_TOL:
+            elif len(cKDTree(positions).query_pairs(MERGE_TOL, p=np.inf, output_type="ndarray")):
                 raise ValueError("duplicate positions: atoms closer than the merge tolerance")
         positions = positions.copy()
         weights = weights.copy()
@@ -244,9 +240,13 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
     """sup over translates t with t + a_box inside eval_region of |comb|(t + a_box).
 
     The supremum of the window mass is attained where some atom touches a
-    face of the box, so only finitely many translates per axis need checking;
-    the sweep below enumerates exactly those events and is exact.  Boxes are
-    closed within ``BOUNDARY_TOL``.
+    face of the box, so only finitely many translates per axis need checking,
+    and checking exactly those events is exact.  For d = 1 a sorted sweep
+    counts each event's window.  For d >= 2 the windows over the event grid
+    of the first d - 1 axes are boolean rows over the atoms, and one matrix
+    product with the last axis's rows gives every window's mass; memory is
+    grid rows times atoms, at most (2N + 2)^(d - 1) * N for N atoms.  Boxes
+    are closed within ``BOUNDARY_TOL``.
     """
     if a_box.dim != comb.dim or eval_region.dim != comb.dim:
         raise ValueError("box dimensions must match the comb dimension")
@@ -268,34 +268,22 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
         hi_idx = np.searchsorted(sorted_pos, events + a_box.hi[0] + BOUNDARY_TOL, side="right")
         return float(np.max(csum[hi_idx] - csum[lo_idx]))
 
-    # general case: per-axis face events, then a dense product sweep
-    axis_events = []
+    # d >= 2: per-axis face events; the first d - 1 axes are ANDed over their
+    # event grid, and one product with the last axis's masks sums every window
+    masks = []
     for i in range(comb.dim):
         ev = np.concatenate(
             [comb.positions[:, i] - a_box.hi[i], comb.positions[:, i] - a_box.lo[i],
              [t_lo[i], t_hi[i]]]
         )
-        axis_events.append(np.unique(np.clip(ev, t_lo[i], t_hi[i])))
-    masks = []
-    for i in range(comb.dim):
-        ev = axis_events[i]
-        inside = (comb.positions[None, :, i] >= ev[:, None] + a_box.lo[i] - BOUNDARY_TOL) & (
-            comb.positions[None, :, i] <= ev[:, None] + a_box.hi[i] + BOUNDARY_TOL
-        )
-        masks.append(inside)
-    if comb.dim == 2:
-        acc = (masks[0] * mags[None, :]) @ masks[1].T.astype(float)
-        return float(np.max(acc))
-    # dimensions above 2: explicit loop over the event grid
-    best = 0.0
-    grids = np.meshgrid(*[np.arange(len(e)) for e in axis_events], indexing="ij")
-    flat = np.stack([g.reshape(-1) for g in grids], axis=1)
-    for sel in flat:
-        inside = np.ones(comb.n_atoms, dtype=bool)
-        for i in range(comb.dim):
-            inside &= masks[i][sel[i]]
-        best = max(best, float(mags[inside].sum()))
-    return best
+        ev = np.unique(np.clip(ev, t_lo[i], t_hi[i]))
+        masks.append((comb.positions[None, :, i] >= ev[:, None] + a_box.lo[i] - BOUNDARY_TOL)
+                     & (comb.positions[None, :, i] <= ev[:, None] + a_box.hi[i] + BOUNDARY_TOL))
+    inside = masks[0]
+    for mask in masks[1:-1]:
+        inside = (inside[:, None, :] & mask[None, :, :]).reshape(-1, comb.n_atoms)
+    acc = (inside * mags[None, :]) @ masks[-1].T.astype(float)
+    return float(np.max(acc))
 
 
 @dataclass(frozen=True)
@@ -318,6 +306,73 @@ def _accepted_max_gap(ts: list[np.ndarray]) -> float:
         return float(np.max(np.diff(vals)))
     dist, _ = cKDTree(arr).query(arr, k=2)
     return float(np.max(dist[:, 1]))
+
+
+def _difference_candidates(cps: CutProjectScheme, comb: WeightedComb, max_candidates: int):
+    """One candidate per distinct integer translate between the patch's atoms.
+
+    A pair of atoms (a, b) is kept when x_b - x_a has norm above 1e-9 and
+    every coordinate within a third of the patch span; its translate is
+    dz = z_b - z_a and its candidate t the physical part ``cps.split(dz)[0]``.
+    Every such dz lies in the strip L ∩ (G × (S - S)), S the bounding box of
+    the atoms' internal parts, so the translates are read off that strip
+    rather than off the N^2 pairs.  ``lattice_points_in_box`` lists the strip
+    points with physical part in [-r, r]^d.  Only atoms whose first internal
+    coordinate leaves room for dz's can realise dz; sorted on that
+    coordinate they form one run per dz, and refs + dz of each run is looked
+    up through ``ref_index`` in blocks of about ``_LOOKUP_CHUNK`` rows.  The
+    pair rule is applied to the float differences of the pairs found, so the
+    span/3 cap is decided pair by pair.  r starts at ``_STRIP_RADIUS`` and
+    doubles until more than ``max_candidates`` kept translates have norm at
+    most r (exactly as many would not tell whether the cut below happens),
+    or until the box covers a third of the span on every axis; the cost
+    follows the candidates asked for, not N^2.  Candidates are sorted
+    lexicographically in t and, past ``max_candidates``, cut to the shortest
+    (a stable sort, so ties keep lexicographic order); t = 0 leads.  Returns
+    (t, dz) row by row.
+    """
+    z, n = comb.refs, comb.n_atoms
+    third = comb.extent.sides / 3.0
+    # a bound on |lat.points| of every atom and every difference of two, per coordinate
+    pad = _STRIP_PAD * (1.0 + 2.0 * (np.abs(cps.lat.basis) @ np.abs(z).max(axis=0)))
+    xstar = cps.split(z)[1]
+    reach = xstar.max(axis=0) - xstar.min(axis=0) + pad[cps.d :]
+    cap = third + pad[: cps.d]
+    by_lead = np.argsort(xstar[:, 0], kind="stable")
+    key = xstar[by_lead, 0]
+    per = max(1, _LOOKUP_CHUNK // n)
+    radius = _STRIP_RADIUS
+    while True:
+        half = np.minimum(radius, cap)
+        dz, p = lattice_points_in_box(cps.lat, Box.product(Box(-half, half), Box(-reach, reach)))
+        dz_lead, slack = p[:, cps.d], pad[cps.d]
+        lo = np.searchsorted(key, key[0] - dz_lead - slack, side="left")
+        count = np.maximum(np.searchsorted(key, key[-1] - dz_lead + slack, side="right") - lo, 0)
+        kept = np.zeros(len(dz), dtype=bool)
+        for first in range(0, len(dz), per):
+            c, start = count[first : first + per], lo[first : first + per]
+            k = np.repeat(np.arange(first, first + len(c)), c)
+            a = by_lead[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - start, c)]
+            # np.take on axis 0 gathers these narrow rows several times faster than indexing
+            b = comb.ref_index.find(np.take(z, a, axis=0) + np.take(dz, k, axis=0))
+            hit = b < n
+            k = k[hit]
+            diffs = (np.take(comb.positions, b[hit], axis=0)
+                     - np.take(comb.positions, a[hit], axis=0))
+            ok = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= third, axis=1)
+            kept[k[ok]] = True
+        shifts = dz[kept]
+        ts = cps.split(shifts)[0]
+        if ((half >= cap).all()
+                or np.count_nonzero(np.linalg.norm(ts, axis=1) <= radius) > max_candidates):
+            break
+        radius *= 2.0
+    order = np.lexsort(ts.T[::-1])
+    if len(order) > max_candidates:
+        norms = np.linalg.norm(ts[order], axis=1)
+        order = order[np.argsort(norms, kind="stable")[:max_candidates]]
+    shifts = np.concatenate([np.zeros((1, z.shape[1]), np.int64), shifts[order]])
+    return cps.split(shifts)[0], shifts
 
 
 def eps_norm_almost_periods(
@@ -353,6 +408,8 @@ def eps_norm_almost_periods(
     cands = np.atleast_2d(np.asarray(candidates, dtype=float))
     if cands.shape[1] != comb.dim:
         raise ValueError("candidate translations must match the comb dimension")
+    if not np.isfinite(cands).all():
+        raise ValueError("candidate translations must be finite")
     if comb.n_atoms == 0:
         raise ValueError("cannot scan an empty comb")
     if shifts is not None:
@@ -364,23 +421,20 @@ def eps_norm_almost_periods(
     extent = comb.extent
     span = a_box.sides
 
-    accepted, rejected, skipped = [], [], []
-    scanned, overlaps = [], []
-    for k, t in enumerate(cands):
-        overlap = extent.intersect(extent.shifted(t))
-        usable = overlap.sides - 2 * span
-        if overlap.is_empty or (usable < MIN_DIAMETERS * span).any():
-            skipped.append((t, "overlap too small"))
-        else:
-            scanned.append(k)
-            overlaps.append(overlap)
-    differences = _translate_differences(comb, cands, shifts, scanned)
-    for overlap, (t, pos, wts) in zip(overlaps, differences):
-        eval_region = Box(overlap.lo + span, overlap.hi - span)
+    # every overlap extent ∩ (extent + t) at once, as Box.intersect(Box.shifted) computes it
+    lo = np.maximum(extent.lo, extent.lo + cands)
+    hi = np.minimum(extent.hi, extent.hi + cands)
+    skip = (hi < lo).any(axis=1) | ((hi - lo) - 2 * span < MIN_DIAMETERS * span).any(axis=1)
+    skipped = [(t, "overlap too small") for t in cands[skip]]
+    scanned = np.flatnonzero(~skip)
+    accepted, rejected = [], []
+    for k, (t, pos, wts) in zip(scanned, _translate_differences(comb, cands, shifts, scanned)):
         live = wts != 0
         pos, wts = pos[live], wts[live]
-        inside = overlap.contains(pos) if len(pos) else np.zeros(0, bool)
+        # the closed overlap within BOUNDARY_TOL, as Box.contains decides it
+        inside = ((pos >= lo[k] - BOUNDARY_TOL) & (pos <= hi[k] + BOUNDARY_TOL)).all(axis=1)
         diff = WeightedComb(pos[inside], wts[inside], dim=comb.dim, validate=False)
+        eval_region = Box(lo[k] + span, hi[k] - span)
         value = a_norm(diff, a_box, eval_region) if diff.n_atoms else 0.0
         if value < eps:
             accepted.append((t, value))
@@ -388,39 +442,6 @@ def eps_norm_almost_periods(
             rejected.append((t, value))
     gap = _accepted_max_gap([t for t, _ in accepted])
     return AlmostPeriodScan(tuple(accepted), tuple(rejected), tuple(skipped), gap)
-
-
-def _kept_translates(comb: WeightedComb, lead: np.ndarray, dz: np.ndarray, dz_lead: np.ndarray,
-                     slack: float, limit: np.ndarray) -> np.ndarray:
-    """Which integer translates ``dz`` some pair of atoms realises and keeps.
-
-    A pair (a, b) realises dz when refs_b = refs_a + dz, and is kept when
-    x_b - x_a has norm above 1e-9 and every coordinate within ``limit``.
-    ``lead`` is one coordinate of every atom that is linear in refs, and
-    ``dz_lead`` the same coordinate of each dz: only atoms with lead_a +
-    dz_lead within ``slack`` of the atoms' own range can realise dz, and with
-    the atoms sorted on ``lead`` they form one run per dz.  The runs are
-    looked up through ``ref_index`` in blocks of about ``_LOOKUP_CHUNK`` rows.
-    """
-    n = comb.n_atoms
-    order = np.argsort(lead, kind="stable")
-    key = lead[order]
-    lo = np.searchsorted(key, key[0] - dz_lead - slack, side="left")
-    count = np.maximum(np.searchsorted(key, key[-1] - dz_lead + slack, side="right") - lo, 0)
-    kept = np.zeros(len(dz), dtype=bool)
-    per = max(1, _LOOKUP_CHUNK // n)
-    for first in range(0, len(dz), per):
-        c, start = count[first : first + per], lo[first : first + per]
-        k = np.repeat(np.arange(first, first + len(c)), c)
-        a = order[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - start, c)]
-        # np.take on axis 0 gathers these narrow rows several times faster than indexing
-        b = comb.ref_index.find(np.take(comb.refs, a, axis=0) + np.take(dz, k, axis=0))
-        hit = b < n
-        k = k[hit]
-        diffs = np.take(comb.positions, b[hit], axis=0) - np.take(comb.positions, a[hit], axis=0)
-        ok = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= limit, axis=1)
-        kept[k[ok]] = True
-    return kept
 
 
 def _translate_differences(comb: WeightedComb, cands: np.ndarray, shifts, ks):
@@ -498,7 +519,9 @@ def autocorrelation_patch(comb: WeightedComb, region: Box) -> WeightedComb:
         pos_side = _lex_positive(zd)
         refs = np.where(pos_side[:, None], zd, -zd)
     else:
-        pos_side = _lex_positive(diffs)
+        # a coordinate within MERGE_TOL of 0 is 0, or a difference whose exact
+        # coordinate is 0 could land on both sides as +-1e-16
+        pos_side = _lex_positive(np.where(np.abs(diffs) <= MERGE_TOL, 0.0, diffs))
     plus = np.where(pos_side[:, None], diffs, -diffs)
     plus_w = np.where(pos_side, vals, np.conj(vals))
 

@@ -10,6 +10,8 @@ from cutproject.cli import GOLDEN, ConfigError, main, parse_config_text, resolve
 
 REPO = Path(__file__).resolve().parents[1]
 FIB_CONFIG = REPO / "configs" / "fibonacci.toml"
+AB_CONFIG = REPO / "configs" / "ammann_beenker.toml"
+DATA = REPO / "tests" / "data"
 
 ZSPLIT = """
 d = 1
@@ -287,6 +289,21 @@ def test_almostperiods_one_row_per_translate(tmp_path):
     ts = np.sort([float(line.split(",")[0]) for line in out.read_text().split("\n")[1:-1]])
     assert len(ts) == 201
     assert np.min(np.diff(ts)) > 1e-9
+
+
+@pytest.mark.parametrize("config, args, name, stdout", [
+    (FIB_CONFIG, ["--eps", "0.8"], "fibonacci_almostperiods", True),
+    # the d = 2 summary's max gap comes from k-d tree distances, so only the table is pinned
+    (AB_CONFIG, ["--eps", "6.5", "--max-candidates", "50"], "ammann_beenker_almostperiods", False),
+])
+def test_almostperiods_pinned_bytes(tmp_path, capsys, config, args, name, stdout):
+    # t comes from elementwise Lattice.points and every norm is a sum of unit
+    # masses, so these bytes hold on any numpy build
+    out = tmp_path / "periods.csv"
+    assert main(["almostperiods", "--config", str(config), *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+    if stdout:
+        assert capsys.readouterr().out == (DATA / f"{name}.stdout").read_text()
 
 
 def test_oracle_explicit_peaks(tmp_path, capsys):

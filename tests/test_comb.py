@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from cutproject import (
     Box,
@@ -23,10 +24,8 @@ from cutproject import (
     model_set,
     strip_comb,
 )
-from cutproject import cli
 from cutproject import comb as comb_module
-from cutproject.cli import _difference_candidates
-from cutproject.comb import MERGE_TOL, merge_atoms
+from cutproject.comb import MERGE_TOL, _difference_candidates, merge_atoms
 from cutproject.lattice import lattice_points_in_box
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
@@ -49,6 +48,16 @@ def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
 def test_duplicate_positions_rejected():
     with pytest.raises(ValueError, match="duplicate positions"):
         WeightedComb([[0.0], [1e-10]], [1.0, 1.0])
+
+
+def test_duplicate_positions_rejected_in_sup_norm():
+    # Euclidean distance 1.27e-9, sup distance 0.9e-9: merge_atoms merges the
+    # pair, so a comb without integer coordinates cannot hold it
+    pos = np.array([[0.0, 0.0], [0.9e-9, 0.9e-9]])
+    assert len(merge_atoms(pos, np.ones(2, complex))[0]) == 1
+    with pytest.raises(ValueError, match="duplicate positions"):
+        WeightedComb(pos, [1.0, 1.0])
+    assert WeightedComb([[0.0, 0.0], [1.1e-9, 0.0]], [1.0, 1.0]).n_atoms == 2
 
 
 def test_duplicate_refs_rejected():
@@ -444,7 +453,7 @@ def test_strip_candidates_match_pair_oracle(name, offset, scale, radius, frac, b
     # with more beyond it, the cut orders by length, not lexicographically
     within = [int(np.sum(np.linalg.norm(ts, axis=1) <= radius * 2**k)) for k in range(8)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_STRIP_RADIUS", radius)
+        mp.setattr(comb_module, "_STRIP_RADIUS", radius)
         if block_rows is not None:
             mp.setattr(comb_module, "_LOOKUP_CHUNK", block_rows)
         for max_cands in sorted({0, 1, 2, int(frac * total), total - 1, total, total + 1,
@@ -467,7 +476,7 @@ def test_strip_candidates_with_a_translate_at_the_cap(name):
         comb = model_comb(cps, np.stack([a, a + dz, a + 3 * dz]), np.ones(3))
         for radius in (0.5, 64.0):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "_STRIP_RADIUS", radius)
+                mp.setattr(comb_module, "_STRIP_RADIUS", radius)
                 for max_cands in range(4):  # at most +-dz are kept
                     _assert_same_candidates(cps, comb, max_cands)
 
@@ -577,6 +586,22 @@ def test_autocorrelation_2x2_refs_unique_and_hermitian():
     _check_hermitian(ac)
     diff_window = Window(Box([-2.0, -2.0], [2.0, 2.0]))
     _check_hermitian(lift(cps, ac, diff_window, diff_window))
+
+
+def test_autocorrelation_without_refs_has_no_float_twins():
+    # differences whose exact first coordinate is 0 come out as +-1e-16; without
+    # integer coordinates the float side decision must still put each on one
+    # side, as the refs do
+    cps = SCHEMES["ab"][0]
+    z = model_set(cps, SCHEMES["ab"][1], Box([0.0, 0.0], [8.0, 8.0]))
+    rng = np.random.default_rng(0)
+    comb = model_comb(cps, z, rng.normal(size=len(z)) + 1j * rng.normal(size=len(z)))
+    region = Box(comb.extent.lo - 1.0, comb.extent.hi + 1.0)
+    with_refs = autocorrelation_patch(comb, region)
+    bare = autocorrelation_patch(WeightedComb(comb.positions, comb.weights), region)
+    assert len(z) == 72
+    assert bare.n_atoms == with_refs.n_atoms == 727
+    assert len(cKDTree(bare.positions).query_pairs(MERGE_TOL, p=np.inf)) == 0
 
 
 def test_autocorrelation_zero_volume_region():
