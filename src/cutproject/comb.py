@@ -72,7 +72,7 @@ class WeightedComb:
             if refs is not None:
                 if len(_group_rows(refs)[1]) < len(refs):
                     raise ValueError("duplicate positions: atoms share integer coordinates")
-            elif len(cKDTree(positions).query_pairs(MERGE_TOL, p=np.inf, output_type="ndarray")):
+            elif len(_near(positions, positions, MERGE_TOL)[0]) > len(positions):
                 raise ValueError("duplicate positions: atoms closer than the merge tolerance")
         positions = positions.copy()
         weights = weights.copy()
@@ -124,6 +124,21 @@ def model_comb(cps: CutProjectScheme, z, weights) -> WeightedComb:
     return WeightedComb(cps.lat.points(z)[:, : cps.d], weights, refs=z, dim=cps.d)
 
 
+def _near(points: np.ndarray, queries: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (query i, point j) at most ``r`` apart in the sup norm, as arrays (i, j).
+
+    This closed sup-norm ball is the one rule by which float positions match:
+    merges, duplicate checks, lifts, Gram lookups and atomic values all ask it.
+    Pairs are ordered by i, then j, so a caller that needs one match per query
+    takes its first pair, the lowest-index point.
+    """
+    pairs = cKDTree(queries).sparse_distance_matrix(cKDTree(points), r, p=np.inf,
+                                                    output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    order = np.argsort(i * len(points) + j)  # distinct pairs, distinct keys: any sort will do
+    return i[order], j[order]
+
+
 def merge_atoms(
     positions: np.ndarray,
     weights: np.ndarray,
@@ -143,8 +158,8 @@ def merge_atoms(
         from scipy.sparse.csgraph import connected_components
 
         n = len(positions)
-        pairs = cKDTree(positions).query_pairs(r=MERGE_TOL, p=np.inf, output_type="ndarray")
-        graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        i, j = _near(positions, positions, MERGE_TOL)
+        graph = coo_array((np.ones(len(i)), (i, j)), shape=(n, n))
         label, first = _group_rows(connected_components(graph, directed=False)[1][:, None])
     else:
         label, first = _group_rows(refs)
@@ -168,9 +183,9 @@ def lift(
 ) -> WeightedComb:
     """Lift a comb on R^d to the lattice strip: atom at x becomes atom at (x, xstar).
 
-    Every atom must sit (within ``LIFT_TOL``) on the physical part of exactly one
-    lattice point whose internal part lies in the ``search`` window.  Weights
-    and atom count are preserved.  When the input already carries integer
+    Every atom must sit (within ``LIFT_TOL``, sup norm) on the physical part
+    of exactly one lattice point whose internal part lies in the ``search``
+    window.  Weights and atom count are preserved.  When the input already carries integer
     coordinates they are trusted after validation, which keeps the round trip
     with ``descent`` exact.
     """
@@ -198,19 +213,13 @@ def lift(
     z, p = lattice_points_in_box(cps.lat, full_box, budget=budget)
     keep = search.contains(p[:, cps.d :])
     z, p = z[keep], p[keep]
-    if len(z) == 0:
-        raise ValueError("atom not on Lambda(search): no candidate lattice points")
-    tree = cKDTree(p[:, : cps.d])
-    k = min(2, len(z))
-    dist, idx = tree.query(gamma.positions, k=k)
-    dist = np.atleast_2d(dist.reshape(len(gamma.positions), -1))
-    idx = np.atleast_2d(idx.reshape(len(gamma.positions), -1))
-    for i in range(gamma.n_atoms):
-        if dist[i, 0] > LIFT_TOL:
-            raise ValueError(f"atom not on Lambda(search): atom {i} at distance {dist[i, 0]:.3e}")
-        if k > 1 and dist[i, 1] <= LIFT_TOL:
-            raise ValueError(f"injectivity violation at atom {i}: two lattice points within tolerance")
-    matched = idx[:, 0]
+    atom, matched = _near(p[:, : cps.d], gamma.positions, LIFT_TOL)
+    count = np.bincount(atom, minlength=gamma.n_atoms)
+    if (count != 1).any():
+        i = int(np.argmax(count != 1))
+        if count[i] == 0:
+            raise ValueError(f"atom not on Lambda(search): no lattice point near atom {i}")
+        raise ValueError(f"injectivity violation at atom {i}: two lattice points within tolerance")
     return WeightedComb(p[matched], gamma.weights, refs=z[matched], dim=cps.lat.n, validate=False)
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .comb import MERGE_TOL, WeightedComb, lift
+from .comb import MERGE_TOL, WeightedComb, _near, lift
 from .cps import CutProjectScheme, Window
 
 PSD_TOL = 1e-8
@@ -32,13 +31,15 @@ def _lookup_weights(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None
 
     Exact on integer coordinates when both ``f`` and the points carry them,
     through the comb's ``ref_index``, sorted once per comb; otherwise the
-    nearest atom within ``MERGE_TOL``.
+    lowest-index atom within ``MERGE_TOL`` (sup norm).
     """
     if refs is not None and f.refs is not None:
         idx = f.ref_index.find(refs)
     else:
-        dist, idx = cKDTree(f.positions).query(points, k=1)
-        idx[dist > MERGE_TOL] = f.n_atoms
+        query, atom = _near(f.positions, points, MERGE_TOL)
+        idx = np.full(len(points), f.n_atoms)
+        hit, first = np.unique(query, return_index=True)  # each query's first pair
+        idx[hit] = atom[first]
     # an index of n_atoms or more means no atom and picks the appended zero
     return np.append(f.weights, 0)[np.minimum(idx, f.n_atoms)]
 

@@ -32,10 +32,9 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._version import __version__
-from .comb import LIFT_TOL, WeightedComb, _write_table, a_norm, merge_atoms
+from .comb import LIFT_TOL, WeightedComb, _near, _write_table, a_norm, merge_atoms
 from .cps import CutProjectScheme, Window, _model_set, dual_cps
 from .lattice import (
     BOUNDARY_TOL,
@@ -147,14 +146,17 @@ class AxisEnvelope:
         return float(max(candidates))
 
 
-def _unit_cell_window_sum(env: AxisEnvelope, terms: int = 64) -> float:
+WINDOW_SUM_TERMS = 64  # shifts summed term by term before the c2 / n^2 tail bound
+
+
+def _unit_cell_window_sum(env: AxisEnvelope) -> float:
     """Upper bound for the sum over integer shifts n of the largest mass the
     majorant can put in any unit window at distance about n."""
     j = 2.0 * env.integral_0_to(0.5)  # the most mass any unit window holds
     if not np.isfinite(env.c2):
         return np.inf
-    ks = np.arange(1, terms + 1, dtype=float)
-    series = float(np.sum(env.at(ks))) + env.c2 / terms
+    ks = np.arange(1, WINDOW_SUM_TERMS + 1, dtype=float)
+    series = float(np.sum(env.at(ks))) + env.c2 / WINDOW_SUM_TERMS
     return 3.0 * j + 4.0 * series
 
 
@@ -281,9 +283,10 @@ class Separable:
 class Atomic:
     """Finite sum of weighted point masses, or (phase -1) its transform.
 
-    At phase 0 ``value`` returns the weight of the atom within the boundary
-    tolerance of each point, 0 elsewhere.  At phase -1 it is the trigonometric
-    sum, bounded by the total absolute weight and without decay.
+    At phase 0 ``value`` returns the weight of the lowest-index atom within
+    ``BOUNDARY_TOL`` (sup norm) of each point, 0 elsewhere.  At phase -1 it
+    is the trigonometric sum, bounded by the total absolute weight and
+    without decay.
     """
 
     points: np.ndarray
@@ -309,9 +312,9 @@ class Atomic:
             out = np.exp(self.phase * 2j * np.pi * pts @ self.points.T) @ self.weights
         else:
             out = np.zeros(len(pts), dtype=complex)
-            dist, idx = cKDTree(self.points).query(pts, k=1)
-            hit = dist <= BOUNDARY_TOL
-            out[hit] = self.weights[idx[hit]]
+            query, atom = _near(self.points, pts, BOUNDARY_TOL)
+            hit, first = np.unique(query, return_index=True)  # each point's first pair
+            out[hit] = self.weights[atom[first]]
         return out[0] if single else out
 
     def transform(self) -> Atomic:
@@ -654,8 +657,8 @@ class _PhysicalPoint:
 class _Fibered:
     """Component carrying an internal density ``fiber``, paired by quadrature."""
 
-    def radii(self, f: Separable, floor: float, scale: float) -> np.ndarray:
-        return _pair_radii(f, self.fiber, floor / max(abs(self.weight) * scale, 1e-300))
+    def radii(self, f: Separable, target: float) -> np.ndarray:
+        return _pair_radii(f, self.fiber, target)
 
     def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
         return pairing_values(f, self.fiber, shifts, trunc, method=method)
@@ -669,8 +672,8 @@ class MotifAtom(_PhysicalPoint):
     internal: np.ndarray
     weight: complex
 
-    def radii(self, f: Separable, floor: float, scale: float) -> np.ndarray:
-        return _fiber_radii(f, floor / max(abs(self.weight), 1e-300))
+    def radii(self, f: Separable, target: float) -> np.ndarray:
+        return _fiber_radii(f, target)
 
     def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
         return f.value(shifts), np.zeros(len(shifts))
@@ -987,17 +990,16 @@ def project(
     atom_positions: list[np.ndarray] = []
     atom_weights: list[np.ndarray] = []
     densities: list[ProjectedDensity] = []
-    worst_tail = 0.0
 
     fixed = trunc.internal_radius
     for comp in rho.motif:
-        radii = comp.radii(f, floor, rho.scale) if fixed is None else np.full(f.m, float(fixed))
+        target = floor / max(abs(comp.weight) * rho.scale, 1e-300)
+        radii = comp.radii(f, target) if fixed is None else np.full(f.m, float(fixed))
         box = Box.product(comp.offset(query), _internal_box(comp.internal, radii))
         _, p = lattice_points_in_box(rho.period, box, budget=budget)
         if not len(p):
             continue
-        vals, tails = comp.pairing(f, comp.internal + p[:, rho.d :], trunc, "compact")
-        worst_tail = max(worst_tail, float(np.max(tails)) * abs(comp.weight) * rho.scale)
+        vals, _ = comp.pairing(f, comp.internal + p[:, rho.d :], trunc, "compact")
         weights = rho.scale * comp.weight * vals
         if comp.pure_point:
             atom_positions.append(comp.phys + p[:, : rho.d])
@@ -1005,9 +1007,6 @@ def project(
         else:
             keep = np.abs(weights) >= threshold
             densities.append(ProjectedDensity(comp.density, p[:, : rho.d][keep], weights[keep]))
-
-    if worst_tail > trunc.tail_tol:
-        raise TruncationError(f"increase truncation radius: tail bound {worst_tail:.3e}")
 
     if atom_positions:
         pos = np.concatenate(atom_positions)
@@ -1028,9 +1027,10 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: Truncation
 
     ``psi`` is a finite atomic test functional: pairs (position, value) with
     positions on physical parts of period-lattice points (within
-    ``LIFT_TOL``).  Density motif components carry no mass on the measure-zero
-    physical fibers an atomic functional sees, so only point components
-    contribute.  In strict mode an atom matching no enumerated lattice point
+    ``LIFT_TOL``, sup norm); every (lattice point, psi atom) pair that close
+    contributes, so the pairing is linear in psi.  Density motif components
+    carry no mass on the measure-zero physical fibers an atomic functional
+    sees, so only point components contribute.  In strict mode an atom matching no enumerated lattice point
     raises; with strict=False such atoms simply contribute zero, which is the
     value of the pairing away from the measure's support.  Raises when the
     certified tail exceeds its tolerance.
@@ -1044,23 +1044,19 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: Truncation
     total = 0.0 + 0.0j
     total_tail = 0.0
 
-    tree = cKDTree(positions)
     reach = Box(positions.min(axis=0), positions.max(axis=0))
     slice_radius = trunc.internal_radius if trunc.internal_radius is not None else DEFAULT_INTERNAL_SLICE
     radii = np.full(rho.m, float(slice_radius))
     for comp in rho.pp_motif():
         box = Box.product(comp.offset(reach).inflate(LIFT_TOL), _internal_box(comp.internal, radii))
         _, p = lattice_points_in_box(rho.period, box, budget=budget)
-        if not len(p):
+        point, atom = _near(positions, comp.phys + p[:, : rho.d], LIFT_TOL)
+        if not len(point):
             continue
-        dist, idx = tree.query(comp.phys + p[:, : rho.d], k=1)
-        hit = dist <= LIFT_TOL
-        if not hit.any():
-            continue
-        matched[idx[hit]] = True
-        vals, tails = comp.pairing(f, comp.internal + p[hit, rho.d :], trunc, "dual")
+        matched[atom] = True
+        vals, tails = comp.pairing(f, comp.internal + p[point, rho.d :], trunc, "dual")
         vals = comp.weight * vals
-        psi_vals = values[idx[hit]]
+        psi_vals = values[atom]
         total += rho.scale * np.sum(psi_vals * vals)
         total_tail += rho.scale * float(np.sum(np.abs(psi_vals)) * np.max(tails, initial=0.0))
 

@@ -93,6 +93,15 @@ def test_check_config_error_exit_two(tmp_path):
     assert "basis" in proc.stderr
 
 
+def test_atoms_profile_kind_rejected(tmp_path, capsys):
+    # an atomic profile's transform has no decay certificate, so no command can use one
+    cfg = tmp_path / "atoms.toml"
+    cfg.write_text(ZSPLIT.replace('profile = "box"\nprofile_box = [0, 1]',
+                                  'profile = "atoms"\nprofile_atoms = [[0.5, 1, 0]]'))
+    assert main(["diffract", "--config", str(cfg)]) == 2
+    assert "unknown kind 'atoms'" in capsys.readouterr().err
+
+
 def test_check_square_lattice_exit_one(tmp_path):
     cfg = tmp_path / "zsplit.toml"
     cfg.write_text(ZSPLIT)

@@ -82,6 +82,23 @@ def test_extent():
     assert np.array_equal(comb.extent.hi, [2.0, 1.0])
 
 
+@settings(max_examples=80)
+@given(st.data())
+def test_near_matches_brute_sup_distances(data):
+    # dyadic coordinates and radius: every difference is exact, so pairs at
+    # distance 0 and exactly r apart occur and the closed ball must keep them
+    d = data.draw(st.integers(1, 3))
+    rows = st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), max_size=10)
+    points = np.array(data.draw(rows), dtype=float).reshape(-1, d) / 8.0
+    queries = np.array(data.draw(rows), dtype=float).reshape(-1, d) / 8.0
+    if data.draw(st.booleans()):
+        queries = np.concatenate([queries, points])
+    r = data.draw(st.integers(0, 3)) / 8.0
+    i, j = comb_module._near(points, queries, r)
+    want_i, want_j = np.nonzero(np.abs(queries[:, None] - points[None, :]).max(axis=2) <= r)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
 # ---------------------------------------------------------------------------
 # merging
 
@@ -170,6 +187,16 @@ def test_lift_reports_ambiguity():
     gamma = WeightedComb([[0.0]], [1.0])
     with pytest.raises(ValueError, match="injectivity violation"):
         lift(cps, gamma, search, search)
+
+
+def test_lift_matches_in_sup_norm(cps2d):
+    # each atom moved by (0.9e-7, 0.9e-7): sup distance 0.9e-7 is within
+    # LIFT_TOL, as for merges, though the Euclidean distance 1.27e-7 is not
+    window = Window(Box([-1.0, -1.0], [1.0, 1.0]))
+    z = model_set(cps2d, window, Box([-3.0, -3.0], [3.0, 3.0]))
+    assert len(z) > 1
+    moved = WeightedComb(cps2d.split(z)[0] + 0.9e-7, np.ones(len(z)))
+    assert np.array_equal(lift(cps2d, moved, window, window).refs, z)
 
 
 def test_descent_requires_refs(fib):

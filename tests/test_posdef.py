@@ -47,6 +47,14 @@ def test_delta_at_origin_gives_identity():
     assert report.ok
 
 
+def test_gram_lookup_matches_in_sup_norm():
+    # x0 - x1 = (-1 - 0.9e-9, -0.9e-9): sup distance 0.9e-9 from the atom at
+    # (-1, 0) is within MERGE_TOL, though the Euclidean distance 1.27e-9 is not
+    f = WeightedComb([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], [2.0, 0.5, 0.5])
+    m = gram_matrix(f, [[0.0, 0.0], [1.0 + 0.9e-9, 0.9e-9]])
+    assert np.array_equal(m, [[2.0, 0.5], [0.5, 2.0]])
+
+
 def test_known_indefinite_two_point_matrix():
     # f(0) = 0, f(+-x0) = 1: matrix [[0, 1], [1, 0]] has eigenvalues -1, 1
     f = WeightedComb([[1.0], [-1.0], [0.0]], [1.0, 1.0, 0.0])

@@ -239,6 +239,16 @@ def test_atomic_transform_is_the_trigonometric_sum():
     assert np.array_equal(got, atomic_profile(points, weights).transform().value(xi))
 
 
+def test_atomic_value_matches_in_sup_norm():
+    profile = atomic_profile([[0.25, 0.5], [0.75, 0.5]], [1.0, -2.0j])
+    # sup distance 0.9e-9 (Euclidean 1.27e-9) is within BOUNDARY_TOL; 1.1e-9 is not
+    assert profile.value([0.25 + 0.9e-9, 0.5 - 0.9e-9]) == 1.0
+    assert profile.value([0.75 + 1.1e-9, 0.5]) == 0.0
+    # two atoms within tolerance of one point: the lowest index wins, not the nearest
+    close = atomic_profile([[0.0], [1.5e-9]], [1.0, 2.0])
+    assert close.value([1e-9]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # the transform of the weighted lattice comb
 
@@ -403,6 +413,16 @@ def test_pair_fibered_away_from_support_zero(fib):
         pair_fibered(rho, [([0.1234], 1.0)], cutoff, TruncationSpec(radius=50.0, tail_tol=1.0))
 
 
+def test_pair_fibered_sums_psi_atoms_on_one_lattice_point(fib):
+    spec = fib_spectrum(fib)
+    rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
+    cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)
+    trunc = TruncationSpec(radius=4000.0, tail_tol=1e-6)
+    k = spec.ks[np.argsort(-np.abs(spec.amplitudes))[1]]
+    two = pair_fibered(rho, [(k, 1.0), (k + 0.5e-7, 2.0j)], cutoff, trunc)
+    assert two == pytest.approx(pair_fibered(rho, [(k, 1.0 + 2.0j)], cutoff, trunc), abs=1e-12)
+
+
 def test_pair_fibered_tail_gate(fib):
     spec = fib_spectrum(fib)
     rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
@@ -550,6 +570,22 @@ def test_project_pure_point_comb(fib):
     assert set(got) == set(expected)
     for k in got:
         assert got[k] == pytest.approx(expected[k], abs=1e-12)
+
+
+def test_project_radii_follow_the_measure_scale(fib):
+    # at scale 50 the derived internal radius must still reach every atom of
+    # modulus above the threshold, as a fixed radius far beyond it does
+    rho = PeriodicMeasure(
+        period=dual(fib.lat), d=1, m=1, scale=50.0,
+        motif=(MotifAtom(phys=np.zeros(1), internal=np.array([0.3]), weight=1.0),),
+    )
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    query = Box([-20.0], [20.0])
+    derived = project(rho, f, query, 0.01).atoms
+    fixed = project(rho, f, query, 0.01, TruncationSpec(internal_radius=1000.0)).atoms
+    assert derived.n_atoms == fixed.n_atoms > 0
+    assert np.array_equal(derived.positions, fixed.positions)
+    assert np.array_equal(derived.weights, fixed.weights)
 
 
 def test_project_zero_function_empty(fib):
