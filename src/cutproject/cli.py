@@ -44,6 +44,14 @@ class ConfigError(ValueError):
     pass
 
 
+# every key resolve_config reads; any other key is a config error
+CONFIG_KEYS = frozenset({
+    "d", "m", "basis", "window", "profile", "profile_box", "profile_plateau", "profile_margin",
+    "cutoff_plateau", "cutoff_margin", "query", "patch_query", "threshold", "seed", "budget",
+    "oracle_radius", "inj_radius", "inj_tol", "density_eps", "density_radius", "density_box",
+})
+
+
 def _eval_node(node):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body)
@@ -207,6 +215,9 @@ def resolve_config(values: dict) -> SchemeConfig:
         raise ConfigError(f"key 'seed': must be at least 0, got {seed}")
     if budget < 1:
         raise ConfigError(f"key 'budget': must be at least 1, got {budget}")
+    unknown = sorted(set(values) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}'")
     return SchemeConfig(
         d=d,
         m=m,
@@ -374,14 +385,12 @@ def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     a_box = Box(np.zeros(cfg.d), np.ones(cfg.d))
     scan = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     header = [f"t{i + 1}" for i in range(cfg.d)] + ["norm", "accepted"]
-    scanned = scan.accepted + scan.rejected
-    ts = np.array([t for t, _ in scanned]).reshape(-1, cfg.d)
-    norms = np.array([v for _, v in scanned], dtype=float)
-    accepted = np.repeat([1, 0], [len(scan.accepted), len(scan.rejected)])
-    order = np.lexsort(ts.T[::-1])  # stable, so equal t keep accepted rows first
-    _write_table(args.out, header, [*ts[order].T, norms[order], accepted[order]])
-    print(f"accepted {len(scan.accepted)} of {len(cands)} candidates "
-          f"({len(scan.skipped)} skipped), max gap {_fmt(scan.max_gap)}")
+    order = np.lexsort((~scan.accepted, *scan.ts.T[::-1]))  # equal t: accepted rows first
+    order = order[~np.isnan(scan.norms[order])]  # skipped candidates are not written
+    _write_table(args.out, header,
+                 [*scan.ts[order].T, scan.norms[order], scan.accepted[order].astype(np.int64)])
+    print(f"accepted {np.count_nonzero(scan.accepted)} of {len(cands)} candidates "
+          f"({len(cands) - len(order)} skipped), max gap {_fmt(scan.max_gap)}")
     return EXIT_OK
 
 

@@ -297,23 +297,25 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
 
 @dataclass(frozen=True)
 class AlmostPeriodScan:
-    """Outcome of an almost-period scan: accepted (t, norm) pairs plus diagnostics."""
+    """Outcome of an almost-period scan: one row per candidate, in input order.
 
-    accepted: tuple[tuple[np.ndarray, float], ...]
-    rejected: tuple[tuple[np.ndarray, float], ...]
-    skipped: tuple[tuple[np.ndarray, str], ...]
+    ``norms[k]`` is the window norm of candidate ``ts[k]``, NaN where its
+    overlap is too small to scan; ``accepted[k]`` is ``norms[k] < eps``.
+    """
+
+    ts: np.ndarray
+    norms: np.ndarray
+    accepted: np.ndarray
     max_gap: float
 
 
-def _accepted_max_gap(ts: list[np.ndarray]) -> float:
+def _accepted_max_gap(ts: np.ndarray) -> float:
     """Largest consecutive gap for d = 1; largest nearest-neighbour distance for d >= 2."""
     if len(ts) < 2:
         return np.inf
-    arr = np.stack(ts)
-    if arr.shape[1] == 1:
-        vals = np.sort(arr[:, 0])
-        return float(np.max(np.diff(vals)))
-    dist, _ = cKDTree(arr).query(arr, k=2)
+    if ts.shape[1] == 1:
+        return float(np.max(np.diff(np.sort(ts[:, 0]))))
+    dist, _ = cKDTree(ts).query(ts, k=2)
     return float(np.max(dist[:, 1]))
 
 
@@ -394,7 +396,7 @@ def eps_norm_almost_periods(
     """Evaluate || T^t comb - comb ||_A on the overlap interior for each candidate t.
 
     Candidates whose overlap cannot hold an evaluation region of at least
-    ``MIN_DIAMETERS`` window spans per axis are skipped with a reason rather
+    ``MIN_DIAMETERS`` window spans per axis are skipped, with norm NaN, rather
     than failing the scan.  Accepted translations are those with norm below
     ``eps``.  ``max_gap`` summarises the accepted set at finite scale.  For
     d = 1 it is the largest gap between consecutive accepted t, a relative-
@@ -434,27 +436,22 @@ def eps_norm_almost_periods(
     lo = np.maximum(extent.lo, extent.lo + cands)
     hi = np.minimum(extent.hi, extent.hi + cands)
     skip = (hi < lo).any(axis=1) | ((hi - lo) - 2 * span < MIN_DIAMETERS * span).any(axis=1)
-    skipped = [(t, "overlap too small") for t in cands[skip]]
     scanned = np.flatnonzero(~skip)
-    accepted, rejected = [], []
-    for k, (t, pos, wts) in zip(scanned, _translate_differences(comb, cands, shifts, scanned)):
+    norms = np.full(len(cands), np.nan)
+    for k, (pos, wts) in zip(scanned, _translate_differences(comb, cands, shifts, scanned)):
         live = wts != 0
         pos, wts = pos[live], wts[live]
         # the closed overlap within BOUNDARY_TOL, as Box.contains decides it
         inside = ((pos >= lo[k] - BOUNDARY_TOL) & (pos <= hi[k] + BOUNDARY_TOL)).all(axis=1)
         diff = WeightedComb(pos[inside], wts[inside], dim=comb.dim, validate=False)
         eval_region = Box(lo[k] + span, hi[k] - span)
-        value = a_norm(diff, a_box, eval_region) if diff.n_atoms else 0.0
-        if value < eps:
-            accepted.append((t, value))
-        else:
-            rejected.append((t, value))
-    gap = _accepted_max_gap([t for t, _ in accepted])
-    return AlmostPeriodScan(tuple(accepted), tuple(rejected), tuple(skipped), gap)
+        norms[k] = a_norm(diff, a_box, eval_region) if diff.n_atoms else 0.0
+    accepted = norms < eps
+    return AlmostPeriodScan(cands, norms, accepted, _accepted_max_gap(cands[accepted]))
 
 
 def _translate_differences(comb: WeightedComb, cands: np.ndarray, shifts, ks):
-    """(t, positions, weights) of the merged atoms of T^t comb - comb for each t = cands[k].
+    """(positions, weights) of the merged atoms of T^t comb - comb for each t = cands[k].
 
     The translated atoms come first, in index order, then the originals that
     no translated atom meets.  With ``shifts``, translated atom i meets the
@@ -467,7 +464,7 @@ def _translate_differences(comb: WeightedComb, cands: np.ndarray, shifts, ks):
         for k in ks:
             pos = np.concatenate([comb.positions + cands[k], comb.positions])
             wts = np.concatenate([comb.weights, -comb.weights])
-            yield (cands[k], *merge_atoms(pos, wts)[:2])
+            yield merge_atoms(pos, wts)[:2]
         return
     n, width = comb.refs.shape
     ks = np.asarray(ks, dtype=np.intp)
@@ -488,7 +485,7 @@ def _translate_differences(comb: WeightedComb, cands: np.ndarray, shifts, ks):
             wts[i] += -comb.weights[j]
             alone = np.ones(n, dtype=bool)
             alone[j] = False
-            yield (t, np.concatenate([moved, comb.positions[alone]]),
+            yield (np.concatenate([moved, comb.positions[alone]]),
                    np.concatenate([wts, -comb.weights[alone]]))
 
 

@@ -107,11 +107,9 @@ def _model_set(cps: CutProjectScheme, window: Window, query: Box, budget: int):
     z, p = lattice_points_in_box(cps.lat, full, budget=budget)
     keep = window.contains(p[:, cps.d :])
     z, x = z[keep], p[keep, : cps.d]
-    # lexicographic in x, integer coordinates as deterministic tie-breaker
-    keys = tuple(z[:, i] for i in reversed(range(z.shape[1]))) + tuple(
-        x[:, i] for i in reversed(range(x.shape[1]))
-    )
-    return z[np.lexsort(keys)]
+    # lexicographic in x; the rows arrive in lexicographic z order and lexsort is
+    # stable, so equal x stay ordered by z
+    return z[np.lexsort(x.T[::-1])]
 
 
 def model_set(
@@ -121,7 +119,7 @@ def model_set(
 
     One int64 row per point whose physical part lies in ``query`` and whose
     internal part lies in ``window``, sorted lexicographically in the
-    physical part with ``z`` as tie-breaker.  ``cps.split(Z)`` gives the
+    physical part, then in ``z``.  ``cps.split(Z)`` gives the
     positions, bit for bit those the enumeration filtered.
     """
     return _model_set(cps, window, query, budget)

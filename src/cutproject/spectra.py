@@ -503,12 +503,9 @@ def _axis_pair_tail(env_f: AxisEnvelope, env_g: AxisEnvelope, radius: float, shi
 def _axis_pair(f_axis, g_axis, shifts: np.ndarray, trunc: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive composite Gauss-Legendre pairing along one axis, with tails.
 
-    The tails bound each axis by its transform envelope, so both axes must be
-    transforms (phase -1 or +1); a spatial axis raises ``ValueError``.
+    The tails bound each axis by its transform envelope, so both axes are
+    transforms (phase -1 or +1), as ``pairing_values`` checks.
     """
-    if not (f_axis.phase and g_axis.phase):
-        raise ValueError("the dual route pairs transforms; a phase-0 (spatial) axis has no "
-                         "envelope tail bound, use method='compact'")
     shifts = np.asarray(shifts, dtype=float)
     scale_hint = f_axis.envelope().c0 * g_axis.envelope().c0 + 1e-300
     panel = trunc.panel
@@ -580,8 +577,15 @@ def pairing_values(
     separable fibers by per-axis quadrature over [-radius, radius] with
     envelope tail bounds; ``method="compact"`` rewrites the pairing over the
     compact spatial supports, which has no truncation tail at all.  Atomic
-    fibers always reduce to exact closed form (tail zero).
+    fibers always reduce to exact closed form (tail zero).  Both routes pair
+    transforms: ``f``, a separable fiber's axes and an atomic fiber must all
+    have phase -1 or +1, and a phase-0 (spatial) one raises ``ValueError``.
     """
+    phases = [axis.phase for axis in f.axes]
+    phases += [fiber.phase] if isinstance(fiber, Atomic) else [axis.phase for axis in fiber.axes]
+    if not all(phases):
+        raise ValueError("pairing_values pairs transforms, and f or the fiber is phase-0 "
+                         "(spatial); pass its transform() or dual_transform()")
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     n = len(shifts)
     if isinstance(fiber, Atomic):
@@ -859,10 +863,7 @@ def diffraction(
     amplitudes = scale * transform.value(PEAK_PHASE_SIGN * stars)
     keep = np.abs(amplitudes) >= threshold
     z, ks, stars, amplitudes = z[keep], ks[keep], stars[keep], amplitudes[keep]
-    keys = tuple(z[:, i] for i in reversed(range(z.shape[1]))) + tuple(
-        ks[:, i] for i in reversed(range(ks.shape[1]))
-    )
-    order = np.lexsort(keys)
+    order = np.lexsort(ks.T[::-1])  # stable on rows in lexicographic z order, so ties go by z
     metadata = {
         "scale": scale,
         "threshold": threshold,

@@ -165,11 +165,10 @@ def grouped_almost_period_scan(comb: WeightedComb, a_box: Box, eps: float, cands
     cands = np.atleast_2d(np.asarray(cands, dtype=float))
     shifts = np.atleast_2d(np.asarray(shifts, dtype=np.int64))
     extent, span = comb.extent, a_box.sides
-    accepted, rejected, skipped = [], [], []
-    for t, shift in zip(cands, shifts):
+    norms = np.full(len(cands), np.nan)
+    for k, (t, shift) in enumerate(zip(cands, shifts)):
         overlap = extent.intersect(extent.shifted(t))
         if overlap.is_empty or (overlap.sides - 2 * span < MIN_DIAMETERS * span).any():
-            skipped.append((t, "overlap too small"))
             continue
         pos = np.concatenate([comb.positions + t, comb.positions])
         wts = np.concatenate([comb.weights, -comb.weights])
@@ -183,10 +182,17 @@ def grouped_almost_period_scan(comb: WeightedComb, a_box: Box, eps: float, cands
         inside = overlap.contains(pos) if len(pos) else np.zeros(0, bool)
         diff = WeightedComb(pos[inside], wts[inside], dim=comb.dim, validate=False)
         region = Box(overlap.lo + span, overlap.hi - span)
-        value = a_norm(diff, a_box, region) if diff.n_atoms else 0.0
-        (accepted if value < eps else rejected).append((t, value))
-    gap = _accepted_max_gap([t for t, _ in accepted])
-    return AlmostPeriodScan(tuple(accepted), tuple(rejected), tuple(skipped), gap)
+        norms[k] = a_norm(diff, a_box, region) if diff.n_atoms else 0.0
+    accepted = norms < eps
+    return AlmostPeriodScan(cands, norms, accepted, _accepted_max_gap(cands[accepted]))
+
+
+def assert_same_scan(got, want):
+    """Two almost-period scans agree bit for bit, row by row."""
+    assert got.ts.tobytes() == want.ts.tobytes()
+    assert got.norms.tobytes() == want.norms.tobytes()
+    assert got.accepted.tobytes() == want.accepted.tobytes()
+    assert got.max_gap == want.max_gap
 
 
 def per_shift_axis_pair(f_axis, g_axis, shifts, radius: float, panel: float, order: int):
@@ -250,10 +256,11 @@ def rowwise_oracle_csv(d: int, ks, closed, oracle, ref: float) -> str:
     return _join(lines)
 
 
-def rowwise_almostperiods_csv(d: int, accepted, rejected) -> str:
-    """Accepted then rejected (t, norm) rows, stably sorted by the tuple t."""
+def rowwise_almostperiods_csv(d: int, ts, norms, accepted) -> str:
+    """Accepted then rejected (t, norm) rows, stably sorted by the tuple t; NaN norms are skipped."""
     lines = [",".join([f"t{i + 1}" for i in range(d)] + ["norm", "accepted"])]
-    rows = [(t, v, 1) for t, v in accepted] + [(t, v, 0) for t, v in rejected]
+    scanned = [(t, float(v), int(a)) for t, v, a in zip(ts, norms, accepted) if not np.isnan(v)]
+    rows = [r for r in scanned if r[2]] + [r for r in scanned if not r[2]]
     rows.sort(key=lambda r: tuple(r[0]))
     for t, v, acc in rows:
         lines.append(",".join([_g(x) for x in t] + [_g(v), str(acc)]))

@@ -102,6 +102,20 @@ def test_atoms_profile_kind_rejected(tmp_path, capsys):
     assert "unknown kind 'atoms'" in capsys.readouterr().err
 
 
+def test_misspelled_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "typo.toml"
+    cfg.write_text(FIB_CONFIG.read_text().replace("threshold = 0.01", "treshold = 0.5"))
+    assert main(["diffract", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: unknown key 'treshold'\n"
+
+
+def test_sectioned_key_rejected(capsys):
+    # keys under a [section] header are flattened to 'section.key', which no command reads
+    text = f"{FIB_CONFIG.read_text()}\n[diag]\ninj_radius = 3\nzeta = 1\n"
+    with pytest.raises(ConfigError, match="^unknown key 'diag.inj_radius'$"):
+        resolve_config(parse_config_text(text))
+
+
 def test_check_square_lattice_exit_one(tmp_path):
     cfg = tmp_path / "zsplit.toml"
     cfg.write_text(ZSPLIT)
@@ -313,6 +327,23 @@ def test_almostperiods_pinned_bytes(tmp_path, capsys, config, args, name, stdout
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
     if stdout:
         assert capsys.readouterr().out == (DATA / f"{name}.stdout").read_text()
+
+
+@pytest.mark.parametrize("config, patch, name", [
+    (FIB_CONFIG, None, "fibonacci_modelset"),
+    (AB_CONFIG, "[0, 8, 0, 8]", "ammann_beenker_modelset"),
+])
+def test_modelset_pinned_bytes(tmp_path, config, patch, name):
+    # positions are column-by-column sums of elementwise products (Lattice.points)
+    # and %.17g is Python's own formatting, so these bytes hold on any numpy build
+    if patch is not None:
+        text = config.read_text().replace("patch_query = [0, 28, 0, 28]", f"patch_query = {patch}")
+        assert patch in text
+        config = tmp_path / "patch.toml"
+        config.write_text(text)
+    out = tmp_path / "points.csv"
+    assert main(["modelset", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
 def test_oracle_explicit_peaks(tmp_path, capsys):

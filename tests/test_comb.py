@@ -30,8 +30,8 @@ from cutproject.lattice import lattice_points_in_box
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
-from .helpers import (anchor_a_norm, brute_components, grid_a_norm, grouped_almost_period_scan,
-                      integer_difference_candidates)
+from .helpers import (anchor_a_norm, assert_same_scan, brute_components, grid_a_norm,
+                      grouped_almost_period_scan, integer_difference_candidates)
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -342,14 +342,15 @@ def test_periodic_comb_exact_period():
     pos = np.arange(0.0, 201.0)[:, None]
     comb = WeightedComb(pos, np.ones(len(pos)))
     scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-6, candidates=[[1.0]])
-    assert len(scan.accepted) == 1
-    assert scan.accepted[0][1] == 0.0
+    assert scan.accepted.tolist() == [True]
+    assert scan.norms.tolist() == [0.0]
 
 
 def test_zero_translation_always_accepted(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=60.0)
     scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-9, candidates=[[0.0]])
-    assert scan.accepted[0][1] == 0.0
+    assert scan.accepted.tolist() == [True]
+    assert scan.norms.tolist() == [0.0]
 
 
 def test_fibonacci_difference_candidates(fib, fib_window):
@@ -362,8 +363,9 @@ def test_fibonacci_difference_candidates(fib, fib_window):
     peak = a_norm(comb, a_box, Box([20.0], [1980.0]))
     assert peak == 5.0
     scan = eps_norm_almost_periods(comb, a_box, eps=0.75 * peak, candidates=cands)
-    assert len(scan.accepted) == 7
-    accepted_ts = np.sort([t[0] for t, _ in scan.accepted])
+    assert np.count_nonzero(scan.accepted) == 7
+    assert scan.ts.tobytes() == cands.tobytes()
+    accepted_ts = np.sort(scan.ts[scan.accepted, 0])
     assert accepted_ts[0] == pytest.approx(TAU ** 4, abs=1e-9)
     assert np.isfinite(scan.max_gap)
     assert scan.max_gap == pytest.approx(17.944271909999158, abs=1e-6)
@@ -372,8 +374,9 @@ def test_fibonacci_difference_candidates(fib, fib_window):
 def test_overlap_too_small_skipped(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=30.0)
     scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1.0, candidates=[[29.0]])
-    assert len(scan.skipped) == 1
-    assert "overlap" in scan.skipped[0][1]
+    assert scan.ts.tolist() == [[29.0]]
+    assert np.isnan(scan.norms).tolist() == [True]
+    assert scan.accepted.tolist() == [False]
 
 
 def test_aperiodic_patch_tiny_eps_only_zero(fib, fib_window):
@@ -381,8 +384,7 @@ def test_aperiodic_patch_tiny_eps_only_zero(fib, fib_window):
     xs = comb.positions[:, 0]
     cands = np.concatenate([[0.0], np.unique(xs[(xs > 0) & (xs <= 40.0)])])[:, None]
     scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-9, candidates=cands)
-    accepted_ts = {float(t[0]) for t, _ in scan.accepted}
-    assert accepted_ts == {0.0}
+    assert set(scan.ts[scan.accepted, 0].tolist()) == {0.0}
 
 
 def test_norm_for_two_window_choices_recorded(fib, fib_window):
@@ -393,8 +395,9 @@ def test_norm_for_two_window_choices_recorded(fib, fib_window):
     cands = np.unique(xs[(xs > 0) & (xs <= 30.0)])[:, None]
     scan_a = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=0.4, candidates=cands)
     scan_b = eps_norm_almost_periods(comb, Box([0.0], [2.5]), eps=0.4, candidates=cands)
-    assert len(scan_a.accepted) + len(scan_a.rejected) == len(cands)
-    assert len(scan_b.accepted) + len(scan_b.rejected) == len(cands)
+    for scan in (scan_a, scan_b):  # every candidate scanned, none skipped
+        assert len(scan.norms) == len(cands)
+        assert not np.isnan(scan.norms).any()
 
 
 def _schemes():
@@ -439,10 +442,7 @@ def test_exact_shift_merge_matches_float_merge(name, offset, scale, unit, max_ca
     a_box = Box(np.zeros(cps.d), np.full(cps.d, 0.5 if name == "ab" else 1.0))
     exact = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     floats = eps_norm_almost_periods(comb, a_box, eps, cands)
-    for got, want in [(exact.accepted, floats.accepted), (exact.rejected, floats.rejected),
-                      (exact.skipped, floats.skipped)]:
-        assert [(t.tobytes(), v) for t, v in got] == [(t.tobytes(), v) for t, v in want]
-    assert exact.max_gap == floats.max_gap
+    assert_same_scan(exact, floats)
 
 
 def _scheme_patch(name, offset, scale, weights_seed=None):
@@ -542,11 +542,8 @@ def test_translate_scan_matches_grouped_merge(name, offset, scale, max_cands, bl
         if rows is not None:
             mp.setattr(comb_module, "_LOOKUP_CHUNK", rows)
         got = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
-    for g, w in [(got.accepted, want.accepted), (got.rejected, want.rejected)]:
-        assert [(t.tobytes(), v) for t, v in g] == [(t.tobytes(), v) for t, v in w]
-    assert [(t.tobytes(), r) for t, r in got.skipped] == [(t.tobytes(), r) for t, r in want.skipped]
-    assert got.max_gap == want.max_gap
-    assert len(got.accepted) + len(got.rejected) + len(got.skipped) == len(cands)
+    assert_same_scan(got, want)
+    assert len(got.norms) == len(got.accepted) == len(cands)
 
 
 def test_shift_that_does_not_match_its_translation_raises(fib, fib_window):

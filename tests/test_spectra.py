@@ -8,6 +8,7 @@ from scipy.special import sici
 
 from cutproject import (
     Box,
+    CutProjectScheme,
     Lattice,
     MotifAtom,
     MotifAtomFiber,
@@ -22,6 +23,7 @@ from cutproject import (
     dual,
     lattice_comb_transform,
     make_cutoff,
+    model_set,
     norm_bound_check,
     oracle_amplitude,
     pair_fibered,
@@ -355,6 +357,63 @@ def test_diffraction_sorted_lexicographically(fib):
     assert np.all(np.diff(spec.ks[:, 0]) > 0)
 
 
+def _tied_schemes(seed=1, per_split=3):
+    """Random small integer bases of determinant 1 or 2 in n = 2 to 4, every split d + m.
+
+    Many lattice points share a physical part, on the scheme and on its dual.
+    """
+    rng = np.random.default_rng(seed)
+    schemes = []
+    for n in (2, 3, 4):
+        for d in range(1, n):
+            found = 0
+            while found < per_split:
+                basis = rng.integers(-2, 3, size=(n, n)).astype(float)
+                if round(abs(np.linalg.det(basis))) in (1, 2):
+                    schemes.append(CutProjectScheme(lat=Lattice(basis), d=d, m=n - d))
+                    found += 1
+    return schemes
+
+
+def _sorted_on_physical_then_z(z, x):
+    """The rows (z, x), shuffled, then sorted by Python on the tuple (x, z)."""
+    rows = [(tuple(xi), tuple(zi)) for xi, zi in zip(x.tolist(), z.tolist())]
+    np.random.default_rng(0).shuffle(rows)
+    rows.sort()
+    return (np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, z.shape[1]),
+            np.array([r[0] for r in rows]).reshape(-1, x.shape[1]))
+
+
+def test_model_set_and_spectrum_ties_go_by_z():
+    ties = {"model_set": 0, "diffraction": 0}
+    for cps in _tied_schemes():
+        d, m = cps.d, cps.m
+        window = Window(Box(np.full(m, -1.0), np.full(m, 1.0)))
+        query = Box(np.full(d, -3.0), np.full(d, 3.0))
+        z, p = lattice_points_in_box(cps.lat, Box.product(query, window.bounding_box()))
+        keep = window.contains(p[:, d:])
+        want_z, want_x = _sorted_on_physical_then_z(z[keep], p[keep, :d])
+        got = model_set(cps, window, query)
+        assert np.array_equal(got, want_z)
+        assert cps.split(got)[0].tobytes() == want_x.tobytes()
+        ties["model_set"] += int(np.sum((want_x[1:] == want_x[:-1]).all(axis=1)))
+
+        profile = trapezoid_profile(np.full(m, -0.8), np.full(m, 0.8), 0.2)
+        cutoff = make_cutoff(window.bounding_box(), 0.1)
+        kbox = Box(np.full(d, -1.0), np.full(d, 1.0))
+        spec = diffraction(cps, window, profile, kbox, 0.05, cutoff)
+        radii = np.array(spec.metadata["internal_radii"])
+        z, p = lattice_points_in_box(dual(cps.lat), Box.product(kbox, Box(-radii, radii)))
+        amps = spec.metadata["scale"] * profile.transform().value(PEAK_PHASE_SIGN * p[:, d:])
+        keep = np.abs(amps) >= 0.05
+        want_z, want_k = _sorted_on_physical_then_z(z[keep], p[keep, :d])
+        assert np.array_equal(spec.refs, want_z)
+        assert spec.ks.tobytes() == want_k.tobytes()
+        ties["diffraction"] += int(np.sum((want_k[1:] == want_k[:-1]).all(axis=1)))
+    # the schemes do tie, so the order among equal physical parts is tested
+    assert min(ties.values()) > 100
+
+
 def test_diffraction_threshold_filters(fib):
     lo = fib_spectrum(fib, threshold=0.005)
     hi = fib_spectrum(fib, threshold=0.2)
@@ -501,8 +560,28 @@ def test_dual_route_rejects_spatial_axes():
     for f, g in ((cutoff, fiber.transform()), (cutoff.dual_transform(), fiber)):
         with pytest.raises(ValueError, match="phase-0"):
             pairing_values(f, g, shifts, TruncationSpec(radius=20.0))
-        # the compact route takes either phase
-        pairing_values(f, g, shifts, TruncationSpec(), method="compact")
+        # the compact route rewrites the pairing over the transforms too
+        with pytest.raises(ValueError, match="phase-0"):
+            pairing_values(f, g, shifts, TruncationSpec(), method="compact")
+
+
+@pytest.mark.parametrize("method", ["dual", "compact"])
+def test_pairing_rejects_spatial_atomic_fiber(method):
+    # a point mass at 0.25 paired at shift 0 would be f(0.25), not the cutoff's value 1 there
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    with pytest.raises(ValueError, match=r"phase-0.*transform\(\) or dual_transform\(\)"):
+        pairing_values(f, atomic_profile([[0.25]], [1.0]), [[0.0]], TruncationSpec(), method=method)
+    with pytest.raises(ValueError, match="phase-0"):
+        pairing_values(make_cutoff(Box([0.0], [1.0]), 0.1), atomic_profile([[0.25]], [1.0]).transform(),
+                       [[0.0]], TruncationSpec(), method=method)
+
+
+def test_project_rejects_spatial_f(fib):
+    rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
+    cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)
+    with pytest.raises(ValueError, match="phase-0"):
+        project(rho, cutoff, Box([-3.0], [3.0]), 0.02)
+    assert project(rho, cutoff.dual_transform(), Box([-3.0], [3.0]), 0.02).atoms.n_atoms == 121
 
 
 def test_pairing_trapezoid_fiber_in_two_dimensions():

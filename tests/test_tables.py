@@ -113,10 +113,9 @@ def test_almostperiods_table_matches_rowwise(monkeypatch, tmp_path, capsys, d):
     # few distinct coordinates, so equal and signed-zero t tie across accepted and rejected
     pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1e308, np.inf, -np.inf])
     ts, norms = rng.choice(pool, size=(300, d)), floats(rng, 300)
-    acc = rng.random(300) < 0.5
-    accepted = tuple((t, float(v)) for t, v in zip(ts[acc], norms[acc]))
-    rejected = tuple((t, float(v)) for t, v in zip(ts[~acc], norms[~acc]))
-    scan = AlmostPeriodScan(accepted, rejected, (), 0.5)
+    # a NaN norm marks a skipped candidate, which is never accepted
+    acc = (rng.random(300) < 0.5) & ~np.isnan(norms)
+    scan = AlmostPeriodScan(ts, norms, acc, 0.5)
     monkeypatch.setattr(cli, "model_set", lambda *a, **k: np.zeros((1, 2 * d), np.int64))
     monkeypatch.setattr(cli, "model_comb", lambda *a, **k: None)
     monkeypatch.setattr(cli, "_difference_candidates", lambda *a, **k: (ts, None))
@@ -124,8 +123,10 @@ def test_almostperiods_table_matches_rowwise(monkeypatch, tmp_path, capsys, d):
     out = tmp_path / "ap.csv"
     args = SimpleNamespace(eps=1.0, max_candidates=300, out=str(out))
     assert cli.cmd_almostperiods(scheme_config(d), args) == 0
-    assert out.read_bytes() == rowwise_almostperiods_csv(d, accepted, rejected).encode()
-    summary = f"accepted {acc.sum()} of 300 candidates (0 skipped), max gap 0.5\n"
+    assert out.read_bytes() == rowwise_almostperiods_csv(d, ts, norms, acc).encode()
+    skipped = np.isnan(norms).sum()
+    assert skipped > 0
+    summary = f"accepted {acc.sum()} of 300 candidates ({skipped} skipped), max gap 0.5\n"
     assert capsys.readouterr().out == summary
 
 
