@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -52,11 +53,23 @@ CONFIG_KEYS = frozenset({
 })
 
 
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+def _operand(node):
+    value = _eval_node(node)
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"arithmetic takes numbers only, got {value!r}")
+    return value
+
+
 def _eval_node(node):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float, str)):
+        # the config language has numbers and strings, no booleans
+        if isinstance(node.value, (int, float, str)) and not isinstance(node.value, bool):
             return node.value
         raise ConfigError(f"unsupported literal {node.value!r}")
     if isinstance(node, ast.Name):
@@ -65,18 +78,10 @@ def _eval_node(node):
         raise ConfigError(f"unknown name {node.id!r} (only 'golden' is recognised)")
     if isinstance(node, ast.List):
         return [_eval_node(el) for el in node.elts]
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        value = _eval_node(node.operand)
-        return -value if isinstance(node.op, ast.USub) else value
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        left, right = _eval_node(node.left), _eval_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_operand(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_operand(node.left), _operand(node.right))
     raise ConfigError("unsupported expression")
 
 
@@ -85,7 +90,7 @@ def _parse_value(text: str):
         return _eval_node(ast.parse(text.strip(), mode="eval"))
     except ConfigError:
         raise
-    except (SyntaxError, ValueError) as exc:
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -113,11 +118,30 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _flat_box(values, key) -> Box:
+def _flat_box(values) -> Box:
     flat = np.asarray(values, dtype=float).reshape(-1)
     if len(flat) % 2:
-        raise ConfigError(f"key '{key}': box needs an even number of entries (lo, hi pairs)")
+        raise ValueError("box needs an even number of entries (lo, hi pairs)")
     return Box(flat[0::2], flat[1::2])
+
+
+def _number(kind, minimum=None):
+    """Parse an int or float; reject bools, NaN, non-integral ints and values below ``minimum``.
+
+    Range errors are ``argparse.ArgumentTypeError``s, whose message argparse prints as is.
+    """
+    def parse(value):
+        value = kind(value) if isinstance(value, str) else value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        if minimum is not None and not value >= minimum:  # NaN is never at least minimum
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value != value or (kind is int and value % 1):  # inf % 1 is NaN
+            raise argparse.ArgumentTypeError(f"not a valid {kind.__name__}: {value}")
+        return kind(value)
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value" messages
+    return parse
 
 
 @dataclass
@@ -149,96 +173,80 @@ class SchemeConfig:
 
 
 def resolve_config(values: dict) -> SchemeConfig:
-    def need(key):
+    def read(key, parse, default=None):
+        """``parse(values[key])``, or ``default`` if the key is absent; errors name the key."""
         if key not in values:
-            raise ConfigError(f"missing required key '{key}'")
-        return values[key]
+            if default is None:
+                raise ConfigError(f"missing required key '{key}'")
+            return default
+        try:
+            return parse(values[key])
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"key '{key}': {exc}") from None
 
-    d, m = int(need("d")), int(need("m"))
-    basis_rows = need("basis")
-    basis = np.asarray(basis_rows, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise ConfigError("key 'basis': must be a square row-major matrix")
-    if basis.shape[0] != d + m:
-        raise ConfigError(f"key 'basis': rank {basis.shape[0]} does not match d + m = {d + m}")
-    try:
-        lat = Lattice(basis)
-        scheme = CutProjectScheme(lat=lat, d=d, m=m)
-    except ValueError as exc:
-        raise ConfigError(f"key 'basis': {exc}") from None
+    number = _number(float)
+    d, m = read("d", _number(int)), read("m", _number(int))
 
-    window_boxes = need("window")
-    try:
-        window = Window([_flat_box(part, "window") for part in window_boxes])
-    except ValueError as exc:
-        raise ConfigError(f"key 'window': {exc}") from None
+    def scheme_of(rows):
+        lat = Lattice(rows)
+        if lat.n != d + m:
+            raise ValueError(f"rank {lat.n} does not match d + m = {d + m}")
+        return CutProjectScheme(lat=lat, d=d, m=m)
+
+    def cutoff_margin(value):
+        margin = np.broadcast_to(np.asarray(value, dtype=float), (m,)).copy()
+        make_cutoff(plateau, margin)  # the cutoff's own rule: margins positive
+        return margin
+
+    scheme = read("basis", scheme_of)
+    window = read("window", lambda parts: Window([_flat_box(part) for part in parts]))
     if window.m != m:
         raise ConfigError(f"key 'window': dimension {window.m} does not match m = {m}")
-
-    kind = values.get("profile", "box")
+    kind = read("profile", str, "box")
     if kind == "box":
-        profile = box_profile(_flat_box(values.get("profile_box", need("window")[0]), "profile_box"))
+        profile = read("profile_box", lambda v: box_profile(_flat_box(v)),
+                       box_profile(window.parts[0]))
     elif kind == "trapezoid":
-        plateau = _flat_box(need("profile_plateau"), "profile_plateau")
-        profile = trapezoid_profile(plateau.lo, plateau.hi, float(need("profile_margin")))
+        trapezoid = read("profile_plateau", _flat_box)
+        profile = read("profile_margin",
+                       lambda v: trapezoid_profile(trapezoid.lo, trapezoid.hi, number(v)))
     else:
         raise ConfigError(f"key 'profile': unknown kind {kind!r}")
     if profile.m != m:
         raise ConfigError("key 'profile': dimension does not match m")
-
-    plateau = (
-        _flat_box(values["cutoff_plateau"], "cutoff_plateau")
-        if "cutoff_plateau" in values
-        else window.bounding_box()
-    )
-    margin = np.broadcast_to(
-        np.asarray(values.get("cutoff_margin", 0.1), dtype=float), (m,)
-    ).copy()
-    cutoff = make_cutoff(plateau, margin)
-    if not cutoff.covers(window):
+    plateau = read("cutoff_plateau", _flat_box, window.bounding_box())
+    if not all(plateau.contains_box(part) for part in window.parts):
         raise ConfigError("key 'cutoff_plateau': plateau must contain the window")
-
-    query = _flat_box(need("query"), "query")
-    if query.dim != d:
-        raise ConfigError(f"key 'query': dimension {query.dim} does not match d = {d}")
-    patch_query = _flat_box(values["patch_query"], "patch_query") if "patch_query" in values else query
-    if patch_query.dim != d:
-        raise ConfigError(f"key 'patch_query': dimension {patch_query.dim} does not match d = {d}")
-
-    density_box = (
-        _flat_box(values["density_box"], "density_box")
-        if "density_box" in values
-        else window.bounding_box()
-    )
-    seed, budget = int(values.get("seed", 0)), int(values.get("budget", DEFAULT_BUDGET))
-    if seed < 0:
-        raise ConfigError(f"key 'seed': must be at least 0, got {seed}")
-    if budget < 1:
-        raise ConfigError(f"key 'budget': must be at least 1, got {budget}")
-    unknown = sorted(set(values) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}'")
-    return SchemeConfig(
+    query = read("query", _flat_box)
+    patch_query = read("patch_query", _flat_box, query)
+    for key, box in (("query", query), ("patch_query", patch_query)):
+        if box.dim != d:
+            raise ConfigError(f"key '{key}': dimension {box.dim} does not match d = {d}")
+    config = SchemeConfig(
         d=d,
         m=m,
         scheme=scheme,
         window=window,
         profile=profile,
         cutoff_plateau=plateau,
-        cutoff_margin=margin,
+        cutoff_margin=read("cutoff_margin", cutoff_margin, np.full(m, 0.1)),
         query=query,
         patch_query=patch_query,
-        threshold=float(values.get("threshold", 0.01)),
-        seed=seed,
-        budget=budget,
-        oracle_radius=float(values.get("oracle_radius", 2000.0)),
-        inj_radius=float(values.get("inj_radius", 50.0)),
-        inj_tol=float(values.get("inj_tol", 1e-6)),
-        density_eps=float(values.get("density_eps", 0.05)),
-        density_radius=float(values.get("density_radius", 200.0)),
-        density_box=density_box,
+        threshold=read("threshold", number, 0.01),
+        seed=read("seed", _number(int, 0), 0),
+        budget=read("budget", _number(int, 1), DEFAULT_BUDGET),
+        oracle_radius=read("oracle_radius", number, 2000.0),
+        inj_radius=read("inj_radius", number, 50.0),
+        inj_tol=read("inj_tol", number, 1e-6),
+        density_eps=read("density_eps", number, 0.05),
+        density_radius=read("density_radius", number, 200.0),
+        density_box=read("density_box", _flat_box, window.bounding_box()),
         raw=dict(values),
     )
+    unknown = sorted(set(values) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}'")
+    return config
 
 
 def load_config(path: str) -> SchemeConfig:
@@ -288,11 +296,14 @@ def cmd_modelset(cfg: SchemeConfig, args) -> int:
     return EXIT_OK
 
 
+def _spectrum(cfg: SchemeConfig):
+    """The diffraction spectrum over ``query``: the peaks above ``threshold``."""
+    return diffraction(cfg.scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(),
+                       budget=cfg.budget)
+
+
 def cmd_diffract(cfg: SchemeConfig, args) -> int:
-    spectrum = diffraction(
-        cfg.scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(),
-        budget=cfg.budget,
-    )
+    spectrum = _spectrum(cfg)
     spectrum_to_csv(spectrum, args.out)
     if args.out:
         meta = spectrum_metadata_json(spectrum, extra={"config": cfg.raw})
@@ -311,10 +322,9 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
             print(f"--k {text!r} has {len(text.split(','))} coordinates; the scheme needs d = {cfg.d}",
                   file=sys.stderr)
             return EXIT_USAGE
-    spectrum = diffraction(
-        cfg.scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(),
-        budget=cfg.budget,
-    )
+    spectrum = _spectrum(cfg)
+    if len(spectrum.ks) == 0:
+        raise ConfigError(f"no spectrum peak in 'query' clears 'threshold' = {_fmt(cfg.threshold)}")
     if args.k:
         wanted = np.array([[float(x) for x in v.split(",")] for v in args.k], dtype=float)
         idx = []
@@ -343,17 +353,17 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
     return EXIT_OK
 
 
-def _patch_comb(cfg: SchemeConfig, rng) -> WeightedComb:
+def _patch_comb(cfg: SchemeConfig, weights=np.ones) -> WeightedComb:
+    """The model set in ``patch_query`` as a comb, with ``weights(n)`` on its n points."""
     z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
     if len(z) == 0:
         raise ConfigError("query holds no model-set points")
-    weights = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
-    return model_comb(cfg.scheme, z, weights)
+    return model_comb(cfg.scheme, z, weights(len(z)))
 
 
 def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
-    comb = _patch_comb(cfg, rng)
+    comb = _patch_comb(cfg, lambda n: rng.normal(size=n) + 1j * rng.normal(size=n))
     region = Box(comb.extent.lo - 1.0, comb.extent.hi + 1.0)
     gamma = autocorrelation_patch(comb, region)
     if args.corrupt:
@@ -376,10 +386,7 @@ def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
 
 
 def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
-    z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
-    if len(z) == 0:
-        raise ConfigError("query holds no model-set points")
-    comb = model_comb(cfg.scheme, z, np.ones(len(z)))
+    comb = _patch_comb(cfg)
     cands, shifts = _difference_candidates(cfg.scheme, comb, args.max_candidates)
     eps = max(args.eps, 1e-12)  # eps 0 means exact periods only
     a_box = Box(np.zeros(cfg.d), np.ones(cfg.d))
@@ -394,18 +401,6 @@ def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     return EXIT_OK
 
 
-def _count(minimum: int):
-    """argparse type for an integer flag that must be at least ``minimum``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in "invalid int value" messages
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cutproject",
                                      description="cut-and-project schemes and their spectra")
@@ -415,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to a scheme config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=_count(0), default=None, help="override the config seed")
-        p.add_argument("--budget", type=_count(1), default=None,
+        p.add_argument("--seed", type=_number(int, 0), default=None, help="override the config seed")
+        p.add_argument("--budget", type=_number(int, 1), default=None,
                        help="override the enumeration budget")
 
     p = sub.add_parser("check", help="injectivity, density, and dual-pairing diagnostics")
@@ -432,20 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="compare closed-form amplitudes against the patch oracle")
     common(p)
     p.add_argument("--radius", type=float, default=None, help="oracle patch radius")
-    p.add_argument("--top", type=_count(1), default=10, help="number of strongest peaks to compare")
+    p.add_argument("--top", type=_number(int, 1), default=10,
+                   help="number of strongest peaks to compare")
     p.add_argument("--k", action="append", default=None, help="explicit peak position")
 
     p = sub.add_parser("pdcheck", help="positive definiteness downstairs and on the lift")
     common(p)
-    p.add_argument("--trials", type=_count(1), default=100)
+    p.add_argument("--trials", type=_number(int, 1), default=100)
     p.add_argument("--corrupt", action="store_true",
                    help="flip the central autocorrelation weight (expected to fail)")
 
     p = sub.add_parser("almostperiods", help="scan norm almost periods of the patch comb")
     common(p)
-    p.add_argument("--eps", type=float, required=True,
+    p.add_argument("--eps", type=_number(float, 0), required=True,
                    help="acceptance level; 0 keeps exact periods only")
-    p.add_argument("--max-candidates", type=_count(0), default=200,
+    p.add_argument("--max-candidates", type=_number(int, 0), default=200,
                    help="keep the shortest this many nonzero translations; 0 keeps t = 0 only")
     return parser
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cutproject.cli import GOLDEN, ConfigError, main, parse_config_text, resolve_config
+from cutproject.cli import (CONFIG_KEYS, GOLDEN, ConfigError, load_config, main, parse_config_text,
+                            resolve_config)
 
 REPO = Path(__file__).resolve().parents[1]
 FIB_CONFIG = REPO / "configs" / "fibonacci.toml"
@@ -283,6 +285,8 @@ def test_almostperiods_single_atom_patch(tmp_path, capsys):
     (["modelset", "--budget", "-5"], "--budget"),
     (["check", "--seed", "-3"], "--seed"),
     (["modelset", "--seed", "-3"], "--seed"),
+    (["almostperiods", "--eps", "-1"], "--eps"),
+    (["almostperiods", "--eps", "nan"], "--eps"),
 ])
 def test_bad_counts_rejected_at_parse_time(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -299,6 +303,75 @@ def test_bad_counts_rejected_at_parse_time(capsys, argv, flag):
 def test_bad_seed_and_budget_keys_rejected(line, message):
     with pytest.raises(ConfigError, match=message):
         resolve_config(parse_config_text(f"{FIB_CONFIG.read_text()}\n{line}\n"))
+
+
+def with_value(config: Path, key: str, value: str) -> str:
+    """The config text with ``key = value`` in place of the key's line, or appended."""
+    text = config.read_text()
+    line = f"{key} = {value}"
+    if re.search(rf"^{key} = ", text, flags=re.M):
+        return re.sub(rf"^{key} = .*$", lambda _: line, text, flags=re.M)
+    return f"{text}{line}\n"
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_junk_value_names_its_key(tmp_path, capsys, key):
+    junk = ['"x"', "True", '[["x"]]'] + ["1.5"] * (key in ("d", "m", "seed", "budget"))
+    for config in (FIB_CONFIG, AB_CONFIG):
+        for value in junk:
+            path = tmp_path / "junk.toml"
+            path.write_text(with_value(config, key, value))
+            try:
+                load_config(str(path))
+                error = None
+            except ConfigError as exc:
+                error = str(exc)
+                assert f"key '{key}'" in error, (config.name, value)
+            code = main(["modelset", "--config", str(path), "--out", str(tmp_path / "points.csv")])
+            err = capsys.readouterr().err
+            if error is None:
+                assert code == 0, (config.name, value, err)
+            else:
+                assert (code, err) == (2, f"config error: {error}\n"), (config.name, value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("threshold", '"high"'),
+    ("budget", '"many"'),
+    ("query", '["a", 1]'),
+    ("cutoff_margin", "-1"),
+    ("cutoff_margin", "[0.1, 0.1]"),
+    ("profile_box", "[1, 0]"),
+    ("cutoff_plateau", "[1, 0]"),
+    ("threshold", "1/0"),
+    ("threshold", '"a" + 1'),
+    ("threshold", '-"a"'),
+    ("threshold", "1e400 - 1e400"),
+    pytest.param("threshold", " + ".join(["1"] * 3000), id="threshold-too-deep"),
+    ("basis", "[1, 2] * 2"),
+    ("d", "1.5"),
+    ("d", "True"),
+    ("seed", "2.7"),
+    ("seed", "1e400"),
+])
+def test_malformed_value_is_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.toml"
+    path.write_text(with_value(FIB_CONFIG, key, value))
+    assert main(["diffract", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: key '{key}': ")
+
+
+def test_integral_float_reads_as_int():
+    cfg = resolve_config(parse_config_text(f"{FIB_CONFIG.read_text()}\nseed = 3.0\nbudget = 1e8\n"))
+    assert (cfg.seed, cfg.budget) == (3, 100_000_000)
+    assert type(cfg.seed) is int and type(cfg.budget) is int
+
+
+def test_oracle_without_peaks_names_threshold(tmp_path, capsys):
+    path = tmp_path / "high.toml"
+    path.write_text(with_value(FIB_CONFIG, "threshold", "100"))
+    assert main(["oracle", "--config", str(path), "--radius", "200"]) == 2
+    assert capsys.readouterr().err == "config error: no spectrum peak in 'query' clears 'threshold' = 100\n"
 
 
 def test_almostperiods_one_row_per_translate(tmp_path):
