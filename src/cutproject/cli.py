@@ -187,6 +187,17 @@ def resolve_config(values: dict) -> SchemeConfig:
     number = _number(float)
     d, m = read("d", _number(int)), read("m", _number(int))
 
+    def box_in(dim, name):
+        """``_flat_box`` that also requires ``dim`` axes, the value of ``name``."""
+        def parse(value):
+            box = _flat_box(value)
+            if box.dim != dim:
+                raise ValueError(f"dimension {box.dim} does not match {name} = {dim}")
+            return box
+        return parse
+
+    physical, internal = box_in(d, "d"), box_in(m, "m")
+
     def scheme_of(rows):
         lat = Lattice(rows)
         if lat.n != d + m:
@@ -214,14 +225,11 @@ def resolve_config(values: dict) -> SchemeConfig:
         raise ConfigError(f"key 'profile': unknown kind {kind!r}")
     if profile.m != m:
         raise ConfigError("key 'profile': dimension does not match m")
-    plateau = read("cutoff_plateau", _flat_box, window.bounding_box())
+    plateau = read("cutoff_plateau", internal, window.bounding_box())
     if not all(plateau.contains_box(part) for part in window.parts):
         raise ConfigError("key 'cutoff_plateau': plateau must contain the window")
-    query = read("query", _flat_box)
-    patch_query = read("patch_query", _flat_box, query)
-    for key, box in (("query", query), ("patch_query", patch_query)):
-        if box.dim != d:
-            raise ConfigError(f"key '{key}': dimension {box.dim} does not match d = {d}")
+    query = read("query", physical)
+    patch_query = read("patch_query", physical, query)
     config = SchemeConfig(
         d=d,
         m=m,
@@ -240,7 +248,7 @@ def resolve_config(values: dict) -> SchemeConfig:
         inj_tol=read("inj_tol", number, 1e-6),
         density_eps=read("density_eps", number, 0.05),
         density_radius=read("density_radius", number, 200.0),
-        density_box=read("density_box", _flat_box, window.bounding_box()),
+        density_box=read("density_box", internal, window.bounding_box()),
         raw=dict(values),
     )
     unknown = sorted(set(values) - CONFIG_KEYS)
@@ -251,10 +259,12 @@ def resolve_config(values: dict) -> SchemeConfig:
 
 def load_config(path: str) -> SchemeConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return resolve_config(parse_config_text(text))
 
 

@@ -79,6 +79,17 @@ class AxisEnvelope:
                 out = np.minimum(out, np.where(r > 0, self.c2 / np.maximum(r, 1e-300) ** 2, np.inf))
         return out if out.ndim else float(out)
 
+    def radius(self, t: float) -> float:
+        """min(c1 / t, sqrt(c2 / t)): beyond it the majorant is below t."""
+        options = []
+        if np.isfinite(self.c1):
+            options.append(self.c1 / t)
+        if np.isfinite(self.c2):
+            options.append(np.sqrt(self.c2 / t))
+        if not options:
+            raise ValueError("profile transform has no decay certificate; cannot bound the enumeration")
+        return min(options)
+
     def _pieces(self) -> list[tuple[float, float, int]]:
         """(start, end, order) pieces of the active majorant on [0, inf)."""
         c0, c1, c2 = self.c0, self.c1, self.c2
@@ -243,7 +254,10 @@ class Separable:
         pts = np.atleast_2d(pts)
         out = np.ones(len(pts), dtype=complex)
         for i, axis in enumerate(self.axes):
-            out = out * axis.values(pts[:, i])
+            # in place, so the operands never swap: numpy's complex product
+            # (with FMA) rounds differently when they do, and ``out * tmp``
+            # swaps them on arrays of 256 KiB or more (temporary elision)
+            np.multiply(out, axis.values(pts[:, i]), out=out)
         return out[0] if single else out
 
     def transform(self) -> Separable:
@@ -816,16 +830,40 @@ def _fiber_radii(transform: Separable | Atomic, target: float) -> np.ndarray:
     radii = np.empty(len(c0s))
     for i, env in enumerate(envs):
         others = float(np.prod(np.delete(c0s, i))) if len(c0s) > 1 else 1.0
-        t = target / max(others, 1e-300)
-        options = []
-        if np.isfinite(env.c1):
-            options.append(env.c1 / t)
-        if np.isfinite(env.c2):
-            options.append(np.sqrt(env.c2 / t))
-        if not options:
-            raise ValueError("profile transform has no decay certificate; cannot bound the enumeration")
-        radii[i] = max(min(options), 1.0)
+        radii[i] = max(env.radius(target / max(others, 1e-300)), 1.0)
     return radii
+
+
+def _fiber_cover(transform: Separable, target: float, radii: np.ndarray) -> list[Box]:
+    """Internal boxes inside ``Box(-radii, radii)`` holding every s with
+    prod_i env_i(s_i) >= target, the only places where |F[h](s)| can reach it.
+
+    For m = 1 that is one interval.  For m >= 2 the boxes are doubling shells
+    inner <= |s_0| <= outer along axis 0, the first from 0 to the end of
+    env_0's plateau.  On a shell env_0(s_0) <= env_0(inner), so every other
+    axis i needs env_i(s_i) >= target / (env_0(inner) * prod of the c0 of the
+    axes other than 0 and i), which bounds |s_i|.  The shells stop where
+    env_0(inner) times the other axes' c0 falls below target, so there are
+    O(log radii[0]) boxes.
+    """
+    envs = [transform.envelope(i) for i in range(transform.m)]
+    if len(envs) == 1:
+        r = min(envs[0].radius(target), radii[0])
+        return [Box([-r], [r])]
+    c0s = np.array([env.c0 for env in envs[1:]])
+    boxes, inner = [], 0.0
+    outer = min(envs[0]._pieces()[0][1], radii[0])
+    while True:
+        e0 = envs[0].at(inner)
+        half = np.array([
+            min(env.radius(target / max(e0 * float(np.prod(np.delete(c0s, i))), 1e-300)), radii[i + 1])
+            for i, env in enumerate(envs[1:])
+        ])
+        for lo, hi in ([(-outer, outer)] if inner == 0.0 else [(-outer, -inner), (inner, outer)]):
+            boxes.append(Box(np.concatenate([[lo], -half]), np.concatenate([[hi], half])))
+        if outer >= radii[0] or envs[0].at(outer) * float(np.prod(c0s)) < target:
+            return boxes
+        inner, outer = outer, min(2.0 * outer, radii[0])
 
 
 def diffraction(
@@ -839,12 +877,18 @@ def diffraction(
 ) -> DiffractionSpectrum:
     """Closed-form diffraction spectrum of the profile-weighted model-set comb.
 
-    Enumerates dual-lattice points with physical part in the query box and an
-    internal range wide enough that every peak above the threshold is
-    captured, then evaluates A(k) = dens(L) * F[h](sigma * kstar).  The
-    cutoff takes no part in the amplitude because it is identically 1 on the
-    window; it is validated here so the spectrum is exactly the one the
-    fibered pairing route computes.
+    A peak sits at a dual-lattice point k with physical part in the query box
+    and has amplitude A(k) = dens(L) * F[h](sigma * kstar).  The outer box
+    ``query x [-r, r]^m`` takes r from the envelopes at a tenth of the
+    threshold (the ``internal_radii`` of the metadata).  Inside it only the
+    boxes of ``_fiber_cover`` are enumerated: they hold every kstar at which
+    the product of the per-axis envelopes, a bound on |F[h]|, reaches
+    threshold / dens(L).  Their rows are put back in lexicographic z order,
+    each point once, so the threshold filter and the stable sort on k give
+    the peaks of the whole outer box in the same order.  The cutoff takes no
+    part in the amplitude because it is identically 1 on the window; it is
+    validated here so the spectrum is exactly the one the fibered pairing
+    route computes.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -857,8 +901,15 @@ def diffraction(
     scale = density(cps.lat)
     dcps = dual_cps(cps)
     radii = _fiber_radii(transform, threshold / (10.0 * scale))
-    box = Box.product(query, Box(-radii, radii))
-    z, p = lattice_points_in_box(dcps.lat, box, budget=budget)
+    cover = _fiber_cover(transform, threshold / scale * (1.0 - 1e-9), radii)
+    found = [lattice_points_in_box(dcps.lat, Box.product(query, part), budget=budget) for part in cover]
+    z, p = np.concatenate([zs for zs, _ in found]), np.concatenate([ps for _, ps in found])
+    if len(cover) > 1:  # the boxes share closed faces: back to z order, each point once
+        order = np.lexsort(z.T[::-1])
+        z, p = z[order], p[order]
+        first = np.ones(len(z), dtype=bool)
+        first[1:] = (z[1:] != z[:-1]).any(axis=1)
+        z, p = z[first], p[first]
     ks, stars = p[:, : cps.d], p[:, cps.d :]
     amplitudes = scale * transform.value(PEAK_PHASE_SIGN * stars)
     keep = np.abs(amplitudes) >= threshold

@@ -6,10 +6,12 @@ import itertools
 
 import numpy as np
 
-from cutproject import Box, Lattice, WeightedComb, a_norm
+from cutproject import Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm
+from cutproject._version import __version__
 from cutproject.comb import MERGE_TOL, MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap, _sum_groups
-from cutproject.lattice import _group_rows
-from cutproject.spectra import _gl_grid
+from cutproject.cps import dual_cps
+from cutproject.lattice import DEFAULT_BUDGET, _group_rows, density, lattice_points_in_box
+from cutproject.spectra import PEAK_PHASE_SIGN, _fiber_radii, _gl_grid
 
 
 def brute_lattice_points(lat: Lattice, box: Box, z_range: int, tol: float = 1e-9):
@@ -51,6 +53,37 @@ def fibonacci_strip_points(lat: Lattice, query: Box, window: Box):
     p = lat.points(z)
     keep = query.contains(p[:, :1]) & window.contains(p[:, 1:])
     return {tuple(row) for row in z[keep]}
+
+
+def full_box_diffraction(cps, profile, query: Box, threshold: float, cutoff,
+                         budget: int = DEFAULT_BUDGET) -> DiffractionSpectrum:
+    """``diffraction`` over the whole outer box ``query x [-r, r]^m`` in one enumeration.
+
+    The radii are ``_fiber_radii`` at a tenth of the threshold, as in the
+    library; every point of the box is evaluated, the threshold filters, and
+    a stable sort on the physical part of rows in lexicographic z order gives
+    the peak order.  The checks on the window, profile and cutoff are left to
+    ``diffraction``.
+    """
+    transform = profile.transform()
+    scale = density(cps.lat)
+    radii = _fiber_radii(transform, threshold / (10.0 * scale))
+    z, p = lattice_points_in_box(dual_cps(cps).lat, Box.product(query, Box(-radii, radii)), budget=budget)
+    ks, stars = p[:, : cps.d], p[:, cps.d :]
+    amplitudes = scale * transform.value(PEAK_PHASE_SIGN * stars)
+    keep = np.abs(amplitudes) >= threshold
+    z, ks, stars, amplitudes = z[keep], ks[keep], stars[keep], amplitudes[keep]
+    order = np.lexsort(ks.T[::-1])
+    metadata = {
+        "scale": scale,
+        "threshold": threshold,
+        "internal_radii": radii.tolist(),
+        "peak_phase_sign": PEAK_PHASE_SIGN,
+        "cutoff": {key: [float(getattr(ax, key)) for ax in cutoff.axes] for key in ("a", "b", "delta")},
+        "version": __version__,
+    }
+    return DiffractionSpectrum(d=cps.d, ks=ks[order], internals=stars[order], refs=z[order],
+                               amplitudes=amplitudes[order], threshold=threshold, metadata=metadata)
 
 
 def brute_components(positions, tol: float):

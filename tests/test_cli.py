@@ -353,12 +353,23 @@ def test_junk_value_names_its_key(tmp_path, capsys, key):
     ("d", "True"),
     ("seed", "2.7"),
     ("seed", "1e400"),
+    ("cutoff_plateau", "[0, 1, 0, 1]"),
+    ("density_box", "[0, 1, 0, 1]"),
+    ("query", "[-5, 5, -5, 5]"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, key, value):
     path = tmp_path / "bad.toml"
     path.write_text(with_value(FIB_CONFIG, key, value))
     assert main(["diffract", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: key '{key}': ")
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "binary.toml"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and "utf-8" in err
 
 
 def test_integral_float_reads_as_int():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cutproject import (
     Window,
     atomic_profile,
     box_profile,
+    density,
     diffraction,
     dual,
     lattice_comb_transform,
@@ -35,12 +37,13 @@ from cutproject import (
     trapezoid_profile,
     unit_cell_decay_constant,
 )
+from cutproject.cli import parse_config_text, resolve_config
 from cutproject.lattice import lattice_points_in_box
 from cutproject import spectra
 from cutproject.spectra import PEAK_PHASE_SIGN, Axis, _axis_pair_once, _gl_grid
 
 from .conftest import TAU
-from .helpers import per_shift_axis_pair
+from .helpers import full_box_diffraction, per_shift_axis_pair
 
 DENS = 1.0 / np.sqrt(5.0)
 
@@ -412,6 +415,95 @@ def test_model_set_and_spectrum_ties_go_by_z():
         ties["diffraction"] += int(np.sum((want_k[1:] == want_k[:-1]).all(axis=1)))
     # the schemes do tie, so the order among equal physical parts is tested
     assert min(ties.values()) > 100
+
+
+def _assert_same_spectrum(got, want):
+    assert got.refs.dtype == want.refs.dtype and np.array_equal(got.refs, want.refs)
+    for name in ("ks", "internals", "amplitudes"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert json.dumps(got.metadata) == json.dumps(want.metadata)
+
+
+@st.composite
+def diffraction_cases(draw):
+    """A random d + m <= 4 scheme with a box or trapezoid profile inside its window,
+    a query box and a threshold in [1e-3, 0.2], small enough for the full-box oracle."""
+    d, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 1)]))
+    n = d + m
+    basis = np.array([[draw(st.floats(-1.5, 1.5)) for _ in range(n)] for _ in range(n)])
+    assume(0.3 <= abs(np.linalg.det(basis)) <= 4.0)
+    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+    half = np.array([draw(st.floats(0.3, 1.5)) for _ in range(m)])
+    window = Window(Box(-half, half))
+    lo = np.array([draw(st.floats(-1.0, 0.9)) for _ in range(m)]) * half
+    hi = lo + np.array([draw(st.floats(0.05, 1.0)) for _ in range(m)]) * (half - lo)
+    if draw(st.sampled_from(["box", "trapezoid"])) == "box":
+        profile = box_profile(Box(lo, hi))
+    else:
+        margin = draw(st.floats(0.05, 0.45)) * (hi - lo)
+        profile = trapezoid_profile(lo + margin, hi - margin, margin)
+    query = Box(-np.array([draw(st.floats(0.2, 2.0)) for _ in range(d)]),
+                np.array([draw(st.floats(0.2, 2.0)) for _ in range(d)]))
+    threshold = float(np.exp(draw(st.floats(np.log(1e-3), np.log(0.2)))))
+    radii = spectra._fiber_radii(profile.transform(), threshold / (10.0 * density(cps.lat)))
+    # points of the outer box: dual density |det B| times its volume
+    assume(abs(np.linalg.det(basis)) * np.prod(query.hi - query.lo) * np.prod(2.0 * radii + 1.0) <= 2e5)
+    return cps, window, profile, query, threshold
+
+
+@settings(max_examples=150)
+@given(diffraction_cases())
+def test_diffraction_matches_full_box(case):
+    cps, window, profile, query, threshold = case
+    cutoff = make_cutoff(window.bounding_box(), 0.1)
+    got = diffraction(cps, window, profile, query, threshold, cutoff)
+    _assert_same_spectrum(got, full_box_diffraction(cps, profile, query, threshold, cutoff))
+
+
+def _counting_enumeration(monkeypatch):
+    """Patch ``spectra.lattice_points_in_box`` to record the rows of each call."""
+    calls = []
+
+    def counting(lat, box, budget):
+        z, p = lattice_points_in_box(lat, box, budget=budget)
+        calls.append(z)
+        return z, p
+
+    monkeypatch.setattr(spectra, "lattice_points_in_box", counting)
+    return calls
+
+
+def test_diffraction_cover_drops_shared_face_points(monkeypatch):
+    # an integer 2+2 basis puts internal parts on integers, and a box profile of
+    # side 1/pi puts the end of the first axis's plateau, and so every shell edge,
+    # at a power of two: points lie on faces that two boxes of the cover share
+    cps = CutProjectScheme(lat=Lattice([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]), d=2, m=2)
+    window = Window(Box([-1.0, -1.0], [1.0, 1.0]))
+    half = 0.5 / np.pi
+    profile = box_profile(Box([-half, -half], [half, half]))
+    cutoff = make_cutoff(window.bounding_box(), 0.1)
+    query = Box([-2.0, -2.0], [2.0, 2.0])
+    calls = _counting_enumeration(monkeypatch)
+    got = diffraction(cps, window, profile, query, 0.002, cutoff)
+    rows = np.concatenate(calls)
+    assert len(calls) > 1 and len(np.unique(rows, axis=0)) < len(rows)
+    _assert_same_spectrum(got, full_box_diffraction(cps, profile, query, 0.002, cutoff))
+
+
+@pytest.mark.parametrize("config, threshold, box_profile_line, factor", [
+    ("fibonacci.toml", 1e-4, None, 2),
+    ("ammann_beenker.toml", 0.01, "profile_box = [-1, 1, -1, 1]", 4),
+])
+def test_diffraction_enumerates_about_its_peaks(monkeypatch, config, threshold, box_profile_line, factor):
+    text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
+    if box_profile_line:  # the box profile's transform decays like 1/|k| only
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("profile"))
+        text += f'\nprofile = "box"\n{box_profile_line}\n'
+    cfg = resolve_config(parse_config_text(text))
+    calls = _counting_enumeration(monkeypatch)
+    spec = diffraction(cfg.scheme, cfg.window, cfg.profile, cfg.query, threshold, cfg.cutoff(), cfg.budget)
+    assert spec.n_peaks > 0
+    assert sum(len(z) for z in calls) < factor * spec.n_peaks
 
 
 def test_diffraction_threshold_filters(fib):
