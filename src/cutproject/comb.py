@@ -132,8 +132,9 @@ def _near(points: np.ndarray, queries: np.ndarray, r: float) -> tuple[np.ndarray
     Pairs are ordered by i, then j, so a caller that needs one match per query
     takes its first pair, the lowest-index point.
     """
-    pairs = cKDTree(queries).sparse_distance_matrix(cKDTree(points), r, p=np.inf,
-                                                    output_type="ndarray")
+    tree = cKDTree(points)
+    query_tree = tree if queries is points else cKDTree(queries)  # a self-join builds one tree
+    pairs = query_tree.sparse_distance_matrix(tree, r, p=np.inf, output_type="ndarray")
     i, j = pairs["i"], pairs["j"]
     order = np.argsort(i * len(points) + j)  # distinct pairs, distinct keys: any sort will do
     return i[order], j[order]

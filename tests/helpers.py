@@ -11,7 +11,7 @@ from cutproject._version import __version__
 from cutproject.comb import MERGE_TOL, MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap, _sum_groups
 from cutproject.cps import dual_cps
 from cutproject.lattice import DEFAULT_BUDGET, _group_rows, density, lattice_points_in_box
-from cutproject.spectra import PEAK_PHASE_SIGN, _fiber_radii, _gl_grid
+from cutproject.spectra import BLOCK_ELEMENTS, PEAK_PHASE_SIGN, _fiber_radii, _gl_grid
 
 
 def brute_lattice_points(lat: Lattice, box: Box, z_range: int, tol: float = 1e-9):
@@ -233,6 +233,95 @@ def per_shift_axis_pair(f_axis, g_axis, shifts, radius: float, panel: float, ord
     y, w = _gl_grid(radius, panel, order)
     fa = f_axis.values(y) * w
     return np.array([g_axis.values(y - s) @ fa for s in np.asarray(shifts, dtype=float)])
+
+
+def panel_compact_axis_pair(a_axis, b_axis, shifts: np.ndarray, order: int = 16) -> np.ndarray:
+    """Compact-route pairing by composite Gauss-Legendre quadrature, the oracle
+    of ``spectra._compact_axis_pair``.
+
+    integral a(y) b(y - s) dy = integral F[a](t) beta_b(t) exp(2 pi i s t) dt
+    with both factors compactly supported and piecewise polynomial.  The
+    panels are split at the kink points, and their number grows with the
+    largest shift, so that each panel holds a bounded part of an oscillation.
+    F[a](t) is the function under a at a.phase * t and beta_b(t) the one
+    under b at -b.phase * t, so a sign of -1 reflects support and kinks.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    lo, hi, kinks = -np.inf, np.inf, []
+    for axis, sign in ((a_axis, a_axis.phase), (b_axis, -b_axis.phase)):
+        axis_lo, axis_hi = np.sort(sign * np.array(axis.support()))
+        lo, hi = max(lo, axis_lo), min(hi, axis_hi)
+        kinks.append(sign * axis.breakpoints())
+    if hi <= lo:
+        return np.zeros(len(shifts), dtype=complex)
+    cuts = np.unique(np.concatenate([[lo, hi], *kinks]))
+    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+    smax = float(np.max(np.abs(shifts))) if len(shifts) else 0.0
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    t_all, w_all = [], []
+    for piece_lo, piece_hi in zip(cuts[:-1], cuts[1:]):
+        length = piece_hi - piece_lo
+        if length <= 0:
+            continue
+        n_panels = max(2, int(np.ceil(length * (1.0 + smax / 2.5))))
+        edges = np.linspace(piece_lo, piece_hi, n_panels + 1)
+        half = (edges[1] - edges[0]) / 2.0
+        centers = edges[:-1] + half
+        t_all.append((centers[:, None] + half * nodes[None, :]).reshape(-1))
+        w_all.append(np.tile(half * wts, n_panels))
+    t = np.concatenate(t_all)
+    w = np.concatenate(w_all)
+    base = a_axis.spatial(a_axis.phase * t) * b_axis.spatial(-b_axis.phase * t) * w
+    out = np.empty(len(shifts), dtype=complex)
+    block = max(1, BLOCK_ELEMENTS // max(len(t), 1))
+    for start in range(0, len(shifts), block):
+        s = shifts[start : start + block]
+        out[start : start + block] = np.exp(2j * np.pi * s[:, None] * t[None, :]) @ base
+    return out
+
+
+def mp_compact_axis_pair(a_axis, b_axis, shift: float, dps: int = 40) -> complex:
+    """The compact-route integral at one shift, by ``mpmath.quad`` at ``dps`` digits.
+
+    F[a](t) beta_b(t) exp(2 pi i s t) is integrated over the overlap of the
+    two supports, split at every kink and then into pieces of about one
+    period, each by Gauss-Legendre to full precision.  The trapezoids are
+    evaluated in mpmath from the axes' float parameters; a ramp-free axis is
+    the plain indicator, since both routes integrate over the supports only,
+    where the boundary tolerance never enters.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        axes = [(sign, [mp.mpf(v) for v in (axis.a, axis.b, axis.delta)])
+                for axis, sign in ((a_axis, a_axis.phase), (b_axis, -b_axis.phase))]
+
+        def trapezoid(t, sign, a, b, delta):
+            q = sign * t
+            if not delta:
+                return mp.mpf(a <= q <= b)
+            return max(mp.mpf(0), min(mp.mpf(1), (q - (a - delta)) / delta, ((b + delta) - q) / delta))
+
+        kinks = sorted(sign * k for sign, (a, b, delta) in axes for k in (a - delta, a, b, b + delta))
+        lo = max(min(sign * (a - delta), sign * (b + delta)) for sign, (a, b, delta) in axes)
+        hi = min(max(sign * (a - delta), sign * (b + delta)) for sign, (a, b, delta) in axes)
+        if hi <= lo:
+            return 0j
+        cuts = [lo] + [k for k in kinks if lo < k < hi] + [hi]
+        s = mp.mpf(shift)
+        points = []
+        for left, right in zip(cuts[:-1], cuts[1:]):
+            n = int(mp.ceil(abs(s) * (right - left))) + 1
+            points += [left + (right - left) * j / n for j in range(n)]
+        points.append(hi)
+
+        def integrand(t):
+            value = mp.mpf(1)
+            for sign, abd in axes:
+                value *= trapezoid(t, sign, *abd)
+            return value * mp.expj(2 * mp.pi * s * t)
+
+        return complex(mp.quad(integrand, points, method="gauss-legendre"))
 
 
 def grouped_lookup(keys, queries):

@@ -91,8 +91,11 @@ def test_near_matches_brute_sup_distances(data):
     rows = st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), max_size=10)
     points = np.array(data.draw(rows), dtype=float).reshape(-1, d) / 8.0
     queries = np.array(data.draw(rows), dtype=float).reshape(-1, d) / 8.0
-    if data.draw(st.booleans()):
+    joined = data.draw(st.sampled_from(["apart", "appended", "self"]))
+    if joined == "appended":
         queries = np.concatenate([queries, points])
+    elif joined == "self":
+        queries = points  # the same object: a self-join, as merge_atoms asks
     r = data.draw(st.integers(0, 3)) / 8.0
     i, j = comb_module._near(points, queries, r)
     want_i, want_j = np.nonzero(np.abs(queries[:, None] - points[None, :]).max(axis=2) <= r)

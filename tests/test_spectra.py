@@ -40,10 +40,10 @@ from cutproject import (
 from cutproject.cli import parse_config_text, resolve_config
 from cutproject.lattice import lattice_points_in_box
 from cutproject import spectra
-from cutproject.spectra import PEAK_PHASE_SIGN, Axis, _axis_pair_once, _gl_grid
+from cutproject.spectra import PEAK_PHASE_SIGN, Axis, _axis_pair_once, _compact_axis_pair, _gl_grid
 
 from .conftest import TAU
-from .helpers import full_box_diffraction, per_shift_axis_pair
+from .helpers import full_box_diffraction, mp_compact_axis_pair, panel_compact_axis_pair, per_shift_axis_pair
 
 DENS = 1.0 / np.sqrt(5.0)
 
@@ -634,6 +634,44 @@ def test_axis_pair_kernel_matches_per_shift_oracle(f_axis, g_axis, radius, panel
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def piece_switch_shifts(a_axis, b_axis, limit: float) -> np.ndarray:
+    """Shifts at which |theta| = 1 on a piece of the compact route, with their neighbours one ulp
+    away: a piece lies between kinks, so its length is a difference of neighbouring kinks."""
+    kinks = np.unique(np.concatenate([a_axis.phase * a_axis.breakpoints(),
+                                      -b_axis.phase * b_axis.breakpoints()]))
+    switch = 1.0 / (np.pi * np.diff(kinks))  # theta = 2 pi s half = pi s length
+    switch = switch[switch <= limit]
+    return np.concatenate([switch, np.nextafter(switch, np.inf), np.nextafter(switch, 0.0), -switch])
+
+
+@settings(max_examples=60)
+@given(transform_axis(), transform_axis(), st.lists(st.floats(-1e4, 1e4), max_size=2))
+def test_compact_axis_pair_matches_panel_oracle(a_axis, b_axis, free):
+    # shifts at 0, a tiny one, each piece's switch between the moment rules, and far ones
+    shifts = np.concatenate([[0.0, 1e-6, -1e-6, 1e4], piece_switch_shifts(a_axis, b_axis, 1e4), free])
+    got = _compact_axis_pair(a_axis, b_axis, shifts)
+    want = np.concatenate([panel_compact_axis_pair(a_axis, b_axis, [s]) for s in shifts])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_compact_axis_pair_nearer_the_exact_integral():
+    # where the closed form and the panel oracle differ most, a 40-digit
+    # integral of the same trapezoids sides with the closed form
+    cases = [(Axis(0.0, 1.0, 0.1, 1), Axis(0.0, 1.0, 0.0, -1)),
+             (Axis(-1.0, 1.0, 0.1, 1), Axis(-0.8, 0.8, 0.2, -1)),
+             (Axis(-0.3, 1.2, 0.25, -1), Axis(0.1, 0.6, 0.4, 1))]
+    for a_axis, b_axis in cases:
+        shifts = np.concatenate([[0.0, 1e-6], piece_switch_shifts(a_axis, b_axis, 12.0),
+                                 np.linspace(-12.0, 12.0, 25) + 0.0137])
+        got = _compact_axis_pair(a_axis, b_axis, shifts)
+        want = panel_compact_axis_pair(a_axis, b_axis, shifts)
+        # relative to the largest value: near a zero of the pairing both routes
+        # are at their rounding, and either may be nearer
+        for i in np.argsort(-np.abs(got - want))[:3]:
+            exact = mp_compact_axis_pair(a_axis, b_axis, shifts[i])
+            assert abs(exact - got[i]) < abs(exact - want[i]), shifts[i]
+
+
 def test_axis_pair_kernel_blocks_join(monkeypatch):
     f_axis, g_axis = Axis(-1.0, 1.3, 0.1, 1), Axis(0.2, 0.9, 0.3, -1)
     shifts = np.linspace(-7.0, 9.0, 23)
@@ -689,20 +727,27 @@ def test_pairing_trapezoid_fiber_in_two_dimensions():
     assert np.all(np.abs(dual - compact) <= tails + 1e-12)
 
 
-def test_pairing_atomic_fiber_closed_form(fib):
-    # weak-model-set branch: atomic internal profile pairs in closed form
-    profile = atomic_profile([[0.25], [0.75]], [1.0, -0.5j])
-    fiber = profile.transform()
-    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
-    shifts = np.array([[0.0], [0.3], [-1.2]])
-    vals, tails = pairing_values(f, fiber, shifts, TruncationSpec())
-    assert np.all(tails == 0.0)
-    # oracle: plateau holds both atoms, so the pairing is the plain character sum
-    expected = np.array(
-        [sum(w * np.exp(2j * np.pi * s[0] * p)
-             for p, w in [(0.25, 1.0), (0.75, -0.5j)]) for s in shifts]
-    )
-    assert np.max(np.abs(vals - expected)) < 1e-12
+def test_pairing_atomic_fiber_closed_form():
+    # weak-model-set branch: atomic internal profile pairs in closed form;
+    # each case is (atoms, weights, cutoff value at each atom, shifts)
+    cases = [
+        # m = 1: the plateau holds both atoms, so the pairing is the plain character sum
+        ([[0.25], [0.75]], [1.0, -0.5j], [1.0, 1.0], [[0.0], [0.3], [-1.2]]),
+        # m = 2: one atom on the plateau, one halfway down a ramp, one outside the support
+        ([[0.25, 0.5], [1.05, 0.5], [0.5, -0.3]], [1.0, 2.0 - 1.0j, 3.0], [1.0, 0.5, 0.0],
+         [[0.0, 0.0], [0.3, -0.7], [-1.2, 2.5]]),
+    ]
+    for points, weights, under, shifts in cases:
+        fiber = atomic_profile(points, weights).transform()
+        m = len(points[0])
+        f = make_cutoff(Box([0.0] * m, [1.0] * m), 0.1).dual_transform()
+        vals, tails = pairing_values(f, fiber, shifts, TruncationSpec())
+        assert np.all(tails == 0.0)
+        expected = np.array(
+            [sum(u * w * np.exp(2j * np.pi * np.dot(s, p)) for p, w, u in zip(points, weights, under))
+             for s in shifts]
+        )
+        assert np.max(np.abs(vals - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
