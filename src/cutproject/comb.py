@@ -251,12 +251,16 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
 
     The supremum of the window mass is attained where some atom touches a
     face of the box, so only finitely many translates per axis need checking,
-    and checking exactly those events is exact.  For d = 1 a sorted sweep
-    counts each event's window.  For d >= 2 the windows over the event grid
-    of the first d - 1 axes are boolean rows over the atoms, and one matrix
-    product with the last axis's rows gives every window's mass; memory is
-    grid rows times atoms, at most (2N + 2)^(d - 1) * N for N atoms.  Boxes
-    are closed within ``BOUNDARY_TOL``.
+    and checking exactly those events is exact.  Boxes are closed within
+    ``BOUNDARY_TOL``.  For d = 1 a sorted sweep counts each event's window.
+    For d >= 2 the masses go into a summed-area table (Crow, SIGGRAPH 1984)
+    over the n_i distinct coordinates of each axis, of size prod(n_i + 1);
+    each event is a range of those coordinates, only ranges that no other
+    range contains are kept, and every window of their grid is read off the
+    table as a difference along each axis.  Integer masses with a total below
+    2^53 make every table entry exact.  Otherwise every window within a
+    rigorous rounding bound of the largest is summed again as
+    ``mags[inside].sum()``, and the largest such sum is returned.
     """
     if a_box.dim != comb.dim or eval_region.dim != comb.dim:
         raise ValueError("box dimensions must match the comb dimension")
@@ -278,22 +282,40 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
         hi_idx = np.searchsorted(sorted_pos, events + a_box.hi[0] + BOUNDARY_TOL, side="right")
         return float(np.max(csum[hi_idx] - csum[lo_idx]))
 
-    # d >= 2: per-axis face events; the first d - 1 axes are ANDed over their
-    # event grid, and one product with the last axis's masks sums every window
-    masks = []
+    # d >= 2: atom i sits in cell codes[i] + 1 of the table.  An event's range
+    # [lo, hi) of distinct coordinates grows with the event on both ends, so
+    # the ranges no other range contains are, among those with the largest hi
+    # for their lo, the ones with the smallest lo for their hi
+    codes, ranges, shape = np.empty(comb.positions.shape, np.int64), [], []
     for i in range(comb.dim):
-        ev = np.concatenate(
-            [comb.positions[:, i] - a_box.hi[i], comb.positions[:, i] - a_box.lo[i],
-             [t_lo[i], t_hi[i]]]
-        )
+        coords, codes[:, i] = np.unique(comb.positions[:, i], return_inverse=True)
+        ev = np.concatenate([comb.positions[:, i] - a_box.hi[i], comb.positions[:, i] - a_box.lo[i],
+                             [t_lo[i], t_hi[i]]])
         ev = np.unique(np.clip(ev, t_lo[i], t_hi[i]))
-        masks.append((comb.positions[None, :, i] >= ev[:, None] + a_box.lo[i] - BOUNDARY_TOL)
-                     & (comb.positions[None, :, i] <= ev[:, None] + a_box.hi[i] + BOUNDARY_TOL))
-    inside = masks[0]
-    for mask in masks[1:-1]:
-        inside = (inside[:, None, :] & mask[None, :, :]).reshape(-1, comb.n_atoms)
-    acc = (inside * mags[None, :]) @ masks[-1].T.astype(float)
-    return float(np.max(acc))
+        lo = np.searchsorted(coords, ev + a_box.lo[i] - BOUNDARY_TOL, side="left")
+        hi = np.searchsorted(coords, ev + a_box.hi[i] + BOUNDARY_TOL, side="right")
+        last = np.append(lo[1:] != lo[:-1], True)
+        lo, hi = lo[last], hi[last]
+        first = np.insert(hi[1:] != hi[:-1], 0, True)
+        ranges.append((lo[first], hi[first]))
+        shape.append(len(coords) + 1)
+    cells = np.ravel_multi_index(tuple((codes + 1).T), shape)
+    masses = np.bincount(cells, weights=mags, minlength=np.prod(shape)).reshape(shape)
+    for axis in range(comb.dim):
+        np.cumsum(masses, axis=axis, out=masses)
+    for axis, (lo, hi) in enumerate(ranges):
+        masses = masses.take(hi, axis=axis) - masses.take(lo, axis=axis)
+    best, total = float(masses.max()), float(mags.sum())
+    if total < 2.0 ** 53 and (mags == np.floor(mags)).all():
+        return best
+    # a table entry is N + sum(n_i) roundings deep, each difference at most doubles
+    # its error and a direct sum is N - 1 deep; twice both errors fit in the slack
+    slack = 2.0 ** (comb.dim + 2) * (comb.n_atoms + sum(shape)) * np.finfo(float).eps * total
+    sums = []
+    for cell in np.argwhere(masses >= best - slack):
+        lo, hi = (np.array([r[k][j] for r, j in zip(ranges, cell)]) for k in (0, 1))
+        sums.append(float(mags[((codes >= lo) & (codes < hi)).all(axis=1)].sum()))
+    return max(sums)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from cutproject import Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm
 from cutproject._version import __version__
 from cutproject.comb import MERGE_TOL, MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap, _sum_groups
 from cutproject.cps import dual_cps
-from cutproject.lattice import DEFAULT_BUDGET, _group_rows, density, lattice_points_in_box
+from cutproject.lattice import BOUNDARY_TOL, DEFAULT_BUDGET, _group_rows, density, lattice_points_in_box
 from cutproject.spectra import BLOCK_ELEMENTS, PEAK_PHASE_SIGN, _fiber_radii, _gl_grid
 
 
@@ -139,6 +139,34 @@ def grid_a_norm(comb: WeightedComb, a_box: Box, region: Box, pitch: float = 1e-3
             acc[i0:i1, j0:j1] += w
         return float(acc.max())
     raise NotImplementedError
+
+
+def dense_a_norm(comb: WeightedComb, a_box: Box, region: Box) -> float:
+    """Window-norm oracle for d >= 2: one boolean mask per face event and axis.
+
+    The windows over the event grid of the first d - 1 axes are boolean rows
+    over the atoms, and one matrix product with the last axis's rows gives
+    every window's mass; memory is (2N + 2)^(d - 1) * N booleans for N atoms.
+    """
+    t_lo = region.lo - a_box.lo
+    t_hi = region.hi - a_box.hi
+    if (t_hi < t_lo).any():
+        raise ValueError("region too small")
+    mags = np.abs(comb.weights)
+    masks = []
+    for i in range(comb.dim):
+        ev = np.concatenate(
+            [comb.positions[:, i] - a_box.hi[i], comb.positions[:, i] - a_box.lo[i],
+             [t_lo[i], t_hi[i]]]
+        )
+        ev = np.unique(np.clip(ev, t_lo[i], t_hi[i]))
+        masks.append((comb.positions[None, :, i] >= ev[:, None] + a_box.lo[i] - BOUNDARY_TOL)
+                     & (comb.positions[None, :, i] <= ev[:, None] + a_box.hi[i] + BOUNDARY_TOL))
+    inside = masks[0]
+    for mask in masks[1:-1]:
+        inside = (inside[:, None, :] & mask[None, :, :]).reshape(-1, comb.n_atoms)
+    acc = (inside * mags[None, :]) @ masks[-1].T.astype(float)
+    return float(np.max(acc))
 
 
 def anchor_a_norm(comb: WeightedComb, a_box: Box, region: Box, tol: float = 1e-9) -> float:

@@ -402,10 +402,18 @@ def test_almostperiods_one_row_per_translate(tmp_path):
     (FIB_CONFIG, ["--eps", "0.8"], "fibonacci_almostperiods", True),
     # the d = 2 summary's max gap comes from k-d tree distances, so only the table is pinned
     (AB_CONFIG, ["--eps", "6.5", "--max-candidates", "50"], "ammann_beenker_almostperiods", False),
+    # the scale point, a config with its patch_query overridden: 3,785 atoms, 200 candidates
+    ((AB_CONFIG, "[-30, 30, -30, 30]"), ["--eps", "6.5"], "ammann_beenker_almostperiods_3785", False),
 ])
 def test_almostperiods_pinned_bytes(tmp_path, capsys, config, args, name, stdout):
     # t comes from elementwise Lattice.points and every norm is a sum of unit
     # masses, so these bytes hold on any numpy build
+    if isinstance(config, tuple):
+        config, patch = config
+        text = config.read_text().replace("patch_query = [0, 28, 0, 28]", f"patch_query = {patch}")
+        assert patch in text
+        config = tmp_path / "patch.toml"
+        config.write_text(text)
     out = tmp_path / "periods.csv"
     assert main(["almostperiods", "--config", str(config), *args, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()

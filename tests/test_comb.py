@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -30,8 +30,8 @@ from cutproject.lattice import lattice_points_in_box
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
-from .helpers import (anchor_a_norm, assert_same_scan, brute_components, grid_a_norm,
-                      grouped_almost_period_scan, integer_difference_candidates)
+from .helpers import (anchor_a_norm, assert_same_scan, brute_components, dense_a_norm,
+                      grid_a_norm, grouped_almost_period_scan, integer_difference_candidates)
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -724,3 +724,35 @@ def test_a_norm_3d_small():
         comb = WeightedComb(points, weights)
         box = Box([0.0, 0.0, 0.0], [side, side, side])
         assert a_norm(comb, box, region) == anchor_a_norm(comb, box, region)
+
+
+@st.composite
+def dyadic_a_norm_cases(draw):
+    """A d = 2 or 3 comb on a quarter grid, a window box and a region, as lists."""
+    d = draw(st.integers(2, 3))
+    cell = st.lists(st.integers(0, 12 if d == 2 else 6), min_size=d, max_size=d)
+    pos = np.unique(np.array(draw(st.lists(cell, min_size=1, max_size=40)), float), axis=0) / 4.0
+    if draw(st.booleans()):
+        mass = st.integers(-3, 3).filter(bool).map(float)
+    else:
+        mass = st.sampled_from([0.1, 0.2, 0.3, -0.7]) | st.floats(0.05, 4.0)
+    weights = draw(st.lists(mass, min_size=len(pos), max_size=len(pos)))
+    side, lo, extra = (np.array(draw(st.lists(st.integers(a, b), min_size=d, max_size=d))) / 4.0
+                       for a, b in ((1, 8), (-2, 4), (0, 8)))
+    return pos.tolist(), weights, side.tolist(), lo.tolist(), (lo + side + extra).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_a_norm_cases())
+# windows {0.4, 0.2} and {0.6} both hold 0.6 and sum to 0.6 + 1 ulp and 0.6,
+# but the table reads them as 1.0 - 0.4 = 0.6 and 1.6 - 1.0 = 0.6 + 1 ulp
+@example(([[0, 0], [3, 0], [4, 0], [7, 1]], [0.4, 0.4, 0.2, 0.6], [2, 1], [0, 0], [8, 1]))
+def test_a_norm_summed_area_table_matches_oracles(case):
+    # coordinates repeat on every axis and atoms sit exactly on box and region
+    # faces; float masses that tie in exact arithmetic need the re-summed windows
+    pos, weights, side, lo, hi = case
+    comb, box, region = WeightedComb(pos, weights), Box(np.zeros(len(side)), side), Box(lo, hi)
+    value = a_norm(comb, box, region)
+    assert value == anchor_a_norm(comb, box, region)
+    if all(float(w).is_integer() for w in weights):
+        assert value == dense_a_norm(comb, box, region)
