@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="compare closed-form amplitudes against the patch oracle")
     common(p)
-    p.add_argument("--radius", type=float, default=None, help="oracle patch radius")
+    p.add_argument("--radius", type=_number(float), default=None, help="oracle patch radius")
     p.add_argument("--top", type=_number(int, 1), default=10,
                    help="number of strongest peaks to compare")
     p.add_argument("--k", action="append", default=None, help="explicit peak position")

@@ -639,6 +639,9 @@ def comb_from_csv(path) -> WeightedComb:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"comb csv line {reader.line_num} has {len(row)} fields, "
+                                 f"the header {len(header)}")
             values = [float(v) for v in row]
             positions.append(values[:dim])
             weights.append(complex(values[dim], values[dim + 1]))

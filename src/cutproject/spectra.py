@@ -75,10 +75,9 @@ class AxisEnvelope:
         r = np.abs(np.asarray(r, dtype=float))
         out = np.full(r.shape, self.c0)
         with np.errstate(divide="ignore"):
-            if np.isfinite(self.c1):
-                out = np.minimum(out, np.where(r > 0, self.c1 / np.maximum(r, 1e-300), np.inf))
-            if np.isfinite(self.c2):
-                out = np.minimum(out, np.where(r > 0, self.c2 / np.maximum(r, 1e-300) ** 2, np.inf))
+            for c, power in ((self.c1, 1), (self.c2, 2)):
+                if self.c0 and np.isfinite(c):  # the zero envelope stays 0: its c2 / r^2 can be 0 / 0
+                    out = np.minimum(out, np.where(r > 0, c / np.maximum(r, 1e-300) ** power, np.inf))
         return out if out.ndim else float(out)
 
     def radius(self, t: float) -> float:
@@ -112,9 +111,7 @@ class AxisEnvelope:
         total = 0.0
         for start, end, order in self._pieces():
             hi = min(end, r)
-            if hi <= start:
-                continue
-            if order == -1:
+            if hi <= start or order == -1:
                 continue
             if order == 0:
                 total += self.c0 * (hi - start)
@@ -123,22 +120,6 @@ class AxisEnvelope:
             else:
                 total += self.c2 * (1.0 / start - 1.0 / hi)
         return total
-
-    def l1(self) -> float:
-        """Integral of the majorant over the whole line (may be inf)."""
-        pieces = self._pieces()
-        start, end, order = pieces[-1]
-        if order == -1:
-            return 0.0
-        if order != 2:
-            return np.inf
-        return 2.0 * (self.integral_0_to(start) + self.c2 / start)
-
-    def tail_l1(self, r: float) -> float:
-        total = self.l1()
-        if not np.isfinite(total):
-            return np.inf
-        return max(total - 2.0 * self.integral_0_to(r), 0.0)
 
     def admissibility_sup(self) -> float:
         """sup over xi of (1 + xi^2) * majorant(xi); finite only with quadratic decay."""
@@ -621,38 +602,56 @@ def pairing_values(
     return values, tails
 
 
-def _axis_pairing_bound(env_f: AxisEnvelope, env_g: AxisEnvelope, s: float) -> float:
-    """Upper bound for |integral f(y) g(y - s) dy| from the envelopes alone."""
-    half = abs(s) / 2.0
-    l1f, l1g = env_f.l1(), env_g.l1()
-    candidates = []
-    if np.isfinite(l1f) and np.isfinite(l1g):
-        candidates.append(float(env_g.at(half)) * l1f + float(env_f.at(half)) * l1g)
-    if np.isfinite(l1f):
-        candidates.append(float(env_g.at(half)) * l1f + env_g.c0 * env_f.tail_l1(half))
-    if np.isfinite(l1g):
-        candidates.append(float(env_f.at(half)) * l1g + env_f.c0 * env_g.tail_l1(half))
-    return min(candidates) if candidates else np.inf
-
-
-def _solve_radius(bound, target: float) -> float:
-    r = 1.0
-    for _ in range(80):
-        if bound(r) <= target:
-            return r
-        r *= 2.0
-    raise TruncationError("cannot bound the internal enumeration; give an explicit internal_radius")
-
-
 # ---------------------------------------------------------------------------
 # periodic measures on the dual side
 
 
 # Every motif component gives ``pure_point``, ``weight``, ``internal``, the
 # physical box of period vectors whose translate meets a query
-# (``offset``), internal radii and unweighted (values, tails) for pairing
-# against f (``radii``, ``pairing``), and a per-point unit-window mass bound
+# (``offset``), its pairing against f as a function of the internal shift,
+# with per-axis envelopes (``paired``), unweighted (values, tails) of the
+# dual-side quadrature (``pairing``), and a per-point unit-window mass bound
 # (``cell_mass``); the loops below never ask for a component's type.
+
+
+@dataclass(frozen=True)
+class _CompactPairing:
+    """s -> integral f(y) fiber(y - s) dy, the route "compact" of
+    ``pairing_values``, with a majorant of its modulus per axis."""
+
+    f: Separable
+    fiber: Separable | Atomic
+
+    @property
+    def m(self) -> int:
+        return self.f.m
+
+    def value(self, shifts) -> np.ndarray:
+        return pairing_values(self.f, self.fiber, shifts, TruncationSpec(), method="compact")[0]
+
+    def envelope(self, i: int) -> AxisEnvelope:
+        """Majorant of |P(s)|, P the pairing of axis i of f and of the fiber.
+
+        P(s) is the integral of u(t) exp(2 pi i s t) dt, u the product of the
+        unit-height trapezoids or intervals under the two transforms (see
+        ``_compact_axis_pair``).  So |P(s)| <= integral of u <= min(c0_f,
+        c0_g), the two lengths.  Both factors are log-concave, so u is
+        unimodal with height at most 1 and TV(u) <= 2; one integration by
+        parts gives |P(s)| <= TV(u) / (2 pi |s|) <= 1 / (pi |s|).  When both
+        axes have ramps, u is Lipschitz with u' = u_f' u_g + u_f u_g'.  As
+        TV(u_f') = 4 / delta_f, sup |u_f'| = 1 / delta_f and TV(u_g) <= 2,
+        TV(u_f' u_g) <= 6 / delta_f, and likewise for the other term, so a
+        second integration by parts gives |P(s)| <= (6 / delta_f + 6 / delta_g)
+        / (2 pi s)^2 = 1.5 (c2_f + c2_g) / s^2, with c2 = 1 / (pi^2 delta),
+        and inf for an axis without a ramp.  A zero-length axis pairs to 0.
+        """
+        if isinstance(self.fiber, Atomic):
+            raise ValueError("the fiber gives no pairing decay; set an explicit internal_radius")
+        env_f, env_g = self.f.envelope(i), self.fiber.envelope(i)
+        c0 = min(env_f.c0, env_g.c0)
+        if c0 == 0.0:
+            return AxisEnvelope(0.0, 0.0, 0.0)
+        return AxisEnvelope(c0, 1.0 / np.pi, 1.5 * (env_f.c2 + env_g.c2))
 
 
 class _PhysicalPoint:
@@ -665,13 +664,13 @@ class _PhysicalPoint:
 
 
 class _Fibered:
-    """Component carrying an internal density ``fiber``, paired by quadrature."""
+    """Component carrying an internal density ``fiber``."""
 
-    def radii(self, f: Separable, target: float) -> np.ndarray:
-        return _pair_radii(f, self.fiber, target)
+    def paired(self, f: Separable) -> _CompactPairing:
+        return _CompactPairing(f, self.fiber)
 
-    def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
-        return pairing_values(f, self.fiber, shifts, trunc, method=method)
+    def pairing(self, f: Separable, shifts, trunc: TruncationSpec):
+        return pairing_values(f, self.fiber, shifts, trunc)
 
 
 @dataclass(frozen=True)
@@ -682,10 +681,10 @@ class MotifAtom(_PhysicalPoint):
     internal: np.ndarray
     weight: complex
 
-    def radii(self, f: Separable, target: float) -> np.ndarray:
-        return _fiber_radii(f, target)
+    def paired(self, f: Separable) -> Separable:
+        return f
 
-    def pairing(self, f: Separable, shifts, trunc: TruncationSpec, method: str):
+    def pairing(self, f: Separable, shifts, trunc: TruncationSpec):
         return f.value(shifts), np.zeros(len(shifts))
 
     def cell_mass(self) -> float:
@@ -815,20 +814,18 @@ class DiffractionSpectrum:
         return len(self.ks)
 
 
-def _fiber_radii(transform: Separable | Atomic, target: float) -> np.ndarray:
-    """Per-axis internal radii outside which the transform modulus is below target."""
+def _fiber_radii(transform: Separable | Atomic | _CompactPairing, target: float) -> np.ndarray:
+    """Per-axis internal radii outside which the transform (or pairing) modulus is below target."""
     envs = [transform.envelope(i) for i in range(transform.m)]
     c0s = np.array([env.c0 for env in envs])
-    radii = np.empty(len(c0s))
-    for i, env in enumerate(envs):
-        others = float(np.prod(np.delete(c0s, i))) if len(c0s) > 1 else 1.0
-        radii[i] = max(env.radius(target / max(others, 1e-300)), 1.0)
-    return radii
+    return np.array([max(env.radius(target / max(float(np.prod(np.delete(c0s, i))), 1e-300)), 1.0)
+                     for i, env in enumerate(envs)])
 
 
-def _fiber_cover(transform: Separable, target: float, radii: np.ndarray) -> list[Box]:
+def _fiber_cover(transform: Separable | _CompactPairing, target: float, radii: np.ndarray) -> list[Box]:
     """Internal boxes inside ``Box(-radii, radii)`` holding every s with
-    prod_i env_i(s_i) >= target, the only places where |F[h](s)| can reach it.
+    prod_i env_i(s_i) >= target, the only places where the modulus of the
+    transform (or pairing) at s can reach it.
 
     For m = 1 that is one interval.  For m >= 2 the boxes are doubling shells
     inner <= |s_0| <= outer along axis 0, the first from 0 to the end of
@@ -858,6 +855,20 @@ def _fiber_cover(transform: Separable, target: float, radii: np.ndarray) -> list
         inner, outer = outer, min(2.0 * outer, radii[0])
 
 
+def _cover_points(lat: Lattice, physical: Box, cover: list[Box], budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points of ``physical`` times the union of the ``cover`` boxes, each once and
+    in lexicographic z order, as one enumeration of a box holding the union lists them."""
+    found = [lattice_points_in_box(lat, Box.product(physical, part), budget=budget) for part in cover]
+    z, p = np.concatenate([zs for zs, _ in found]), np.concatenate([ps for _, ps in found])
+    if len(cover) > 1:  # the boxes share closed faces
+        order = np.lexsort(z.T[::-1])
+        z, p = z[order], p[order]
+        first = np.ones(len(z), dtype=bool)
+        first[1:] = (z[1:] != z[:-1]).any(axis=1)
+        z, p = z[first], p[first]
+    return z, p
+
+
 def diffraction(
     cps: CutProjectScheme,
     window: Window,
@@ -875,9 +886,9 @@ def diffraction(
     threshold (the ``internal_radii`` of the metadata).  Inside it only the
     boxes of ``_fiber_cover`` are enumerated: they hold every kstar at which
     the product of the per-axis envelopes, a bound on |F[h]|, reaches
-    threshold / dens(L).  Their rows are put back in lexicographic z order,
-    each point once, so the threshold filter and the stable sort on k give
-    the peaks of the whole outer box in the same order.  The cutoff takes no
+    threshold / dens(L).  ``_cover_points`` lists their rows as the outer box
+    would, so the threshold filter and the stable sort on k give the peaks of
+    the whole outer box in the same order.  The cutoff takes no
     part in the amplitude because it is identically 1 on the window; it is
     validated here so the spectrum is exactly the one the fibered pairing
     route computes.
@@ -894,14 +905,7 @@ def diffraction(
     dcps = dual_cps(cps)
     radii = _fiber_radii(transform, threshold / (10.0 * scale))
     cover = _fiber_cover(transform, threshold / scale * (1.0 - 1e-9), radii)
-    found = [lattice_points_in_box(dcps.lat, Box.product(query, part), budget=budget) for part in cover]
-    z, p = np.concatenate([zs for zs, _ in found]), np.concatenate([ps for _, ps in found])
-    if len(cover) > 1:  # the boxes share closed faces: back to z order, each point once
-        order = np.lexsort(z.T[::-1])
-        z, p = z[order], p[order]
-        first = np.ones(len(z), dtype=bool)
-        first[1:] = (z[1:] != z[:-1]).any(axis=1)
-        z, p = z[first], p[first]
+    z, p = _cover_points(dcps.lat, query, cover, budget)
     ks, stars = p[:, : cps.d], p[:, cps.d :]
     amplitudes = scale * transform.value(PEAK_PHASE_SIGN * stars)
     keep = np.abs(amplitudes) >= threshold
@@ -987,24 +991,6 @@ class ProjectionResult:
     densities: tuple
 
 
-def _internal_box(internal_offset: np.ndarray, radii: np.ndarray) -> Box:
-    return Box(-radii - internal_offset, radii - internal_offset)
-
-
-def _pair_radii(f: Separable, fiber: Separable | Atomic, target: float) -> np.ndarray:
-    """Per-axis internal radii beyond which the pairing bound is below target."""
-    envs = [(f.envelope(i), fiber.envelope(i)) for i in range(f.m)]
-    if not all(np.isfinite(env_g.c1) or np.isfinite(env_g.c2) for _, env_g in envs):
-        raise ValueError("the fiber gives no pairing decay; set an explicit internal_radius")
-    zeros = [_axis_pairing_bound(env_f, env_g, 0.0) for env_f, env_g in envs]
-    radii = np.empty(f.m)
-    for i, (env_f, env_g) in enumerate(envs):
-        others = float(np.prod([zeros[j] for j in range(f.m) if j != i])) if f.m > 1 else 1.0
-        t = target / max(others, 1e-300)
-        radii[i] = _solve_radius(lambda r: _axis_pairing_bound(env_f, env_g, r), t)
-    return radii
-
-
 def project(
     rho: PeriodicMeasure,
     f: Separable,
@@ -1018,9 +1004,11 @@ def project(
     Point-in-physical motif components project to atoms on the physical
     parts of the period lattice; density components project to closed-form
     densities.  Peaks and coefficients below ``threshold`` in modulus are
-    dropped; the internal enumeration radius is derived from the decay
-    envelopes so that nothing above the threshold is missed (or taken from
-    ``trunc.internal_radius`` when set).
+    dropped.  Each component enumerates, as ``diffraction`` does, the
+    ``_fiber_cover`` of its pairing's envelopes at a tenth of the threshold,
+    shifted by its internal offset, or the cube of ``trunc.internal_radius``
+    when set.  Where atoms of two components meet, each has dropped its own
+    contributions below that level, and so has their merged weight.
     """
     if f.m != rho.m:
         raise ValueError("admissible function dimension must match the internal dimension")
@@ -1038,12 +1026,18 @@ def project(
     fixed = trunc.internal_radius
     for comp in rho.motif:
         target = floor / max(abs(comp.weight) * rho.scale, 1e-300)
-        radii = comp.radii(f, target) if fixed is None else np.full(f.m, float(fixed))
-        box = Box.product(comp.offset(query), _internal_box(comp.internal, radii))
-        _, p = lattice_points_in_box(rho.period, box, budget=budget)
+        pairing = comp.paired(f)
+        if fixed is None:
+            cover = _fiber_cover(pairing, target, _fiber_radii(pairing, target))
+        else:
+            cover = [Box(np.full(f.m, -float(fixed)), np.full(f.m, float(fixed)))]
+        _, p = _cover_points(rho.period, comp.offset(query), [part.shifted(-comp.internal) for part in cover],
+                             budget)
         if not len(p):
             continue
-        vals, _ = comp.pairing(f, comp.internal + p[:, rho.d :], trunc, "compact")
+        # named: numpy computes ``x * tmp`` as ``tmp * x`` on temporaries of 256 KiB or
+        # more, and the swapped complex product rounds differently (see ``Separable.value``)
+        vals = pairing.value(comp.internal + p[:, rho.d :])
         weights = rho.scale * comp.weight * vals
         if comp.pure_point:
             atom_positions.append(comp.phys + p[:, : rho.d])
@@ -1092,13 +1086,13 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: Truncation
     slice_radius = trunc.internal_radius if trunc.internal_radius is not None else DEFAULT_INTERNAL_SLICE
     radii = np.full(rho.m, float(slice_radius))
     for comp in rho.pp_motif():
-        box = Box.product(comp.offset(reach).inflate(LIFT_TOL), _internal_box(comp.internal, radii))
+        box = Box.product(comp.offset(reach).inflate(LIFT_TOL), Box(-radii, radii).shifted(-comp.internal))
         _, p = lattice_points_in_box(rho.period, box, budget=budget)
         point, atom = _near(positions, comp.phys + p[:, : rho.d], LIFT_TOL)
         if not len(point):
             continue
         matched[atom] = True
-        vals, tails = comp.pairing(f, comp.internal + p[point, rho.d :], trunc, "dual")
+        vals, tails = comp.pairing(f, comp.internal + p[point, rho.d :], trunc)
         vals = comp.weight * vals
         psi_vals = values[atom]
         total += rho.scale * np.sum(psi_vals * vals)

@@ -207,6 +207,13 @@ def test_oracle_zero_radius_exit_two():
     assert proc.returncode == 2
 
 
+def test_oracle_nan_radius_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(FIB_CONFIG), "--radius", "nan"])
+    assert exc.value.code == 2
+    assert "argument --radius: not a valid float: nan" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # pdcheck / almostperiods
 

@@ -707,6 +707,14 @@ def test_csv_rejects_duplicates(tmp_path):
         comb_from_csv(path)
 
 
+@pytest.mark.parametrize("row", ["1.0,1.0", "1.0,1.0,0.0,7.0"])
+def test_csv_rejects_rows_unlike_the_header(tmp_path, row):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"x1,re,im\n0.0,1.0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match="line 3 has"):
+        comb_from_csv(path)
+
+
 def test_a_norm_3d_small():
     rng = np.random.default_rng(17)
     pos = np.unique(rng.choice(40, size=(12, 3), replace=True) / 8.0, axis=0)

@@ -1,4 +1,6 @@
 import json
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,8 @@ from cutproject import (
 from cutproject.cli import parse_config_text, resolve_config
 from cutproject.lattice import lattice_points_in_box
 from cutproject import spectra
-from cutproject.spectra import PEAK_PHASE_SIGN, Axis, _axis_pair_once, _compact_axis_pair, _gl_grid
+from cutproject.spectra import (PEAK_PHASE_SIGN, Axis, Separable, _axis_pair_once, _compact_axis_pair,
+                                _CompactPairing, _gl_grid)
 
 from .conftest import TAU
 from .helpers import full_box_diffraction, mp_compact_axis_pair, panel_compact_axis_pair, per_shift_axis_pair
@@ -654,6 +657,19 @@ def test_compact_axis_pair_matches_panel_oracle(a_axis, b_axis, free):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@settings(max_examples=100)
+@given(transform_axis(), transform_axis(), st.lists(st.floats(-1e4, 1e4), max_size=4))
+def test_compact_pairing_within_its_envelope(f_axis, g_axis, free):
+    # the envelope project's cover is built from; at s = 0 it is the integral of
+    # the product itself, which the closed form can exceed by rounding
+    env = _CompactPairing(Separable((f_axis,)), Separable((g_axis,))).envelope(0)
+    grid = np.logspace(-6.0, 4.0, 41)
+    shifts = np.concatenate([grid, -grid, piece_switch_shifts(f_axis, g_axis, 1e4), free])
+    shifts = shifts[shifts != 0.0]
+    assert np.all(np.abs(_compact_axis_pair(f_axis, g_axis, shifts)) <= env.at(shifts))
+    assert abs(_compact_axis_pair(f_axis, g_axis, np.zeros(1))[0]) <= env.c0 * (1.0 + 1e-12)
+
+
 def test_compact_axis_pair_nearer_the_exact_integral():
     # where the closed form and the panel oracle differ most, a 40-digit
     # integral of the same trapezoids sides with the closed form
@@ -802,6 +818,94 @@ def test_project_radii_follow_the_measure_scale(fib):
     assert derived.n_atoms == fixed.n_atoms > 0
     assert np.array_equal(derived.positions, fixed.positions)
     assert np.array_equal(derived.weights, fixed.weights)
+
+
+@st.composite
+def projection_cases(draw):
+    """The transform of a profile comb on a generic d + m <= 4 scheme, with a
+    physical point and, on request, a fibered atom and a density added, each
+    at its own internal offset; a cutoff's inverse transform as f, a query
+    and a threshold in [1e-4, 0.1].
+
+    The point and the fibered atom sit at physical offsets near 1/2 and -1/2,
+    so no atom of one component lands on an atom of another: where two
+    coincide, each drops its own contributions below a tenth of the threshold
+    and their merged weight can move by that much.
+    """
+    d, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    basis = rng.uniform(-2.0, 2.0, size=(d + m, d + m))
+    assume(abs(np.linalg.det(basis)) >= 0.3)
+    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+
+    def offset(k, reach):
+        return np.array([draw(st.floats(-reach, reach)) for _ in range(k)])
+
+    def profile(k):
+        lo = offset(k, 1.0)
+        hi = lo + np.array([draw(st.floats(0.1, 1.5)) for _ in range(k)])
+        if draw(st.sampled_from(["box", "trapezoid"])) == "box":
+            return box_profile(Box(lo, hi))
+        margin = draw(st.floats(0.05, 0.45)) * (hi - lo)
+        return trapezoid_profile(lo + margin, hi - margin, margin)
+
+    def weight():
+        return complex(draw(st.floats(0.2, 2.0)), draw(st.floats(-1.0, 1.0)))
+
+    comb = lattice_comb_transform(cps, profile(m))
+    motif = comb.motif + (MotifAtom(0.5 + offset(d, 0.2), offset(m, 25.0), weight()),)
+    if draw(st.booleans()):
+        motif += (MotifAtomFiber(-0.5 + offset(d, 0.2), offset(m, 25.0), weight(), profile(m).transform()),)
+    if draw(st.booleans()):
+        motif += (MotifDensityFiber(profile(d), profile(m).transform()),)
+    plateau = offset(m, 0.5)
+    f = make_cutoff(Box(plateau - 0.5, plateau + 0.5), draw(st.floats(0.05, 0.5))).dual_transform()
+    query = Box(-np.array([draw(st.floats(0.2, 1.5)) for _ in range(d)]),
+                np.array([draw(st.floats(0.2, 1.5)) for _ in range(d)]))
+    threshold = float(np.exp(draw(st.floats(np.log(1e-4), np.log(0.1)))))
+    return replace(comb, motif=motif), f, query, threshold
+
+
+@settings(max_examples=60)
+@given(projection_cases())
+def test_project_cover_matches_a_wide_radius(case):
+    rho, f, query, threshold = case
+    floor = threshold / 10.0
+    radius = 1.0 + 1.25 * max(
+        float(np.max(spectra._fiber_radii(comp.paired(f), floor / (abs(comp.weight) * rho.scale))))
+        for comp in rho.motif)
+    # points of the widest fixed box: the period lattice's point density times its volume
+    reach = max(float(np.prod(comp.offset(query).sides)) for comp in rho.motif)
+    assume(density(rho.period) * reach * (2.0 * radius) ** rho.m <= 1e5)
+    derived = project(rho, f, query, threshold)
+    wide = project(rho, f, query, threshold, TruncationSpec(internal_radius=radius))
+    assert np.array_equal(derived.atoms.positions, wide.atoms.positions)
+    assert derived.atoms.weights.tobytes() == wide.atoms.weights.tobytes()
+    assert len(derived.densities) == len(wide.densities)
+    for got, want in zip(derived.densities, wide.densities):
+        assert np.array_equal(got.translates, want.translates)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+
+
+def test_project_atomic_fiber_needs_an_internal_radius(fib):
+    # a trigonometric-sum fiber does not decay, so no cover bounds its pairing
+    rho = lattice_comb_transform(fib, atomic_profile([[0.25], [0.6]], [1.0, 0.5]))
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    with pytest.raises(ValueError, match="no pairing decay; set an explicit internal_radius"):
+        project(rho, f, Box([-3.0], [3.0]), 1e-3)
+    assert project(rho, f, Box([-3.0], [3.0]), 1e-3, TruncationSpec(internal_radius=20.0)).atoms.n_atoms > 0
+
+
+def test_project_zero_length_axis_in_two_dimensions(cps2d):
+    # f's first axis has length 0, so every pairing is 0; the m = 2 cover reads the
+    # zero envelope at 0, where c2 / r^2 would be 0 / 0
+    comb = lattice_comb_transform(cps2d, trapezoid_profile([-0.5, -0.5], [0.5, 0.5], 0.2))
+    rho = replace(comb, motif=comb.motif + (MotifAtom(np.zeros(2), np.array([0.3, -0.2]), 1.0),))
+    zero_f = Separable((Axis(0.0, 0.0, phase=+1), Axis(-1.0, 1.0, 0.1, phase=+1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        proj = project(rho, zero_f, Box([-2.0, -2.0], [2.0, 2.0]), threshold=1e-3)
+    assert proj.atoms.n_atoms == 0
 
 
 def test_project_zero_function_empty(fib):
