@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .comb import (WeightedComb, _difference_candidates, _write_table, autocorrelation_patch,
-                   eps_norm_almost_periods, model_comb)
+from .comb import (WeightedComb, _difference_candidates, _first_near, _write_table,
+                   autocorrelation_patch, eps_norm_almost_periods, model_comb)
 from .cps import CutProjectScheme, Window, internal_density_check, model_set, verify_injectivity
 from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, dual
 from .posdef import lift_pd_crosscheck
@@ -337,14 +337,11 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
         raise ConfigError(f"no spectrum peak in 'query' clears 'threshold' = {_fmt(cfg.threshold)}")
     if args.k:
         wanted = np.array([[float(x) for x in v.split(",")] for v in args.k], dtype=float)
-        idx = []
-        for k in wanted:
-            gaps = np.linalg.norm(spectrum.ks - k, axis=1)
-            if len(gaps) == 0 or np.min(gaps) > 1e-6:
-                print(f"k = {k.tolist()} matches no spectrum peak above the threshold",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            idx.append(int(np.argmin(gaps)))
+        idx = _first_near(spectrum.ks, wanted, 1e-6)
+        if (idx == len(spectrum.ks)).any():
+            k = wanted[np.argmax(idx == len(spectrum.ks))]
+            print(f"k = {k.tolist()} matches no spectrum peak above the threshold", file=sys.stderr)
+            return EXIT_USAGE
         ks = spectrum.ks[idx]
         closed = spectrum.amplitudes[idx]
     else:
@@ -372,7 +369,7 @@ def _patch_comb(cfg: SchemeConfig, weights=np.ones) -> WeightedComb:
 
 
 def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     comb = _patch_comb(cfg, lambda n: rng.normal(size=n) + 1j * rng.normal(size=n))
     region = Box(comb.extent.lo - 1.0, comb.extent.hi + 1.0)
     gamma = autocorrelation_patch(comb, region)
@@ -383,8 +380,7 @@ def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
         gamma = WeightedComb(gamma.positions, w, refs=gamma.refs, dim=gamma.dim, validate=False)
     bbox = cfg.window.bounding_box()
     diff_window = Window(Box(bbox.lo - bbox.hi, bbox.hi - bbox.lo))
-    report = lift_pd_crosscheck(cfg.scheme, gamma, diff_window, trials=args.trials,
-                                seed=args.seed if args.seed is not None else cfg.seed)
+    report = lift_pd_crosscheck(cfg.scheme, gamma, diff_window, trials=args.trials, seed=cfg.seed)
     print(f"configurations: {args.trials} trials, seed {report.seed}")
     print(f"downstairs positive semidefinite: {'ok' if report.down_ok else 'FAIL'} "
           f"(min eigenvalue {report.min_eigs_down.min():.3e})")

@@ -72,7 +72,8 @@ class WeightedComb:
             if refs is not None:
                 if len(_group_rows(refs)[1]) < len(refs):
                     raise ValueError("duplicate positions: atoms share integer coordinates")
-            elif len(_near(positions, positions, MERGE_TOL)[0]) > len(positions):
+            elif (len(_group_rows((positions + 0.0).view(np.int64))[1]) < len(positions)
+                  or len(_near(positions, positions, MERGE_TOL)[0]) > len(positions)):
                 raise ValueError("duplicate positions: atoms closer than the merge tolerance")
         positions = positions.copy()
         weights = weights.copy()
@@ -94,6 +95,14 @@ class WeightedComb:
     def ref_index(self) -> _RowIndex:
         """``refs`` sorted once per comb, for exact lookups of atoms by coordinates."""
         return _RowIndex(self.refs)
+
+    def find(self, positions, refs=None) -> np.ndarray:
+        """Index of the atom at each query, ``n_atoms`` for none: exact on ``refs`` when the
+        comb carries them too, else the lowest-index atom within ``MERGE_TOL`` (sup norm)."""
+        if refs is not None and self.refs is not None:
+            return self.ref_index.find(np.atleast_2d(np.asarray(refs, dtype=np.int64)))
+        return _first_near(self.positions, np.atleast_2d(np.asarray(positions, dtype=float)),
+                           MERGE_TOL)
 
     @property
     def extent(self) -> Box | None:
@@ -128,9 +137,9 @@ def _near(points: np.ndarray, queries: np.ndarray, r: float) -> tuple[np.ndarray
     """Every pair (query i, point j) at most ``r`` apart in the sup norm, as arrays (i, j).
 
     This closed sup-norm ball is the one rule by which float positions match:
-    merges, duplicate checks, lifts, Gram lookups and atomic values all ask it.
-    Pairs are ordered by i, then j, so a caller that needs one match per query
-    takes its first pair, the lowest-index point.
+    merges, duplicate checks, lifts, atom lookups and ``oracle --k`` all ask it.
+    Pairs are ordered by i, then j, so ``_first_near``, which needs one match
+    per query, takes its first pair, the lowest-index point.
     """
     tree = cKDTree(points)
     query_tree = tree if queries is points else cKDTree(queries)  # a self-join builds one tree
@@ -138,6 +147,15 @@ def _near(points: np.ndarray, queries: np.ndarray, r: float) -> tuple[np.ndarray
     i, j = pairs["i"], pairs["j"]
     order = np.argsort(i * len(points) + j)  # distinct pairs, distinct keys: any sort will do
     return i[order], j[order]
+
+
+def _first_near(points: np.ndarray, queries: np.ndarray, r: float) -> np.ndarray:
+    """Per query, the lowest index of a point at most ``r`` away (sup norm), or ``len(points)``."""
+    query, point = _near(points, queries, r)
+    idx = np.full(len(queries), len(points))
+    hit, first = np.unique(query, return_index=True)  # each query's first pair
+    idx[hit] = point[first]
+    return idx
 
 
 def merge_atoms(
@@ -150,18 +168,19 @@ def merge_atoms(
     With ``refs`` an atom is its integer coordinates: atoms merge exactly when
     their rows are equal, whatever their positions.  Without them, groups are
     the connected components of the within-``MERGE_TOL`` relation (sup-norm) on
-    positions.  The group representative is its lowest-index member, groups
-    are ordered by it, and weights are summed in index order, so the result
-    is deterministic.
+    the distinct positions, so exact repeats cost no pairs.  The group
+    representative is its lowest-index member, groups are ordered by it, and
+    weights are summed in index order, so the result is deterministic.
     """
     if refs is None:
         from scipy.sparse import coo_array
         from scipy.sparse.csgraph import connected_components
 
-        n = len(positions)
-        i, j = _near(positions, positions, MERGE_TOL)
-        graph = coo_array((np.ones(len(i)), (i, j)), shape=(n, n))
-        label, first = _group_rows(connected_components(graph, directed=False)[1][:, None])
+        exact, distinct = _group_rows((positions + 0.0).view(np.int64))  # -0.0 + 0.0 is 0.0
+        unique = positions[distinct]
+        i, j = _near(unique, unique, MERGE_TOL)
+        graph = coo_array((np.ones(len(i)), (i, j)), shape=(len(unique), len(unique)))
+        label, first = _group_rows(connected_components(graph, directed=False)[1][exact][:, None])
     else:
         label, first = _group_rows(refs)
     out_refs = refs[first] if refs is not None else None
@@ -433,9 +452,9 @@ def eps_norm_almost_periods(
     ``ref_index.find`` of refs + shift per block of candidates pairs each
     translated atom with the original it lands on, so no rows are sorted per
     candidate.  A matched pair more than ``MERGE_TOL`` apart raises
-    ``ValueError``.  Without shifts, atoms within ``MERGE_TOL`` merge.  Either
-    way the merged atoms are the translated copy in index order, then the
-    unmatched originals in index order.
+    ``ValueError``.  Without shifts, each translated atom meets the lowest-
+    index original within ``MERGE_TOL``.  Either way the merged atoms are the
+    translated copy in index order, then the unmatched originals in order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -481,29 +500,32 @@ def _translate_differences(comb: WeightedComb, cands: np.ndarray, shifts, ks):
     original j whose refs are refs_i + shift, found by one ``ref_index.find``
     of about ``_LOOKUP_CHUNK`` rows per block of candidates, and the pair
     carries the weight w_i + (-w_j); a met pair more than ``MERGE_TOL`` apart
-    raises.  Without them, ``merge_atoms`` merges positions within ``MERGE_TOL``.
+    raises.  Without shifts, each translated atom meets the lowest-index
+    original within ``MERGE_TOL``; an original met twice stays with the first.
     """
-    if shifts is None:
-        for k in ks:
-            pos = np.concatenate([comb.positions + cands[k], comb.positions])
-            wts = np.concatenate([comb.weights, -comb.weights])
-            yield merge_atoms(pos, wts)[:2]
-        return
-    n, width = comb.refs.shape
+    n = comb.n_atoms
     ks = np.asarray(ks, dtype=np.intp)
     per = max(1, _LOOKUP_CHUNK // n)
-    for lo in range(0, len(ks), per):  # one ref_index lookup per block of candidates
-        block = shifts[ks[lo : lo + per]]
-        found = comb.ref_index.find((block[:, None, :] + comb.refs[None, :, :]).reshape(-1, width))
-        for k, idx in zip(ks[lo : lo + per], found.reshape(len(block), n)):
-            t = cands[k]
-            moved = comb.positions + t
+    for lo in range(0, len(ks), per):
+        block = ks[lo : lo + per]
+        if shifts is None:
+            found = (comb.find(comb.positions + cands[k]) for k in block)
+        else:  # one ref_index lookup per block of candidates
+            rows = shifts[block][:, None, :] + comb.refs[None, :, :]
+            found = comb.ref_index.find(rows.reshape(-1, rows.shape[2])).reshape(len(block), n)
+        for k, idx in zip(block, found):
+            moved = comb.positions + cands[k]
             i = np.flatnonzero(idx < n)
             j = idx[i]
-            gap = float(np.max(np.abs(moved[i] - comb.positions[j]), initial=0.0))
-            if gap > MERGE_TOL:
-                raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
-                                 f"{t.tolist()}: merged atoms {gap:.3e} apart")
+            if shifts is None:  # an original met twice stays with the lower-index atom
+                owner = np.full(n, n)
+                np.minimum.at(owner, j, i)
+                i, j = i[owner[j] == i], j[owner[j] == i]
+            else:
+                gap = float(np.max(np.abs(moved[i] - comb.positions[j]), initial=0.0))
+                if gap > MERGE_TOL:
+                    raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
+                                     f"{cands[k].tolist()}: merged atoms {gap:.3e} apart")
             wts = comb.weights.copy()
             wts[i] += -comb.weights[j]
             alone = np.ones(n, dtype=bool)
@@ -588,6 +610,8 @@ def meyer_gap(
     current = pts
     for _ in range(folds):
         current = (current[:, None, :] - pts[None, :, :]).reshape(-1, d)
+    if len(current) < 2:
+        return np.inf
     if d == 1:
         vals = np.sort(current[:, 0])
         gaps = np.diff(vals)

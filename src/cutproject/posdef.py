@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .comb import MERGE_TOL, WeightedComb, _near, lift
+from .comb import WeightedComb, lift
 from .cps import CutProjectScheme, Window
 
 PSD_TOL = 1e-8
@@ -26,27 +26,9 @@ MAX_GRAM_POINTS = 500
 CONFIG_SIZE = 40  # sample points per trial configuration
 
 
-def _lookup_weights(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> np.ndarray:
-    """f evaluated at the given points, zero where no atom sits.
-
-    Exact on integer coordinates when both ``f`` and the points carry them,
-    through the comb's ``ref_index``, sorted once per comb; otherwise the
-    lowest-index atom within ``MERGE_TOL`` (sup norm).
-    """
-    if refs is not None and f.refs is not None:
-        idx = f.ref_index.find(refs)
-    else:
-        query, atom = _near(f.positions, points, MERGE_TOL)
-        idx = np.full(len(points), f.n_atoms)
-        hit, first = np.unique(query, return_index=True)  # each query's first pair
-        idx[hit] = atom[first]
-    # an index of n_atoms or more means no atom and picks the appended zero
-    return np.append(f.weights, 0)[np.minimum(idx, f.n_atoms)]
-
-
 def _check_hermitian(f: WeightedComb) -> None:
     """Verify f(-t) = conj(f(t)) across the comb's atoms."""
-    mirror = _lookup_weights(f, -f.positions, -f.refs if f.refs is not None else None)
+    mirror = np.append(f.weights, 0)[f.find(-f.positions, -f.refs if f.refs is not None else None)]
     worst = float(np.max(np.abs(mirror - np.conj(f.weights)), initial=0.0))
     if worst > HERMITIAN_TOL:
         raise ValueError(f"not Hermitian: discrepancy {worst:.3e}")
@@ -91,7 +73,7 @@ def _gram(f: WeightedComb, points, refs) -> np.ndarray:
     if refs is not None and f.refs is not None:
         refs = np.atleast_2d(np.asarray(refs, dtype=np.int64))
         ref_diffs = refs[ii] - refs[jj]
-    vals = _lookup_weights(f, diffs, ref_diffs)
+    vals = np.append(f.weights, 0)[f.find(diffs, ref_diffs)]
     m = np.zeros((n, n), dtype=complex)
     m[ii, jj] = vals
     lower = np.conj(m.T)

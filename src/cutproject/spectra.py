@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .comb import LIFT_TOL, WeightedComb, _near, _write_table, a_norm, merge_atoms
+from .comb import LIFT_TOL, WeightedComb, _first_near, _near, _write_table, a_norm, merge_atoms
 from .cps import CutProjectScheme, Window, _model_set, dual_cps
 from .lattice import (
     BOUNDARY_TOL,
@@ -305,10 +305,7 @@ class Atomic:
         if self.phase:
             out = np.exp(self.phase * 2j * np.pi * pts @ self.points.T) @ self.weights
         else:
-            out = np.zeros(len(pts), dtype=complex)
-            query, atom = _near(self.points, pts, BOUNDARY_TOL)
-            hit, first = np.unique(query, return_index=True)  # each point's first pair
-            out[hit] = self.weights[atom[first]]
+            out = np.append(self.weights, 0)[_first_near(self.points, pts, BOUNDARY_TOL)]
         return out[0] if single else out
 
     def transform(self) -> Atomic:

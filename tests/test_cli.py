@@ -456,6 +456,18 @@ def test_oracle_explicit_peaks(tmp_path, capsys):
     assert "matches no spectrum peak" in capsys.readouterr().err
 
 
+def test_oracle_k_matches_in_the_sup_norm(tmp_path, capsys):
+    # (9e-7, 9e-7) is 1.27e-6 from k = 0 in the Euclidean norm, 9e-7 in the sup norm
+    out = tmp_path / "peaks.csv"
+    assert main(["oracle", "--config", str(AB_CONFIG), "--radius", "30", "--k", "0.0000009,0.0000009",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().split("\n")[1:-1]]
+    assert [(float(r[0]), float(r[1])) for r in rows] == [(0.0, 0.0)]
+    assert main(["oracle", "--config", str(AB_CONFIG), "--radius", "30", "--k", "0,0",
+                 "--k", "0.0000011,0"]) == 2
+    assert "k = [1.1e-06, 0.0] matches no spectrum peak" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scheme, k", [("fib", "0,1.6180339887498949"), ("ab", "0")])
 def test_oracle_k_needs_d_coordinates(tmp_path, capsys, scheme, k):
     config = FIB_CONFIG

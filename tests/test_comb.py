@@ -50,6 +50,14 @@ def test_duplicate_positions_rejected():
         WeightedComb([[0.0], [1e-10]], [1.0, 1.0])
 
 
+def test_exact_repeats_rejected_before_the_pair_search(monkeypatch):
+    # 0.0 and -0.0 are one position; no pair search is needed to see it
+    monkeypatch.setattr(comb_module, "_near", None)
+    for pos in ([[1.5], [0.0], [1.5]], [[0.0, 2.0], [-0.0, 2.0]]):
+        with pytest.raises(ValueError, match="duplicate positions"):
+            WeightedComb(pos, np.ones(len(pos)))
+
+
 def test_duplicate_positions_rejected_in_sup_norm():
     # Euclidean distance 1.27e-9, sup distance 0.9e-9: merge_atoms merges the
     # pair, so a comb without integer coordinates cannot hold it
@@ -135,11 +143,14 @@ def test_merge_float_chain_is_transitive():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_merge_float_matches_brute_components(dim):
+    # zero jitter leaves exact repeats, among them 0.0 and -0.0
     rng = np.random.default_rng(40 + dim)
-    for _ in range(20):
+    for jitter in [6e-10] * 20 + [0.0] * 10:
         centres = rng.integers(0, 6, size=(rng.integers(1, 8), dim)) * 1e-8
         positions = centres[rng.integers(0, len(centres), size=40)]
-        positions = positions + rng.uniform(-6e-10, 6e-10, size=positions.shape)
+        positions = positions + rng.uniform(-jitter, jitter, size=positions.shape)
+        if not jitter:
+            positions[(positions == 0.0) & (rng.random(positions.shape) < 0.5)] = -0.0
         weights = rng.integers(-5, 6, size=40) + 1j * rng.integers(-5, 6, size=40)
         pos, w, _ = merge_atoms(positions, weights)
         groups = brute_components(positions, MERGE_TOL)
@@ -458,6 +469,30 @@ def _scheme_patch(name, offset, scale, weights_seed=None):
     return cps, z, rng.integers(-2, 3, size=len(z)) + 1j * rng.normal(size=len(z))
 
 
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(SCHEMES)), st.floats(-3000.0, 3000.0), st.floats(0.3, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_find_by_refs_matches_find_by_position(name, offset, scale, seed):
+    cps, z, weights = _scheme_patch(name, offset, scale, weights_seed=seed)
+    assume(len(z) > 0)
+    comb = model_comb(cps, z, weights)
+    floats = WeightedComb(comb.positions, comb.weights)
+    n, rng = comb.n_atoms, np.random.default_rng(seed)
+    near = comb.positions + rng.choice([-0.9, 0.9], size=comb.positions.shape) * MERGE_TOL
+    for pos in (comb.positions, near):
+        assert np.array_equal(comb.find(pos, comb.refs), np.arange(n))
+        assert np.array_equal(floats.find(pos), np.arange(n))
+    # lattice points off the patch: their internal parts leave the window
+    far = z + 1000 * np.eye(cps.lat.n, dtype=np.int64)[0]
+    far_pos = cps.split(far)[0]
+    assert (comb.find(far_pos, far) == n).all() and (floats.find(far_pos) == n).all()
+    # points off the lattice, and atoms moved by more than MERGE_TOL
+    off = np.concatenate([comb.positions + 0.5 * rng.uniform(size=comb.positions.shape),
+                          comb.positions + 2.0 * MERGE_TOL])
+    off = off[(np.abs(off[:, None, :] - comb.positions[None, :, :]) > MERGE_TOL).any(axis=2).all(axis=1)]
+    assert (comb.find(off) == n).all() and (floats.find(off) == n).all()
+
+
 def _assert_same_candidates(cps, comb, max_cands):
     cands, shifts = _difference_candidates(cps, comb, max_cands)
     want_cands, want_shifts = integer_difference_candidates(cps, comb.positions, comb.refs,
@@ -547,6 +582,27 @@ def test_translate_scan_matches_grouped_merge(name, offset, scale, max_cands, bl
         got = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     assert_same_scan(got, want)
     assert len(got.norms) == len(got.accepted) == len(cands)
+
+
+def test_scan_without_shifts_pairs_the_lowest_index_original():
+    # the atom translated from 0 lands within MERGE_TOL of both originals at 10 and
+    # 10 + 1.5e-9: it pairs with the first, weight 1 + 3, and the second stays alone,
+    # weight -1, a window mass of 5 (merging all three gave one atom of weight 1 + 3 - 1,
+    # and the atoms translated from 10 and 10 + 1.5e-9 a window mass of 4)
+    comb = WeightedComb([[-20.0], [0.0], [10.0], [10.0 + 1.5e-9], [30.0]], [1.0, 1.0, -3.0, 1.0, 1.0])
+    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), 1.0, [[10.0 + 0.75e-9]])
+    assert scan.norms.tolist() == [5.0]
+
+
+def test_scan_without_shifts_subtracts_every_original_once():
+    # the atoms translated from 0 and 1.5e-9 both meet the original at 0 first: the
+    # lower-index one takes it, and T^t comb - comb keeps total weight 0
+    comb = WeightedComb([[-20.0], [0.0], [1.5e-9], [30.0]], [1.0, 2.0, 3.0, 4.0])
+    t = np.array([[-0.75e-9]])
+    ((pos, wts),) = comb_module._translate_differences(comb, t, None, [0])
+    assert wts.sum() == 0
+    assert pos[wts != 0].tolist() == [[1.5e-9 - 0.75e-9], [1.5e-9]]
+    assert wts[wts != 0].tolist() == [3.0, -3.0]
 
 
 def test_shift_that_does_not_match_its_translation_raises(fib, fib_window):
@@ -676,6 +732,13 @@ def test_meyer_gap_ammann_beenker():
     x, _ = ab.split(model_set(ab, window, Box([0.0, 0.0], [3.0, 3.0])))
     assert meyer_gap(x, folds=1) == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
     assert meyer_gap(x, folds=2) == pytest.approx(3.0 - 2.0 * np.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_meyer_gap_without_two_differences_is_infinite(d):
+    for positions in (np.zeros((0, d)), np.ones((1, d))):
+        for folds in (1, 2):
+            assert meyer_gap(positions, folds=folds) == np.inf
 
 
 def test_meyer_gap_budget():
