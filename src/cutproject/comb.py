@@ -372,10 +372,14 @@ def _difference_candidates(cps: CutProjectScheme, comb: WeightedComb, max_candid
     rather than off the N^2 pairs.  ``lattice_points_in_box`` lists the strip
     points with physical part in [-r, r]^d.  Only atoms whose first internal
     coordinate leaves room for dz's can realise dz; sorted on that
-    coordinate they form one run per dz, and refs + dz of each run is looked
-    up through ``ref_index`` in blocks of about ``_LOOKUP_CHUNK`` rows.  The
-    pair rule is applied to the float differences of the pairs found, so the
-    span/3 cap is decided pair by pair.  r starts at ``_STRIP_RADIUS`` and
+    coordinate they form one run per dz.  One realising pair keeps dz, so
+    the runs are probed rather than scanned whole: in rounds of 1, 2, 4, ...
+    rows, refs + dz of the next rows of every run not yet kept or used up is
+    looked up through ``ref_index``, in blocks of about ``_LOOKUP_CHUNK``
+    rows.  The pair rule is applied to the float differences of the pairs
+    found, so the span/3 cap is decided pair by pair; dz is kept at its first
+    passing pair and dropped when its run is used up without one, which keeps
+    exactly the translates a full scan keeps.  r starts at ``_STRIP_RADIUS`` and
     doubles until more than ``max_candidates`` kept translates have norm at
     most r (exactly as many would not tell whether the cut below happens),
     or until the box covers a third of the span on every axis; the cost
@@ -393,7 +397,6 @@ def _difference_candidates(cps: CutProjectScheme, comb: WeightedComb, max_candid
     cap = third + pad[: cps.d]
     by_lead = np.argsort(xstar[:, 0], kind="stable")
     key = xstar[by_lead, 0]
-    per = max(1, _LOOKUP_CHUNK // n)
     radius = _STRIP_RADIUS
     while True:
         half = np.minimum(radius, cap)
@@ -402,18 +405,25 @@ def _difference_candidates(cps: CutProjectScheme, comb: WeightedComb, max_candid
         lo = np.searchsorted(key, key[0] - dz_lead - slack, side="left")
         count = np.maximum(np.searchsorted(key, key[-1] - dz_lead + slack, side="right") - lo, 0)
         kept = np.zeros(len(dz), dtype=bool)
-        for first in range(0, len(dz), per):
-            c, start = count[first : first + per], lo[first : first + per]
-            k = np.repeat(np.arange(first, first + len(c)), c)
-            a = by_lead[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - start, c)]
-            # np.take on axis 0 gathers these narrow rows several times faster than indexing
-            b = comb.ref_index.find(np.take(z, a, axis=0) + np.take(dz, k, axis=0))
-            hit = b < n
-            k = k[hit]
-            diffs = (np.take(comb.positions, b[hit], axis=0)
-                     - np.take(comb.positions, a[hit], axis=0))
-            ok = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= third, axis=1)
-            kept[k[ok]] = True
+        live, width = np.flatnonzero(count), 1
+        while len(live):  # one round: the next `width` rows of every open run
+            rows = np.minimum(count[live], width)
+            per = max(1, _LOOKUP_CHUNK // int(rows.max()))
+            for first in range(0, len(live), per):
+                c, ks = rows[first : first + per], live[first : first + per]
+                k = np.repeat(ks, c)
+                a = by_lead[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - lo[ks], c)]
+                # np.take on axis 0 gathers these narrow rows several times faster than indexing
+                b = comb.ref_index.find(np.take(z, a, axis=0) + np.take(dz, k, axis=0))
+                hit = b < n
+                k = k[hit]
+                diffs = (np.take(comb.positions, b[hit], axis=0)
+                         - np.take(comb.positions, a[hit], axis=0))
+                ok = (np.linalg.norm(diffs, axis=1) > 1e-9) & np.all(np.abs(diffs) <= third, axis=1)
+                kept[k[ok]] = True
+            lo[live] += rows  # the rest of each run starts after the rows looked up
+            count[live] -= rows
+            live, width = live[~kept[live] & (count[live] > 0)], 2 * width
         shifts = dz[kept]
         ts = cps.split(shifts)[0]
         if ((half >= cap).all()
@@ -655,7 +665,9 @@ def comb_from_csv(path) -> WeightedComb:
     """Read a comb written by comb_to_csv; duplicate positions are rejected."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("comb csv is empty: no header line")
         if len(header) < 3 or header[-2:] != ["re", "im"]:
             raise ValueError("comb csv must end with re,im columns")
         dim = len(header) - 2

@@ -553,6 +553,57 @@ def test_strip_candidates_keep_the_exact_cap(fib):
     assert shifts.tolist() == [[0, 0], [-1, 0], [1, 0]]
 
 
+def test_strip_candidates_probe_past_the_first_row_of_a_run():
+    # a strip point's run holds the atoms a, in order of their first internal coordinate,
+    # that leave room for z_a + dz inside the patch's internal span; on this patch the
+    # first row of some kept strip points' runs finds no atom, and some find their first
+    # passing pair only in the third round of the probe or later
+    cps, z, weights = _scheme_patch("ab", 0.0, 1.0)  # the patch [0, 14]^2
+    comb = model_comb(cps, z, weights)
+    shifts = _assert_same_candidates(cps, comb, 50)[1:]
+    third = comb.extent.sides / 3.0
+    lead = cps.split(z)[1][:, 0]
+    by_lead = np.argsort(lead, kind="stable")
+    atom = {tuple(row): i for i, row in enumerate(z.tolist())}
+
+    def passes(a, b):
+        diff = comb.positions[b] - comb.positions[a]
+        return np.linalg.norm(diff) > 1e-9 and (np.abs(diff) <= third).all()
+
+    first_pair, first_row_empty = [], 0
+    for dz in shifts:
+        run = by_lead[lead[by_lead] + cps.split(dz)[1][0] >= lead.min() - 1e-9]
+        found = [atom.get(tuple((z[a] + dz).tolist())) for a in run]
+        first_row_empty += found[0] is None
+        first_pair.append(next(at for at, (a, b) in enumerate(zip(run, found))
+                               if b is not None and passes(a, b)))
+    assert first_row_empty > 0
+    assert max(first_pair) >= 3  # rounds of 1, 2, 4 rows: row 3 opens the third
+
+
+def test_strip_candidates_look_up_few_rows(monkeypatch):
+    # a full scan of every run looks up sum(count) rows; the probe stops each run at its
+    # first realising pair
+    cps, z, weights = _scheme_patch("ab", 0.0, 2.0)  # the patch [0, 28]^2
+    comb = model_comb(cps, z, weights)
+    lead = np.sort(cps.split(z)[1][:, 0])
+    full, probed = [], []
+
+    def strip(lat, box):
+        dz, p = lattice_points_in_box(lat, box)
+        dz_lead = p[:, cps.d]
+        full.append(np.sum(np.searchsorted(lead, lead[-1] - dz_lead, side="right")
+                           - np.searchsorted(lead, lead[0] - dz_lead, side="left")))
+        return dz, p
+
+    find = comb.ref_index.find
+    monkeypatch.setattr(comb_module, "lattice_points_in_box", strip)
+    monkeypatch.setattr(comb.ref_index, "find", lambda rows: probed.append(len(rows)) or find(rows))
+    _difference_candidates(cps, comb, 50)
+    assert comb.n_atoms == 800
+    assert sum(probed) < 0.05 * sum(full)
+
+
 def _unmatched_shifts(cps):
     """Lattice points near t = 0 whose internal part is far outside W - W: they map no atom."""
     box = Box.product(Box(np.full(cps.d, -4.0), np.full(cps.d, 4.0)),
@@ -775,6 +826,13 @@ def test_csv_rejects_rows_unlike_the_header(tmp_path, row):
     path = tmp_path / "ragged.csv"
     path.write_text(f"x1,re,im\n0.0,1.0,0.0\n{row}\n")
     with pytest.raises(ValueError, match="line 3 has"):
+        comb_from_csv(path)
+
+
+def test_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="comb csv is empty: no header line"):
         comb_from_csv(path)
 
 
