@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from cutproject import (
     model_set,
     norm_bound_check,
     oracle_amplitude,
+    oracle_amplitudes,
     pair_fibered,
     pairing_values,
     project,
@@ -335,6 +337,31 @@ def test_oracle_at_zero_is_point_density(fib):
     value = oracle_amplitude(fib, window, profile, [0.0], 2000.0)
     assert value.imag == 0.0
     assert value.real == pytest.approx(DENS, rel=0.01)
+
+
+def test_oracle_blocks_match_the_dense_sum(fib, fib_window, monkeypatch):
+    # blocks of 37 points, the last one short, against one (peaks x points) phase matrix
+    profile = trapezoid_profile([0.12], [0.55], [0.17])
+    ks = np.array([[0.0], [1.1708203932499369], [-3.0652475842498528], [0.7341], [12.5]])
+    monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", 37 * len(ks))
+    got = oracle_amplitudes(fib, fib_window, profile, ks, 300.0)
+    x, xstar = fib.split(model_set(fib, fib_window, Box([-300.0], [300.0])))
+    assert len(x) % 37
+    want = np.exp(-2j * np.pi * ks @ x.T) @ profile.value(xstar) / 600.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_oracle_memory_does_not_grow_with_the_patch(fib, fib_window):
+    # 200 peaks by 17,890 points is about 7 blocks of phases; the whole phase
+    # matrix and its exponential took 110 MiB
+    ks = np.linspace(-3.0, 3.0, 200)[:, None]
+    tracemalloc.start()
+    try:
+        oracle_amplitudes(fib, fib_window, box_profile(Box([0.0], [1.0])), ks, 20000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * spectra.BLOCK_ELEMENTS  # the phases, their cosines, and slack
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +724,44 @@ def test_axis_pair_kernel_blocks_join(monkeypatch):
         monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", per_block * n_nodes)
         blocked = _axis_pair_once(f_axis, g_axis, shifts, 40.0, 0.5, 8)
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_axis_pair_kernel_node_blocks_meet_at_panel_edges(monkeypatch, delta):
+    # blocks of 3 panels (24 nodes) over 80 panels, so the last block holds 2; 32
+    # shift rows per product, so the 159 shifts below also leave a short chunk
+    f_axis, g_axis = Axis(-1.0, 1.3, 0.1, 1), Axis(0.2, 0.9, delta, -1)
+    radius, panel, order = 20.0, 0.5, 8
+    monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", 32 * 3 * order)
+    y, _ = _gl_grid(radius, panel, order)
+    first = y[24::24]  # the first node of every block but the first
+    last = y[23:-1:24]  # the last node of the block before
+    r = spectra.EXACT_SINC_RADIUS
+    # shifts on both edge nodes, between them and half a near radius before an
+    # edge (near windows that straddle it), and a near radius past the last node
+    # of a block or before the first (a near window that begins or ends on it)
+    shifts = np.concatenate([first, last, (first + last) / 2.0, first - 0.5 * r, last + r, first - r,
+                             [y[-1], y[-1] - 0.5 * r, y[0]]])
+    assert len(shifts) % 32
+    got = _axis_pair_once(f_axis, g_axis, shifts, radius, panel, order)
+    want = per_shift_axis_pair(f_axis, g_axis, shifts, radius, panel, order)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dual_route_memory_does_not_grow_with_the_grid():
+    # the benchmark's quadrature: 192,000 nodes at the first panel level, twice
+    # as many at each halving; the whole-grid kernel's traced peak was 32 MiB
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    g = box_profile(Box([0.0], [1.0])).transform()
+    shifts = np.array([[0.0], [0.382], [-1.236], [2.618], [-0.5], [1.0]])
+    tracemalloc.start()
+    try:
+        _, tails = pairing_values(f, g, shifts, TruncationSpec(radius=4000.0, panel=1.0, order=24, tail_tol=1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(tails < 1e-6)
+    assert peak < 8 * 2**20
 
 
 def test_dual_route_rejects_spatial_axes():
