@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
@@ -44,8 +44,8 @@ from cutproject import (
 from cutproject.cli import parse_config_text, resolve_config
 from cutproject.lattice import lattice_points_in_box
 from cutproject import spectra
-from cutproject.spectra import (PEAK_PHASE_SIGN, Axis, Separable, _axis_pair_once, _compact_axis_pair,
-                                _CompactPairing, _gl_grid)
+from cutproject.spectra import (PEAK_PHASE_SIGN, QUADRATURE_REL_TOL, Axis, Separable, _axis_pair_once,
+                                _compact_axis_pair, _CompactPairing, _dual_blocks, _gl_grid)
 
 from .conftest import TAU
 from .helpers import full_box_diffraction, mp_compact_axis_pair, panel_compact_axis_pair, per_shift_axis_pair
@@ -686,15 +686,15 @@ def test_compact_axis_pair_matches_panel_oracle(a_axis, b_axis, free):
 
 @settings(max_examples=100)
 @given(transform_axis(), transform_axis(), st.lists(st.floats(-1e4, 1e4), max_size=4))
+# one plateau holds the other's support, so near s = 0 the closed form meets the
+# integral of the product, 0.55, and rounds to 0.5500000000000002
+@example(Axis(0.0, 2.0, 0.0, 1), Axis(1.0, 1.5, 0.05, -1), [1e-12, 1e-300])
 def test_compact_pairing_within_its_envelope(f_axis, g_axis, free):
-    # the envelope project's cover is built from; at s = 0 it is the integral of
-    # the product itself, which the closed form can exceed by rounding
+    # the envelope project's cover is built from, at every shift and at s = 0
     env = _CompactPairing(Separable((f_axis,)), Separable((g_axis,))).envelope(0)
     grid = np.logspace(-6.0, 4.0, 41)
-    shifts = np.concatenate([grid, -grid, piece_switch_shifts(f_axis, g_axis, 1e4), free])
-    shifts = shifts[shifts != 0.0]
+    shifts = np.concatenate([[0.0], grid, -grid, piece_switch_shifts(f_axis, g_axis, 1e4), free])
     assert np.all(np.abs(_compact_axis_pair(f_axis, g_axis, shifts)) <= env.at(shifts))
-    assert abs(_compact_axis_pair(f_axis, g_axis, np.zeros(1))[0]) <= env.c0 * (1.0 + 1e-12)
 
 
 def test_compact_axis_pair_nearer_the_exact_integral():
@@ -719,9 +719,10 @@ def test_axis_pair_kernel_blocks_join(monkeypatch):
     f_axis, g_axis = Axis(-1.0, 1.3, 0.1, 1), Axis(0.2, 0.9, 0.3, -1)
     shifts = np.linspace(-7.0, 9.0, 23)
     whole = _axis_pair_once(f_axis, g_axis, shifts, 40.0, 0.5, 8)
-    n_nodes = len(_gl_grid(40.0, 0.5, 8)[0])
-    for per_block in (1, 4):  # blocks of one shift and blocks with a short remainder
-        monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", per_block * n_nodes)
+    # below 32 x order elements a node block is one panel of 8 nodes, so 8 and
+    # 40 elements give chunks of one shift row and of 5 rows, 23 = 4 x 5 + 3
+    for elements in (8, 40):
+        monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", elements)
         blocked = _axis_pair_once(f_axis, g_axis, shifts, 40.0, 0.5, 8)
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
 
@@ -746,6 +747,47 @@ def test_axis_pair_kernel_node_blocks_meet_at_panel_edges(monkeypatch, delta):
     got = _axis_pair_once(f_axis, g_axis, shifts, radius, panel, order)
     want = per_shift_axis_pair(f_axis, g_axis, shifts, radius, panel, order)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_dual_blocks_node_factors_match_direct_trig(monkeypatch, delta):
+    # odd order on panels centred on 0 puts a node at y = 0 exactly, where the
+    # f-side amplitude is np.sinc's limit; blocks of 3 panels, the last of 2
+    f_axis, g_axis = Axis(-1.0, 1.3, delta, 1), Axis(0.2, 0.9, delta, -1)
+    radius, panel, order = 10.25, 0.5, 7
+    monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", 32 * 3 * order)
+    blocks = [[y, fw_re, fw_im] + [np.stack(pair) for pair in pairs]
+              for y, fw_re, fw_im, pairs in _dual_blocks(f_axis, g_axis, radius, panel, order)]
+    assert len(blocks) == 14 and len(blocks[-1][0]) == 2 * order
+    y, fw_re, fw_im, *pairs = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    grid, w = _gl_grid(radius, panel, order)
+    assert y.tobytes() == grid.tobytes()
+    turn = np.pi * f_axis.phase * (f_axis.a + f_axis.b) + np.pi * g_axis.phase * (g_axis.a + g_axis.b)
+    fw = f_axis.amplitude(y) * w
+    eps = np.finfo(float).eps
+    # angle addition and the direct call round omega y differently: a few ulps of it
+    bound = 8 * eps * (1.0 + np.abs(turn * y)) * np.abs(fw).max()
+    assert np.all(np.abs(fw_re - fw * np.cos(turn * y)) <= bound)
+    assert np.all(np.abs(fw_im - fw * np.sin(turn * y)) <= bound)
+    widths = [g_axis.b - g_axis.a + g_axis.delta] + ([g_axis.delta] if delta else [])
+    assert len(pairs) == len(widths)
+    for (sin, cos), l in zip(pairs, widths):
+        for got, want in ((sin, np.sin(np.pi * l * y)), (cos, np.cos(np.pi * l * y))):
+            assert np.all(np.abs(got - want) <= 8 * eps * (1.0 + np.abs(np.pi * l * y)))
+    zero = y == 0.0
+    assert zero.sum() == 1
+    assert fw_re[zero] == f_axis.amplitude(0.0) * w[zero] and fw_im[zero] == 0.0
+
+
+def test_dual_route_names_its_knobs_when_it_does_not_converge():
+    # panels of 8, 4, 2 and 1 with 2 nodes each cannot resolve sincs of period 1
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    g = box_profile(Box([0.0], [1.0])).transform()
+    with pytest.raises(TruncationError, match=r"TruncationSpec\.panel \(now 8\) or raise "
+                                              r"TruncationSpec\.order \(now 2\)") as info:
+        pairing_values(f, g, np.array([[0.0], [0.382]]), TruncationSpec(radius=50.0, panel=8.0, order=2))
+    change = float(str(info.value).split("relative change ")[1].split()[0])
+    assert change > QUADRATURE_REL_TOL
 
 
 def test_dual_route_memory_does_not_grow_with_the_grid():
