@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -407,6 +408,7 @@ def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cutproject",
                                      description="cut-and-project schemes and their spectra")

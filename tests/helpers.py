@@ -3,6 +3,8 @@
 import csv
 import io
 import itertools
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -360,6 +362,31 @@ def grouped_lookup(keys, queries):
     keys = np.asarray(keys, dtype=np.int64)
     label, first = _group_rows(np.concatenate([keys, np.asarray(queries, dtype=np.int64)]))
     return np.minimum(first[label[len(keys):]], len(keys))
+
+
+# ---------------------------------------------------------------------------
+# the reference table writer: one Python ``%`` per chunk of rows
+
+PERCENT_CHUNK = 65536  # rows formatted by one ``%``
+
+
+def reference_write_table(path, header, columns, newline: str = "\n") -> None:
+    """``comb._write_table`` by Python's ``%``: floats ``%.17g``, integers ``%d``.
+
+    Each chunk of rows is one ``%`` over the interleaved ``.tolist()`` values.
+    A ``path`` of None or "" writes to standard output.
+    """
+    formats = ["%d" if np.issubdtype(col.dtype, np.integer) else "%.17g" for col in columns]
+    line = ",".join(formats) + newline
+    width, n = len(columns), len(columns[0])
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        fh.write(",".join(header) + newline)
+        for lo in range(0, n, PERCENT_CHUNK):
+            rows = min(PERCENT_CHUNK, n - lo)
+            flat = [None] * (rows * width)
+            for j, col in enumerate(columns):
+                flat[j::width] = col[lo : lo + rows].tolist()
+            fh.write((line * rows) % tuple(flat))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cutproject.cli import (CONFIG_KEYS, GOLDEN, ConfigError, load_config, main, parse_config_text,
-                            resolve_config)
+from cutproject.cli import (CONFIG_KEYS, GOLDEN, ConfigError, build_parser, load_config, main,
+                            parse_config_text, resolve_config)
 
 REPO = Path(__file__).resolve().parents[1]
 FIB_CONFIG = REPO / "configs" / "fibonacci.toml"
@@ -454,6 +454,15 @@ def test_oracle_explicit_peaks(tmp_path, capsys):
     assert all(float(r[-1]) <= 0.03 for r in rows)
     assert main(["oracle", "--config", str(FIB_CONFIG), "--k", "0.3"]) == 2
     assert "matches no spectrum peak" in capsys.readouterr().err
+
+
+def test_parser_built_once_keeps_no_values_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    for k in ("0", "1.6180339887498949"):
+        out = tmp_path / f"peaks_{k}.csv"
+        assert main(["oracle", "--config", str(FIB_CONFIG), "--k", k, "--radius", "200",
+                     "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [k]
 
 
 def test_oracle_k_matches_in_the_sup_norm(tmp_path, capsys):

@@ -1,23 +1,34 @@
-"""Every CSV table, byte for byte against the row-by-row formatters in helpers.
+"""Every CSV table, byte for byte against Python's own formatting.
 
-The tables are written by one chunked ``%`` formatter; these tests feed each
-writer random columns with signed zeros, subnormals, huge values, infinities
-and nans (and negative int64 coordinates) and compare with the formatters
-that write one row at a time.
+The tables are written by one encoder of ``%.17g`` and ``%d`` over numpy
+columns.  These tests feed each writer random columns with signed zeros,
+subnormals, huge values, infinities and nans (and negative int64
+coordinates) and compare with the formatters in helpers that write one row
+at a time, and the writer itself with the chunked ``%`` reference writer.
 """
 
+import io
+import math
+import warnings
+from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cutproject import WeightedComb, comb_from_csv, comb_to_csv, spectrum_to_csv
 from cutproject import cli, comb
-from cutproject.comb import AlmostPeriodScan, _write_table
+from cutproject.comb import _POW_LO, AlmostPeriodScan, _decimal_tables, _write_table
 from cutproject.spectra import DiffractionSpectrum
 
 from .helpers import (
+    reference_write_table,
     rowwise_almostperiods_csv,
     rowwise_comb_csv,
     rowwise_modelset_csv,
@@ -192,3 +203,97 @@ def test_diffract_stdout_equals_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["diffract", "--config", str(FIB_CONFIG)]) == 0
     assert capsys.readouterr().out == out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# the encoder against the chunked ``%`` reference writer
+
+
+def table_text(writer, columns, newline="\n") -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        writer(None, [f"c{j}" for j in range(len(columns))], columns, newline)
+    return buf.getvalue()
+
+
+@st.composite
+def half_ties(draw):
+    """Floats whose product |x| * 10**(16 - e) is exactly a half-integer.
+
+    x = odd * 2**(e - 17) with odd * 5**(16 - e) in [2e16, 2e17), a float64 for e = -8..14.
+    """
+    e = draw(st.integers(-8, 14))
+    five = 5 ** (16 - e)
+    lo, hi = -(-2 * 10 ** 16 // five), (2 * 10 ** 17 - 1) // five
+    odd = 2 * draw(st.integers(lo // 2, (hi - 1) // 2)) + 1
+    return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(odd, e - 17)
+
+
+def power_neighbours(k, step):
+    return float(np.nextafter(10.0 ** k, math.copysign(math.inf, step))) if step else 10.0 ** k
+
+
+FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+                     math.nan, 1.7976931348623157e308]),
+    st.floats(allow_subnormal=True, allow_nan=True, allow_infinity=True),
+    st.builds(power_neighbours, st.integers(-323, 308), st.sampled_from([-1, 0, 1])),
+    half_ties(),
+    # the fixed/exponent edges: exponents -5, -4, 16 and 17
+    st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.sampled_from([-5, -4, 16, 17])),
+)
+INTS = st.one_of(st.integers(INT64.min, INT64.max),
+                 st.sampled_from([INT64.min, INT64.max, 0, -1, 10]))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    return [draw(arrays(np.int64, n, elements=INTS) if is_int
+                 else arrays(float, n, elements=FLOATS)) for is_int in kinds]
+
+
+@settings(max_examples=300)
+@given(tables(), st.sampled_from(["\n", "\r\n"]), st.sampled_from([1, 3, None]))
+def test_write_table_matches_percent_writer(columns, newline, chunk):
+    expected = table_text(reference_write_table, columns, newline)
+    with mock.patch.object(comb, "_TABLE_CHUNK", chunk or max(len(columns[0]), 1)):
+        assert table_text(_write_table, columns, newline) == expected
+
+
+def test_write_table_matches_percent_writer_on_random_bits():
+    rng = np.random.default_rng(900)
+    bits = rng.integers(0, 2 ** 64, size=(60000, 3), dtype=np.uint64)
+    columns = [*bits.view(np.float64).T, bits[:, 0].view(np.int64)]
+    assert table_text(_write_table, columns) == table_text(reference_write_table, columns)
+
+
+def test_power_table_is_correctly_rounded():
+    powers = _decimal_tables().powers
+    finite = np.isfinite(powers)
+    assert finite[: 308 - _POW_LO].all()  # float64's own range at least
+    for k, p in zip(range(_POW_LO, _POW_LO + len(powers)), powers):
+        if finite[k - _POW_LO]:
+            ulp = Fraction(*np.spacing(p).as_integer_ratio())
+            assert abs(Fraction(*p.as_integer_ratio()) - Fraction(10) ** k) <= ulp / 2
+
+
+def test_every_value_by_percent_when_no_product_is_trusted(monkeypatch):
+    """A bound that trusts no product, as where longdouble is float64, writes the same bytes."""
+    rng = np.random.default_rng(901)
+    columns = [floats(rng, 3000), rng.integers(INT64.min, INT64.max, 3000), floats(rng, 3000)]
+    expected = table_text(_write_table, columns)
+    monkeypatch.setattr(comb, "_TIE_BOUND", 1.0)
+    assert table_text(_write_table, columns) == expected
+    assert expected == table_text(reference_write_table, columns)
+
+
+def test_special_columns_raise_no_warning():
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-310, 1e-320])
+    columns = [special, special[::-1].copy(), np.arange(len(special))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = table_text(_write_table, columns)
+    assert text == table_text(reference_write_table, columns)
