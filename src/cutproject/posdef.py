@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .cps import CutProjectScheme, Window
 
 PSD_TOL = 1e-8
 HERMITIAN_TOL = 1e-6
-MAX_GRAM_POINTS = 500
+MAX_GRAM_POINTS = 500  # sample points per eigensolve, and summed over a block of trials
 CONFIG_SIZE = 40  # sample points per trial configuration
 
 
@@ -49,49 +48,37 @@ def gram_matrix(
     otherwise it matches positions within ``MERGE_TOL``.
     """
     _check_hermitian(f)
-    return _gram(f, points, refs)
+    refs = None if refs is None else np.atleast_2d(np.asarray(refs, dtype=np.int64))[None]
+    return _gram(f, np.atleast_2d(np.asarray(points, dtype=float))[None], refs)[0]
 
 
-@lru_cache(maxsize=8)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n)``, built once per size: every trial of a run has the same size."""
-    ii, jj = np.triu_indices(n)
-    ii.setflags(write=False)
-    jj.setflags(write=False)
-    return ii, jj
+def _gram(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> np.ndarray:
+    """``gram_matrix`` of each sample set of a (trials, n, d) stack, f's symmetry already checked.
 
-
-def _gram(f: WeightedComb, points, refs) -> np.ndarray:
-    """``gram_matrix`` for a comb whose Hermitian symmetry is already checked."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(pts)
+    All upper-triangle differences of the stack go to one lookup.
+    """
+    trials, n = points.shape[:2]
     if n > MAX_GRAM_POINTS:
         raise ValueError(f"too many sample points for the eigen budget ({n} > {MAX_GRAM_POINTS})")
-    ii, jj = _triu(n)
-    diffs = pts[ii] - pts[jj]
-    ref_diffs = None
-    if refs is not None and f.refs is not None:
-        refs = np.atleast_2d(np.asarray(refs, dtype=np.int64))
-        ref_diffs = refs[ii] - refs[jj]
-    vals = np.append(f.weights, 0)[f.find(diffs, ref_diffs)]
-    m = np.zeros((n, n), dtype=complex)
-    m[ii, jj] = vals
-    lower = np.conj(m.T)
-    m[jj, ii] = lower[jj, ii]
+    ii, jj = np.triu_indices(n)
+    diffs = (points[:, ii] - points[:, jj]).reshape(-1, points.shape[2])
+    ref_diffs = None if refs is None else (refs[:, ii] - refs[:, jj]).reshape(-1, refs.shape[2])
+    vals = np.append(f.weights, 0)[f.find(diffs, ref_diffs)].reshape(trials, len(ii))
+    m = np.zeros((trials, n, n), dtype=complex)
+    m[:, ii, jj] = vals
+    m[:, jj, ii] = np.conj(vals)
     return m
 
 
-def _min_eig(m: np.ndarray) -> tuple[float, bool, float]:
-    """(minimum eigenvalue, PSD verdict, tolerance) of a Gram matrix.
+def _min_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(minimum eigenvalues, PSD verdicts, tolerances) of a (trials, n, n) stack of Gram matrices.
 
-    The verdict is that the minimum eigenvalue clears -PSD_TOL scaled by the
+    A verdict is that the minimum eigenvalue clears -PSD_TOL scaled by the
     matrix max-norm, the tolerance double-precision eigensolves warrant at
-    this size.  An empty matrix passes with the unscaled tolerance.
+    this size.  Empty matrices pass with the unscaled tolerance.
     """
-    if len(m) == 0:
-        return 0.0, True, PSD_TOL
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    tol = PSD_TOL * max(1.0, float(np.max(np.abs(m))))
+    tol = PSD_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2), initial=0.0))
+    min_eig = np.linalg.eigvalsh(m)[:, 0] if m.shape[-1] else np.zeros(len(m))
     return min_eig, min_eig >= -tol, tol
 
 
@@ -108,7 +95,19 @@ def gram_min_eigenvalue(f: WeightedComb, points, refs=None) -> GramReport:
     """Minimum eigenvalue of the Gram matrix over the sample points, with its PSD verdict."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = gram_matrix(f, pts, refs=refs)
-    return GramReport(len(m), *_min_eig(m), pts)
+    (min_eig,), (ok,), (tol,) = _min_eig(m[None])
+    return GramReport(len(m), float(min_eig), bool(ok), float(tol), pts)
+
+
+def _trial_blocks(seed: int, population: int, size: int, trials: int):
+    """(slice of trials, index sets) per block of ``MAX_GRAM_POINTS // size`` trials, drawn when
+    the block starts by one ``rng.choice`` per trial in trial order, whatever the block length."""
+    rng = np.random.default_rng(seed)
+    per_block = max(1, MAX_GRAM_POINTS // max(size, 1))
+    for start in range(0, trials, per_block):
+        block = slice(start, min(start + per_block, trials))
+        yield block, np.stack([rng.choice(population, size=size, replace=False)
+                               for _ in range(block.stop - start)])
 
 
 @dataclass(frozen=True)
@@ -137,14 +136,12 @@ def restriction_check(
     if refs is not None:
         refs = np.atleast_2d(np.asarray(refs, dtype=np.int64))
     _check_hermitian(f)
-    rng = np.random.default_rng(seed)
     eigs = np.empty(trials)
     ok = True
-    for t in range(trials):
-        size = min(config_size, len(pts))
-        idx = rng.choice(len(pts), size=size, replace=False)
-        eigs[t], passed, _ = _min_eig(_gram(f, pts[idx], refs[idx] if refs is not None else None))
-        ok &= passed
+    size = min(config_size, len(pts))
+    for block, idx in _trial_blocks(seed, len(pts), size, trials):
+        eigs[block], passed, _ = _min_eig(_gram(f, pts[idx], refs[idx] if refs is not None else None))
+        ok &= bool(passed.all())
     return RestrictionReport(ok, trials, eigs, seed)
 
 
@@ -170,9 +167,10 @@ def lift_pd_crosscheck(
     The same index sets are used on both sides, so the two Gram matrices are
     equal entry by entry through the lift bijection and the two verdicts must
     agree; the report records both so that agreement is observed, not assumed.
-    Equality is still compared in every trial.  When the two matrices are
+    Equality is still compared in every trial.  Where the two matrices are
     equal the lifted one reuses the downstairs eigensolve, the same LAPACK
-    call on the same input; when they differ, each is solved on its own.
+    call on the same input; only the lifted matrices that differ are solved
+    again.
     """
     eta = lift(cps, gamma, window, window)
     if gamma.n_atoms == 0:
@@ -180,23 +178,20 @@ def lift_pd_crosscheck(
         return CrosscheckReport(True, True, True, empty, empty, seed)
     _check_hermitian(gamma)
     _check_hermitian(eta)
-    rng = np.random.default_rng(seed)
     down_eigs = np.empty(trials)
     up_eigs = np.empty(trials)
-    down_ok = up_ok = True
-    equal = True
-    for t in range(trials):
-        size = min(CONFIG_SIZE, gamma.n_atoms)
-        idx = rng.choice(gamma.n_atoms, size=size, replace=False)
-        refs = gamma.refs[idx] if gamma.refs is not None else None
+    down_ok = up_ok = equal = True
+    size = min(CONFIG_SIZE, gamma.n_atoms)
+    for block, idx in _trial_blocks(seed, gamma.n_atoms, size, trials):
+        refs = eta.refs[idx]  # lift keeps gamma's refs; a gamma without refs ignores them
         m_down = _gram(gamma, gamma.positions[idx], refs)
-        m_up = _gram(eta, eta.positions[idx], eta.refs[idx])
-        down_eigs[t], passed_down, _ = _min_eig(m_down)
-        if np.array_equal(m_down, m_up):
-            up_eigs[t], passed_up = down_eigs[t], passed_down
-        else:
+        m_up = _gram(eta, eta.positions[idx], refs)
+        down_eigs[block], passed_down, _ = _min_eig(m_down)
+        up_eigs[block], passed_up = down_eigs[block], passed_down.copy()
+        differ = ~(m_down == m_up).all(axis=(1, 2))
+        if differ.any():
             equal = False
-            up_eigs[t], passed_up, _ = _min_eig(m_up)
-        down_ok &= passed_down
-        up_ok &= passed_up
+            up_eigs[block][differ], passed_up[differ], _ = _min_eig(m_up[differ])
+        down_ok &= bool(passed_down.all())
+        up_ok &= bool(passed_up.all())
     return CrosscheckReport(down_ok, up_ok, equal, down_eigs, up_eigs, seed)

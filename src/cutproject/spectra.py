@@ -97,10 +97,10 @@ class AxisEnvelope:
         c0, c1, c2 = self.c0, self.c1, self.c2
         if c0 == 0.0:
             return [(0.0, np.inf, -1)]  # identically zero
-        if np.isfinite(c1) and np.isfinite(c2):
+        if np.isfinite(c1) and np.isfinite(c2) and c1 / c0 <= c2 / c1:
             r1, r2 = c1 / c0, c2 / c1
-            if r1 <= r2:
-                return [(0.0, r1, 0), (r1, r2, 1), (r2, np.inf, 2)]
+            return [(0.0, r1, 0), (r1, r2, 1), (r2, np.inf, 2)]
+        if np.isfinite(c2):  # c1 / x is nowhere the least of the three
             rc = np.sqrt(c2 / c0)
             return [(0.0, rc, 0), (rc, np.inf, 2)]
         if np.isfinite(c1):
@@ -281,7 +281,9 @@ class Atomic:
     At phase 0 ``value`` returns the weight of the lowest-index atom within
     ``BOUNDARY_TOL`` (sup norm) of each point, 0 elsewhere.  At phase -1 it
     is the trigonometric sum, bounded by the total absolute weight and
-    without decay.
+    without decay.  The sum runs over blocks of atoms, at most
+    ``BLOCK_ELEMENTS`` point-by-atom phases each, as the weights' real and
+    imaginary parts times cos and sin of the real phases.
     """
 
     points: np.ndarray
@@ -304,7 +306,15 @@ class Atomic:
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if self.phase:
-            out = np.exp(self.phase * 2j * np.pi * pts @ self.points.T) @ self.weights
+            h = np.stack([self.weights.real, self.weights.imag], axis=1)  # real products, no complex block
+            out = np.zeros(len(pts), dtype=complex)
+            scaled = self.phase * 2.0 * np.pi * pts
+            step = max(1, BLOCK_ELEMENTS // max(len(pts), 1))
+            for start in range(0, len(self.points), step):
+                turn = scaled @ self.points[start : start + step].T
+                cos = np.cos(turn) @ h[start : start + step]
+                sin = np.sin(turn, out=turn) @ h[start : start + step]
+                out += cos[:, 0] - sin[:, 1] + 1j * (cos[:, 1] + sin[:, 0])
         else:
             out = np.append(self.weights, 0)[_first_near(self.points, pts, BOUNDARY_TOL)]
         return out[0] if single else out
@@ -382,7 +392,7 @@ DEFAULT_INTERNAL_SLICE = 60.0
 QUADRATURE_REL_TOL = 1e-9  # relative change between panel halvings that ends refinement
 MAX_REFINE = 2  # panel halvings allowed beyond the first comparison
 EXACT_SINC_RADIUS = 1.0  # dual-route nodes this close to a shift (f-side: to 0) take np.sinc, not angle addition
-BLOCK_ELEMENTS = 1 << 19  # node-by-shift elements per block of the dual-route kernel's temporaries
+BLOCK_ELEMENTS = 1 << 19  # elements per block of blocked temporaries: node by shift, point by atom
 
 
 @dataclass(frozen=True)
@@ -1004,26 +1014,15 @@ def oracle_amplitudes(
 
     Averages h(xstar) exp(-2 pi i k.x) over the model set inside the box of
     the given radius.  This never touches dual-side code, so it serves as the
-    independent ground truth for the closed-form route.  The sum runs over
-    blocks of points, at most ``BLOCK_ELEMENTS`` peak-by-point phases each,
-    as h(xstar) cos and h(xstar) sin of the real phases.
+    independent ground truth for the closed-form route.  The sum is the
+    transform of the patch's atoms weighted by h(xstar), ``Atomic`` at phase -1.
     """
     if patch_radius <= 0:
         raise ValueError("patch radius must be positive")
     ks = np.atleast_2d(np.asarray(ks, dtype=float))
     query = Box(-patch_radius * np.ones(cps.d), patch_radius * np.ones(cps.d))
     x, xstar = cps.split(_model_set(cps, window, query, budget))
-    volume = (2.0 * patch_radius) ** cps.d
-    hvals = profile.value(xstar)
-    h = np.stack([hvals.real, hvals.imag], axis=1)  # real products, no complex copy of a block
-    out = np.zeros(len(ks), dtype=complex)
-    step = max(1, BLOCK_ELEMENTS // max(len(ks), 1))
-    for start in range(0, len(x), step):
-        turn = (-2.0 * np.pi * ks) @ x[start : start + step].T
-        cos = np.cos(turn) @ h[start : start + step]
-        sin = np.sin(turn, out=turn) @ h[start : start + step]
-        out += cos[:, 0] - sin[:, 1] + 1j * (cos[:, 1] + sin[:, 0])
-    return out / volume
+    return Atomic(x, profile.value(xstar), phase=-1).value(ks) / (2.0 * patch_radius) ** cps.d
 
 
 def oracle_amplitude(cps, window, profile, k, patch_radius, budget: int = DEFAULT_BUDGET) -> complex:

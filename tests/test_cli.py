@@ -428,6 +428,19 @@ def test_almostperiods_pinned_bytes(tmp_path, capsys, config, args, name, stdout
         assert capsys.readouterr().out == (DATA / f"{name}.stdout").read_text()
 
 
+@pytest.mark.parametrize("config, args, name, code", [
+    (FIB_CONFIG, ["--trials", "100"], "fibonacci_pdcheck", 0),
+    (AB_CONFIG, ["--trials", "100"], "ammann_beenker_pdcheck", 0),
+    (FIB_CONFIG, ["--corrupt", "--trials", "20"], "fibonacci_pdcheck_corrupt", 1),
+    (AB_CONFIG, ["--corrupt", "--trials", "20"], "ammann_beenker_pdcheck_corrupt", 1),
+])
+def test_pdcheck_pinned_stdout(capsys, config, args, name, code):
+    # the printed minimum eigenvalues are O(1) at 4 digits, far above what a
+    # different LAPACK build can move
+    assert main(["pdcheck", "--config", str(config), *args]) == code
+    assert capsys.readouterr().out == (DATA / f"{name}.stdout").read_text()
+
+
 @pytest.mark.parametrize("config, patch, name", [
     (FIB_CONFIG, None, "fibonacci_modelset"),
     (AB_CONFIG, "[0, 8, 0, 8]", "ammann_beenker_modelset"),

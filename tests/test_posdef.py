@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,7 +250,7 @@ def test_crosscheck_reuses_the_eigensolve_of_equal_matrices(fib, monkeypatch):
     monkeypatch.setattr(posdef, "_min_eig", lambda m: (solved.append(len(m)), min_eig(m))[1])
     report = lift_pd_crosscheck(fib, _crosscheck_gamma(fib), Window(Box([-1.0], [1.0])),
                                 trials=10, seed=3)
-    assert report.entrywise_equal and len(solved) == 10
+    assert report.entrywise_equal and sum(solved) == 10  # matrices solved, over all stacks
     assert report.min_eigs_up.tobytes() == report.min_eigs_down.tobytes()
 
 
@@ -261,7 +263,7 @@ def test_crosscheck_solves_a_differing_lifted_matrix(fib, monkeypatch):
     def shifted_lift(f, points, refs):
         m = gram(f, points, refs)
         if f.dim == fib.lat.n:  # the lifted comb: add 2 to every eigenvalue
-            m = m + 2.0 * np.eye(len(m))
+            m = m + 2.0 * np.eye(m.shape[-1])
             ups.append(m)
         return m
 
@@ -269,20 +271,10 @@ def test_crosscheck_solves_a_differing_lifted_matrix(fib, monkeypatch):
     monkeypatch.setattr(posdef, "_min_eig", lambda m: (solved.append(len(m)), min_eig(m))[1])
     report = lift_pd_crosscheck(fib, _crosscheck_gamma(fib), Window(Box([-1.0], [1.0])),
                                 trials=10, seed=3)
-    assert not report.entrywise_equal and len(solved) == 20
-    assert report.min_eigs_up.tolist() == [min_eig(m)[0] for m in ups]
+    assert not report.entrywise_equal and sum(solved) == 20  # matrices solved, over all stacks
+    assert report.min_eigs_up.tolist() == np.concatenate([min_eig(m)[0] for m in ups]).tolist()
     assert report.min_eigs_up == pytest.approx(report.min_eigs_down + 2.0, abs=1e-9)
     assert report.down_ok and report.up_ok
-
-
-def test_triu_indices_built_once_per_size():
-    from cutproject import posdef
-
-    ii, jj = posdef._triu(7)
-    assert posdef._triu(7)[0] is ii
-    want = np.triu_indices(7)
-    assert np.array_equal(ii, want[0]) and np.array_equal(jj, want[1])
-    assert not ii.flags.writeable and not jj.flags.writeable
 
 
 def test_crosscheck_empty_comb(fib):
@@ -290,6 +282,38 @@ def test_crosscheck_empty_comb(fib):
     gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0), dim=1)
     report = lift_pd_crosscheck(fib, gamma, window, trials=3, seed=1)
     assert report.down_ok and report.up_ok
+
+
+def test_trial_blocks_match_one_trial_at_a_time(fib, fib_window):
+    # 30 trials of 25 points run as blocks of 20 and 10; each trial still gets
+    # the index set of the same rng.choice call and the same eigenvalue
+    rng = np.random.default_rng(23)
+    comb, ac = random_autocorrelation(fib, fib_window, rng, hi=80.0)
+    assert comb.n_atoms > 25
+    report = restriction_check(ac, comb.positions, trials=30, seed=5, config_size=25, refs=comb.refs)
+    draws = np.random.default_rng(5)
+    want = []
+    for _ in range(30):
+        idx = draws.choice(comb.n_atoms, size=25, replace=False)
+        want.append(gram_min_eigenvalue(ac, comb.positions[idx], refs=comb.refs[idx]).min_eig)
+    assert report.min_eigs.tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError, match="budget"):
+        restriction_check(ac, np.linspace(0, 1, 501)[:, None], trials=2, seed=5, config_size=501)
+
+
+def test_crosscheck_memory_does_not_grow_with_trials(fib):
+    # blocks of MAX_GRAM_POINTS // 40 trials: beyond the two eigenvalue
+    # arrays (16 bytes a trial), 2,000 trials peak where 24 do
+    gamma, window = _crosscheck_gamma(fib), Window(Box([-1.0], [1.0]))
+    peaks = []
+    for trials in (24, 2000):
+        tracemalloc.start()
+        try:
+            lift_pd_crosscheck(fib, gamma, window, trials=trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2000 * 16 + 64 * 1024
 
 
 @settings(max_examples=60)

@@ -44,7 +44,8 @@ from cutproject import (
 from cutproject.cli import parse_config_text, resolve_config
 from cutproject.lattice import lattice_points_in_box
 from cutproject import spectra
-from cutproject.spectra import (PEAK_PHASE_SIGN, QUADRATURE_REL_TOL, Axis, Separable, _axis_pair_once,
+from cutproject.spectra import (PEAK_PHASE_SIGN, QUADRATURE_REL_TOL, Atomic, Axis, AxisEnvelope,
+                                ProjectedDensity, Separable, _axis_pair_once,
                                 _compact_axis_pair, _CompactPairing, _dual_blocks, _gl_grid)
 
 from .conftest import TAU
@@ -122,6 +123,39 @@ def test_admissibility_certificate_is_upper_bound():
 def test_box_transform_not_admissible():
     f = box_profile(Box([0.0], [1.0])).transform()
     assert not np.isfinite(f.admissibility_bound())
+
+
+@pytest.mark.parametrize("env", [
+    AxisEnvelope(1.0, 1.0 / np.pi, 2.0),  # c1 / c0 <= c2 / c1: c0, then c1 / r, then c2 / r^2
+    AxisEnvelope(2.0, 1.0 / np.pi, 0.01),  # c1 / c0 > c2 / c1: c1 / r is nowhere the least
+    AxisEnvelope(2.0, 1.0 / np.pi, np.inf),
+    AxisEnvelope(3.0, np.inf, 0.5),
+    AxisEnvelope(3.0, np.inf, np.inf),  # an atomic fiber's: no decay
+])
+def test_envelope_pieces_and_integral_follow_the_majorant(env):
+    # oracles: min(c0, c1 / r, c2 / r^2) written out, and quad of ``at``
+    from scipy.integrate import quad
+
+    pieces = env._pieces()
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == np.inf
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    for start, end, order in pieces:
+        r = np.linspace(start, min(end, start + 20.0), 41)[1:-1]
+        majorant = np.minimum(env.c0, np.minimum(env.c1 / r, env.c2 / r ** 2))
+        assert np.allclose((env.c0, env.c1, env.c2)[order] / r ** order, majorant, rtol=1e-14, atol=0)
+        assert np.allclose(env.at(r), majorant, rtol=1e-14, atol=0)
+    kinks = [end for _, end, _ in pieces[:-1]]
+    for r in (0.02, 0.5, 3.0, 40.0):
+        want = quad(env.at, 0.0, r, points=[k for k in kinks if k < r] or None, limit=200)[0]
+        assert env.integral_0_to(r) == pytest.approx(want, rel=1e-10)
+
+
+def test_zero_envelope_integrates_and_weighs_to_zero():
+    env = AxisEnvelope(0.0, 0.0, 0.0)  # the envelope of a zero-length axis
+    xi = np.linspace(-50.0, 50.0, 1001)
+    assert np.max((1.0 + xi ** 2) * env.at(xi)) == 0.0
+    assert env.admissibility_sup() == 0.0
+    assert env.integral_0_to(10.0) == 0.0
 
 
 def test_dual_integral_equals_cutoff_at_zero():
@@ -247,6 +281,35 @@ def test_atomic_transform_is_the_trigonometric_sum():
     got = AtomicTransform(points, weights).value(xi)
     assert np.max(np.abs(got - expected)) < 1e-12
     assert np.array_equal(got, atomic_profile(points, weights).transform().value(xi))
+
+
+@pytest.mark.parametrize("phase", [-1, 1])
+def test_atomic_transform_blocks_match_the_dense_sum(monkeypatch, phase):
+    # blocks of 7 atoms, the last one short, against one (points x atoms) exponential
+    rng = np.random.default_rng(43)
+    points = rng.uniform(-3.0, 3.0, size=(52, 2))
+    weights = rng.normal(size=52) + 1j * rng.normal(size=52)
+    xi = rng.uniform(-2.0, 2.0, size=(9, 2))
+    monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", 7 * len(xi))
+    got = Atomic(points, weights, phase=phase).value(xi)
+    want = np.exp(phase * 2j * np.pi * xi @ points.T) @ weights
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert Atomic(points, weights, phase=phase).value(xi[3]) == pytest.approx(got[3], rel=1e-13)
+
+
+def test_atomic_transform_memory_does_not_grow_with_the_atoms():
+    # 200 points by 20,000 atoms: the complex exponential of the whole phase
+    # matrix took 64 MB
+    rng = np.random.default_rng(47)
+    fiber = Atomic(rng.uniform(0.0, 1.0, size=(20000, 1)), rng.normal(size=20000), phase=-1)
+    xi = np.linspace(-3.0, 3.0, 200)[:, None]
+    tracemalloc.start()
+    try:
+        fiber.value(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * spectra.BLOCK_ELEMENTS  # the phases, their cosines, and slack
 
 
 def test_atomic_value_matches_in_sup_norm():
@@ -911,6 +974,38 @@ def test_project_pure_point_comb(fib):
         assert got[k] == pytest.approx(expected[k], abs=1e-12)
 
 
+def test_projected_density_is_the_sum_of_translated_profiles():
+    # oracle: the box profile on [0, 1] x [0, 2] is 1 exactly where x - t lies in it
+    rng = np.random.default_rng(53)
+    translates = rng.uniform(-2.0, 2.0, size=(30, 2))
+    coefficients = rng.normal(size=30) + 1j * rng.normal(size=30)
+    dens = ProjectedDensity(box_profile(Box([0.0, 0.0], [1.0, 2.0])), translates, coefficients)
+    points = rng.uniform(-3.0, 4.0, size=(200, 2))
+    inside = ((points[:, None, :] >= translates) & (points[:, None, :] <= translates + [1.0, 2.0])).all(axis=2)
+    want = inside.astype(float) @ coefficients
+    got = dens.value(points)
+    assert np.max(np.abs(got - want)) < 1e-12 and inside.any(axis=1).mean() > 0.3
+    assert dens.value(points[7]) == pytest.approx(want[7], abs=1e-12)
+
+
+def test_pair_fibered_motif_atom_is_scale_weight_f_at_kstar(fib):
+    # an atom-x-atom motif pairs to scale * weight * f(internal + k*) at each
+    # matched dual-lattice point (x, k*), with no tail
+    dual_lat = dual(fib.lat)
+    rho = PeriodicMeasure(
+        period=dual_lat, d=1, m=1, scale=0.7,
+        motif=(MotifAtom(phys=np.zeros(1), internal=np.array([0.3]), weight=0.5 - 0.25j),),
+    )
+    cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)
+    f = cutoff.dual_transform()
+    k = dual_lat.points(np.array([[1, 0], [0, 1], [-2, 1]]))
+    psi = [(k[0, :1], 1.0), (k[1, :1], 2.0j), (k[2, :1], -0.5)]
+    want = sum(val * 0.7 * (0.5 - 0.25j) * f.value(0.3 + pt[None, 1:])[0] for pt, (_, val) in zip(k, psi))
+    got = pair_fibered(rho, psi, cutoff, TruncationSpec(tail_tol=0.0))
+    assert abs(want) > 0.1
+    assert got == pytest.approx(want, abs=1e-14)
+
+
 def test_project_radii_follow_the_measure_scale(fib):
     # at scale 50 the derived internal radius must still reach every atom of
     # modulus above the threshold, as a fixed radius far beyond it does
@@ -1119,6 +1214,19 @@ def test_norm_bound_fibonacci(fib):
     assert report.ok
     assert report.left > 0.0
     assert report.constant_per_axis == pytest.approx(4.12988, abs=1e-4)
+
+
+def test_max_window_count_edges_and_sweep():
+    from cutproject.spectra import _max_window_count
+
+    assert _max_window_count(np.zeros((0, 2)), Box([0.0, 0.0], [1.0, 1.0]), Box([-5.0, -5.0], [5.0, 5.0])) == 0.0
+    rng = np.random.default_rng(59)
+    pts = np.sort(rng.uniform(-3.0, 3.0, size=(40, 1)), axis=0)
+    # a sweep narrower than the box leaves no translate: every point is the bound
+    assert _max_window_count(pts, Box([0.0], [2.0]), Box([0.0], [1.0])) == 40.0
+    # oracle: a best closed window of length 1 starts at a point
+    want = max(int(np.sum((pts[:, 0] >= x) & (pts[:, 0] <= x + 1.0))) for x in pts[:, 0])
+    assert _max_window_count(pts, Box([0.0], [1.0]), Box([-4.0], [5.0])) == want < 40
 
 
 def test_norm_bound_requires_admissible_f(fib):
