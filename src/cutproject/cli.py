@@ -3,8 +3,10 @@
 Configs are flat key = value text files.  Numeric values accept arithmetic
 expressions in which the literal ``golden`` expands to the golden ratio with
 17 significant digits, so canonical irrational bases are reproducible without
-symbolic algebra.  Exit codes: 0 success, 1 check failure, 2 usage or config
-error.
+symbolic algebra.  Exit codes: 0 success; 1 a check failed (a ``FAIL`` line on
+stdout); 2 usage or config error; 3 out of enumeration budget or memory, with the
+knobs to turn (``budget =`` / ``--budget``, ``patch_query``, ``--radius``,
+``threshold``); 4 any other exception, a defect, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import ast
 import functools
 import operator
 import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +43,12 @@ GOLDEN = 1.6180339887498949  # golden ratio to 17 significant digits
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_RESOURCE = 3  # out of enumeration budget or memory
+EXIT_CRASH = 4  # any other exception: a defect, reported with its traceback
+
+RESOURCE_KNOBS = ("raise `budget =` in the config or pass --budget, or shrink the work: "
+                  "a smaller `patch_query` (modelset, pdcheck, almostperiods), a smaller "
+                  "--radius (oracle) or a larger `threshold` (diffract, oracle)")
 
 
 class ConfigError(ValueError):
@@ -378,7 +387,7 @@ def cmd_pdcheck(cfg: SchemeConfig, args) -> int:
         idx = int(np.argmin(np.linalg.norm(gamma.positions, axis=1)))
         w = gamma.weights.copy()
         w[idx] = -w[idx]
-        gamma = WeightedComb(gamma.positions, w, refs=gamma.refs, dim=gamma.dim, validate=False)
+        gamma = WeightedComb(gamma.positions, w, refs=gamma.refs, validate=False)
     bbox = cfg.window.bounding_box()
     diff_window = Window(Box(bbox.lo - bbox.hi, bbox.hi - bbox.lo))
     report = lift_pd_crosscheck(cfg.scheme, gamma, diff_window, trials=args.trials, seed=cfg.seed)
@@ -465,28 +474,27 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.budget is not None:
             cfg.budget = args.budget
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except (BudgetError, MemoryError) as exc:
+        kind = "budget error" if isinstance(exc, BudgetError) else "out of memory"
+        print(f"{kind}: {str(exc) or type(exc).__name__}\n{RESOURCE_KNOBS}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

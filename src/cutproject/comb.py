@@ -53,11 +53,9 @@ class WeightedComb:
     weights: np.ndarray
     refs: np.ndarray | None = None
 
-    def __init__(self, positions, weights, refs=None, dim=None, validate=True) -> None:
+    def __init__(self, positions, weights, refs=None, validate=True) -> None:
         positions = np.asarray(positions, dtype=float)
-        if positions.size == 0:
-            positions = positions.reshape(0, dim if dim is not None else 1)
-        positions = np.atleast_2d(positions)
+        positions = positions.reshape(0, 1) if positions.shape == (0,) else np.atleast_2d(positions)
         weights = np.asarray(weights, dtype=complex).reshape(-1)
         if len(weights) != len(positions):
             raise ValueError("positions and weights must have equal length")
@@ -114,24 +112,22 @@ class WeightedComb:
 
     def translated(self, t) -> "WeightedComb":
         # integer coordinates do not survive an arbitrary translation
-        return WeightedComb(self.positions + np.asarray(t, dtype=float), self.weights,
-                            dim=self.dim, validate=False)
+        return WeightedComb(self.positions + np.asarray(t, dtype=float), self.weights, validate=False)
 
     def scaled(self, factor: complex) -> "WeightedComb":
-        return WeightedComb(self.positions, self.weights * factor, refs=self.refs,
-                            dim=self.dim, validate=False)
+        return WeightedComb(self.positions, self.weights * factor, refs=self.refs, validate=False)
 
 
 def strip_comb(cps: CutProjectScheme, z, weights) -> WeightedComb:
     """Comb on R^(d+m) supported on the lattice points with coordinates ``z``."""
     z = np.atleast_2d(np.asarray(z, dtype=np.int64))
-    return WeightedComb(cps.lat.points(z), weights, refs=z, dim=cps.lat.n)
+    return WeightedComb(cps.lat.points(z), weights, refs=z)
 
 
 def model_comb(cps: CutProjectScheme, z, weights) -> WeightedComb:
     """Comb on R^d supported on the physical projections of the points ``z``."""
     z = np.atleast_2d(np.asarray(z, dtype=np.int64))
-    return WeightedComb(cps.lat.points(z)[:, : cps.d], weights, refs=z, dim=cps.d)
+    return WeightedComb(cps.lat.points(z)[:, : cps.d], weights, refs=z)
 
 
 def _near(points: np.ndarray, queries: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -199,49 +195,48 @@ def lift(
     cps: CutProjectScheme,
     gamma: WeightedComb,
     window: Window,
-    search: Window,
     budget: int = DEFAULT_BUDGET,
 ) -> WeightedComb:
-    """Lift a comb on R^d to the lattice strip: atom at x becomes atom at (x, xstar).
+    """Lift a comb on R^d to the strip L ∩ (G × window): atom at x becomes atom at (x, xstar).
 
     Every atom must sit (within ``LIFT_TOL``, sup norm) on the physical part
-    of exactly one lattice point whose internal part lies in the ``search``
-    window.  Weights and atom count are preserved.  When the input already carries integer
+    of exactly one lattice point whose internal part lies in ``window``.
+    Weights and atom count are preserved.  When the input already carries integer
     coordinates they are trusted after validation, which keeps the round trip
     with ``descent`` exact.
     """
     if gamma.dim != cps.d:
         raise ValueError("comb dimension does not match the scheme's physical dimension")
-    if search.m != cps.m or window.m != cps.m:
+    if window.m != cps.m:
         raise ValueError("window dimension does not match the scheme's internal dimension")
     if gamma.n_atoms == 0:
         return WeightedComb(np.zeros((0, cps.lat.n)), np.zeros(0, complex),
-                            refs=np.zeros((0, cps.lat.n), np.int64), dim=cps.lat.n)
+                            refs=np.zeros((0, cps.lat.n), np.int64))
 
     if gamma.refs is not None:
         z = gamma.refs
         if z.shape[1] != cps.lat.n:
             raise ValueError("integer coordinates must have the full lattice dimension")
         full = cps.lat.points(z)
-        if not search.contains(full[:, cps.d :]).all():
-            raise ValueError("atom not on Lambda(search): internal part outside the search window")
+        if not window.contains(full[:, cps.d :]).all():
+            raise ValueError("atom not on Lambda(window): internal part outside the window")
         if np.max(np.abs(full[:, : cps.d] - gamma.positions)) > LIFT_TOL:
-            raise ValueError("atom not on Lambda(search): position does not match its coordinates")
-        return WeightedComb(full, gamma.weights, refs=z, dim=cps.lat.n, validate=False)
+            raise ValueError("atom not on Lambda(window): position does not match its coordinates")
+        return WeightedComb(full, gamma.weights, refs=z, validate=False)
 
     phys_box = gamma.extent.inflate(LIFT_TOL)
-    full_box = Box.product(phys_box, search.bounding_box())
+    full_box = Box.product(phys_box, window.bounding_box())
     z, p = lattice_points_in_box(cps.lat, full_box, budget=budget)
-    keep = search.contains(p[:, cps.d :])
+    keep = window.contains(p[:, cps.d :])
     z, p = z[keep], p[keep]
     atom, matched = _near(p[:, : cps.d], gamma.positions, LIFT_TOL)
     count = np.bincount(atom, minlength=gamma.n_atoms)
     if (count != 1).any():
         i = int(np.argmax(count != 1))
         if count[i] == 0:
-            raise ValueError(f"atom not on Lambda(search): no lattice point near atom {i}")
+            raise ValueError(f"atom not on Lambda(window): no lattice point near atom {i}")
         raise ValueError(f"injectivity violation at atom {i}: two lattice points within tolerance")
-    return WeightedComb(p[matched], gamma.weights, refs=z[matched], dim=cps.lat.n, validate=False)
+    return WeightedComb(p[matched], gamma.weights, refs=z[matched], validate=False)
 
 
 def descent(cps: CutProjectScheme, eta: WeightedComb) -> WeightedComb:
@@ -255,7 +250,7 @@ def descent(cps: CutProjectScheme, eta: WeightedComb) -> WeightedComb:
     if eta.refs is None:
         raise ValueError("descent requires integer lattice coordinates on the comb")
     positions = cps.lat.points(eta.refs)[:, : cps.d] if eta.n_atoms else np.zeros((0, cps.d))
-    return WeightedComb(positions, eta.weights, refs=eta.refs, dim=cps.d, validate=False)
+    return WeightedComb(positions, eta.weights, refs=eta.refs, validate=False)
 
 
 def _translate_range(a_box: Box, region: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -496,7 +491,7 @@ def eps_norm_almost_periods(
         pos, wts = pos[live], wts[live]
         # the closed overlap within BOUNDARY_TOL, as Box.contains decides it
         inside = ((pos >= lo[k] - BOUNDARY_TOL) & (pos <= hi[k] + BOUNDARY_TOL)).all(axis=1)
-        diff = WeightedComb(pos[inside], wts[inside], dim=comb.dim, validate=False)
+        diff = WeightedComb(pos[inside], wts[inside], validate=False)
         eval_region = Box(lo[k] + span, hi[k] - span)
         norms[k] = a_norm(diff, a_box, eval_region) if diff.n_atoms else 0.0
     accepted = norms < eps
@@ -569,7 +564,7 @@ def autocorrelation_patch(comb: WeightedComb, region: Box) -> WeightedComb:
     vol = region.volume
     n = comb.n_atoms
     if n == 0:
-        return WeightedComb(np.zeros((0, comb.dim)), np.zeros(0, complex), dim=comb.dim)
+        return WeightedComb(np.zeros((0, comb.dim)), np.zeros(0, complex))
 
     ii, jj = np.triu_indices(n, k=1)
     diffs = comb.positions[ii] - comb.positions[jj]
@@ -596,7 +591,7 @@ def autocorrelation_patch(comb: WeightedComb, region: Box) -> WeightedComb:
     out_refs = None
     if refs is not None:
         out_refs = np.concatenate([np.zeros((1, refs.shape[1]), np.int64), refs, -refs])
-    return WeightedComb(positions, weights, refs=out_refs, dim=comb.dim, validate=False)
+    return WeightedComb(positions, weights, refs=out_refs, validate=False)
 
 
 def meyer_gap(
@@ -840,5 +835,5 @@ def comb_from_csv(path) -> WeightedComb:
             positions.append(values[:dim])
             weights.append(complex(values[dim], values[dim + 1]))
     if not positions:
-        return WeightedComb(np.zeros((0, dim)), np.zeros(0, complex), dim=dim)
-    return WeightedComb(np.array(positions), np.array(weights), dim=dim)
+        return WeightedComb(np.zeros((0, dim)), np.zeros(0, complex))
+    return WeightedComb(np.array(positions), np.array(weights))

@@ -172,7 +172,7 @@ def lift_pd_crosscheck(
     call on the same input; only the lifted matrices that differ are solved
     again.
     """
-    eta = lift(cps, gamma, window, window)
+    eta = lift(cps, gamma, window)
     if gamma.n_atoms == 0:
         empty = np.zeros(0)
         return CrosscheckReport(True, True, True, empty, empty, seed)

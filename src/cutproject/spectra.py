@@ -75,10 +75,9 @@ class AxisEnvelope:
     def at(self, r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
         out = np.full(r.shape, self.c0)
-        with np.errstate(divide="ignore"):
-            for c, power in ((self.c1, 1), (self.c2, 2)):
-                if self.c0 and np.isfinite(c):  # the zero envelope stays 0: its c2 / r^2 can be 0 / 0
-                    out = np.minimum(out, np.where(r > 0, c / np.maximum(r, 1e-300) ** power, np.inf))
+        for c, power in ((self.c1, 1), (self.c2, 2)):
+            if np.isfinite(c):  # a floor on r^power, not on r, so a zero c gives 0, never 0 / 0
+                out = np.minimum(out, np.where(r > 0, c / np.maximum(r ** power, 1e-300), np.inf))
         return out if out.ndim else float(out)
 
     def radius(self, t: float) -> float:
@@ -95,8 +94,8 @@ class AxisEnvelope:
     def _pieces(self) -> list[tuple[float, float, int]]:
         """(start, end, order) pieces of the active majorant on [0, inf)."""
         c0, c1, c2 = self.c0, self.c1, self.c2
-        if c0 == 0.0:
-            return [(0.0, np.inf, -1)]  # identically zero
+        if 0.0 in (c0, c1, c2):
+            return [(0.0, np.inf, -1)]  # zero for every x > 0
         if np.isfinite(c1) and np.isfinite(c2) and c1 / c0 <= c2 / c1:
             r1, r2 = c1 / c0, c2 / c1
             return [(0.0, r1, 0), (r1, r2, 1), (r2, np.inf, 2)]
@@ -124,8 +123,8 @@ class AxisEnvelope:
 
     def admissibility_sup(self) -> float:
         """sup over xi of (1 + xi^2) * majorant(xi); finite only with quadratic decay."""
-        if self.c0 == 0.0:
-            return 0.0
+        if 0.0 in (self.c0, self.c1, self.c2):
+            return float(self.c0)  # zero for every xi > 0: the sup is the value at 0
         if not np.isfinite(self.c2):
             return np.inf
         candidates = [self.c0, self.c2]
@@ -399,12 +398,10 @@ BLOCK_ELEMENTS = 1 << 19  # elements per block of blocked temporaries: node by s
 class TruncationSpec:
     """Declared truncation for dual-side quadrature.
 
-    ``radius`` bounds the integration box per axis, ``tail_tol`` the total
-    certified quadrature tail allowed, and ``internal_radius`` (when set)
-    caps the internal-dual enumeration instead of deriving it from decay
-    envelopes.  The fibered pairing always works on a declared internal
-    slice (``internal_radius`` or the default); translates beyond it are
-    outside the declared computation.
+    ``radius`` bounds the integration box per axis and ``tail_tol`` the total
+    certified quadrature tail allowed.  The fibered pairing works on a
+    declared internal slice, ``internal_radius`` or ``DEFAULT_INTERNAL_SLICE``;
+    translates beyond it are outside the declared computation.
     """
 
     radius: float = 200.0
@@ -1064,7 +1061,7 @@ def project(
     f: Separable,
     query: Box,
     threshold: float,
-    trunc: TruncationSpec | None = None,
+    internal_radius: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ProjectionResult:
     """Pair the internal variable of a periodic measure with an admissible f.
@@ -1074,7 +1071,7 @@ def project(
     densities.  Peaks and coefficients below ``threshold`` in modulus are
     dropped.  Each component enumerates, as ``diffraction`` does, the
     ``_fiber_cover`` of its pairing's envelopes at a tenth of the threshold,
-    shifted by its internal offset, or the cube of ``trunc.internal_radius``
+    shifted by its internal offset, or the cube of half-side ``internal_radius``
     when set.  Where atoms of two components meet, each has dropped its own
     contributions below that level, and so has their merged weight.
     """
@@ -1084,21 +1081,19 @@ def project(
         raise ValueError("query box must live in physical-dual space")
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    trunc = trunc or TruncationSpec()
     floor = max(threshold, 1e-12) / 10.0
 
     atom_positions: list[np.ndarray] = []
     atom_weights: list[np.ndarray] = []
     densities: list[ProjectedDensity] = []
 
-    fixed = trunc.internal_radius
     for comp in rho.motif:
         target = floor / max(abs(comp.weight) * rho.scale, 1e-300)
         pairing = comp.paired(f)
-        if fixed is None:
+        if internal_radius is None:
             cover = _fiber_cover(pairing, target, _fiber_radii(pairing, target))
         else:
-            cover = [Box(np.full(f.m, -float(fixed)), np.full(f.m, float(fixed)))]
+            cover = [Box(np.full(f.m, -float(internal_radius)), np.full(f.m, float(internal_radius)))]
         _, p = _cover_points(rho.period, comp.offset(query), [part.shifted(-comp.internal) for part in cover],
                              budget)
         if not len(p):
@@ -1121,9 +1116,9 @@ def project(
         keep = np.abs(wts) >= threshold
         pos, wts = pos[keep], wts[keep]
         order = np.lexsort(tuple(pos[:, i] for i in reversed(range(pos.shape[1]))))
-        atoms = WeightedComb(pos[order], wts[order], dim=rho.d, validate=False)
+        atoms = WeightedComb(pos[order], wts[order], validate=False)
     else:
-        atoms = WeightedComb(np.zeros((0, rho.d)), np.zeros(0, complex), dim=rho.d)
+        atoms = WeightedComb(np.zeros((0, rho.d)), np.zeros(0, complex))
     return ProjectionResult(atoms=atoms, densities=tuple(densities))
 
 
@@ -1228,7 +1223,7 @@ def _max_window_count(points: np.ndarray, box: Box, sweep: Box) -> float:
     """Largest number of points a translate of ``box`` inside ``sweep`` captures."""
     if len(points) == 0:
         return 0.0
-    comb = WeightedComb(points, np.ones(len(points)), dim=points.shape[1], validate=False)
+    comb = WeightedComb(points, np.ones(len(points)), validate=False)
     try:
         return a_norm(comb, box, sweep)
     except ValueError:
@@ -1236,14 +1231,13 @@ def _max_window_count(points: np.ndarray, box: Box, sweep: Box) -> float:
 
 
 def norm_bound_check(
-    dims: tuple[int, int],
     rho: PeriodicMeasure,
     f: Separable,
     k_box: Box,
     k1_box: Box,
     sweep_halfwidth: float = 25.0,
     internal_sweep: float = 8.0,
-    trunc: TruncationSpec | None = None,
+    internal_radius: float = 50.0,
     budget: int = DEFAULT_BUDGET,
 ) -> NormBoundReport:
     """Check the admissible-projection norm bound on one configuration.
@@ -1253,17 +1247,15 @@ def norm_bound_check(
     unit-cell decay constant, the cutoff sup norm, the admissibility bound of
     f, and an upper estimate of the measure's norm over the product box
     k1_box x unit internal cube.  Both sides are computed; ok means
-    left <= right.
+    left <= right.  The projection enumerates the internal cube of
+    half-side ``internal_radius``.
     """
-    d, m = dims
-    if d != rho.d or m != rho.m:
-        raise ValueError("dims must match the measure")
+    d, m = rho.d, rho.m
     if not ((k_box.lo > k1_box.lo) & (k_box.hi < k1_box.hi)).all():
         raise ValueError("k_box must lie strictly inside k1_box")
     admissibility = f.admissibility_bound()
     if not np.isfinite(admissibility):
         raise ValueError("f lacks a quadratic decay certificate")
-    trunc = trunc or TruncationSpec(internal_radius=50.0)
     c1, _ = unit_cell_decay_constant()
     constant = c1 ** m
 
@@ -1271,7 +1263,7 @@ def norm_bound_check(
         [rho.scale * abs(c.weight) for c in rho.motif] + [1e-6]
     )
     sweep = Box(-sweep_halfwidth * np.ones(d), sweep_halfwidth * np.ones(d))
-    proj = project(rho, f, sweep, NORM_THRESHOLD_REL * hint, trunc, budget=budget)
+    proj = project(rho, f, sweep, NORM_THRESHOLD_REL * hint, internal_radius, budget=budget)
     span = k_box.sides
     eval_region = Box(sweep.lo + span, sweep.hi - span)
     left_atoms = a_norm(proj.atoms, k_box, eval_region) if proj.atoms.n_atoms else 0.0
@@ -1281,8 +1273,7 @@ def norm_bound_check(
             continue
         g_box = dens.profile.support_box()
         mass = dens.profile.abs_integral()
-        pseudo = WeightedComb(dens.translates, np.abs(dens.coefficients) * mass,
-                              dim=d, validate=False)
+        pseudo = WeightedComb(dens.translates, np.abs(dens.coefficients) * mass, validate=False)
         capture = Box(k_box.lo - g_box.hi, k_box.hi - g_box.lo)
         left_density += a_norm(pseudo, capture, eval_region.inflate(np.max(g_box.sides)))
     left = left_atoms + left_density

@@ -243,7 +243,7 @@ def grouped_almost_period_scan(comb: WeightedComb, a_box: Box, eps: float, cands
         live = wts != 0
         pos, wts = pos[live], wts[live]
         inside = overlap.contains(pos) if len(pos) else np.zeros(0, bool)
-        diff = WeightedComb(pos[inside], wts[inside], dim=comb.dim, validate=False)
+        diff = WeightedComb(pos[inside], wts[inside], validate=False)
         region = Box(overlap.lo + span, overlap.hi - span)
         norms[k] = a_norm(diff, a_box, region) if diff.n_atoms else 0.0
     accepted = norms < eps

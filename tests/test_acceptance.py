@@ -98,14 +98,14 @@ def test_criterion_2_lift_descent_round_trip(fib):
             weights = rng.normal(size=size) + 1j * rng.normal(size=size)
 
             gamma = model_comb(fib, z_all[idx], weights)
-            eta = lift(fib, gamma, window, window)
+            eta = lift(fib, gamma, window)
             back = descent(fib, eta)
             assert np.array_equal(back.weights, gamma.weights)
             assert np.array_equal(back.refs, gamma.refs)
             assert np.array_equal(back.positions, gamma.positions)
 
             eta0 = strip_comb(fib, z_all[idx], weights)
-            up = lift(fib, descent(fib, eta0), window, window)
+            up = lift(fib, descent(fib, eta0), window)
             assert np.array_equal(up.weights, eta0.weights)
             assert np.array_equal(up.refs, eta0.refs)
             assert np.array_equal(up.positions, eta0.positions)
@@ -133,7 +133,7 @@ def _flip_center(gamma):
     idx = int(np.argmin(np.linalg.norm(gamma.positions, axis=1)))
     w = gamma.weights.copy()
     w[idx] = -w[idx]
-    return WeightedComb(gamma.positions, w, refs=gamma.refs, dim=gamma.dim, validate=False)
+    return WeightedComb(gamma.positions, w, refs=gamma.refs, validate=False)
 
 
 def test_criterion_3_pd_lift_crosscheck(fib, cps2d):
@@ -217,11 +217,11 @@ def test_criterion_6_projector_commutation(fib):
         )
         f = make_cutoff(Box([-0.5], [1.0]), 0.2).dual_transform()
         query = Box([-5.0], [5.0])
-        trunc = TruncationSpec(internal_radius=40.0)
-        whole = project(rho, f, query, 1e-4, trunc)
-        pp = project(spectral_projector(rho, "pp"), f, query, 1e-4, trunc)
-        ac = project(spectral_projector(rho, "ac"), f, query, 1e-4, trunc)
-        sc = project(spectral_projector(rho, "sc"), f, query, 1e-4, trunc)
+        internal_radius = 40.0
+        whole = project(rho, f, query, 1e-4, internal_radius)
+        pp = project(spectral_projector(rho, "pp"), f, query, 1e-4, internal_radius)
+        ac = project(spectral_projector(rho, "ac"), f, query, 1e-4, internal_radius)
+        sc = project(spectral_projector(rho, "sc"), f, query, 1e-4, internal_radius)
 
         assert np.array_equal(pp.atoms.positions, whole.atoms.positions)
         assert np.max(np.abs(pp.atoms.weights - whole.atoms.weights)) <= 1e-10
@@ -243,7 +243,7 @@ def test_criterion_6_projector_commutation(fib):
 def test_criterion_7_norm_bound_and_almost_periods(fib):
     with criterion(7, "projection norm bound holds; projected spectrum is almost periodic", 60.0):
         rng = np.random.default_rng(7007)
-        trunc = TruncationSpec(internal_radius=30.0)
+        internal_radius = 30.0
         for case in range(20):
             a = float(rng.uniform(-0.2, 0.2))
             b = float(rng.uniform(0.6, 1.1))
@@ -265,8 +265,8 @@ def test_criterion_7_norm_bound_and_almost_periods(fib):
             k_hi = k_lo + float(rng.uniform(0.5, 2.0))
             k_box = Box([k_lo], [k_hi])
             k1_box = Box([k_lo - 0.3], [k_hi + 0.3])
-            report = norm_bound_check((1, 1), rho, f, k_box, k1_box,
-                                      sweep_halfwidth=20.0, internal_sweep=5.0, trunc=trunc)
+            report = norm_bound_check(rho, f, k_box, k1_box, sweep_halfwidth=20.0, internal_sweep=5.0,
+                                      internal_radius=internal_radius)
             assert report.ok, f"case {case}: left {report.left} > right {report.right}"
             assert report.constant_per_axis == pytest.approx(1.0 + np.pi * np.tanh(np.pi), abs=2e-6)
 
@@ -283,16 +283,15 @@ def test_criterion_7_norm_bound_and_almost_periods(fib):
             ),
         )
         f = make_cutoff(Box([-0.1], [0.9]), 0.2).dual_transform()
-        report = norm_bound_check((1, 1), rho, f, Box([-0.5], [0.5]), Box([-0.8], [0.8]),
-                                  sweep_halfwidth=20.0, internal_sweep=5.0, trunc=trunc)
+        report = norm_bound_check(rho, f, Box([-0.5], [0.5]), Box([-0.8], [0.8]), sweep_halfwidth=20.0,
+                                  internal_sweep=5.0, internal_radius=internal_radius)
         assert report.ok, f"density case: left {report.left} > right {report.right}"
         assert report.left_density > 0.0
 
         # almost periods of the projected pure-point measure on [-50, 50]
         rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
         f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
-        proj = project(spectral_projector(rho, "pp"), f, Box([-50.0], [50.0]), 0.0,
-                       TruncationSpec(internal_radius=6.5))
+        proj = project(spectral_projector(rho, "pp"), f, Box([-50.0], [50.0]), 0.0, 6.5)
         eps = 0.1 * float(np.max(np.abs(proj.atoms.weights)))
 
         dual_pts, dual_pos = lattice_points_in_box(

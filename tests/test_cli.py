@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cutproject import cli
 from cutproject.cli import (CONFIG_KEYS, GOLDEN, ConfigError, build_parser, load_config, main,
                             parse_config_text, resolve_config)
 
@@ -124,6 +126,47 @@ def test_check_square_lattice_exit_one(tmp_path):
     proc = run_cli("check", "--config", str(cfg))
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def test_exit_three_is_an_exhausted_budget():
+    proc = run_cli("modelset", "--config", str(FIB_CONFIG), "--budget", "1")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget error: enumeration budget exceeded")
+    for knob in ("budget =", "--budget", "patch_query", "--radius", "threshold"):
+        assert knob in proc.stderr
+
+
+def test_exit_three_is_out_of_memory(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "autocorrelation_patch", exhausted)
+    assert main(["pdcheck", "--config", str(FIB_CONFIG), "--trials", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: MemoryError\n")
+    for knob in ("budget =", "--budget", "patch_query", "--radius", "threshold"):
+        assert knob in err
+
+
+def test_exit_four_is_a_crash_with_its_traceback(tmp_path):
+    # a module the interpreter imports at start-up breaks one library function, then
+    # ``python -m cutproject`` runs as usual
+    (tmp_path / "sitecustomize.py").write_text(
+        "import cutproject.cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise RuntimeError('injected defect')\n"
+        "cutproject.cli.autocorrelation_patch = broken\n")
+    path = os.pathsep.join([str(tmp_path), str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutproject", "pdcheck", "--config", str(FIB_CONFIG), "--trials", "5"],
+        capture_output=True, text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert "in cmd_pdcheck" in proc.stderr
+    assert proc.stderr.endswith("RuntimeError: injected defect\n")
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +499,17 @@ def test_modelset_pinned_bytes(tmp_path, config, patch, name):
     out = tmp_path / "points.csv"
     assert main(["modelset", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+def test_diffract_pinned_bytes(tmp_path):
+    # the 2+2 spectrum comes from the m >= 2 peak cover of doubling shells, and any
+    # rewrite of the cover must keep these bytes; they are also the bytes numpy 2.4
+    # writes with its AVX-512 and AVX2 loops turned off (NPY_DISABLE_CPU_FEATURES)
+    out = tmp_path / "spectrum.csv"
+    assert main(["diffract", "--config", str(AB_CONFIG), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "ammann_beenker_diffract.csv").read_bytes()
+    sidecar = tmp_path / "spectrum.csv.json"
+    assert sidecar.read_bytes() == (DATA / "ammann_beenker_diffract.json").read_bytes()
 
 
 def test_oracle_explicit_peaks(tmp_path, capsys):

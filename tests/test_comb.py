@@ -80,8 +80,14 @@ def test_distinct_refs_accepted_at_equal_positions():
 
 
 def test_empty_comb_allowed():
-    comb = WeightedComb(np.zeros((0, 2)), np.zeros(0), dim=2)
+    comb = WeightedComb(np.zeros((0, 2)), np.zeros(0))
     assert comb.n_atoms == 0 and comb.extent is None
+
+
+def test_dimension_is_the_shape_of_the_positions():
+    assert WeightedComb(np.zeros((0, 3)), []).dim == 3
+    assert WeightedComb([], []).dim == 1  # a shapeless empty list is one-dimensional
+    assert WeightedComb([[0.0, 1.0]], [1.0]).dim == 2
 
 
 def test_extent():
@@ -164,7 +170,7 @@ def test_merge_float_matches_brute_components(dim):
 
 def test_lift_single_origin_atom(fib, fib_window):
     gamma = WeightedComb([[0.0]], [1.0])
-    eta = lift(fib, gamma, fib_window, fib_window)
+    eta = lift(fib, gamma, fib_window)
     assert eta.n_atoms == 1
     assert np.array_equal(eta.positions, [[0.0, 0.0]])
     assert np.array_equal(eta.refs, [[0, 0]])
@@ -174,22 +180,22 @@ def test_lift_single_origin_atom(fib, fib_window):
 def test_lift_indicator_comb_preserves_atoms(fib, fib_window):
     x, _ = fib.split(model_set(fib, fib_window, Box([0.0], [20.0])))
     gamma = WeightedComb(x, np.ones(len(x)))
-    eta = lift(fib, gamma, fib_window, fib_window)
+    eta = lift(fib, gamma, fib_window)
     assert eta.n_atoms == gamma.n_atoms
     assert np.all(eta.positions[:, 1] >= -1e-9) and np.all(eta.positions[:, 1] <= 1 + 1e-9)
     assert np.array_equal(np.sort(eta.weights), np.sort(gamma.weights))
 
 
 def test_lift_empty(fib, fib_window):
-    gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0), dim=1)
-    eta = lift(fib, gamma, fib_window, fib_window)
+    gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0))
+    eta = lift(fib, gamma, fib_window)
     assert eta.n_atoms == 0 and eta.dim == 2
 
 
 def test_lift_rejects_off_lattice_atom(fib, fib_window):
     gamma = WeightedComb([[0.43]], [1.0])
     with pytest.raises(ValueError, match="not on Lambda"):
-        lift(fib, gamma, fib_window, fib_window)
+        lift(fib, gamma, fib_window)
 
 
 def test_lift_reports_ambiguity():
@@ -200,7 +206,7 @@ def test_lift_reports_ambiguity():
     search = Window(Box([-2.0], [2.0]))
     gamma = WeightedComb([[0.0]], [1.0])
     with pytest.raises(ValueError, match="injectivity violation"):
-        lift(cps, gamma, search, search)
+        lift(cps, gamma, search)
 
 
 def test_lift_matches_in_sup_norm(cps2d):
@@ -210,7 +216,7 @@ def test_lift_matches_in_sup_norm(cps2d):
     z = model_set(cps2d, window, Box([-3.0, -3.0], [3.0, 3.0]))
     assert len(z) > 1
     moved = WeightedComb(cps2d.split(z)[0] + 0.9e-7, np.ones(len(z)))
-    assert np.array_equal(lift(cps2d, moved, window, window).refs, z)
+    assert np.array_equal(lift(cps2d, moved, window).refs, z)
 
 
 def test_descent_requires_refs(fib):
@@ -225,7 +231,7 @@ def test_round_trip_exact(fib, fib_window):
     w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
 
     gamma = model_comb(fib, z, w)
-    eta = lift(fib, gamma, fib_window, fib_window)
+    eta = lift(fib, gamma, fib_window)
     back = descent(fib, eta)
     assert np.array_equal(back.positions, gamma.positions)
     assert np.array_equal(back.weights, gamma.weights)
@@ -233,7 +239,7 @@ def test_round_trip_exact(fib, fib_window):
 
     eta0 = strip_comb(fib, z, w)
     gamma0 = descent(fib, eta0)
-    up = lift(fib, gamma0, fib_window, fib_window)
+    up = lift(fib, gamma0, fib_window)
     assert np.array_equal(up.positions, eta0.positions)
     assert np.array_equal(up.weights, eta0.weights)
 
@@ -243,11 +249,61 @@ def test_lift_descent_linear(fib, fib_window):
     w1 = np.linspace(1, 2, len(z))
     w2 = np.exp(1j * np.linspace(0, 3, len(z)))
     a, b = 2.0 - 1j, 0.5 + 0.25j
-    lhs = lift(fib, model_comb(fib, z, a * w1 + b * w2), fib_window, fib_window)
-    rhs_w = a * lift(fib, model_comb(fib, z, w1), fib_window, fib_window).weights + b * lift(
-        fib, model_comb(fib, z, w2), fib_window, fib_window
+    lhs = lift(fib, model_comb(fib, z, a * w1 + b * w2), fib_window)
+    rhs_w = a * lift(fib, model_comb(fib, z, w1), fib_window).weights + b * lift(
+        fib, model_comb(fib, z, w2), fib_window
     ).weights
     assert np.max(np.abs(lhs.weights - rhs_w)) < 1e-12
+
+
+@st.composite
+def lift_cases(draw):
+    """A random d + m <= 4 scheme whose basis has condition number at most 50, a box
+    window, and the model comb of a patch of at most 300 points with complex weights."""
+    d, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]))
+    n = d + m
+    basis = 2.0 * np.eye(n) + np.array([[draw(st.floats(-1.5, 1.5)) for _ in range(n)] for _ in range(n)])
+    assume(np.linalg.cond(basis) <= 50.0)
+    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+    lo = np.array([draw(st.floats(-1.0, 0.5)) for _ in range(m)])
+    window = Window(Box(lo, lo + np.array([draw(st.floats(0.05, 1.5)) for _ in range(m)])))
+    # a patch of about `size` points: its volume times the window's over the covolume
+    half = np.array([draw(st.floats(0.5, 2.0)) for _ in range(d)])
+    expected = np.prod(2.0 * half) * window.parts[0].volume / abs(np.linalg.det(basis))
+    half *= (draw(st.integers(1, 250)) / expected) ** (1.0 / d)
+    z = model_set(cps, window, Box(-half, half))
+    assume(0 < len(z) <= 300)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gamma = model_comb(cps, z, rng.normal(size=len(z)) + 1j * rng.normal(size=len(z)))
+    return cps, window, gamma
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_cases())
+def test_lift_routes_agree_on_random_schemes(case):
+    # the refs route trusts gamma's integer coordinates; the float route finds them again
+    # by enumerating the strip over gamma's extent and matching positions within LIFT_TOL
+    cps, window, gamma = case
+    by_refs = lift(cps, gamma, window)
+    # a comb without refs is only as distinct as its positions, so validation is left
+    # to the float route, which rejects two lattice points within LIFT_TOL of one atom
+    positions_only = WeightedComb(gamma.positions, gamma.weights, validate=False)
+    try:
+        by_position = lift(cps, positions_only, window)
+    except ValueError as exc:
+        # a near-coincidence in G of two strip points: the float route cannot decide it,
+        # so such draws are skipped
+        assume("injectivity violation" not in str(exc))
+        raise
+    assert np.array_equal(by_refs.refs, gamma.refs)
+    assert np.array_equal(by_position.refs, gamma.refs)
+    assert by_position.positions.tobytes() == by_refs.positions.tobytes()
+    assert by_position.weights.tobytes() == by_refs.weights.tobytes() == gamma.weights.tobytes()
+    for eta in (by_refs, by_position):
+        back = descent(cps, eta)
+        assert back.positions.tobytes() == gamma.positions.tobytes()
+        assert back.weights.tobytes() == gamma.weights.tobytes()
+        assert np.array_equal(back.refs, gamma.refs)
 
 
 def test_descent_scales_weights(fib, fib_window):
@@ -719,7 +775,7 @@ def test_autocorrelation_2x2_refs_unique_and_hermitian():
     assert len(np.unique(ac.refs, axis=0)) == ac.n_atoms
     _check_hermitian(ac)
     diff_window = Window(Box([-2.0, -2.0], [2.0, 2.0]))
-    _check_hermitian(lift(cps, ac, diff_window, diff_window))
+    _check_hermitian(lift(cps, ac, diff_window))
 
 
 def test_autocorrelation_without_refs_has_no_float_twins():

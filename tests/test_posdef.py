@@ -36,7 +36,7 @@ def flip_zero_weight(comb: WeightedComb) -> WeightedComb:
     idx = int(np.argmin(np.linalg.norm(comb.positions, axis=1)))
     w = comb.weights.copy()
     w[idx] = -w[idx]
-    return WeightedComb(comb.positions, w, refs=comb.refs, dim=comb.dim, validate=False)
+    return WeightedComb(comb.positions, w, refs=comb.refs, validate=False)
 
 
 def test_delta_at_origin_gives_identity():
@@ -86,7 +86,7 @@ def test_hermitian_check_needs_every_mirror_ref(fib, fib_window):
     _check_hermitian(ac)
     drop = int(np.argmax(np.where(ac.refs.any(axis=1), np.abs(ac.weights), 0.0)))
     keep = np.arange(ac.n_atoms) != drop
-    broken = WeightedComb(ac.positions[keep], ac.weights[keep], refs=ac.refs[keep], dim=1)
+    broken = WeightedComb(ac.positions[keep], ac.weights[keep], refs=ac.refs[keep])
     with pytest.raises(ValueError, match="not Hermitian"):
         _check_hermitian(broken)
 
@@ -96,7 +96,7 @@ def test_lookup_with_refs_ignores_positions(fib, fib_window):
     # the lookup tolerance change neither the check nor the matrix
     rng = np.random.default_rng(29)
     comb, ac = random_autocorrelation(fib, fib_window, rng)
-    moved = WeightedComb(ac.positions + 1e-6, ac.weights, refs=ac.refs, dim=1)
+    moved = WeightedComb(ac.positions + 1e-6, ac.weights, refs=ac.refs)
     idx = rng.choice(comb.n_atoms, size=12, replace=False)
     expected = gram_matrix(ac, comb.positions[idx], refs=comb.refs[idx])
     assert np.array_equal(gram_matrix(moved, comb.positions[idx], refs=comb.refs[idx]), expected)
@@ -168,7 +168,7 @@ def test_restriction_check_checks_hermitian_once_per_comb(fib, fib_window, monke
     assert report.ok and checked == [1]
     w = ac.weights.copy()
     w[int(np.argmax(np.linalg.norm(ac.positions, axis=1)))] += 1.0
-    bad = WeightedComb(ac.positions, w, refs=ac.refs, dim=1, validate=False)
+    bad = WeightedComb(ac.positions, w, refs=ac.refs, validate=False)
     with pytest.raises(ValueError, match="not Hermitian"):
         restriction_check(bad, comb.positions, trials=20, seed=5, config_size=25)
 
@@ -211,7 +211,7 @@ def test_crosscheck_sign_flip_pair_detected(fib):
     mirror = int(np.argmin(np.linalg.norm(gamma.positions + pos_t, axis=1)))
     w[target] = -w[target]
     w[mirror] = -w[mirror]
-    bad = WeightedComb(gamma.positions, w, refs=gamma.refs, dim=1, validate=False)
+    bad = WeightedComb(gamma.positions, w, refs=gamma.refs, validate=False)
     report = gram_min_eigenvalue(bad, gamma.positions[np.abs(gamma.weights) > 0.2 * mags.max()][:40])
     assert not report.ok
 
@@ -230,7 +230,7 @@ def test_crosscheck_checks_hermitian_once_per_comb(fib, monkeypatch):
     assert checked == [1, 2]  # the comb, then its lift
     w = gamma.weights.copy()
     w[int(np.argmax(np.linalg.norm(gamma.positions, axis=1)))] += 1.0
-    bad = WeightedComb(gamma.positions, w, refs=gamma.refs, dim=1, validate=False)
+    bad = WeightedComb(gamma.positions, w, refs=gamma.refs, validate=False)
     with pytest.raises(ValueError, match="not Hermitian"):
         lift_pd_crosscheck(fib, bad, window, trials=10, seed=3)
 
@@ -279,7 +279,7 @@ def test_crosscheck_solves_a_differing_lifted_matrix(fib, monkeypatch):
 
 def test_crosscheck_empty_comb(fib):
     window = Window(Box([-1.0], [1.0]))
-    gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0), dim=1)
+    gamma = WeightedComb(np.zeros((0, 1)), np.zeros(0))
     report = lift_pd_crosscheck(fib, gamma, window, trials=3, seed=1)
     assert report.down_ok and report.up_ok
 

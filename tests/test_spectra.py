@@ -158,6 +158,24 @@ def test_zero_envelope_integrates_and_weighs_to_zero():
     assert env.integral_0_to(10.0) == 0.0
 
 
+@pytest.mark.parametrize("env", [
+    AxisEnvelope(1.0, 1.0 / np.pi, 0.0),
+    AxisEnvelope(1.0, 0.0, np.inf),
+    AxisEnvelope(1.0, 0.0, 0.5),
+])
+def test_envelope_with_a_zero_decay_constant_is_zero_beyond_0(env):
+    # min(c0, 0 / r, ...) is 0 for every r > 0 and c0 at r = 0; the RuntimeWarning
+    # filter of the suite turns any 0 / 0 or 1 / 0 on the way into a failure
+    from scipy.integrate import quad
+
+    assert env._pieces() == [(0.0, np.inf, -1)]
+    r = np.array([0.0, 1e-200, 1e-3, 1.0, 1e3])
+    assert env.at(r).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    for hi in (0.5, 2.0, 40.0):
+        assert env.integral_0_to(hi) == quad(env.at, 0.0, hi)[0] == 0.0
+    assert env.admissibility_sup() == 1.0
+
+
 def test_dual_integral_equals_cutoff_at_zero():
     # quadrature over [-T, T] plus the analytic sine-integral remainder of the
     # four-exponential expansion recovers the value of the cutoff at 0
@@ -1016,7 +1034,7 @@ def test_project_radii_follow_the_measure_scale(fib):
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
     query = Box([-20.0], [20.0])
     derived = project(rho, f, query, 0.01).atoms
-    fixed = project(rho, f, query, 0.01, TruncationSpec(internal_radius=1000.0)).atoms
+    fixed = project(rho, f, query, 0.01, 1000.0).atoms
     assert derived.n_atoms == fixed.n_atoms > 0
     assert np.array_equal(derived.positions, fixed.positions)
     assert np.array_equal(derived.weights, fixed.weights)
@@ -1080,7 +1098,7 @@ def test_project_cover_matches_a_wide_radius(case):
     reach = max(float(np.prod(comp.offset(query).sides)) for comp in rho.motif)
     assume(density(rho.period) * reach * (2.0 * radius) ** rho.m <= 1e5)
     derived = project(rho, f, query, threshold)
-    wide = project(rho, f, query, threshold, TruncationSpec(internal_radius=radius))
+    wide = project(rho, f, query, threshold, radius)
     assert np.array_equal(derived.atoms.positions, wide.atoms.positions)
     assert derived.atoms.weights.tobytes() == wide.atoms.weights.tobytes()
     assert len(derived.densities) == len(wide.densities)
@@ -1095,7 +1113,7 @@ def test_project_atomic_fiber_needs_an_internal_radius(fib):
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
     with pytest.raises(ValueError, match="no pairing decay; set an explicit internal_radius"):
         project(rho, f, Box([-3.0], [3.0]), 1e-3)
-    assert project(rho, f, Box([-3.0], [3.0]), 1e-3, TruncationSpec(internal_radius=20.0)).atoms.n_atoms > 0
+    assert project(rho, f, Box([-3.0], [3.0]), 1e-3, 20.0).atoms.n_atoms > 0
 
 
 def test_project_zero_length_axis_in_two_dimensions(cps2d):
@@ -1147,7 +1165,7 @@ def test_project_matches_diffraction(fib):
     # internal slice wide enough to cover every above-threshold peak
     assert np.max(np.abs(spec.internals)) < 80.0
     proj = project(rho, cutoff.dual_transform(), Box([-3.0], [3.0]), threshold=0.02,
-                   trunc=TruncationSpec(internal_radius=80.0))
+                   internal_radius=80.0)
     assert proj.atoms.n_atoms == spec.n_peaks
     assert np.max(np.abs(proj.atoms.positions[:, 0] - spec.ks[:, 0])) < 1e-12
     assert np.max(np.abs(proj.atoms.weights - spec.amplitudes)) < 1e-10
@@ -1171,10 +1189,10 @@ def test_projector_commutes_with_projection(fib):
     f = make_cutoff(Box([-0.5], [1.0]), 0.25).dual_transform()
     query = Box([-4.0], [4.0])
     thr = 1e-4
-    trunc = TruncationSpec(internal_radius=40.0)
-    whole = project(rho, f, query, thr, trunc)
-    pp_first = project(spectral_projector(rho, "pp"), f, query, thr, trunc)
-    ac_first = project(spectral_projector(rho, "ac"), f, query, thr, trunc)
+    internal_radius = 40.0
+    whole = project(rho, f, query, thr, internal_radius)
+    pp_first = project(spectral_projector(rho, "pp"), f, query, thr, internal_radius)
+    ac_first = project(spectral_projector(rho, "ac"), f, query, thr, internal_radius)
     assert np.array_equal(pp_first.atoms.positions, whole.atoms.positions)
     assert np.max(np.abs(pp_first.atoms.weights - whole.atoms.weights)) < 1e-10
     assert len(ac_first.densities) == len(whole.densities) == 1
@@ -1200,7 +1218,7 @@ def test_norm_bound_zero_measure(fib):
     rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
     empty = PeriodicMeasure(period=rho.period, d=1, m=1, scale=rho.scale, motif=())
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
-    report = norm_bound_check((1, 1), empty, f, Box([-0.5], [0.5]), Box([-1.0], [1.0]),
+    report = norm_bound_check(empty, f, Box([-0.5], [0.5]), Box([-1.0], [1.0]),
                               sweep_halfwidth=10.0)
     assert report.ok
     assert report.left == 0.0
@@ -1209,7 +1227,7 @@ def test_norm_bound_zero_measure(fib):
 def test_norm_bound_fibonacci(fib):
     rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
     f = make_cutoff(Box([0.0], [1.0]), 0.15).dual_transform()
-    report = norm_bound_check((1, 1), rho, f, Box([0.0], [1.0]), Box([-0.25], [1.25]),
+    report = norm_bound_check(rho, f, Box([0.0], [1.0]), Box([-0.25], [1.25]),
                               sweep_halfwidth=15.0, internal_sweep=6.0)
     assert report.ok
     assert report.left > 0.0
@@ -1233,7 +1251,7 @@ def test_norm_bound_requires_admissible_f(fib):
     rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
     f = box_profile(Box([0.0], [1.0])).transform()  # only first-order decay
     with pytest.raises(ValueError, match="decay certificate"):
-        norm_bound_check((1, 1), rho, f, Box([0.0], [1.0]), Box([-0.25], [1.25]))
+        norm_bound_check(rho, f, Box([0.0], [1.0]), Box([-0.25], [1.25]))
 
 
 # ---------------------------------------------------------------------------
@@ -1266,9 +1284,9 @@ def test_project_linear_in_measure_and_function(fib):
         motif=(MotifAtomFiber(comp.phys, comp.internal, (2.0 - 0.5j) * comp.weight, comp.fiber),),
     )
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
-    trunc = TruncationSpec(internal_radius=30.0)
-    base = project(rho, f, Box([-3.0], [3.0]), 1e-3, trunc)
-    stretched = project(scaled, f, Box([-3.0], [3.0]), abs(2.0 - 0.5j) * 1e-3, trunc)
+    internal_radius = 30.0
+    base = project(rho, f, Box([-3.0], [3.0]), 1e-3, internal_radius)
+    stretched = project(scaled, f, Box([-3.0], [3.0]), abs(2.0 - 0.5j) * 1e-3, internal_radius)
     assert np.array_equal(base.atoms.positions, stretched.atoms.positions)
     assert np.max(np.abs(stretched.atoms.weights - (2.0 - 0.5j) * base.atoms.weights)) < 1e-12
 
@@ -1276,7 +1294,7 @@ def test_project_linear_in_measure_and_function(fib):
     double = PeriodicMeasure(
         period=rho.period, d=1, m=1, scale=rho.scale, motif=rho.motif + scaled.motif,
     )
-    together = project(double, f, Box([-3.0], [3.0]), abs(3.0 - 0.5j) * 1e-3, trunc)
+    together = project(double, f, Box([-3.0], [3.0]), abs(3.0 - 0.5j) * 1e-3, internal_radius)
     expected = (1.0 + (2.0 - 0.5j)) * base.atoms.weights
     assert np.array_equal(together.atoms.positions, base.atoms.positions)
     assert np.max(np.abs(together.atoms.weights - expected)) < 1e-12

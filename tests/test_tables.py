@@ -144,7 +144,7 @@ def test_almostperiods_table_matches_rowwise(monkeypatch, tmp_path, capsys, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_comb_table_matches_rowwise(tmp_path, d):
     rng = np.random.default_rng(500 + d)
-    c = WeightedComb(floats(rng, (300, d)), complexes(rng, 300), dim=d, validate=False)
+    c = WeightedComb(floats(rng, (300, d)), complexes(rng, 300), validate=False)
     path = tmp_path / "comb.csv"
     comb_to_csv(c, path)
     assert path.read_bytes() == rowwise_comb_csv(c).encode()
@@ -158,7 +158,7 @@ def test_comb_csv_crlf_round_trip(tmp_path, d):
     positions[1] = 1e308
     if d == 2:  # kept apart from row 0 by its second coordinate
         positions[2, 0] = 5e-324
-    c = WeightedComb(positions, complexes(rng, 200, FINITE_SPECIAL), dim=d)
+    c = WeightedComb(positions, complexes(rng, 200, FINITE_SPECIAL))
     path = tmp_path / "comb.csv"
     comb_to_csv(c, path)
     data = path.read_bytes()
