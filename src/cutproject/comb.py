@@ -253,9 +253,13 @@ def descent(cps: CutProjectScheme, eta: WeightedComb) -> WeightedComb:
     return WeightedComb(positions, eta.weights, refs=eta.refs, validate=False)
 
 
-def _translate_range(a_box: Box, region: Box) -> tuple[np.ndarray, np.ndarray]:
-    t_lo = region.lo - a_box.lo
-    t_hi = region.hi - a_box.hi
+def _translate_range(a_box: Box, dim: int, region_lo, region_hi) -> tuple:
+    """[t_lo, t_hi] per axis: the t with t + a_box in the region, for one region or rows of them."""
+    if a_box.dim != dim or np.shape(region_lo)[-1] != dim:
+        raise ValueError("box dimensions must match the comb dimension")
+    if (a_box.sides <= 0).any():
+        raise ValueError("window box must have positive side lengths")
+    t_lo, t_hi = region_lo - a_box.lo, region_hi - a_box.hi
     if (t_hi < t_lo).any():
         raise ValueError("eval region too small for the window box")
     return t_lo, t_hi
@@ -267,8 +271,8 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
     The supremum of the window mass is attained where some atom touches a
     face of the box, so only finitely many translates per axis need checking,
     and checking exactly those events is exact.  Boxes are closed within
-    ``BOUNDARY_TOL``.  For d = 1 a sorted sweep counts each event's window.
-    For d >= 2 the masses go into a summed-area table (Crow, SIGGRAPH 1984)
+    ``BOUNDARY_TOL``.  For d = 1 ``_sweep``, shared with the scan, counts each
+    event's window.  For d >= 2 the masses go into a summed-area table (Crow, SIGGRAPH 1984)
     over the n_i distinct coordinates of each axis, of size prod(n_i + 1);
     each event is a range of those coordinates, only ranges that no other
     range contains are kept, and every window of their grid is read off the
@@ -277,34 +281,37 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
     rigorous rounding bound of the largest is summed again as
     ``mags[inside].sum()``, and the largest such sum is returned.
     """
-    if a_box.dim != comb.dim or eval_region.dim != comb.dim:
-        raise ValueError("box dimensions must match the comb dimension")
-    if (a_box.sides <= 0).any():
-        raise ValueError("window box must have positive side lengths")
-    t_lo, t_hi = _translate_range(a_box, eval_region)
+    t_lo, t_hi = _translate_range(a_box, comb.dim, eval_region.lo, eval_region.hi)
     if comb.n_atoms == 0:
         return 0.0
     mags = np.abs(comb.weights)
-
     if comb.dim == 1:
-        pos = comb.positions[:, 0]
-        order = np.argsort(pos)
-        sorted_pos = pos[order]
-        csum = np.concatenate([[0.0], np.cumsum(mags[order])])
-        events = np.concatenate([pos - a_box.hi[0], pos - a_box.lo[0], t_lo, t_hi])
-        events = np.clip(events, t_lo[0], t_hi[0])
-        lo_idx = np.searchsorted(sorted_pos, events + a_box.lo[0] - BOUNDARY_TOL, side="left")
-        hi_idx = np.searchsorted(sorted_pos, events + a_box.hi[0] + BOUNDARY_TOL, side="right")
-        return float(np.max(csum[hi_idx] - csum[lo_idx]))
+        order = np.argsort(comb.positions[:, 0])
+        return _sweep(comb.positions[order, 0], mags[order], a_box, t_lo[0], t_hi[0])
+    return _table_norm(comb.positions, mags, a_box, t_lo, t_hi)
 
-    # d >= 2: atom i sits in cell codes[i] + 1 of the table.  An event's range
+
+def _sweep(pos: np.ndarray, mags: np.ndarray, a_box: Box, t_lo: float, t_hi: float) -> float:
+    """d = 1: the largest window mass of atoms at ascending ``pos``, one cumulative sum and
+    two searches over the events (a box face on an atom, the range ends) clipped to the range."""
+    a_lo, a_hi = a_box.lo[0], a_box.hi[0]
+    csum = np.concatenate([[0.0], mags.cumsum()])
+    events = np.concatenate([pos - a_hi, pos - a_lo, [t_lo, t_hi]]).clip(t_lo, t_hi)
+    lo_idx = pos.searchsorted(events + a_lo - BOUNDARY_TOL, side="left")
+    hi_idx = pos.searchsorted(events + a_hi + BOUNDARY_TOL, side="right")
+    return float((csum[hi_idx] - csum[lo_idx]).max())
+
+
+def _table_norm(positions: np.ndarray, mags: np.ndarray, a_box: Box, t_lo, t_hi) -> float:
+    """d >= 2: the largest window mass off a_norm's summed-area table, masses in atom order."""
+    # atom i sits in cell codes[i] + 1 of the table.  An event's range
     # [lo, hi) of distinct coordinates grows with the event on both ends, so
     # the ranges no other range contains are, among those with the largest hi
     # for their lo, the ones with the smallest lo for their hi
-    codes, ranges, shape = np.empty(comb.positions.shape, np.int64), [], []
-    for i in range(comb.dim):
-        coords, codes[:, i] = np.unique(comb.positions[:, i], return_inverse=True)
-        ev = np.concatenate([comb.positions[:, i] - a_box.hi[i], comb.positions[:, i] - a_box.lo[i],
+    codes, ranges, shape = np.empty(positions.shape, np.int64), [], []
+    for i in range(len(t_lo)):
+        coords, codes[:, i] = np.unique(positions[:, i], return_inverse=True)
+        ev = np.concatenate([positions[:, i] - a_box.hi[i], positions[:, i] - a_box.lo[i],
                              [t_lo[i], t_hi[i]]])
         ev = np.unique(np.clip(ev, t_lo[i], t_hi[i]))
         lo = np.searchsorted(coords, ev + a_box.lo[i] - BOUNDARY_TOL, side="left")
@@ -316,7 +323,7 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
         shape.append(len(coords) + 1)
     cells = np.ravel_multi_index(tuple((codes + 1).T), shape)
     masses = np.bincount(cells, weights=mags, minlength=np.prod(shape)).reshape(shape)
-    for axis in range(comb.dim):
+    for axis in range(len(t_lo)):
         np.cumsum(masses, axis=axis, out=masses)
     for axis, (lo, hi) in enumerate(ranges):
         masses = masses.take(hi, axis=axis) - masses.take(lo, axis=axis)
@@ -325,7 +332,7 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
         return best
     # a table entry is N + sum(n_i) roundings deep, each difference at most doubles
     # its error and a direct sum is N - 1 deep; twice both errors fit in the slack
-    slack = 2.0 ** (comb.dim + 2) * (comb.n_atoms + sum(shape)) * np.finfo(float).eps * total
+    slack = 2.0 ** (len(t_lo) + 2) * (len(mags) + sum(shape)) * np.finfo(float).eps * total
     sums = []
     for cell in np.argwhere(masses >= best - slack):
         lo, hi = (np.array([r[k][j] for r, j in zip(ranges, cell)]) for k in (0, 1))
@@ -453,13 +460,17 @@ def eps_norm_almost_periods(
     bounds no hole: two tight clusters far apart give a small value.
 
     ``shifts`` optionally gives, parallel to the candidates, the integer
-    translate whose image is each t; the comb must then carry ``refs``.  The
-    atoms of T^t comb - comb are then matched exactly: one
-    ``ref_index.find`` of refs + shift per block of candidates pairs each
-    translated atom with the original it lands on, so no rows are sorted per
-    candidate.  A matched pair more than ``MERGE_TOL`` apart raises
-    ``ValueError``.  Without shifts, each translated atom meets the lowest-
-    index original within ``MERGE_TOL``.  Either way the merged atoms are the
+    translate whose image is each t; the comb must then carry ``refs``, and
+    one ``ref_index.find`` of refs + shift per block of candidates matches
+    each translated atom exactly with the original it lands on; a pair more
+    than ``MERGE_TOL`` apart raises ``ValueError``.  Without shifts, one
+    ``find`` per block meets each translated atom with the lowest-index
+    original within ``MERGE_TOL``.  A block of about ``_LOOKUP_CHUNK`` atom
+    rows is one pass over (candidate, atom) arrays for the matches, weights
+    and live-and-inside masks.  For d = 1 the atoms are sorted once per scan,
+    so for every t the translated copy and the unmatched originals are two
+    sorted runs; each candidate merges them and takes one ``_sweep``, the
+    sweep of ``a_norm``.  For d >= 2 each candidate sums its table over the
     translated copy in index order, then the unmatched originals in order.
     """
     if eps <= 0:
@@ -477,8 +488,7 @@ def eps_norm_almost_periods(
         shifts = np.atleast_2d(np.asarray(shifts, dtype=np.int64))
         if shifts.shape != (len(cands), comb.refs.shape[1]):
             raise ValueError("shifts must hold one integer row per candidate translation")
-    extent = comb.extent
-    span = a_box.sides
+    extent, span, n, on_line = comb.extent, a_box.sides, comb.n_atoms, comb.dim == 1
 
     # every overlap extent ∩ (extent + t) at once, as Box.intersect(Box.shifted) computes it
     lo = np.maximum(extent.lo, extent.lo + cands)
@@ -486,58 +496,73 @@ def eps_norm_almost_periods(
     skip = (hi < lo).any(axis=1) | ((hi - lo) - 2 * span < MIN_DIAMETERS * span).any(axis=1)
     scanned = np.flatnonzero(~skip)
     norms = np.full(len(cands), np.nan)
-    for k, (pos, wts) in zip(scanned, _translate_differences(comb, cands, shifts, scanned)):
-        live = wts != 0
-        pos, wts = pos[live], wts[live]
-        # the closed overlap within BOUNDARY_TOL, as Box.contains decides it
-        inside = ((pos >= lo[k] - BOUNDARY_TOL) & (pos <= hi[k] + BOUNDARY_TOL)).all(axis=1)
-        diff = WeightedComb(pos[inside], wts[inside], validate=False)
-        eval_region = Box(lo[k] + span, hi[k] - span)
-        norms[k] = a_norm(diff, a_box, eval_region) if diff.n_atoms else 0.0
+    t_lo, t_hi = np.empty_like(cands), np.empty_like(cands)  # per region Box(lo + span, hi - span)
+    t_lo[scanned], t_hi[scanned] = _translate_range(a_box, comb.dim, lo[scanned] + span,
+                                                     hi[scanned] - span)
+    order = np.argsort(comb.positions[:, 0], kind="stable") if on_line else np.arange(n)
+    pos, mags = comb.positions[order], np.abs(comb.weights[order])
+    for block, moved, wts, alone in _translate_blocks(comb, order, cands, shifts, scanned):
+        # live atoms in the closed overlap within BOUNDARY_TOL, as Box.contains decides it
+        lo_k, hi_k = lo[block, None, :] - BOUNDARY_TOL, hi[block, None, :] + BOUNDARY_TOL
+        moved_mags = np.abs(wts)
+        run_a = (moved_mags != 0) & ((moved >= lo_k) & (moved <= hi_k)).all(axis=2)
+        run_b = alone & (mags != 0) & ((pos >= lo_k) & (pos <= hi_k)).all(axis=2)
+        xa, xb = (moved[:, :, 0], pos[:, 0]) if on_line else (moved, pos)  # 1-D rows index faster
+        for row, k in enumerate(block):
+            x = np.concatenate([xa[row, run_a[row]], xb[run_b[row]]])
+            m = np.concatenate([moved_mags[row, run_a[row]], mags[run_b[row]]])
+            if not len(x):
+                norms[k] = 0.0
+            elif on_line:  # the two runs merged, translated atoms first on ties
+                merged = x.argsort(kind="stable")
+                norms[k] = _sweep(x[merged], m[merged], a_box, t_lo[k, 0], t_hi[k, 0])
+            else:
+                norms[k] = _table_norm(x, m, a_box, t_lo[k], t_hi[k])
     accepted = norms < eps
     return AlmostPeriodScan(cands, norms, accepted, _accepted_max_gap(cands[accepted]))
 
 
-def _translate_differences(comb: WeightedComb, cands: np.ndarray, shifts, ks):
-    """(positions, weights) of the merged atoms of T^t comb - comb for each t = cands[k].
+def _translate_blocks(comb: WeightedComb, order: np.ndarray, cands: np.ndarray, shifts, ks):
+    """The merged atoms of T^t comb - comb for each t = cands[k], a block of candidates at a time.
 
-    The translated atoms come first, in index order, then the originals that
-    no translated atom meets.  With ``shifts``, translated atom i meets the
-    original j whose refs are refs_i + shift, found by one ``ref_index.find``
-    of about ``_LOOKUP_CHUNK`` rows per block of candidates, and the pair
-    carries the weight w_i + (-w_j); a met pair more than ``MERGE_TOL`` apart
-    raises.  Without shifts, each translated atom meets the lowest-index
-    original within ``MERGE_TOL``; an original met twice stays with the first.
+    Yields (block, moved, weights, alone), the atoms taken in ``order``: row r
+    is candidate block[r], its translated atoms at moved[r] with weights[r] =
+    w_i + (-w_j) when atom i meets original j, and the originals no atom
+    meets, where alone[r], with weights -w_j.  Atoms meet by the rules of
+    ``eps_norm_almost_periods``; without shifts, an original met twice stays
+    with the lower-index atom.
     """
     n = comb.n_atoms
-    ks = np.asarray(ks, dtype=np.intp)
+    pos, wts = comb.positions[order], np.append(comb.weights[order], 0)  # slot n: met nothing
+    refs = None if shifts is None else comb.refs[order].T.copy()
+    slot = np.append(np.argsort(order), n)  # an atom's index in ``order``
     per = max(1, _LOOKUP_CHUNK // n)
-    for lo in range(0, len(ks), per):
-        block = ks[lo : lo + per]
-        if shifts is None:
-            found = (comb.find(comb.positions + cands[k]) for k in block)
-        else:  # one ref_index lookup per block of candidates
-            rows = shifts[block][:, None, :] + comb.refs[None, :, :]
-            found = comb.ref_index.find(rows.reshape(-1, rows.shape[2])).reshape(len(block), n)
-        for k, idx in zip(block, found):
-            moved = comb.positions + cands[k]
-            i = np.flatnonzero(idx < n)
-            j = idx[i]
-            if shifts is None:  # an original met twice stays with the lower-index atom
-                owner = np.full(n, n)
-                np.minimum.at(owner, j, i)
-                i, j = i[owner[j] == i], j[owner[j] == i]
-            else:
-                gap = float(np.max(np.abs(moved[i] - comb.positions[j]), initial=0.0))
-                if gap > MERGE_TOL:
-                    raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
-                                     f"{cands[k].tolist()}: merged atoms {gap:.3e} apart")
-            wts = comb.weights.copy()
-            wts[i] += -comb.weights[j]
-            alone = np.ones(n, dtype=bool)
-            alone[j] = False
-            yield (np.concatenate([moved, comb.positions[alone]]),
-                   np.concatenate([wts, -comb.weights[alone]]))
+    for first in range(0, len(ks), per):
+        block = ks[first : first + per]
+        if shifts is not None:  # column-major rows, as find reads them
+            found = comb.find(None, (shifts[block].T[:, :, None] + refs[:, None, :])
+                              .reshape(len(refs), -1).T)
+        moved = pos + cands[block][:, None, :]  # after the lookup, the block's largest step
+        match = np.take(slot, comb.find(moved.reshape(-1, comb.dim)) if shifts is None else found)
+        match, found = match.reshape(len(block), n), None  # found freed: the lookup stays the peak
+        if shifts is None:  # an original met twice stays with the lower-index atom
+            row, i = np.nonzero(match < n)
+            cell = row * n + match[row, i]
+            owner = np.full(len(block) * n, n)
+            np.minimum.at(owner, cell, order[i])
+            lost = owner[cell] != order[i]
+            match[row[lost], i[lost]] = n
+        else:
+            met = (match < n)[:, :, None]
+            gap = np.abs(moved - pos[match % n]).max(axis=(1, 2), where=met, initial=0.0)
+            if (gap > MERGE_TOL).any():  # the first candidate with a far pair
+                k, far = block[np.argmax(gap > MERGE_TOL)], gap[gap > MERGE_TOL][0]
+                raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
+                                 f"{cands[k].tolist()}: merged atoms {far:.3e} apart")
+        alone = np.ones((len(block), n + 1), dtype=bool)  # column n: the atoms that met none
+        np.put_along_axis(alone, match, False, axis=1)
+        weights = np.take(wts, match)
+        yield block, moved, np.subtract(wts[:n], weights, out=weights), alone[:, :n]
 
 
 def _lex_positive(diffs: np.ndarray) -> np.ndarray:

@@ -691,6 +691,47 @@ def test_translate_scan_matches_grouped_merge(name, offset, scale, max_cands, bl
     assert len(got.norms) == len(got.accepted) == len(cands)
 
 
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(SCHEMES)), st.floats(-3000.0, 3000.0), st.floats(0.6, 1.0),
+       st.integers(0, 60), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+def test_scan_does_not_depend_on_atom_order(name, offset, scale, max_cands, eps, seed):
+    # d = 1 sums each window in position order, so any masses keep their bits; d >= 2 sums
+    # its table in index order, which integer masses make exact
+    cps, z, weights = _scheme_patch(name, offset, scale, weights_seed=seed)
+    if name == "ab":
+        weights = weights.real
+    comb = model_comb(cps, z, weights)
+    perm = np.random.default_rng(seed).permutation(len(z))
+    shuffled = model_comb(cps, z[perm], weights[perm])
+    cands, shifts = _difference_candidates(cps, comb, max_cands)
+    a_box = Box(np.zeros(cps.d), np.full(cps.d, 0.5 if name == "ab" else 1.0))
+    for s in (shifts, None):
+        assert_same_scan(eps_norm_almost_periods(shuffled, a_box, eps, cands, shifts=s),
+                         eps_norm_almost_periods(comb, a_box, eps, cands, shifts=s))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2 * 201 + 1])
+def test_scan_blocks_with_cancelling_unmatched_and_outside_candidates(fib, rows):
+    # a periodic comb on 0, 1, ..., 200: t = 0 cancels every atom, the far shifts meet
+    # none, and t = 1, 2 leave live atoms only outside the overlap, so their norm is 0.0;
+    # blocks of all candidates, of one (a chunk below N rows) and of two
+    z = np.column_stack([np.arange(201), np.zeros(201, np.int64)])
+    comb = model_comb(fib, z, np.full(201, 0.3 - 1.7j))
+    shifts = np.concatenate([np.zeros((1, 2), np.int64), _unmatched_shifts(fib), [[1, 0], [2, 0]]])
+    cands = fib.split(shifts)[0]
+    a_box = Box([0.0], [1.0])
+    want = grouped_almost_period_scan(comb, a_box, 0.5, cands, shifts)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(comb_module, "_LOOKUP_CHUNK", rows)
+        exact = eps_norm_almost_periods(comb, a_box, 0.5, cands, shifts=shifts)
+        floats = eps_norm_almost_periods(comb, a_box, 0.5, cands)
+    assert_same_scan(exact, want)
+    assert_same_scan(floats, want)
+    assert exact.norms[[0, -2, -1]].tolist() == [0.0, 0.0, 0.0]
+    assert (exact.norms[1:-2] > 0).all()
+
+
 def test_scan_without_shifts_pairs_the_lowest_index_original():
     # the atom translated from 0 lands within MERGE_TOL of both originals at 10 and
     # 10 + 1.5e-9: it pairs with the first, weight 1 + 3, and the second stays alone,
@@ -706,7 +747,10 @@ def test_scan_without_shifts_subtracts_every_original_once():
     # lower-index one takes it, and T^t comb - comb keeps total weight 0
     comb = WeightedComb([[-20.0], [0.0], [1.5e-9], [30.0]], [1.0, 2.0, 3.0, 4.0])
     t = np.array([[-0.75e-9]])
-    ((pos, wts),) = comb_module._translate_differences(comb, t, None, [0])
+    order = np.argsort(comb.positions[:, 0], kind="stable")  # the scan's order of the atoms
+    ((_, moved, moved_wts, alone),) = comb_module._translate_blocks(comb, order, t, None, np.array([0]))
+    pos = np.concatenate([moved[0], comb.positions[order][alone[0]]])
+    wts = np.concatenate([moved_wts[0], -comb.weights[order][alone[0]]])
     assert wts.sum() == 0
     assert pos[wts != 0].tolist() == [[1.5e-9 - 0.75e-9], [1.5e-9]]
     assert wts[wts != 0].tolist() == [3.0, -3.0]
