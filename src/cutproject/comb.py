@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cps import CutProjectScheme, Window
+from .cps import CutProjectScheme, Window, _model_set
 from .lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, Box, BudgetError, _group_rows, _RowIndex,
                       lattice_points_in_box)
 
@@ -214,21 +214,15 @@ def lift(
                             refs=np.zeros((0, cps.lat.n), np.int64))
 
     if gamma.refs is not None:
-        z = gamma.refs
-        if z.shape[1] != cps.lat.n:
-            raise ValueError("integer coordinates must have the full lattice dimension")
-        full = cps.lat.points(z)
+        full = cps.lat.points(gamma.refs)
         if not window.contains(full[:, cps.d :]).all():
             raise ValueError("atom not on Lambda(window): internal part outside the window")
         if np.max(np.abs(full[:, : cps.d] - gamma.positions)) > LIFT_TOL:
             raise ValueError("atom not on Lambda(window): position does not match its coordinates")
-        return WeightedComb(full, gamma.weights, refs=z, validate=False)
+        return WeightedComb(full, gamma.weights, refs=gamma.refs, validate=False)
 
-    phys_box = gamma.extent.inflate(LIFT_TOL)
-    full_box = Box.product(phys_box, window.bounding_box())
-    z, p = lattice_points_in_box(cps.lat, full_box, budget=budget)
-    keep = window.contains(p[:, cps.d :])
-    z, p = z[keep], p[keep]
+    z = _model_set(cps, window, gamma.extent.inflate(LIFT_TOL), budget)
+    p = cps.lat.points(z)
     atom, matched = _near(p[:, : cps.d], gamma.positions, LIFT_TOL)
     count = np.bincount(atom, minlength=gamma.n_atoms)
     if (count != 1).any():

@@ -86,9 +86,6 @@ def star(cps: CutProjectScheme, z) -> np.ndarray:
 
     Additive over integer coordinates since it is linear in ``z``.
     """
-    z = np.asarray(z)
-    if z.shape[-1] != cps.lat.n:
-        raise ValueError(f"integer coordinates must have length {cps.lat.n}")
     return cps.lat.points(z)[..., cps.d :]
 
 

@@ -69,6 +69,8 @@ class Box:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points of width {pts.shape[1]} against a box of dimension {self.dim}")
         ok = ((pts >= self.lo - BOUNDARY_TOL).all(axis=1)
               & (pts <= self.hi + BOUNDARY_TOL).all(axis=1))
         return bool(ok[0]) if single else ok
@@ -133,6 +135,8 @@ class Lattice:
         batch size.
         """
         z = np.asarray(z)
+        if z.shape[-1] != self.n:
+            raise ValueError(f"integer coordinates must have length {self.n}")
         zz = np.atleast_2d(z).astype(float)
         out = np.zeros((zz.shape[0], self.n))
         for j in range(self.n):

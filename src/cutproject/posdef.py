@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb import WeightedComb, lift
+from .comb import LIFT_TOL, WeightedComb, lift
 from .cps import CutProjectScheme, Window
 
 PSD_TOL = 1e-8
@@ -49,22 +49,30 @@ def gram_matrix(
     """
     _check_hermitian(f)
     refs = None if refs is None else np.atleast_2d(np.asarray(refs, dtype=np.int64))[None]
-    return _gram(f, np.atleast_2d(np.asarray(points, dtype=float))[None], refs)[0]
+    return _gram(f, np.atleast_2d(np.asarray(points, dtype=float))[None], refs)[0][0]
 
 
-def _gram(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> np.ndarray:
-    """``gram_matrix`` of each sample set of a (trials, n, d) stack, f's symmetry already checked.
+def _gram(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``gram_matrix`` of each sample set of a (trials, n, d) stack, f's symmetry already checked,
+    and the index of the atom found at each upper-triangle entry (``n_atoms`` for none).
 
     All upper-triangle differences of the stack go to one lookup.
     """
-    trials, n = points.shape[:2]
+    n = points.shape[1]
     if n > MAX_GRAM_POINTS:
         raise ValueError(f"too many sample points for the eigen budget ({n} > {MAX_GRAM_POINTS})")
     ii, jj = np.triu_indices(n)
     diffs = (points[:, ii] - points[:, jj]).reshape(-1, points.shape[2])
     ref_diffs = None if refs is None else (refs[:, ii] - refs[:, jj]).reshape(-1, refs.shape[2])
-    vals = np.append(f.weights, 0)[f.find(diffs, ref_diffs)].reshape(trials, len(ii))
-    m = np.zeros((trials, n, n), dtype=complex)
+    found = f.find(diffs, ref_diffs).reshape(len(points), len(ii))
+    return _hermitian(f.weights, found, n), found
+
+
+def _hermitian(weights: np.ndarray, found: np.ndarray, n: int) -> np.ndarray:
+    """(trials, n, n) Hermitian stack with upper triangles ``weights[found]``, 0 at ``len(weights)``."""
+    ii, jj = np.triu_indices(n)
+    vals = np.append(weights, 0)[found]
+    m = np.zeros((len(found), n, n), dtype=complex)
     m[:, ii, jj] = vals
     m[:, jj, ii] = np.conj(vals)
     return m
@@ -140,7 +148,7 @@ def restriction_check(
     ok = True
     size = min(config_size, len(pts))
     for block, idx in _trial_blocks(seed, len(pts), size, trials):
-        eigs[block], passed, _ = _min_eig(_gram(f, pts[idx], refs[idx] if refs is not None else None))
+        eigs[block], passed, _ = _min_eig(_gram(f, pts[idx], refs[idx] if refs is not None else None)[0])
         ok &= bool(passed.all())
     return RestrictionReport(ok, trials, eigs, seed)
 
@@ -164,28 +172,29 @@ def lift_pd_crosscheck(
 ) -> CrosscheckReport:
     """Test positive definiteness downstairs and on the lifted comb together.
 
-    The same index sets are used on both sides, so the two Gram matrices are
-    equal entry by entry through the lift bijection and the two verdicts must
-    agree; the report records both so that agreement is observed, not assumed.
-    Equality is still compared in every trial.  Where the two matrices are
-    equal the lifted one reuses the downstairs eigensolve, the same LAPACK
-    call on the same input; only the lifted matrices that differ are solved
-    again.
+    Gamma is looked up once per block of trials, on its own refs if it has them.
+    The lifted entry for sample points y_k, y_l of eta is eta's weight at the atom
+    found for x_k - x_l if that atom lies within ``LIFT_TOL`` (sup norm) of
+    y_k - y_l in G x H, else 0, so a lift that moves or reorders atoms fails
+    "entrywise equal".  Both verdicts are reported, so their agreement is observed,
+    not assumed.  Lifted matrices equal to gamma's reuse the downstairs eigensolve.
     """
     eta = lift(cps, gamma, window)
     if gamma.n_atoms == 0:
         empty = np.zeros(0)
         return CrosscheckReport(True, True, True, empty, empty, seed)
     _check_hermitian(gamma)
-    _check_hermitian(eta)
+    at = np.append(eta.positions, np.full((1, eta.dim), np.inf), axis=0)  # row n_atoms is near nothing
     down_eigs = np.empty(trials)
     up_eigs = np.empty(trials)
     down_ok = up_ok = equal = True
     size = min(CONFIG_SIZE, gamma.n_atoms)
+    ii, jj = np.triu_indices(size)
     for block, idx in _trial_blocks(seed, gamma.n_atoms, size, trials):
-        refs = eta.refs[idx]  # lift keeps gamma's refs; a gamma without refs ignores them
-        m_down = _gram(gamma, gamma.positions[idx], refs)
-        m_up = _gram(eta, eta.positions[idx], refs)
+        m_down, found = _gram(gamma, gamma.positions[idx], None if gamma.refs is None else gamma.refs[idx])
+        y = eta.positions[idx]
+        on = (np.abs(at[found] - (y[:, ii] - y[:, jj])) <= LIFT_TOL).all(axis=2)
+        m_up = _hermitian(eta.weights, np.where(on, found, eta.n_atoms), size)
         down_eigs[block], passed_down, _ = _min_eig(m_down)
         up_eigs[block], passed_up = down_eigs[block], passed_down.copy()
         differ = ~(m_down == m_up).all(axis=(1, 2))

@@ -484,6 +484,24 @@ def test_pdcheck_pinned_stdout(capsys, config, args, name, code):
     assert capsys.readouterr().out == (DATA / f"{name}.stdout").read_text()
 
 
+@pytest.mark.parametrize("config", [FIB_CONFIG, AB_CONFIG])
+def test_pdcheck_fails_a_lift_off_the_strip(capsys, monkeypatch, config):
+    # a lift that keeps refs and weights but moves every internal coordinate by +7:
+    # the lifted Gram entries are read where eta sits in G x H, so they all vanish
+    from cutproject import WeightedComb, posdef
+
+    lift = posdef.lift
+
+    def off_strip(cps, gamma, window):
+        eta = lift(cps, gamma, window)
+        moved = eta.positions + np.r_[np.zeros(cps.d), np.full(cps.m, 7.0)]
+        return WeightedComb(moved, eta.weights, refs=eta.refs, validate=False)
+
+    monkeypatch.setattr(posdef, "lift", off_strip)
+    assert main(["pdcheck", "--config", str(config), "--trials", "20"]) == 1
+    assert "gram matrices entrywise equal: FAIL\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("config, patch, name", [
     (FIB_CONFIG, None, "fibonacci_modelset"),
     (AB_CONFIG, "[0, 8, 0, 8]", "ammann_beenker_modelset"),

@@ -843,6 +843,19 @@ def test_autocorrelation_zero_volume_region():
         autocorrelation_patch(WeightedComb([[0.0]], [1.0]), Box([0.0], [0.0]))
 
 
+def test_autocorrelation_rejects_a_region_of_another_dimension():
+    # a 1-D comb must not be divided by the volume of a 2-D region
+    comb = WeightedComb([[0.0], [1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="width"):
+        autocorrelation_patch(comb, Box([0.0, 0.0], [2.0, 5.0]))
+
+
+def test_model_comb_rejects_refs_of_another_width(fib):
+    # refs of the wrong width would disagree with the positions computed from them
+    with pytest.raises(ValueError, match="length 2"):
+        model_comb(fib, [[1, 2, 3]], [1.0])
+
+
 def test_autocorrelation_is_positive_definite(fib, fib_window):
     rng = np.random.default_rng(21)
     comb = fib_patch(fib, fib_window, hi=40.0, rng=rng)

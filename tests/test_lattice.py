@@ -175,6 +175,23 @@ def test_points_bit_identical_across_batch_sizes():
         assert np.array_equal(lat.points(z[i : i + 1])[0], batched[i])
 
 
+def test_points_rejects_rows_of_another_width():
+    # a row of the wrong width must not lose or invent a coordinate
+    lat = Lattice(FIB_BASIS)
+    for z in ([1, 2, 3], [[1, 2, 3]], [[1]]):
+        with pytest.raises(ValueError, match="length 2"):
+            lat.points(z)
+
+
+def test_box_contains_rejects_points_of_another_width():
+    # [[0.5]] must not broadcast against the 2-D box and come out inside
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    for points in ([[0.5]], [0.5], [[0.5, 0.5, 0.5]]):
+        with pytest.raises(ValueError, match="width"):
+            box.contains(points)
+    assert box.contains([0.5, 0.5]) and box.contains([[0.5, 0.5]]).tolist() == [True]
+
+
 def test_enumerated_coordinates_are_integer():
     lat = Lattice(FIB_BASIS)
     z, p = lattice_points_in_box(lat, Box([-5.0, -5.0], [5.0, 5.0]))

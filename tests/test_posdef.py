@@ -227,7 +227,7 @@ def test_crosscheck_checks_hermitian_once_per_comb(fib, monkeypatch):
     check = posdef._check_hermitian
     monkeypatch.setattr(posdef, "_check_hermitian", lambda f: (checked.append(f.dim), check(f)))
     lift_pd_crosscheck(fib, gamma, window, trials=10, seed=3)
-    assert checked == [1, 2]  # the comb, then its lift
+    assert checked == [1]  # the comb only: the lifted matrix is read off the comb's lookup
     w = gamma.weights.copy()
     w[int(np.argmax(np.linalg.norm(gamma.positions, axis=1)))] += 1.0
     bad = WeightedComb(gamma.positions, w, refs=gamma.refs, validate=False)
@@ -257,24 +257,36 @@ def test_crosscheck_reuses_the_eigensolve_of_equal_matrices(fib, monkeypatch):
 def test_crosscheck_solves_a_differing_lifted_matrix(fib, monkeypatch):
     from cutproject import posdef
 
-    gram, min_eig = posdef._gram, posdef._min_eig
-    ups, solved = [], []
+    lift, min_eig = posdef.lift, posdef._min_eig
+    solved = []
 
-    def shifted_lift(f, points, refs):
-        m = gram(f, points, refs)
-        if f.dim == fib.lat.n:  # the lifted comb: add 2 to every eigenvalue
-            m = m + 2.0 * np.eye(m.shape[-1])
-            ups.append(m)
-        return m
+    def heavier_origin(cps, gamma, window):
+        # 2 more weight on eta's origin atom: every lifted matrix is m_down + 2I
+        eta = lift(cps, gamma, window)
+        w = eta.weights + 2.0 * ~eta.refs.any(axis=1)
+        return WeightedComb(eta.positions, w, refs=eta.refs, validate=False)
 
-    monkeypatch.setattr(posdef, "_gram", shifted_lift)
-    monkeypatch.setattr(posdef, "_min_eig", lambda m: (solved.append(len(m)), min_eig(m))[1])
+    monkeypatch.setattr(posdef, "lift", heavier_origin)
+    monkeypatch.setattr(posdef, "_min_eig", lambda m: (solved.append(m), min_eig(m))[1])
     report = lift_pd_crosscheck(fib, _crosscheck_gamma(fib), Window(Box([-1.0], [1.0])),
                                 trials=10, seed=3)
-    assert not report.entrywise_equal and sum(solved) == 20  # matrices solved, over all stacks
+    downs, ups = solved[0::2], solved[1::2]  # one block: its downstairs stack, then the lifted one
+    assert not report.entrywise_equal and sum(map(len, solved)) == 20  # matrices solved
+    assert all(np.array_equal(up, down + 2.0 * np.eye(down.shape[-1])) for down, up in zip(downs, ups))
     assert report.min_eigs_up.tolist() == np.concatenate([min_eig(m)[0] for m in ups]).tolist()
     assert report.min_eigs_up == pytest.approx(report.min_eigs_down + 2.0, abs=1e-9)
     assert report.down_ok and report.up_ok
+
+
+def test_crosscheck_looks_gamma_up_once_per_block(fib, monkeypatch):
+    # 30 trials of 40 points run as blocks of 12, 12 and 6: one lookup each, plus the
+    # Hermitian check's, all on gamma; eta is never looked up
+    gamma, found = _crosscheck_gamma(fib), []
+    find = WeightedComb.find
+    monkeypatch.setattr(WeightedComb, "find", lambda f, *a: (found.append(f), find(f, *a))[1])
+    report = lift_pd_crosscheck(fib, gamma, Window(Box([-1.0], [1.0])), trials=30, seed=3)
+    assert report.entrywise_equal and len(found) == 1 + 3
+    assert all(f is gamma for f in found)
 
 
 def test_crosscheck_empty_comb(fib):
