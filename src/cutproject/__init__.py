@@ -13,20 +13,8 @@ from .cps import (
     star,
     verify_injectivity,
 )
-from .comb import (
-    AlmostPeriodScan,
-    WeightedComb,
-    a_norm,
-    autocorrelation_patch,
-    comb_from_csv,
-    comb_to_csv,
-    descent,
-    eps_norm_almost_periods,
-    lift,
-    meyer_gap,
-    model_comb,
-    strip_comb,
-)
+from .almost import AlmostPeriodScan, a_norm, eps_norm_almost_periods, meyer_gap
+from .comb import WeightedComb, autocorrelation_patch, descent, lift, model_comb, strip_comb
 from .posdef import (
     CrosscheckReport,
     GramReport,
@@ -66,9 +54,10 @@ from .spectra import (
     project,
     spectral_projector,
     spectrum_metadata_json,
-    spectrum_to_csv,
     trapezoid_profile,
     unit_cell_decay_constant,
 )
+from .tables import comb_from_csv, comb_to_csv, spectrum_to_csv
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the modules split out of comb stay out of the star-import names, which predate them
+__all__ = [name for name in dir() if not name.startswith("_") and name not in ("almost", "tables")]

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .comb import (WeightedComb, _difference_candidates, _first_near, _write_table,
-                   autocorrelation_patch, eps_norm_almost_periods, model_comb)
+from .almost import _difference_candidates, eps_norm_almost_periods
+from .comb import WeightedComb, autocorrelation_patch, model_comb
 from .cps import CutProjectScheme, Window, internal_density_check, model_set, verify_injectivity
-from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, dual
+from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, _first_near, dual
 from .posdef import lift_pd_crosscheck
 from .spectra import (
     Separable,
@@ -34,9 +34,9 @@ from .spectra import (
     make_cutoff,
     oracle_amplitudes,
     spectrum_metadata_json,
-    spectrum_to_csv,
     trapezoid_profile,
 )
+from .tables import _write_table, spectrum_to_csv
 
 GOLDEN = 1.6180339887498949  # golden ratio to 17 significant digits
 

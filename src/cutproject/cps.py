@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .lattice import DEFAULT_BUDGET, Box, Lattice, dual, lattice_points_in_box
+from .lattice import DEFAULT_BUDGET, Box, Lattice, _nearest, dual, lattice_points_in_box
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ def internal_density_check(
     grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     if len(stars) == 0:
         return DensityReport(False, eps, np.inf, 0)
-    gaps, _ = cKDTree(stars).query(grid, k=1)
+    gaps = _nearest(stars, grid, 1)
     max_gap = float(np.max(gaps))
     return DensityReport(max_gap <= eps, eps, max_gap, len(stars))
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 # Most candidates one level of ``lattice_points_in_box`` may materialise; the
 # last level holds about as many candidates as the box holds lattice points.
 DEFAULT_BUDGET = 100_000_000
 BOUNDARY_TOL = 1e-9  # how far outside a closed box or window a point still counts as in
+MERGE_TOL = 1e-9  # absolute position tolerance when coinciding atoms are merged
 
 
 class BudgetError(RuntimeError):
@@ -397,3 +399,43 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     label = np.empty(len(rows), dtype=np.int64)
     label[order] = rank[np.cumsum(starts) - 1]
     return label, run_first[by_first]
+
+
+def _near(points: np.ndarray, queries: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (query i, point j) at most ``r`` apart in the sup norm, as arrays (i, j).
+
+    This closed sup-norm ball is the one rule by which float positions match:
+    merges, duplicate checks, lifts, atom lookups and ``oracle --k`` all ask it.
+    Pairs are ordered by i, then j, so ``_first_near``, which needs one match
+    per query, takes its first pair, the lowest-index point.
+    """
+    tree = cKDTree(points)
+    query_tree = tree if queries is points else cKDTree(queries)  # a self-join builds one tree
+    pairs = query_tree.sparse_distance_matrix(tree, r, p=np.inf, output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    order = np.argsort(i * len(points) + j)  # distinct pairs, distinct keys: any sort will do
+    return i[order], j[order]
+
+
+def _first_near(points: np.ndarray, queries: np.ndarray, r: float) -> np.ndarray:
+    """Per query, the lowest index of a point at most ``r`` away (sup norm), or ``len(points)``."""
+    query, point = _near(points, queries, r)
+    idx = np.full(len(queries), len(points))
+    hit, first = np.unique(query, return_index=True)  # each query's first pair
+    idx[hit] = point[first]
+    return idx
+
+
+def _nearest(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Euclidean distances from each query to its ``k`` nearest points, nearest first (k = 1: a 1-D array)."""
+    return cKDTree(points).query(queries, k=k)[0]
+
+
+def _components(points: np.ndarray, r: float) -> np.ndarray:
+    """Connected-component label of each point, two points joined when ``_near`` pairs them."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    i, j = _near(points, points, r)
+    graph = coo_array((np.ones(len(i)), (i, j)), shape=(len(points), len(points)))
+    return connected_components(graph, directed=False)[1]

@@ -36,13 +36,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .comb import LIFT_TOL, WeightedComb, _first_near, _near, _write_table, a_norm, merge_atoms
+from .almost import a_norm
+from .comb import LIFT_TOL, WeightedComb, merge_atoms
 from .cps import CutProjectScheme, Window, _model_set, dual_cps
 from .lattice import (
     BOUNDARY_TOL,
     DEFAULT_BUDGET,
     Box,
     Lattice,
+    _first_near,
+    _near,
     density,
     dual,
     lattice_points_in_box,
@@ -1304,17 +1307,6 @@ def norm_bound_check(
         left_atoms=float(left_atoms),
         left_density=float(left_density),
     )
-
-
-# ---------------------------------------------------------------------------
-# spectrum output
-
-
-def spectrum_to_csv(spectrum: DiffractionSpectrum, path) -> None:
-    """Rows k1..kd,re,im,intensity in lexicographic peak order; no path writes to stdout."""
-    header = [f"k{i + 1}" for i in range(spectrum.d)] + ["re", "im", "intensity"]
-    amps = spectrum.amplitudes
-    _write_table(path, header, [*spectrum.ks.T, amps.real, amps.imag, spectrum.intensities])
 
 
 def spectrum_metadata_json(spectrum: DiffractionSpectrum, extra: dict | None = None) -> str:

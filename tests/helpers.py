@@ -10,9 +10,11 @@ import numpy as np
 
 from cutproject import Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm
 from cutproject._version import __version__
-from cutproject.comb import MERGE_TOL, MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap, _sum_groups
+from cutproject.almost import MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap
+from cutproject.comb import _sum_groups
 from cutproject.cps import dual_cps
-from cutproject.lattice import BOUNDARY_TOL, DEFAULT_BUDGET, _group_rows, density, lattice_points_in_box
+from cutproject.lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, MERGE_TOL, _group_rows, density,
+                                lattice_points_in_box)
 from cutproject.spectra import BLOCK_ELEMENTS, PEAK_PHASE_SIGN, _fiber_radii, _gl_grid
 
 
@@ -371,7 +373,7 @@ PERCENT_CHUNK = 65536  # rows formatted by one ``%``
 
 
 def reference_write_table(path, header, columns, newline: str = "\n") -> None:
-    """``comb._write_table`` by Python's ``%``: floats ``%.17g``, integers ``%d``.
+    """``tables._write_table`` by Python's ``%``: floats ``%.17g``, integers ``%d``.
 
     Each chunk of rows is one ``%`` over the interleaved ``.tolist()`` values.
     A ``path`` of None or "" writes to standard output.

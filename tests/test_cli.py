@@ -295,7 +295,7 @@ patch_query = [17.3, 45.3, -40, -12]
 
 @pytest.mark.parametrize("scheme, eps", [("fib", "1.5"), ("ab", "0")])
 def test_almostperiods_merges_on_integer_coordinates(tmp_path, monkeypatch, capsys, scheme, eps):
-    from cutproject import comb
+    from cutproject import lattice
 
     def no_float_path(*args, **kwargs):
         raise AssertionError("float merge reached")
@@ -307,7 +307,7 @@ def test_almostperiods_merges_on_integer_coordinates(tmp_path, monkeypatch, caps
         config.write_text(AMMANN_BEENKER)
     # eps 0 on the 2-D scheme keeps the accepted set at t = 0, so the max-gap
     # diagnostic, which matches accepted translations in a k-d tree, stays idle
-    monkeypatch.setattr(comb, "cKDTree", no_float_path)
+    monkeypatch.setattr(lattice, "cKDTree", no_float_path)
     out = tmp_path / "ap.csv"
     code = main(["almostperiods", "--config", str(config), "--eps", eps,
                  "--max-candidates", "50", "--out", str(out)])

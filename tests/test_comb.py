@@ -24,9 +24,11 @@ from cutproject import (
     model_set,
     strip_comb,
 )
+from cutproject import almost
 from cutproject import comb as comb_module
-from cutproject.comb import MERGE_TOL, _difference_candidates, merge_atoms
-from cutproject.lattice import lattice_points_in_box
+from cutproject.almost import _difference_candidates
+from cutproject.comb import merge_atoms
+from cutproject.lattice import MERGE_TOL, _near, lattice_points_in_box
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
 from .conftest import TAU
@@ -111,7 +113,7 @@ def test_near_matches_brute_sup_distances(data):
     elif joined == "self":
         queries = points  # the same object: a self-join, as merge_atoms asks
     r = data.draw(st.integers(0, 3)) / 8.0
-    i, j = comb_module._near(points, queries, r)
+    i, j = _near(points, queries, r)
     want_i, want_j = np.nonzero(np.abs(queries[:, None] - points[None, :]).max(axis=2) <= r)
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
@@ -196,6 +198,22 @@ def test_lift_rejects_off_lattice_atom(fib, fib_window):
     gamma = WeightedComb([[0.43]], [1.0])
     with pytest.raises(ValueError, match="not on Lambda"):
         lift(fib, gamma, fib_window)
+
+
+def test_lift_refs_route_rejects_an_internal_part_outside_the_window(fib, fib_window):
+    gamma = fib_patch(fib, fib_window)
+    with pytest.raises(ValueError, match="internal part outside the window"):
+        lift(fib, gamma, Window(Box([0.0], [0.5])))
+
+
+def test_lift_refs_route_rejects_swapped_refs(fib, fib_window):
+    # the refs of two atoms swapped still lie in the window, but not under their positions
+    gamma = fib_patch(fib, fib_window)
+    refs = gamma.refs.copy()
+    refs[[3, 7]] = refs[[7, 3]]
+    swapped = WeightedComb(gamma.positions, gamma.weights, refs=refs)
+    with pytest.raises(ValueError, match="position does not match its coordinates"):
+        lift(fib, swapped, fib_window)
 
 
 def test_lift_reports_ambiguity():
@@ -350,6 +368,16 @@ def test_a_norm_region_too_small():
     comb = WeightedComb([[0.0]], [1.0])
     with pytest.raises(ValueError, match="too small"):
         a_norm(comb, Box([0.0], [2.0]), Box([0.0], [1.0]))
+
+
+def test_a_norm_input_checks():
+    comb = WeightedComb([[0.0]], [1.0])
+    with pytest.raises(ValueError, match="box dimensions must match the comb dimension"):
+        a_norm(comb, Box([0.0, 0.0], [1.0, 1.0]), Box([-5.0], [5.0]))
+    with pytest.raises(ValueError, match="window box must have positive side lengths"):
+        a_norm(comb, Box([0.0], [0.0]), Box([-5.0], [5.0]))
+    empty = WeightedComb(np.zeros((0, 2)), np.zeros(0))
+    assert a_norm(empty, Box([0.0, 0.0], [1.0, 1.0]), Box([-5.0, -5.0], [5.0, 5.0])) == 0.0
 
 
 def random_dyadic_comb(rng, dim, n, span=10.0):
@@ -574,9 +602,9 @@ def test_strip_candidates_match_pair_oracle(name, offset, scale, radius, frac, b
     # with more beyond it, the cut orders by length, not lexicographically
     within = [int(np.sum(np.linalg.norm(ts, axis=1) <= radius * 2**k)) for k in range(8)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(comb_module, "_STRIP_RADIUS", radius)
+        mp.setattr(almost, "_STRIP_RADIUS", radius)
         if block_rows is not None:
-            mp.setattr(comb_module, "_LOOKUP_CHUNK", block_rows)
+            mp.setattr(almost, "_LOOKUP_CHUNK", block_rows)
         for max_cands in sorted({0, 1, 2, int(frac * total), total - 1, total, total + 1,
                                  2 * total, *within}):
             if max_cands >= 0:
@@ -597,7 +625,7 @@ def test_strip_candidates_with_a_translate_at_the_cap(name):
         comb = model_comb(cps, np.stack([a, a + dz, a + 3 * dz]), np.ones(3))
         for radius in (0.5, 64.0):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(comb_module, "_STRIP_RADIUS", radius)
+                mp.setattr(almost, "_STRIP_RADIUS", radius)
                 for max_cands in range(4):  # at most +-dz are kept
                     _assert_same_candidates(cps, comb, max_cands)
 
@@ -653,7 +681,7 @@ def test_strip_candidates_look_up_few_rows(monkeypatch):
         return dz, p
 
     find = comb.ref_index.find
-    monkeypatch.setattr(comb_module, "lattice_points_in_box", strip)
+    monkeypatch.setattr(almost, "lattice_points_in_box", strip)
     monkeypatch.setattr(comb.ref_index, "find", lambda rows: probed.append(len(rows)) or find(rows))
     _difference_candidates(cps, comb, 50)
     assert comb.n_atoms == 800
@@ -685,7 +713,7 @@ def test_translate_scan_matches_grouped_merge(name, offset, scale, max_cands, bl
     rows = [None, 1, 2 * len(z), 3 * len(z) + 1, 7 * len(z)][block]
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(comb_module, "_LOOKUP_CHUNK", rows)
+            mp.setattr(almost, "_LOOKUP_CHUNK", rows)
         got = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     assert_same_scan(got, want)
     assert len(got.norms) == len(got.accepted) == len(cands)
@@ -723,7 +751,7 @@ def test_scan_blocks_with_cancelling_unmatched_and_outside_candidates(fib, rows)
     want = grouped_almost_period_scan(comb, a_box, 0.5, cands, shifts)
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(comb_module, "_LOOKUP_CHUNK", rows)
+            mp.setattr(almost, "_LOOKUP_CHUNK", rows)
         exact = eps_norm_almost_periods(comb, a_box, 0.5, cands, shifts=shifts)
         floats = eps_norm_almost_periods(comb, a_box, 0.5, cands)
     assert_same_scan(exact, want)
@@ -748,7 +776,7 @@ def test_scan_without_shifts_subtracts_every_original_once():
     comb = WeightedComb([[-20.0], [0.0], [1.5e-9], [30.0]], [1.0, 2.0, 3.0, 4.0])
     t = np.array([[-0.75e-9]])
     order = np.argsort(comb.positions[:, 0], kind="stable")  # the scan's order of the atoms
-    ((_, moved, moved_wts, alone),) = comb_module._translate_blocks(comb, order, t, None, np.array([0]))
+    ((_, moved, moved_wts, alone),) = almost._translate_blocks(comb, order, t, None, np.array([0]))
     pos = np.concatenate([moved[0], comb.positions[order][alone[0]]])
     wts = np.concatenate([moved_wts[0], -comb.weights[order][alone[0]]])
     assert wts.sum() == 0
@@ -772,6 +800,20 @@ def test_shifts_need_refs_and_one_row_per_candidate(fib, fib_window):
         eps_norm_almost_periods(bare, Box([0.0], [1.0]), 1.0, cands, shifts=shifts)
     with pytest.raises(ValueError, match="one integer row per candidate"):
         eps_norm_almost_periods(comb, Box([0.0], [1.0]), 1.0, cands, shifts=shifts[1:])
+
+
+def test_scan_input_checks(fib, fib_window):
+    comb, box = fib_patch(fib, fib_window, hi=200.0), Box([0.0], [1.0])
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            eps_norm_almost_periods(comb, box, eps, [[0.0]])
+    with pytest.raises(ValueError, match="candidate translations must match the comb dimension"):
+        eps_norm_almost_periods(comb, box, 1.0, [[0.0, 1.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="candidate translations must be finite"):
+            eps_norm_almost_periods(comb, box, 1.0, [[0.0], [bad]])
+    with pytest.raises(ValueError, match="cannot scan an empty comb"):
+        eps_norm_almost_periods(WeightedComb(np.zeros((0, 1)), np.zeros(0)), box, 1.0, [[0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +892,19 @@ def test_autocorrelation_rejects_a_region_of_another_dimension():
         autocorrelation_patch(comb, Box([0.0, 0.0], [2.0, 5.0]))
 
 
+def test_autocorrelation_rejects_atoms_outside_the_region():
+    comb = WeightedComb([[0.0], [3.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="comb atoms must lie inside the region"):
+        autocorrelation_patch(comb, Box([0.0], [2.0]))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_autocorrelation_of_an_empty_comb_is_empty(dim):
+    ac = autocorrelation_patch(WeightedComb(np.zeros((0, dim)), np.zeros(0)),
+                               Box(np.zeros(dim), np.ones(dim)))
+    assert ac.n_atoms == 0 and ac.dim == dim
+
+
 def test_model_comb_rejects_refs_of_another_width(fib):
     # refs of the wrong width would disagree with the positions computed from them
     with pytest.raises(ValueError, match="length 2"):
@@ -905,6 +960,12 @@ def test_meyer_gap_without_two_differences_is_infinite(d):
             assert meyer_gap(positions, folds=folds) == np.inf
 
 
+@pytest.mark.parametrize("folds", [0, 4])
+def test_meyer_gap_folds_out_of_range(folds):
+    with pytest.raises(ValueError, match="folds must be between 1 and 3"):
+        meyer_gap(np.arange(5.0), folds=folds)
+
+
 def test_meyer_gap_budget():
     from cutproject import BudgetError
 
@@ -947,6 +1008,22 @@ def test_csv_rejects_an_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="comb csv is empty: no header line"):
         comb_from_csv(path)
+
+
+@pytest.mark.parametrize("header", ["x1,re\n", "x1,im,re\n", "x1,x2,re,im,z\n"])
+def test_csv_rejects_a_header_without_re_im(tmp_path, header):
+    path = tmp_path / "header.csv"
+    path.write_text(header)
+    with pytest.raises(ValueError, match="comb csv must end with re,im columns"):
+        comb_from_csv(path)
+
+
+def test_csv_round_trips_an_empty_3d_comb(tmp_path):
+    path = tmp_path / "empty3.csv"
+    comb_to_csv(WeightedComb(np.zeros((0, 3)), np.zeros(0)), path)
+    assert path.read_bytes() == b"x1,x2,x3,re,im\r\n"
+    back = comb_from_csv(path)
+    assert back.dim == 3 and back.n_atoms == 0
 
 
 def test_a_norm_3d_small():

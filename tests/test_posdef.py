@@ -80,6 +80,16 @@ def test_non_hermitian_rejected():
         gram_min_eigenvalue(f, [[0.0], [1.0]])
 
 
+def test_hermitian_check_warns_within_its_tolerance():
+    # a mirror weight off by more than 1e-9 but at most HERMITIAN_TOL warns; beyond it, raises
+    near = WeightedComb([[-1.0], [0.0], [1.0]], [1.0 + 1e-8, 2.0, 1.0])
+    with pytest.warns(UserWarning, match="approximately Hermitian"):
+        _check_hermitian(near)
+    far = WeightedComb([[-1.0], [0.0], [1.0]], [1.0 + 1e-5, 2.0, 1.0])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _check_hermitian(far)
+
+
 def test_hermitian_check_needs_every_mirror_ref(fib, fib_window):
     rng = np.random.default_rng(23)
     _, ac = random_autocorrelation(fib, fib_window, rng, hi=20.0)

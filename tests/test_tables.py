@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cutproject import WeightedComb, comb_from_csv, comb_to_csv, spectrum_to_csv
-from cutproject import cli, comb
-from cutproject.comb import _POW_LO, AlmostPeriodScan, _decimal_tables, _write_table
+from cutproject import cli
+from cutproject import tables as tables_module
+from cutproject.almost import AlmostPeriodScan
 from cutproject.spectra import DiffractionSpectrum
+from cutproject.tables import _POW_LO, _decimal_tables, _write_table
 
 from .helpers import (
     reference_write_table,
@@ -173,11 +175,11 @@ def test_table_chunks_join_to_one_table(tmp_path, capsys, monkeypatch):
     columns = [floats(rng, 10), rng.integers(INT64.min, INT64.max, 10), floats(rng, 10)]
     one, many = tmp_path / "one.csv", tmp_path / "many.csv"
     _write_table(one, ["a", "b", "c"], columns)
-    monkeypatch.setattr(comb, "_TABLE_CHUNK", 3)
+    monkeypatch.setattr(tables_module, "_TABLE_CHUNK", 3)
     _write_table(many, ["a", "b", "c"], columns)
     assert many.read_bytes() == one.read_bytes()
     assert len(one.read_text().splitlines()) == 11
-    monkeypatch.setattr(comb, "_TABLE_CHUNK", 4)
+    monkeypatch.setattr(tables_module, "_TABLE_CHUNK", 4)
     _write_table(None, ["a", "b", "c"], columns)
     assert capsys.readouterr().out == one.read_text()
 
@@ -259,7 +261,7 @@ def tables(draw):
 @given(tables(), st.sampled_from(["\n", "\r\n"]), st.sampled_from([1, 3, None]))
 def test_write_table_matches_percent_writer(columns, newline, chunk):
     expected = table_text(reference_write_table, columns, newline)
-    with mock.patch.object(comb, "_TABLE_CHUNK", chunk or max(len(columns[0]), 1)):
+    with mock.patch.object(tables_module, "_TABLE_CHUNK", chunk or max(len(columns[0]), 1)):
         assert table_text(_write_table, columns, newline) == expected
 
 
@@ -285,7 +287,7 @@ def test_every_value_by_percent_when_no_product_is_trusted(monkeypatch):
     rng = np.random.default_rng(901)
     columns = [floats(rng, 3000), rng.integers(INT64.min, INT64.max, 3000), floats(rng, 3000)]
     expected = table_text(_write_table, columns)
-    monkeypatch.setattr(comb, "_TIE_BOUND", 1.0)
+    monkeypatch.setattr(tables_module, "_TIE_BOUND", 1.0)
     assert table_text(_write_table, columns) == expected
     assert expected == table_text(reference_write_table, columns)
 
