@@ -10,6 +10,7 @@ floating-point positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -149,6 +150,11 @@ class Lattice:
         """Real-valued preimage ``inv_basis @ p`` of positions."""
         return np.asarray(points, dtype=float) @ self.inv_basis.T
 
+    @cached_property
+    def _elimination(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The box rows eliminated once per lattice, for ``lattice_points_in_box``."""
+        return _fourier_motzkin(self)
+
 
 def density(lat: Lattice) -> float:
     """Points per unit volume, 1 / |det basis|."""
@@ -166,78 +172,85 @@ def _integer_ranges(lat: Lattice, box: Box) -> tuple[np.ndarray, np.ndarray]:
     Interval arithmetic on inv_basis applied to the box makes the cover
     complete; the small pad absorbs floating-point rounding.
     """
-    lo = np.empty(lat.n, dtype=np.int64)
-    hi = np.empty(lat.n, dtype=np.int64)
-    for i in range(lat.n):
-        row = lat.inv_basis[i]
-        t_lo = np.minimum(row * box.lo, row * box.hi)
-        t_hi = np.maximum(row * box.lo, row * box.hi)
-        s_lo, s_hi = float(t_lo.sum()), float(t_hi.sum())
-        reach = float(np.max(np.abs([s_lo, s_hi])))  # nan propagates
-        if not reach <= 2.0**53:  # beyond it consecutive integers are not distinct floats
-            raise BudgetError(
-                f"enumeration budget exceeded: the box's preimage reaches |z{i}| = {reach:.3e} "
-                "> 2**53; shrink the box or use a better-conditioned basis"
-            )
-        pad = 1e-6 + 1e-12 * reach
-        lo[i] = int(np.ceil(s_lo - pad))
-        hi[i] = int(np.floor(s_hi + pad))
-    return lo, hi
+    at_lo, at_hi = lat.inv_basis * box.lo, lat.inv_basis * box.hi
+    s_lo = np.minimum(at_lo, at_hi).sum(axis=1)
+    s_hi = np.maximum(at_lo, at_hi).sum(axis=1)
+    reach = np.maximum(np.abs(s_lo), np.abs(s_hi))  # nan propagates
+    far = ~(reach <= 2.0**53)  # beyond it consecutive integers are not distinct floats
+    if far.any():
+        i = int(np.argmax(far))
+        raise BudgetError(
+            f"enumeration budget exceeded: the box's preimage reaches |z{i}| = {reach[i]:.3e} "
+            "> 2**53; shrink the box or use a better-conditioned basis"
+        )
+    pad = 1e-6 + 1e-12 * reach
+    return np.ceil(s_lo - pad).astype(np.int64), np.floor(s_hi + pad).astype(np.int64)
 
 
 # Relative slack added to every bound row: it absorbs the rounding of
 # ``Lattice.points``, of the elimination and of evaluating the bounds, each
 # many orders of magnitude below it.  Slack only adds candidates.
 _ROW_PAD = 1e-9
-# A coefficient whose largest term on the cover is below this fraction of its
-# row's magnitude is folded into the right-hand side.
+# A coefficient whose term is below this fraction of the terms its row
+# combines is zeroed; each box folds it into the right-hand side.
 _TINY_TERM = 1e-12
 
 
-def _tidy(a, b, hist, m):
-    """Relax negligible coefficients into ``b``, drop void rows, scale rows to unit size.
+def _fourier_motzkin(lat: Lattice) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Fourier-Motzkin elimination of the box rows ``A0 = [B; -B]``, from the basis alone.
 
-    On the cover |z_j| <= m_j, so replacing a_j z_j by its bound |a_j| m_j
-    only weakens a row; so does dropping a row.  Afterwards no coefficient
-    is tiny against its row, which keeps the divisions in ``_eliminate``
-    finite even for subnormal basis entries.
+    Level k holds arrays (a, lam, dropped), one row per inequality bounding
+    z_k given z_0..z_{k-1}: ``a`` its coefficients on z_0..z_k (a[:, k] != 0),
+    ``lam`` its nonnegative multipliers over the 2n rows of A0, and ``dropped``
+    the absolute values of the coefficients zeroed as negligible.  So
+    ``a z + (zeroed terms) = lam A0 z`` up to rounding, and any z with
+    ``A0 z <= b0`` satisfies ``a z <= lam b0 + dropped |z|``.
+
+    Coefficients are weighted by ``w_j``, the sum of |inv_basis[j]|, which
+    bounds |z_j| per unit of box corner: a term |a_j| w_j at most
+    ``_TINY_TERM`` times the row's combined ``lam |A0| w`` is zeroed, and rows
+    are scaled to ``lam |A0| w = 1``.  Afterwards no coefficient is tiny
+    against its row, which keeps the divisions finite even for subnormal
+    basis entries, and cancellation leaves no noise coefficients.  After
+    eliminating s coordinates a row combining more than s + 1 original rows
+    is redundant (Chernikov's rule), and rows combining the same ones
+    coincide; dropping both kinds keeps the system small without loosening it.
     """
-    w = np.abs(a) * m
-    tiny = w <= _TINY_TERM * (w.sum(axis=1) + np.abs(b))[:, None]
-    b = b + np.where(tiny, w, 0.0).sum(axis=1)
-    a = np.where(tiny, 0.0, a)
-    live = (a != 0).any(axis=1)
-    a, b, hist = a[live], b[live], hist[live]
-    scale = (np.abs(a) * m).sum(axis=1) + np.abs(b)
-    return a / scale[:, None], b / scale, hist
-
-
-def _eliminate(a, b, hist, k, m):
-    """Fourier-Motzkin: project the rows ``a z <= b`` along coordinate ``k``.
-
-    ``hist`` marks the original rows each row combines.  After eliminating
-    s coordinates a row combining more than s + 1 of them is redundant
-    (Chernikov's rule), and rows with the same history coincide; dropping
-    both kinds keeps the system small without loosening it.
-    """
-    c = a[:, k]
-    pos, neg = c > 0, c < 0
-    ap, bp = a[pos] / c[pos, None], b[pos] / c[pos]
-    an, bn = a[neg] / -c[neg, None], b[neg] / -c[neg]
-    mag_p = np.abs(ap) @ m + np.abs(bp)
-    mag_n = np.abs(an) @ m + np.abs(bn)
-    new_a = (ap[:, None, :] + an[None, :, :]).reshape(-1, a.shape[1])
-    new_a[:, k] = 0.0
-    new_b = (bp[:, None] + bn[None, :] + _ROW_PAD * (mag_p[:, None] + mag_n[None, :])).reshape(-1)
-    new_h = (hist[pos][:, None, :] | hist[neg][None, :, :]).reshape(-1, hist.shape[1])
-
-    eliminated = a.shape[1] - k
-    keep = new_h.sum(axis=1) <= eliminated + 1
-    a = np.concatenate([a[~(pos | neg)], new_a[keep]])
-    b = np.concatenate([b[~(pos | neg)], new_b[keep]])
-    hist = np.concatenate([hist[~(pos | neg)], new_h[keep]])
-    _, first = np.unique(hist, axis=0, return_index=True)
-    return _tidy(a[first], b[first], hist[first], m)
+    n = lat.n
+    w = np.abs(lat.inv_basis).sum(axis=1)
+    a0 = np.concatenate([lat.basis, -lat.basis])
+    a0_w = np.abs(a0) @ w
+    a, lam, dropped = a0, np.eye(2 * n), np.zeros((2 * n, n))
+    levels = []
+    for k in range(n - 1, -1, -1):
+        # zero negligible coefficients, drop void rows, scale rows to unit size
+        weight = lam @ a0_w
+        tiny = np.abs(a) * w <= _TINY_TERM * weight[:, None]
+        dropped = dropped + np.where(tiny, np.abs(a), 0.0)
+        a = np.where(tiny, 0.0, a)
+        live = (a != 0).any(axis=1)
+        scale = weight[live, None]
+        a, lam, dropped = a[live] / scale, lam[live] / scale, dropped[live] / scale
+        c = a[:, k]
+        bounding = c != 0
+        levels.append((a[bounding, : k + 1], lam[bounding], dropped[bounding]))
+        if k == 0:
+            break
+        # eliminate z_k: every positive row against every negative one
+        pos, neg = c > 0, c < 0
+        up = [x[pos] / c[pos, None] for x in (a, lam, dropped)]
+        down = [x[neg] / -c[neg, None] for x in (a, lam, dropped)]
+        new_a, new_lam, new_dropped = [
+            (p[:, None, :] + q[None, :, :]).reshape(-1, p.shape[1]) for p, q in zip(up, down)
+        ]
+        new_a[:, k] = 0.0
+        keep = (new_lam > 0).sum(axis=1) <= n - k + 1
+        a = np.concatenate([a[~bounding], new_a[keep]])
+        lam = np.concatenate([lam[~bounding], new_lam[keep]])
+        dropped = np.concatenate([dropped[~bounding], new_dropped[keep]])
+        _, first = np.unique(lam > 0, axis=0, return_index=True)
+        a, lam, dropped = a[first], lam[first], dropped[first]
+    return [tuple(_readonly(x) for x in level) for level in reversed(levels)]
 
 
 def lattice_points_in_box(
@@ -246,15 +259,24 @@ def lattice_points_in_box(
     """All lattice points inside the closed ``box``: arrays (Z, P).
 
     Output-sensitive and complete by construction, in the style of
-    Fincke-Pohst.  The box is the system ``B z <= hi + BOUNDARY_TOL``,
-    ``-B z <= -(lo - BOUNDARY_TOL)``; Fourier-Motzkin elimination of
-    z_{n-1}, ..., z_1 yields, for every k, rows bounding z_k given
-    z_0..z_{k-1}.  Prefixes are expanded level by level, z_0 outermost, each
-    range clamped to the interval-arithmetic cover of the preimage, so rows
-    come out in lexicographic order of z.  Positions are then filtered
-    against the box with ``Box.contains``.  Every row carries a small relative slack,
-    which can only add candidates.  Raises BudgetError before materialising
-    a level whose candidate count exceeds ``budget``; the last level holds
+    Fincke-Pohst.  The box is the system ``A0 z <= b0`` with ``A0 = [B; -B]``
+    and ``b0 = [hi + BOUNDARY_TOL; -(lo - BOUNDARY_TOL)]``.  Fourier-Motzkin
+    elimination of z_{n-1}, ..., z_1 depends on A0 alone, so it runs once
+    per lattice (``Lattice._elimination``): for every k it yields rows
+    ``a z <= rhs`` bounding z_k given z_0..z_{k-1}, each a combination of
+    the rows of A0 with nonnegative multipliers lam.  Each call only forms
+    the right-hand sides: ``lam b0`` is valid because the multipliers are
+    nonnegative; a coefficient a_j zeroed as negligible is folded in as
+    |a_j| m_j, its largest term on the cover |z_j| <= m_j; and the slack
+    ``_ROW_PAD * lam (|A0| m + |b0|)`` absorbs every rounding.  Each step
+    only weakens a row, so no lattice point of the box is lost.
+
+    Prefixes are expanded level by level, z_0 outermost, each range clamped
+    to the interval-arithmetic cover of the preimage, so rows come out in
+    lexicographic order of z.  Positions are then filtered against the box
+    with ``Box.contains``: the output is the same whichever complete system
+    produced the candidates.  Raises BudgetError before materialising a
+    level whose candidate count exceeds ``budget``; the last level holds
     about as many candidates as there are points in the box.
     """
     if box.dim != lat.n:
@@ -268,19 +290,14 @@ def lattice_points_in_box(
         return empty
     m = np.maximum(np.abs(cover_lo), np.abs(cover_hi)).astype(float)
 
-    a = np.concatenate([lat.basis, -lat.basis])
-    b = np.concatenate([box.hi + BOUNDARY_TOL, -(box.lo - BOUNDARY_TOL)])
-    b = b + _ROW_PAD * (np.abs(a) @ m + np.abs(b))
-    systems = [_tidy(a, b, np.eye(2 * n, dtype=bool), m)]
-    for k in range(n - 1, 0, -1):
-        systems.append(_eliminate(*systems[-1], k, m))
-    systems.reverse()
-
+    b0 = np.concatenate([box.hi + BOUNDARY_TOL, -(box.lo - BOUNDARY_TOL)])
+    mag = np.abs(lat.basis) @ m
+    b0 = b0 + _ROW_PAD * (np.concatenate([mag, mag]) + np.abs(b0))  # so lam @ b0 carries the slack
     z = np.zeros((1, 0), dtype=np.int64)
-    for k, (a, b, _) in enumerate(systems):
+    for k, (a, lam, dropped) in enumerate(lat._elimination):
         c = a[:, k]
         pos, neg = c > 0, c < 0
-        rhs = b - z.astype(float) @ a[:, :k].T
+        rhs = (lam @ b0 + dropped @ m) - z.astype(float) @ a[:, :k].T
         up = np.min(rhs[:, pos] / c[pos], axis=1, initial=np.inf)
         down = np.max(rhs[:, neg] / c[neg], axis=1, initial=-np.inf)
         first = np.ceil(np.fmax(down, cover_lo[k])).astype(np.int64)

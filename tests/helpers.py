@@ -7,6 +7,8 @@ import sys
 from contextlib import nullcontext
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from cutproject import Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm
 from cutproject._version import __version__
@@ -26,6 +28,52 @@ def brute_lattice_points(lat: Lattice, box: Box, z_range: int, tol: float = 1e-9
     p = z @ lat.basis.T
     keep = ((p >= box.lo - tol) & (p <= box.hi + tol)).all(axis=1)
     return {tuple(row) for row in z[keep]}
+
+
+def brute_points_around(lat: Lattice, box: Box, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Plain scan of the integer box around the preimage of ``box``, filtered against the box.
+
+    The preimage of a box is the parallelepiped spanned by the preimages of
+    its corners, so their coordinate-wise extremes, widened by 2, bound every
+    z whose point is in the box, however far the box is from the origin.
+    Returns (z, p) in lexicographic order of z, positions from ``lat.points``.
+    """
+    corners = np.array(list(itertools.product(*zip(box.lo - tol, box.hi + tol))))
+    pre = lat.coordinates(corners)
+    lo = np.floor(pre.min(axis=0)).astype(np.int64) - 2
+    hi = np.ceil(pre.max(axis=0)).astype(np.int64) + 2
+    grid = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+    z = np.stack([g.reshape(-1) for g in grid], axis=1)
+    p = lat.points(z)
+    keep = ((p >= box.lo - tol) & (p <= box.hi + tol)).all(axis=1)
+    return z[keep], p[keep]
+
+
+@st.composite
+def random_schemes(draw):
+    """A random scheme with a window and a patch: (d, m, basis, window, patch).
+
+    d + m <= 4, the real basis has condition number at most 4, the window is a
+    list of one or two boxes (lo, hi), some with a 1e-3-thin side, and the
+    patch one box (lo, hi) in physical space, sized so that a brute scan
+    around the patch times the window stays under about 1e5 rows.
+    """
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4 - d))
+    n = d + m
+    basis = np.eye(n) + np.array([[draw(st.floats(-0.5, 0.5)) for _ in range(n)] for _ in range(n)])
+    assume(np.linalg.cond(basis) <= 4.0)
+
+    def box(dim, start, sides):
+        lo = np.array([draw(st.floats(-start, start)) for _ in range(dim)])
+        return lo, lo + np.array([draw(sides) for _ in range(dim)])
+
+    window = [box(m, 1.0, st.floats(0.5, 2.0)) for _ in range(draw(st.integers(1, 2)))]
+    for lo, hi in window:
+        if draw(st.booleans()):
+            i = draw(st.integers(0, m - 1))
+            hi[i] = lo[i] + 1e-3
+    return d, m, basis, window, box(d, 4.0, st.floats(2.0, 6.0))
 
 
 def brute_z_range(lat: Lattice, box: Box) -> int:

@@ -3,14 +3,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from cutproject import cli
+from cutproject import Box, Lattice, cli
 from cutproject.cli import (CONFIG_KEYS, GOLDEN, ConfigError, build_parser, load_config, main,
                             parse_config_text, resolve_config)
+
+from .helpers import brute_points_around, random_schemes, reference_write_table
 
 REPO = Path(__file__).resolve().parents[1]
 FIB_CONFIG = REPO / "configs" / "fibonacci.toml"
@@ -502,6 +506,35 @@ def test_pdcheck_fails_a_lift_off_the_strip(capsys, monkeypatch, config):
     assert "gram matrices entrywise equal: FAIL\n" in capsys.readouterr().out
 
 
+def flat_box(lo, hi) -> str:
+    return "[" + ", ".join(f"{a!r}, {b!r}" for a, b in zip(lo.tolist(), hi.tolist())) + "]"
+
+
+@settings(max_examples=60)
+@given(random_schemes())
+def test_modelset_bytes_match_a_brute_scan(scheme):
+    d, m, basis, window, (patch_lo, patch_hi) = scheme
+    lat = Lattice(basis)
+    full = Box(np.concatenate([patch_lo, np.min([lo for lo, _ in window], axis=0)]),
+               np.concatenate([patch_hi, np.max([hi for _, hi in window], axis=0)]))
+    z, p = brute_points_around(lat, full)
+    x, xstar = p[:, :d], p[:, d:]
+    keep = np.any([((xstar >= lo - 1e-9) & (xstar <= hi + 1e-9)).all(axis=1) for lo, hi in window], axis=0)
+    order = np.lexsort(x[keep].T[::-1])  # by x, then by z: the brute rows come in z order
+    z, x, xstar = z[keep][order], x[keep][order], xstar[keep][order]
+    header = [f"x{i + 1}" for i in range(d)] + [f"xstar{i + 1}" for i in range(m)] + [f"z{i + 1}" for i in range(d + m)]
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, want = Path(tmp) / "scheme.toml", Path(tmp) / "points.csv", Path(tmp) / "want.csv"
+        config.write_text(
+            f"d = {d}\nm = {m}\nbasis = {basis.tolist()!r}\n"
+            f"window = [{', '.join(flat_box(lo, hi) for lo, hi in window)}]\n"
+            f"query = {flat_box(patch_lo, patch_hi)}\n"
+        )
+        assert main(["modelset", "--config", str(config), "--out", str(out)]) == 0
+        reference_write_table(want, header, [*x.T, *xstar.T, *z.T])
+        assert out.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("config, patch, name", [
     (FIB_CONFIG, None, "fibonacci_modelset"),
     (AB_CONFIG, "[0, 8, 0, 8]", "ammann_beenker_modelset"),
@@ -588,3 +621,34 @@ def test_main_in_process_matches_subprocess(capsys):
     code = main(["check", "--config", str(FIB_CONFIG)])
     assert code == 0
     assert "dual pairing: ok" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+
+def test_elimination_runs_once_per_lattice(monkeypatch, capsys):
+    from cutproject import cps, lattice, spectra
+    from cutproject.spectra import diffraction
+
+    builds, boxes = [], []
+
+    def counted(calls, real):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(lattice, "_fourier_motzkin", counted(builds, lattice._fourier_motzkin))
+    for module in (spectra, cps):
+        monkeypatch.setattr(module, "lattice_points_in_box", counted(boxes, module.lattice_points_in_box))
+
+    cfg = load_config(AB_CONFIG)
+    diffraction(cfg.scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(), budget=cfg.budget)
+    assert (len(boxes), len(builds)) == (11, 1)  # the cover boxes on one dual lattice
+
+    boxes.clear()
+    builds.clear()
+    assert main(["check", "--config", str(AB_CONFIG)]) == 0
+    assert (len(boxes), len(builds)) == (2, 1)  # the injectivity and density boxes
+    capsys.readouterr()

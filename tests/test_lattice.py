@@ -12,7 +12,7 @@ from cutproject import lattice
 from cutproject.lattice import _group_rows, _row_key
 
 from .conftest import TAU
-from .helpers import brute_lattice_points, brute_z_range
+from .helpers import brute_lattice_points, brute_points_around, brute_z_range
 
 FIB_BASIS = [[1.0, TAU], [1.0, 1.0 - TAU]]
 
@@ -284,6 +284,89 @@ def test_enumeration_subnormal_basis_entries(basis, box):
     got = {tuple(row) for row in z}
     assert got == brute_lattice_points(lat, box, brute_z_range(lat, box))
     assert len(got) > 0
+
+
+@pytest.mark.parametrize(
+    "basis, boxes",
+    [
+        ([[1.0, 5e-324], [0.3, 1.7]], [Box([0.0, -1.0], [0.0, 3.0]), Box([22.0, -8.4], [25.5, -8.4])]),
+        ([[5e-324, 1.0], [1.0, 0.0]], [Box([-2.0, 1.0], [2.0, 1.0]), Box([31.0, -9.0], [31.0, -6.5])]),
+        ([[1.2, 5e-324, 0.0], [0.0, 1.0, 5e-324], [0.4, 0.0, 0.9]],
+         [Box([-2.0, 0.0, -1.5], [2.5, 0.0, 2.0]), Box([5.0, -6.0, 4.0], [7.5, -6.0, 5.5])]),
+    ],
+)
+def test_enumeration_subnormal_basis_one_lattice_two_boxes(basis, boxes):
+    # the elimination is built once, on the first box, and read by the second
+    lat = Lattice(basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for box in boxes:
+            z, _ = lattice_points_in_box(lat, box)
+            assert_strictly_lexicographic(z)
+            got = {tuple(row) for row in z}
+            assert got == brute_lattice_points(lat, box, brute_z_range(lat, box))
+            assert len(got) > 0
+
+
+@pytest.mark.parametrize("basis", [
+    FIB_BASIS,
+    [[1, 0.7071067811865476, 0, -0.7071067811865476], [0, 0.7071067811865476, 1, 0.7071067811865476],
+     [1, -0.7071067811865476, 0, 0.7071067811865476], [0, 0.7071067811865476, -1, 0.7071067811865476]],
+    [[1.2, 5e-324, 0.0], [0.0, 1.0, 5e-324], [0.4, 0.0, 0.9]],
+    [[1.0, 1e-13, 0.0], [0.3, 1.7, 0.0], [0.0, 1e-13, 1.1]],  # 1e-13 is dropped, not rounding
+    np.random.default_rng(4).uniform(-2.0, 2.0, size=(4, 4)),
+])
+def test_elimination_rows_combine_the_box_rows(basis):
+    # each level's rows are nonnegative combinations lam of the rows of [B; -B],
+    # up to the coefficients recorded as dropped and rounding: the completeness
+    # of ``lattice_points_in_box`` rests on it
+    lat = Lattice(basis)
+    a0 = np.concatenate([lat.basis, -lat.basis])
+    for k, (a, lam, dropped) in enumerate(lat._elimination):
+        assert a.shape[1] == k + 1 and (a[:, k] != 0).all()
+        assert (lam >= 0).all() and (dropped >= 0).all()
+        combined = lam @ a0
+        full = np.pad(a, ((0, 0), (0, lat.n - k - 1)))
+        assert (np.abs(combined - full) <= dropped + 1e-14 * (lam @ np.abs(a0))).all()
+
+
+@st.composite
+def lattice_and_far_boxes(draw):
+    # strictly diagonally dominant (2 against at most 1.5), so |inv_basis| <= 2 in
+    # the sup norm and the brute scan around each box stays small
+    n = draw(st.integers(2, 4))
+    basis = 2.5 * np.eye(n) + np.array([[draw(st.floats(-0.5, 0.5)) for _ in range(n)] for _ in range(n)])
+    lat = Lattice(basis)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        # anchored at a lattice point p0 up to about 1e4 from the origin, so the
+        # cover magnitudes m of the boxes differ by orders of magnitude
+        reach = 2 * 10 ** draw(st.integers(0, 3))
+        z0 = np.array([draw(st.integers(-reach, reach)) for _ in range(n)])
+        p0 = lat.points(z0)
+        sides = np.array([draw(st.floats(0.0, 2.0)) for _ in range(n)])
+        lo = p0 - np.array([draw(st.floats(0.0, 1.0)) for _ in range(n)]) * sides
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+            # zero-width or 1e-3-thin side with p0 on its face
+            lo[i], sides[i] = p0[i], draw(st.sampled_from([0.0, 1e-3]))
+        boxes.append((z0, Box(lo, lo + sides)))
+    return basis, boxes
+
+
+@settings(max_examples=60)
+@given(lattice_and_far_boxes())
+def test_enumeration_one_lattice_many_boxes(case):
+    basis, boxes = case
+    lat = Lattice(basis)
+    for z0, box in boxes:
+        z, p = lattice_points_in_box(lat, box)
+        want, _ = brute_points_around(lat, box)
+        assert np.array_equal(z, want)
+        assert tuple(z0) in {tuple(row) for row in z}
+        # the elimination cached on ``lat`` gives what a fresh one gives, bit for bit
+        fresh_z, fresh_p = lattice_points_in_box(Lattice(basis), box)
+        assert np.array_equal(z.view(np.int64), fresh_z.view(np.int64))
+        assert np.array_equal(p.view(np.int64), fresh_p.view(np.int64))
 
 
 def test_enumeration_cost_follows_output():
