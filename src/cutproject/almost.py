@@ -42,18 +42,16 @@ def _translate_range(a_box: Box, dim: int, region_lo, region_hi) -> tuple:
 def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
     """sup over translates t with t + a_box inside eval_region of |comb|(t + a_box).
 
-    The supremum of the window mass is attained where some atom touches a
-    face of the box, so only finitely many translates per axis need checking,
-    and checking exactly those events is exact.  Boxes are closed within
-    ``BOUNDARY_TOL``.  For d = 1 ``_sweep``, shared with the scan, counts each
-    event's window.  For d >= 2 the masses go into a summed-area table (Crow, SIGGRAPH 1984)
-    over the n_i distinct coordinates of each axis, of size prod(n_i + 1);
-    each event is a range of those coordinates, only ranges that no other
-    range contains are kept, and every window of their grid is read off the
-    table as a difference along each axis.  Integer masses with a total below
-    2^53 make every table entry exact.  Otherwise every window within a
-    rigorous rounding bound of the largest is summed again as
-    ``mags[inside].sum()``, and the largest such sum is returned.
+    The supremum of the window mass is attained where some atom touches a face of the box, so
+    only finitely many translates per axis need checking, and checking exactly those events is
+    exact.  Boxes are closed within ``BOUNDARY_TOL``.  For d = 1 ``_sweep``, shared with the
+    scan, counts each event's window.  For d >= 2 each event is a range of the distinct
+    coordinates of its axis, and only the k_i ranges of axis i that no other range contains are
+    kept.  Each atom puts +-|w| on the 2^d corners of the box of kept windows that hold it, so a
+    summed-area table (Crow, SIGGRAPH 1984) of prod(k_i + 1) entries, summed along one axis
+    after another, holds every window's mass.  Integer masses with a total below 2^(53 - d)
+    make every entry exact.  Otherwise every window within a rigorous rounding bound of the
+    largest is summed again as ``mags[inside].sum()``, and the largest such sum is returned.
     """
     t_lo, t_hi = _translate_range(a_box, comb.dim, eval_region.lo, eval_region.hi)
     if comb.n_atoms == 0:
@@ -62,7 +60,8 @@ def a_norm(comb: WeightedComb, a_box: Box, eval_region: Box) -> float:
     if comb.dim == 1:
         order = np.argsort(comb.positions[:, 0])
         return _sweep(comb.positions[order, 0], mags[order], a_box, t_lo[0], t_hi[0])
-    return _table_norm(comb.positions, mags, a_box, t_lo, t_hi)
+    return _table_norm([np.unique(x, return_inverse=True) for x in comb.positions.T], mags, a_box,
+                       t_lo, t_hi)
 
 
 def _sweep(pos: np.ndarray, mags: np.ndarray, a_box: Box, t_lo: float, t_hi: float) -> float:
@@ -76,42 +75,68 @@ def _sweep(pos: np.ndarray, mags: np.ndarray, a_box: Box, t_lo: float, t_hi: flo
     return float((csum[hi_idx] - csum[lo_idx]).max())
 
 
-def _table_norm(positions: np.ndarray, mags: np.ndarray, a_box: Box, t_lo, t_hi) -> float:
-    """d >= 2: the largest window mass off a_norm's summed-area table, masses in atom order."""
-    # atom i sits in cell codes[i] + 1 of the table.  An event's range
-    # [lo, hi) of distinct coordinates grows with the event on both ends, so
-    # the ranges no other range contains are, among those with the largest hi
-    # for their lo, the ones with the smallest lo for their hi
-    codes, ranges, shape = np.empty(positions.shape, np.int64), [], []
-    for i in range(len(t_lo)):
-        coords, codes[:, i] = np.unique(positions[:, i], return_inverse=True)
-        ev = np.concatenate([positions[:, i] - a_box.hi[i], positions[:, i] - a_box.lo[i],
-                             [t_lo[i], t_hi[i]]])
-        ev = np.unique(np.clip(ev, t_lo[i], t_hi[i]))
-        lo = np.searchsorted(coords, ev + a_box.lo[i] - BOUNDARY_TOL, side="left")
-        hi = np.searchsorted(coords, ev + a_box.hi[i] + BOUNDARY_TOL, side="right")
-        last = np.append(lo[1:] != lo[:-1], True)
+def _block_codes(coords, code, steps) -> tuple:
+    """Row r merges coords + steps[r] and coords, the distinct coordinates of the patch's atoms
+    on one axis: two sorted runs.  Returns the merged index of every translated atom and of every
+    original, atom i at coords[code[i]], rows by atoms, and the merged values, firsts flagged."""
+    values = np.concatenate([coords + steps[:, None], np.tile(coords, (len(steps), 1))], axis=1)
+    order = values.argsort(axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    new = np.concatenate([np.ones((len(steps), 1), bool), values[:, 1:] != values[:, :-1]], axis=1)
+    merged = np.empty_like(order)
+    np.put_along_axis(merged, order, np.cumsum(new, axis=1) - 1, axis=1)
+    return merged[:, code], merged[:, len(coords) + code], values, new
+
+
+def _live_codes(row, in_a, in_b, moved, orig, values, new) -> tuple:
+    """``np.unique`` of a row's live atoms, translated (in_a) then originals (in_b), with the
+    inverse, off ``_block_codes``: merged values that no live atom holds are dropped."""
+    merged = np.concatenate([moved[row].compress(in_a[row]), orig[row].compress(in_b[row])])
+    used = np.zeros(len(values[row]), dtype=bool)
+    used[merged] = True
+    coords = values[row].compress(new[row])
+    return coords.compress(used[: len(coords)]), np.cumsum(used)[merged] - 1
+
+
+def _table_norm(axes, mags: np.ndarray, a_box: Box, t_lo, t_hi) -> float:
+    """d >= 2: a_norm's largest window mass off ``np.unique`` of each axis with the inverse."""
+    # an event's range [lo, hi) of distinct coordinates grows with the event on both ends, so
+    # the ranges no other range contains are, among those with the largest hi for their lo, the
+    # ones with the smallest lo for their hi.  An atom lies in the kept ranges first <= r < end
+    # of each axis; +-mags on the 2^d corners of that box, summed axis by axis, give each mass
+    n, d, spans, shape = len(mags), len(axes), [], []
+    for (coords, code), a_lo, a_hi, t0, t1 in zip(axes, a_box.lo, a_box.hi, t_lo, t_hi):
+        ev = np.sort(np.concatenate([coords - a_hi, coords - a_lo, [t0, t1]])).clip(t0, t1)
+        lo = coords.searchsorted(ev + a_lo - BOUNDARY_TOL, side="left")
+        hi = coords.searchsorted(ev + a_hi + BOUNDARY_TOL, side="right")
+        last = np.concatenate([lo[1:] != lo[:-1], [True]])  # repeated events drop here
         lo, hi = lo[last], hi[last]
-        first = np.insert(hi[1:] != hi[:-1], 0, True)
-        ranges.append((lo[first], hi[first]))
-        shape.append(len(coords) + 1)
-    cells = np.ravel_multi_index(tuple((codes + 1).T), shape)
-    masses = np.bincount(cells, weights=mags, minlength=np.prod(shape)).reshape(shape)
-    for axis in range(len(t_lo)):
-        np.cumsum(masses, axis=axis, out=masses)
-    for axis, (lo, hi) in enumerate(ranges):
-        masses = masses.take(hi, axis=axis) - masses.take(lo, axis=axis)
-    best, total = float(masses.max()), float(mags.sum())
-    if total < 2.0 ** 53 and (mags == np.floor(mags)).all():
-        return best
-    # a table entry is N + sum(n_i) roundings deep, each difference at most doubles
-    # its error and a direct sum is N - 1 deep; twice both errors fit in the slack
-    slack = 2.0 ** (len(t_lo) + 2) * (len(mags) + sum(shape)) * np.finfo(float).eps * total
-    sums = []
-    for cell in np.argwhere(masses >= best - slack):
-        lo, hi = (np.array([r[k][j] for r, j in zip(ranges, cell)]) for k in (0, 1))
-        sums.append(float(mags[((codes >= lo) & (codes < hi)).all(axis=1)].sum()))
-    return max(sums)
+        first = np.concatenate([[True], hi[1:] != hi[:-1]])
+        lo, hi, j = lo[first], hi[first], np.arange(1, len(coords) + 1)
+        spans.append((hi.searchsorted(j)[code], lo.searchsorted(j)[code]))
+        shape.append(len(lo) + 1)
+    cells = [0]
+    for (first, end), size in zip(spans, shape):
+        cells = [c * size + s for c in cells for s in (first, end)]
+    signed = np.concatenate([-mags if bin(c).count("1") % 2 else mags for c in range(len(cells))])
+    table = np.bincount(np.concatenate(cells), signed, np.prod(shape)).reshape(shape)
+    for axis in range(d):
+        np.cumsum(table, axis=axis, out=table)
+    windows = table[(slice(-1),) * d]  # the last index of an axis holds end corners only
+    best, total = float(windows.max()), float(mags.sum())
+    if total < 2.0 ** (53 - d) and (mags == np.floor(mags)).all():
+        return best  # integer partial sums, each at most 2^d total
+    # a window's value is at most 2^d n + table.size additions deep with every partial at most
+    # 2^d total, and a direct sum is n - 1 deep; twice both errors fit in the slack
+    slack = 4.0 ** d * (2 * n + table.size) * np.finfo(float).eps * total
+    hits, sums = np.argwhere(windows >= best - slack), [0.0]
+    for part in np.array_split(hits, -(-len(hits) * n // _LOOKUP_CHUNK)):  # blocks of windows
+        r = part.T[:, :, None]
+        inside = np.logical_and.reduce([(f <= r[i]) & (r[i] < e) for i, (f, e) in enumerate(spans)])
+        count = inside.sum(axis=1)  # rows of c atoms each sum as mags[inside].sum() does
+        sums += [mags[np.nonzero(inside[count == c])[1]].reshape(-1, c).sum(axis=1).max()
+                 for c in set(count.tolist()) - {0}]
+    return float(max(sums))
 
 @dataclass(frozen=True)
 class AlmostPeriodScan:
@@ -232,19 +257,19 @@ def eps_norm_almost_periods(
     distance from an accepted t to its nearest accepted neighbour, which
     bounds no hole: two tight clusters far apart give a small value.
 
-    ``shifts`` optionally gives, parallel to the candidates, the integer
-    translate whose image is each t; the comb must then carry ``refs``, and
-    one ``ref_index.find`` of refs + shift per block of candidates matches
-    each translated atom exactly with the original it lands on; a pair more
-    than ``MERGE_TOL`` apart raises ``ValueError``.  Without shifts, one
-    ``find`` per block meets each translated atom with the lowest-index
-    original within ``MERGE_TOL``.  A block of about ``_LOOKUP_CHUNK`` atom
-    rows is one pass over (candidate, atom) arrays for the matches, weights
-    and live-and-inside masks.  For d = 1 the atoms are sorted once per scan,
-    so for every t the translated copy and the unmatched originals are two
-    sorted runs; each candidate merges them and takes one ``_sweep``, the
-    sweep of ``a_norm``.  For d >= 2 each candidate sums its table over the
-    translated copy in index order, then the unmatched originals in order.
+    ``shifts`` optionally gives, parallel to the candidates, the integer translate whose image
+    is each t; the comb must then carry ``refs``, and one ``ref_index.find`` of refs + shift per
+    block of candidates matches each translated atom exactly with the original it lands on; a
+    pair more than ``MERGE_TOL`` apart raises ``ValueError``.  Without shifts, one ``find`` per
+    block meets each translated atom with the lowest-index original within ``MERGE_TOL``.  A
+    block of about ``_LOOKUP_CHUNK`` atom rows is one pass over (candidate, atom) arrays for the
+    matches, weights and live-and-inside masks.  For d = 1 the atoms are sorted once per scan,
+    so for every t the translated copy and the unmatched originals are two sorted runs; each
+    candidate merges them and takes one ``_sweep``, the sweep of ``a_norm``.  For d >= 2 the
+    distinct coordinates of each axis are found once per scan; per block one stable argsort
+    merges, for every t, their translates and themselves, two sorted runs, and each candidate
+    keeps the merged coordinates its live atoms hold: the codes of ``a_norm``'s table, whose
+    masses are the translated copy in index order, then the unmatched originals in order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -274,23 +299,27 @@ def eps_norm_almost_periods(
                                                      hi[scanned] - span)
     order = np.argsort(comb.positions[:, 0], kind="stable") if on_line else np.arange(n)
     pos, mags = comb.positions[order], np.abs(comb.weights[order])
+    patch = [] if on_line else [np.unique(x, return_inverse=True) for x in pos.T]
     for block, moved, wts, alone in _translate_blocks(comb, order, cands, shifts, scanned):
-        # live atoms in the closed overlap within BOUNDARY_TOL, as Box.contains decides it
-        lo_k, hi_k = lo[block, None, :] - BOUNDARY_TOL, hi[block, None, :] + BOUNDARY_TOL
         moved_mags = np.abs(wts)
-        run_a = (moved_mags != 0) & ((moved >= lo_k) & (moved <= hi_k)).all(axis=2)
-        run_b = alone & (mags != 0) & ((pos >= lo_k) & (pos <= hi_k)).all(axis=2)
-        xa, xb = (moved[:, :, 0], pos[:, 0]) if on_line else (moved, pos)  # 1-D rows index faster
+        run_a, run_b = moved_mags != 0, alone & (mags != 0)
+        for i in range(comb.dim):  # live atoms in the closed overlap, as Box.contains decides it
+            lo_k, hi_k = lo[block, i, None] - BOUNDARY_TOL, hi[block, i, None] + BOUNDARY_TOL
+            run_a &= (moved[:, :, i] >= lo_k) & (moved[:, :, i] <= hi_k)
+            run_b &= (pos[:, i] >= lo_k) & (pos[:, i] <= hi_k)
+        codes = [_block_codes(c, code, cands[block, i]) for i, (c, code) in enumerate(patch)]
         for row, k in enumerate(block):
-            x = np.concatenate([xa[row, run_a[row]], xb[run_b[row]]])
-            m = np.concatenate([moved_mags[row, run_a[row]], mags[run_b[row]]])
-            if not len(x):
+            m = np.concatenate([moved_mags[row].compress(run_a[row]), mags.compress(run_b[row])])
+            if not len(m):
                 norms[k] = 0.0
             elif on_line:  # the two runs merged, translated atoms first on ties
+                x = np.concatenate([moved[row, :, 0].compress(run_a[row]),
+                                    pos[:, 0].compress(run_b[row])])
                 merged = x.argsort(kind="stable")
                 norms[k] = _sweep(x[merged], m[merged], a_box, t_lo[k, 0], t_hi[k, 0])
             else:
-                norms[k] = _table_norm(x, m, a_box, t_lo[k], t_hi[k])
+                axes = [_live_codes(row, run_a, run_b, *c) for c in codes]
+                norms[k] = _table_norm(axes, m, a_box, t_lo[k], t_hi[k])
     accepted = norms < eps
     return AlmostPeriodScan(cands, norms, accepted, _accepted_max_gap(cands[accepted]))
 

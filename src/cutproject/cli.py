@@ -25,7 +25,7 @@ from ._version import __version__
 from .almost import _difference_candidates, eps_norm_almost_periods
 from .comb import WeightedComb, autocorrelation_patch, model_comb
 from .cps import CutProjectScheme, Window, internal_density_check, model_set, verify_injectivity
-from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, _first_near, dual
+from .lattice import DEFAULT_BUDGET, Box, BudgetError, Lattice, _first_near
 from .posdef import lift_pd_crosscheck
 from .spectra import (
     Separable,
@@ -290,7 +290,7 @@ def cmd_check(cfg: SchemeConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     z = rng.integers(-20, 21, size=(100, cfg.d + cfg.m))
     w = rng.integers(-20, 21, size=(100, cfg.d + cfg.m))
-    pair = np.sum(cfg.scheme.lat.points(z) * dual(cfg.scheme.lat).points(w), axis=1)
+    pair = np.sum(cfg.scheme.lat.points(z) * cfg.scheme.dual.lat.points(w), axis=1)
     pairing_err = float(np.max(np.abs(np.exp(2j * np.pi * pair) - 1.0)))
     pairing_ok = pairing_err < 1e-10
 

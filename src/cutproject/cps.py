@@ -14,6 +14,7 @@ declared search radius, never proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,11 @@ class CutProjectScheme:
             raise ValueError("both d and m must be at least 1")
         if self.d + self.m != self.lat.n:
             raise ValueError(f"d + m = {self.d + self.m} does not match lattice dimension {self.lat.n}")
+
+    @cached_property
+    def dual(self) -> CutProjectScheme:
+        """``dual_cps`` of the scheme, built once, so its lattice's elimination is built once."""
+        return CutProjectScheme(lat=dual(self.lat), d=self.d, m=self.m)
 
     def split(self, z) -> tuple[np.ndarray, np.ndarray]:
         p = self.lat.points(z)
@@ -206,4 +212,4 @@ def dual_cps(cps: CutProjectScheme) -> CutProjectScheme:
     Its points (k, kstar) pair integrally with every (x, xstar) of the
     original lattice: k.x + kstar.xstar is an integer.
     """
-    return CutProjectScheme(lat=dual(cps.lat), d=cps.d, m=cps.m)
+    return cps.dual

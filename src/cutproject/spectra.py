@@ -47,7 +47,6 @@ from .lattice import (
     _first_near,
     _near,
     density,
-    dual,
     lattice_points_in_box,
 )
 
@@ -855,7 +854,7 @@ def lattice_comb_transform(cps: CutProjectScheme, profile: Separable | Atomic) -
             fiber=profile.transform(),
         ),
     )
-    return PeriodicMeasure(period=dual(cps.lat), d=cps.d, m=cps.m, scale=density(cps.lat), motif=motif)
+    return PeriodicMeasure(period=cps.dual.lat, d=cps.d, m=cps.m, scale=density(cps.lat), motif=motif)
 
 
 # ---------------------------------------------------------------------------

@@ -652,3 +652,32 @@ def test_elimination_runs_once_per_lattice(monkeypatch, capsys):
     assert main(["check", "--config", str(AB_CONFIG)]) == 0
     assert (len(boxes), len(builds)) == (2, 1)  # the injectivity and density boxes
     capsys.readouterr()
+
+
+def test_dual_scheme_built_once_per_scheme(monkeypatch, capsys, tmp_path):
+    from cutproject import cps, dual, dual_cps, lattice, lattice_comb_transform
+    from cutproject.spectra import diffraction
+
+    builds = []
+    real = lattice._fourier_motzkin
+    monkeypatch.setattr(lattice, "_fourier_motzkin", lambda lat: builds.append(lat) or real(lat))
+    cfg = load_config(AB_CONFIG)
+    dual_basis = dual(cfg.scheme.lat).basis
+
+    def dual_builds():
+        return sum(np.array_equal(lat.basis, dual_basis) for lat in builds)
+
+    out = tmp_path / "compare.csv"
+    assert main(["oracle", "--config", str(AB_CONFIG), "--top", "5", "--radius", "30", "--out", str(out)]) == 0
+    assert (dual_builds(), len(builds)) == (1, 2)  # the dual's cover boxes and the primal patch
+    capsys.readouterr()
+
+    # a library caller holding one scheme reads one dual lattice through every route
+    builds.clear()
+    scheme = cps.CutProjectScheme(lat=Lattice(cfg.scheme.lat.basis), d=cfg.d, m=cfg.m)
+    for _ in range(2):
+        diffraction(scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(),
+                    budget=cfg.budget)
+    assert (dual_builds(), len(builds)) == (1, 1)
+    assert dual_cps(scheme) is scheme.dual
+    assert lattice_comb_transform(scheme, cfg.profile).period is scheme.dual.lat

@@ -31,9 +31,11 @@ from cutproject.comb import merge_atoms
 from cutproject.lattice import MERGE_TOL, _near, lattice_points_in_box
 from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
 
+from . import helpers
 from .conftest import TAU
 from .helpers import (anchor_a_norm, assert_same_scan, brute_components, dense_a_norm,
-                      grid_a_norm, grouped_almost_period_scan, integer_difference_candidates)
+                      grid_a_norm, grouped_almost_period_scan, integer_difference_candidates,
+                      random_schemes)
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -717,6 +719,32 @@ def test_translate_scan_matches_grouped_merge(name, offset, scale, max_cands, bl
         got = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
     assert_same_scan(got, want)
     assert len(got.norms) == len(got.accepted) == len(cands)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_schemes().filter(lambda scheme: scheme[0] == 2), st.floats(1.0, 2.5),
+       st.integers(0, 30), st.floats(0.5, 6.0))
+def test_d2_scan_matches_grouped_merge_with_dense_norms(scheme, grow, max_cands, eps):
+    # the oracle merges each translate by grouping rows and counts every window with one
+    # boolean mask per face event, so it shares neither the merged codes nor the table; the
+    # patch grows so that windows of a twentieth of its span hold a few atoms
+    d, m, basis, window, (lo, hi) = scheme
+    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+    window = Window([Box(w_lo, w_hi) for w_lo, w_hi in window])
+    z = model_set(cps, window, Box(lo, lo + grow * (hi - lo)))
+    assume(len(z) > 1)
+    comb = model_comb(cps, z, np.ones(len(z)))
+    assume((comb.extent.sides > 0).all())
+    cands, shifts = integer_difference_candidates(cps, comb.positions, comb.refs, max_cands)
+    a_box = Box(np.zeros(d), comb.extent.sides / 20.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpers, "a_norm", dense_a_norm)
+        want = grouped_almost_period_scan(comb, a_box, eps, cands, shifts)
+    assert not np.isnan(want.norms).all()
+    # without shifts atoms meet by position, which only atoms more than MERGE_TOL apart allow
+    distinct = len(_near(comb.positions, comb.positions, MERGE_TOL)[0]) == len(z)
+    for s in (shifts, None) if distinct else (shifts,):
+        assert_same_scan(eps_norm_almost_periods(comb, a_box, eps, cands, shifts=s), want)
 
 
 @settings(max_examples=30)

@@ -369,6 +369,47 @@ def test_enumeration_one_lattice_many_boxes(case):
         assert np.array_equal(p.view(np.int64), fresh_p.view(np.int64))
 
 
+@st.composite
+def lattice_and_boxes_far_out(draw):
+    """A lattice, n = 2-4 with condition number below 4, one entry scaled by 1e-13 in a third
+    of the draws (the elimination drops its terms), and 20 boxes, each anchored at a lattice
+    point 1e3-1e8 out along one coordinate, with one face 1e-9 from it and sides 0, 1e-3, 0.5
+    or 2."""
+    n = draw(st.integers(2, 4))
+    basis = np.eye(n) + np.array([[draw(st.floats(-0.5, 0.5)) for _ in range(n)] for _ in range(n)])
+    if draw(st.integers(0, 2)) == 0:
+        basis[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] *= 1e-13
+    assume(np.linalg.cond(basis) < 4.0)
+    lat, rng, boxes = Lattice(basis), np.random.default_rng(draw(st.integers(0, 2**32 - 1))), []
+    for _ in range(20):
+        # far out along one coordinate only: a dropped term on it can then outgrow the row pad,
+        # which the small cover magnitudes of the other coordinates keep small
+        z0 = rng.integers(-3, 4, size=n)
+        z0[rng.integers(n)] = rng.choice([-1, 1]) * int(10.0 ** rng.uniform(3, 8))
+        p0 = lat.points(z0)
+        sides = rng.choice([0.0, 1e-3, 0.5, 2.0], size=n)
+        lo = p0 - rng.uniform(0.0, 1.0, size=n) * sides
+        k, gap = rng.integers(n), rng.choice([-1e-9, 1e-9])
+        if rng.integers(2):  # the lower face, or the upper one, 1e-9 inside or outside p0
+            lo[k] = p0[k] + gap
+        else:
+            lo[k] = p0[k] + gap - sides[k]
+        boxes.append(Box(lo, lo + sides))
+    return basis, boxes
+
+
+@settings(max_examples=40)
+@given(lattice_and_boxes_far_out())
+def test_enumeration_keeps_points_on_far_faces(case):
+    # pins both enumeration slacks: with _ROW_PAD = 0, or without the dropped @ m term
+    # of the right-hand sides, points on these faces go missing
+    basis, boxes = case
+    lat = Lattice(basis)
+    for box in boxes:
+        z, _ = lattice_points_in_box(lat, box)
+        assert np.array_equal(z, brute_points_around(lat, box)[0])
+
+
 def test_enumeration_cost_follows_output():
     # |x| <= 1e6 on the Fibonacci strip: 894,428 points, where the integer
     # bounding box of the strip's preimage holds about 4.9e11 candidates
