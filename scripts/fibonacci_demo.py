@@ -27,7 +27,7 @@ TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def main() -> None:
-    scheme = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1, m=1)
+    scheme = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1)
     window = Window(Box([0.0], [1.0]))
     profile = box_profile(Box([0.0], [1.0]))
     cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)

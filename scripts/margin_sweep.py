@@ -30,7 +30,7 @@ CROSS_MARGIN_TOL = 1e-9  # acceptance criterion 4: the amplitudes do not move wi
 
 
 def main() -> int:
-    scheme = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1, m=1)
+    scheme = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1)
     window = Window(Box([0.0], [1.0]))
     profile = box_profile(Box([0.0], [1.0]))
     spectrum = diffraction(scheme, window, profile, Box([-5.0], [5.0]), 0.05,

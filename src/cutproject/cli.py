@@ -156,10 +156,8 @@ def _number(kind, minimum=None):
 
 @dataclass
 class SchemeConfig:
-    """Everything a run needs, resolved from a flat config file."""
+    """Everything a run needs, resolved from a flat config file; d and m are ``scheme``'s."""
 
-    d: int
-    m: int
     scheme: CutProjectScheme
     window: Window
     profile: Separable
@@ -212,7 +210,7 @@ def resolve_config(values: dict) -> SchemeConfig:
         lat = Lattice(rows)
         if lat.n != d + m:
             raise ValueError(f"rank {lat.n} does not match d + m = {d + m}")
-        return CutProjectScheme(lat=lat, d=d, m=m)
+        return CutProjectScheme(lat=lat, d=d)
 
     def cutoff_margin(value):
         margin = np.broadcast_to(np.asarray(value, dtype=float), (m,)).copy()
@@ -241,8 +239,6 @@ def resolve_config(values: dict) -> SchemeConfig:
     query = read("query", physical)
     patch_query = read("patch_query", physical, query)
     config = SchemeConfig(
-        d=d,
-        m=m,
         scheme=scheme,
         window=window,
         profile=profile,
@@ -288,8 +284,8 @@ def cmd_check(cfg: SchemeConfig, args) -> int:
         cfg.scheme, cfg.density_box, cfg.density_eps, cfg.density_radius, budget=cfg.budget
     )
     rng = np.random.default_rng(cfg.seed)
-    z = rng.integers(-20, 21, size=(100, cfg.d + cfg.m))
-    w = rng.integers(-20, 21, size=(100, cfg.d + cfg.m))
+    z = rng.integers(-20, 21, size=(100, cfg.scheme.d + cfg.scheme.m))
+    w = rng.integers(-20, 21, size=(100, cfg.scheme.d + cfg.scheme.m))
     pair = np.sum(cfg.scheme.lat.points(z) * cfg.scheme.dual.lat.points(w), axis=1)
     pairing_err = float(np.max(np.abs(np.exp(2j * np.pi * pair) - 1.0)))
     pairing_ok = pairing_err < 1e-10
@@ -308,9 +304,9 @@ def cmd_modelset(cfg: SchemeConfig, args) -> int:
     z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
     x, xstar = cfg.scheme.split(z)
     header = (
-        [f"x{i + 1}" for i in range(cfg.d)]
-        + [f"xstar{i + 1}" for i in range(cfg.m)]
-        + [f"z{i + 1}" for i in range(cfg.d + cfg.m)]
+        [f"x{i + 1}" for i in range(cfg.scheme.d)]
+        + [f"xstar{i + 1}" for i in range(cfg.scheme.m)]
+        + [f"z{i + 1}" for i in range(cfg.scheme.d + cfg.scheme.m)]
     )
     _write_table(args.out, header, [*x.T, *xstar.T, *z.T])
     return EXIT_OK
@@ -338,8 +334,8 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
         return EXIT_USAGE
     radius = args.radius if args.radius is not None else cfg.oracle_radius
     for text in args.k or []:
-        if len(text.split(",")) != cfg.d:
-            print(f"--k {text!r} has {len(text.split(','))} coordinates; the scheme needs d = {cfg.d}",
+        if len(text.split(",")) != cfg.scheme.d:
+            print(f"--k {text!r} has {len(text.split(','))} coordinates; the scheme needs d = {cfg.scheme.d}",
                   file=sys.stderr)
             return EXIT_USAGE
     spectrum = _spectrum(cfg)
@@ -360,7 +356,7 @@ def cmd_oracle(cfg: SchemeConfig, args) -> int:
         closed = spectrum.amplitudes[order]
     oracle = oracle_amplitudes(cfg.scheme, cfg.window, cfg.profile, ks, radius, budget=cfg.budget)
     ref = float(np.max(np.abs(closed)))
-    header = [f"k{i + 1}" for i in range(cfg.d)] + [
+    header = [f"k{i + 1}" for i in range(cfg.scheme.d)] + [
         "re_closed", "im_closed", "re_oracle", "im_oracle", "agreement",
     ]
     gap = closed - oracle
@@ -405,9 +401,9 @@ def cmd_almostperiods(cfg: SchemeConfig, args) -> int:
     comb = _patch_comb(cfg)
     cands, shifts = _difference_candidates(cfg.scheme, comb, args.max_candidates)
     eps = max(args.eps, 1e-12)  # eps 0 means exact periods only
-    a_box = Box(np.zeros(cfg.d), np.ones(cfg.d))
+    a_box = Box(np.zeros(cfg.scheme.d), np.ones(cfg.scheme.d))
     scan = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
-    header = [f"t{i + 1}" for i in range(cfg.d)] + ["norm", "accepted"]
+    header = [f"t{i + 1}" for i in range(cfg.scheme.d)] + ["norm", "accepted"]
     order = np.lexsort((~scan.accepted, *scan.ts.T[::-1]))  # equal t: accepted rows first
     order = order[~np.isnan(scan.norms[order])]  # skipped candidates are not written
     _write_table(args.out, header,

@@ -1,7 +1,7 @@
 """Cut-and-project schemes over R^d x R^m.
 
-A scheme is a full-rank lattice in R^(d+m) together with the declared split
-into a physical part (first d coordinates) and an internal part (last m).
+A scheme is a full-rank lattice in R^n together with the declared split
+into a physical part (first d coordinates) and an internal part (last m = n - d).
 The star map sends the integer coordinates of a lattice point to its internal
 part; a window in internal space selects the model set, which is returned
 as the integer coordinates of its points: each point is the projection of
@@ -64,22 +64,23 @@ class Window:
 
 @dataclass(frozen=True)
 class CutProjectScheme:
-    """Lattice in R^(d+m) with physical dimension d and internal dimension m."""
+    """Lattice in R^n with physical dimension d; the internal dimension is m = n - d."""
 
     lat: Lattice
     d: int
-    m: int
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.m < 1:
             raise ValueError("both d and m must be at least 1")
-        if self.d + self.m != self.lat.n:
-            raise ValueError(f"d + m = {self.d + self.m} does not match lattice dimension {self.lat.n}")
+
+    @property
+    def m(self) -> int:
+        return self.lat.n - self.d
 
     @cached_property
     def dual(self) -> CutProjectScheme:
         """``dual_cps`` of the scheme, built once, so its lattice's elimination is built once."""
-        return CutProjectScheme(lat=dual(self.lat), d=self.d, m=self.m)
+        return CutProjectScheme(lat=dual(self.lat), d=self.d)
 
     def split(self, z) -> tuple[np.ndarray, np.ndarray]:
         p = self.lat.points(z)

@@ -74,8 +74,9 @@ class Box:
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points of width {pts.shape[1]} against a box of dimension {self.dim}")
-        ok = ((pts >= self.lo - BOUNDARY_TOL).all(axis=1)
-              & (pts <= self.hi + BOUNDARY_TOL).all(axis=1))
+        ok = np.ones(len(pts), dtype=bool)  # by column: all(axis=1) reduces each short row alone
+        for col, lo, hi in zip(pts.T, self.lo - BOUNDARY_TOL, self.hi + BOUNDARY_TOL):
+            ok &= (col >= lo) & (col <= hi)
         return bool(ok[0]) if single else ok
 
     def contains_box(self, other: "Box") -> bool:

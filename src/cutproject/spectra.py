@@ -401,16 +401,13 @@ class TruncationSpec:
     """Declared truncation for dual-side quadrature.
 
     ``radius`` bounds the integration box per axis and ``tail_tol`` the total
-    certified quadrature tail allowed.  The fibered pairing works on a
-    declared internal slice, ``internal_radius`` or ``DEFAULT_INTERNAL_SLICE``;
-    translates beyond it are outside the declared computation.
+    certified quadrature tail allowed.
     """
 
     radius: float = 200.0
     panel: float = 0.5
     order: int = 16
     tail_tol: float = 1e-8
-    internal_radius: float | None = None
 
 
 _leggauss = functools.lru_cache(np.polynomial.legendre.leggauss)  # 0.3 ms a call at order 24
@@ -801,14 +798,17 @@ class PeriodicMeasure:
     """Measure on R^d x R^m invariant under the period lattice, given by a motif.
 
     The represented measure is scale times the sum of the motif translated by
-    every period-lattice vector; invariance holds by construction.
+    every vector of the period lattice (in R^n, so m = n - d); invariance holds by construction.
     """
 
     period: Lattice
     d: int
-    m: int
     scale: float
     motif: tuple
+
+    @property
+    def m(self) -> int:
+        return self.period.n - self.d
 
     def pp_motif(self) -> tuple:
         return tuple(c for c in self.motif if c.pure_point)
@@ -854,7 +854,7 @@ def lattice_comb_transform(cps: CutProjectScheme, profile: Separable | Atomic) -
             fiber=profile.transform(),
         ),
     )
-    return PeriodicMeasure(period=cps.dual.lat, d=cps.d, m=cps.m, scale=density(cps.lat), motif=motif)
+    return PeriodicMeasure(period=cps.dual.lat, d=cps.d, scale=density(cps.lat), motif=motif)
 
 
 # ---------------------------------------------------------------------------
@@ -863,15 +863,17 @@ def lattice_comb_transform(cps: CutProjectScheme, profile: Separable | Atomic) -
 
 @dataclass(frozen=True)
 class DiffractionSpectrum:
-    """Pure-point spectrum on a query box: peak positions with amplitudes."""
+    """Pure-point spectrum on a query box: peak positions with amplitudes, threshold in ``metadata``."""
 
-    d: int
     ks: np.ndarray
     internals: np.ndarray
     refs: np.ndarray
     amplitudes: np.ndarray
-    threshold: float
     metadata: dict
+
+    @property
+    def d(self) -> int:
+        return self.ks.shape[1]
 
     @property
     def intensities(self) -> np.ndarray:
@@ -991,12 +993,10 @@ def diffraction(
         "version": __version__,
     }
     return DiffractionSpectrum(
-        d=cps.d,
         ks=ks[order],
         internals=stars[order],
         refs=z[order],
         amplitudes=amplitudes[order],
-        threshold=threshold,
         metadata=metadata,
     )
 
@@ -1135,8 +1135,9 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: Truncation
     carry no mass on the measure-zero physical fibers an atomic functional
     sees, so only point components contribute.  In strict mode an atom matching no enumerated lattice point
     raises; with strict=False such atoms simply contribute zero, which is the
-    value of the pairing away from the measure's support.  Raises when the
-    certified tail exceeds its tolerance.
+    value of the pairing away from the measure's support.  Translates outside the internal
+    cube of half-side ``DEFAULT_INTERNAL_SLICE`` are outside the declared computation.
+    Raises when the certified tail exceeds its tolerance.
     """
     trunc = trunc or TruncationSpec()
     positions, values = _normalize_psi(psi, rho.d)
@@ -1148,8 +1149,7 @@ def pair_fibered(rho: PeriodicMeasure, psi, cutoff: Separable, trunc: Truncation
     total_tail = 0.0
 
     reach = Box(positions.min(axis=0), positions.max(axis=0))
-    slice_radius = trunc.internal_radius if trunc.internal_radius is not None else DEFAULT_INTERNAL_SLICE
-    radii = np.full(rho.m, float(slice_radius))
+    radii = np.full(rho.m, DEFAULT_INTERNAL_SLICE)
     for comp in rho.pp_motif():
         box = Box.product(comp.offset(reach).inflate(LIFT_TOL), Box(-radii, radii).shifted(-comp.internal))
         _, p = lattice_points_in_box(rho.period, box, budget=budget)

@@ -18,7 +18,7 @@ TAU = (1.0 + np.sqrt(5.0)) / 2.0
 @pytest.fixture(scope="session")
 def fib() -> CutProjectScheme:
     """Golden-ratio scheme: d = m = 1, basis columns (1, 1) and (tau, 1 - tau)."""
-    return CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1, m=1)
+    return CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1)
 
 
 @pytest.fixture(scope="session")
@@ -33,4 +33,4 @@ def cps2d() -> CutProjectScheme:
     while True:
         basis = rng.uniform(-2.0, 2.0, size=(4, 4))
         if abs(np.linalg.det(basis)) > 0.5:
-            return CutProjectScheme(lat=Lattice(basis), d=2, m=2)
+            return CutProjectScheme(lat=Lattice(basis), d=2)

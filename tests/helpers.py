@@ -134,8 +134,8 @@ def full_box_diffraction(cps, profile, query: Box, threshold: float, cutoff,
         "cutoff": {key: [float(getattr(ax, key)) for ax in cutoff.axes] for key in ("a", "b", "delta")},
         "version": __version__,
     }
-    return DiffractionSpectrum(d=cps.d, ks=ks[order], internals=stars[order], refs=z[order],
-                               amplitudes=amplitudes[order], threshold=threshold, metadata=metadata)
+    return DiffractionSpectrum(ks=ks[order], internals=stars[order], refs=z[order],
+                               amplitudes=amplitudes[order], metadata=metadata)
 
 
 def brute_components(positions, tol: float):
@@ -242,6 +242,29 @@ def anchor_a_norm(comb: WeightedComb, a_box: Box, region: Box, tol: float = 1e-9
         inside = ((comb.positions >= lo) & (comb.positions <= hi)).all(axis=1)
         best = max(best, float(mags[inside].sum()))
     return best
+
+
+def lifted_autocorrelation_counts(cps, window: Box, patch: Box) -> dict:
+    """vol * gamma of the unit-weight patch P = model set of ``window`` over ``patch``, exactly.
+
+    With B = Q x W, the points y and y - x both lie in P exactly when the lift
+    (y, y*) lies in B and in B + (x, x*).  So vol * gamma(x) is the number of
+    lattice points in B cap (B + (x, x*)): one count per lattice point (x, x*),
+    and no list of pairs.  Every (x, x*) with a positive count lies in B - B;
+    the result maps the integer coordinates of each of those to its count.
+    Boxes are closed within ``BOUNDARY_TOL``, as in ``model_set``, so B - B is
+    widened by twice that, and each count filters its enumeration against the
+    two widened boxes itself: faces up to 2 ``BOUNDARY_TOL`` apart still meet.
+    """
+    box = Box.product(patch, window)
+    counts = {}
+    spread = Box(box.lo - box.hi, box.hi - box.lo).inflate(BOUNDARY_TOL)
+    for dz, shift in zip(*lattice_points_in_box(cps.lat, spread)):
+        lo = np.maximum(box.lo, box.lo + shift) - BOUNDARY_TOL
+        hi = np.minimum(box.hi, box.hi + shift) + BOUNDARY_TOL
+        _, p = lattice_points_in_box(cps.lat, Box(lo, hi))
+        counts[tuple(dz.tolist())] = int(((p >= lo) & (p <= hi)).all(axis=1).sum())
+    return counts
 
 
 def integer_difference_candidates(cps, positions, refs, max_candidates: int):

@@ -207,7 +207,7 @@ def test_criterion_6_projector_commutation(fib):
     with criterion(6, "spectral projectors commute with the projection", 5.0):
         base = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
         rho = PeriodicMeasure(
-            period=base.period, d=1, m=1, scale=base.scale,
+            period=base.period, d=1, scale=base.scale,
             motif=base.motif + (
                 MotifDensityFiber(
                     density=trapezoid_profile([-0.3], [0.3], 0.2),
@@ -254,7 +254,7 @@ def test_criterion_7_norm_bound_and_almost_periods(fib):
             rho = lattice_comb_transform(fib, profile)
             if case % 3 == 0:
                 rho = PeriodicMeasure(
-                    period=rho.period, d=1, m=1, scale=rho.scale,
+                    period=rho.period, d=1, scale=rho.scale,
                     motif=rho.motif + (
                         MotifAtom(phys=np.zeros(1), internal=np.array([0.2]),
                                   weight=complex(rng.uniform(0.2, 1.0))),
@@ -274,7 +274,7 @@ def test_criterion_7_norm_bound_and_almost_periods(fib):
         # component puts mass on the left side's density branch
         base = lattice_comb_transform(fib, trapezoid_profile([0.1], [0.7], 0.2))
         rho = PeriodicMeasure(
-            period=base.period, d=1, m=1, scale=base.scale,
+            period=base.period, d=1, scale=base.scale,
             motif=base.motif + (
                 MotifDensityFiber(
                     density=trapezoid_profile([-0.3], [0.3], 0.2),

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import re
@@ -8,13 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cutproject import Box, Lattice, cli
+from cutproject import (Box, CutProjectScheme, Lattice, Window, box_profile, cli, density, make_cutoff,
+                        model_comb, model_set)
 from cutproject.cli import (CONFIG_KEYS, GOLDEN, ConfigError, build_parser, load_config, main,
                             parse_config_text, resolve_config)
+from cutproject.spectra import _fiber_radii
 
-from .helpers import brute_points_around, random_schemes, reference_write_table
+from .helpers import (brute_points_around, full_box_diffraction, grouped_almost_period_scan,
+                      integer_difference_candidates, random_schemes, reference_write_table,
+                      rowwise_almostperiods_csv, rowwise_spectrum_csv)
 
 REPO = Path(__file__).resolve().parents[1]
 FIB_CONFIG = REPO / "configs" / "fibonacci.toml"
@@ -74,9 +82,16 @@ def test_section_headers_flatten():
     assert values == {"scheme.d": 1}
 
 
+def test_scheme_config_reads_dimensions_off_its_scheme():
+    # the config keys d and m are checked against the lattice, then held by the scheme alone
+    assert not {"d", "m"} & {f.name for f in dataclasses.fields(cli.SchemeConfig)}
+    cfg = resolve_config(parse_config_text(AB_CONFIG.read_text()))
+    assert (cfg.scheme.d, cfg.scheme.m) == (2, 2)
+
+
 def test_config_file_resolves():
     cfg = resolve_config(parse_config_text(FIB_CONFIG.read_text()))
-    assert cfg.d == cfg.m == 1
+    assert cfg.scheme.d == cfg.scheme.m == 1
     assert cfg.scheme.lat.basis[0, 1] == GOLDEN
     assert cfg.threshold == 0.01
 
@@ -535,6 +550,63 @@ def test_modelset_bytes_match_a_brute_scan(scheme):
         assert out.read_bytes() == want.read_bytes()
 
 
+def random_config(d, m, basis, window, query, patch_query) -> str:
+    return (f"d = {d}\nm = {m}\nbasis = {basis.tolist()!r}\n"
+            f"window = [{', '.join(flat_box(lo, hi) for lo, hi in window)}]\n"
+            f"query = {flat_box(*query)}\npatch_query = {flat_box(*patch_query)}\n")
+
+
+@settings(max_examples=25)
+@given(random_schemes().filter(lambda scheme: scheme[0] <= 2), st.integers(1, 30), st.floats(0.5, 6.0))
+def test_almostperiods_bytes_match_the_grouped_merge_scan(scheme, max_cands, eps):
+    # the patch grows so that candidates leave overlaps of the 12 unit windows per axis
+    # that MIN_DIAMETERS asks; at d = 3 such patches are too large for the oracle's pairs
+    d, m, basis, window, (lo, hi) = scheme
+    patch = (lo, hi + (30.0 if d == 1 else 12.0))
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
+    z = model_set(cps, Window([Box(w_lo, w_hi) for w_lo, w_hi in window]), Box(*patch))
+    assume(len(z))
+    comb = model_comb(cps, z, np.ones(len(z)))
+    cands, shifts = integer_difference_candidates(cps, comb.positions, comb.refs, max_cands)
+    scan = grouped_almost_period_scan(comb, Box(np.zeros(d), np.ones(d)), eps, cands, shifts)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "scheme.toml", Path(tmp) / "periods.csv"
+        config.write_text(random_config(d, m, basis, window, patch, patch))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["almostperiods", "--config", str(config), "--eps", repr(eps),
+                         "--max-candidates", str(max_cands), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == rowwise_almostperiods_csv(d, scan.ts, scan.norms, scan.accepted).encode()
+    skipped = int(np.isnan(scan.norms).sum())
+    assert stdout.getvalue() == (f"accepted {np.count_nonzero(scan.accepted)} of {len(cands)} candidates "
+                                 f"({skipped} skipped), max gap {scan.max_gap:.17g}\n")
+
+
+@settings(max_examples=25)
+@given(random_schemes(), st.floats(0.02, 0.5))
+def test_diffract_bytes_match_the_full_box(scheme, fraction):
+    # thin window sides widen to 0.5, whose box-profile transforms reach threshold far out;
+    # the threshold starts at `fraction` of the highest peak and doubles until the outer
+    # box the oracle enumerates holds about 2e4 dual points at most
+    d, m, basis, window, query = scheme
+    window = [(lo, np.maximum(hi, lo + 0.5)) for lo, hi in window]
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
+    profile = box_profile(Box(*window[0]))
+    scale = density(cps.lat)
+    threshold = fraction * scale * Box(*window[0]).volume
+    while (np.prod(2.0 * _fiber_radii(profile.transform(), threshold / (10.0 * scale)))
+           * Box(*query).volume / scale > 2e4):
+        threshold *= 2.0
+    bbox = Window([Box(lo, hi) for lo, hi in window]).bounding_box()
+    want = full_box_diffraction(cps, profile, Box(*query), threshold, make_cutoff(bbox, np.full(m, 0.1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "scheme.toml", Path(tmp) / "spectrum.csv"
+        config.write_text(random_config(d, m, basis, window, query, query) + f"threshold = {threshold!r}\n")
+        assert main(["diffract", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == rowwise_spectrum_csv(d, want.ks, want.amplitudes).encode()
+
+
 @pytest.mark.parametrize("config, patch, name", [
     (FIB_CONFIG, None, "fibonacci_modelset"),
     (AB_CONFIG, "[0, 8, 0, 8]", "ammann_beenker_modelset"),
@@ -674,7 +746,7 @@ def test_dual_scheme_built_once_per_scheme(monkeypatch, capsys, tmp_path):
 
     # a library caller holding one scheme reads one dual lattice through every route
     builds.clear()
-    scheme = cps.CutProjectScheme(lat=Lattice(cfg.scheme.lat.basis), d=cfg.d, m=cfg.m)
+    scheme = cps.CutProjectScheme(lat=Lattice(cfg.scheme.lat.basis), d=cfg.scheme.d)
     for _ in range(2):
         diffraction(scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(),
                     budget=cfg.budget)

@@ -35,7 +35,7 @@ from . import helpers
 from .conftest import TAU
 from .helpers import (anchor_a_norm, assert_same_scan, brute_components, dense_a_norm,
                       grid_a_norm, grouped_almost_period_scan, integer_difference_candidates,
-                      random_schemes)
+                      lifted_autocorrelation_counts, random_schemes)
 
 
 def fib_patch(fib, fib_window, hi=30.0, weights=None, rng=None):
@@ -222,7 +222,7 @@ def test_lift_reports_ambiguity():
     # squashed lattice: two points with physical parts 2e-8 apart
     from cutproject import CutProjectScheme, Lattice
 
-    cps = CutProjectScheme(lat=Lattice([[1.0, 2e-8], [0.0, 1.0]]), d=1, m=1)
+    cps = CutProjectScheme(lat=Lattice([[1.0, 2e-8], [0.0, 1.0]]), d=1)
     search = Window(Box([-2.0], [2.0]))
     gamma = WeightedComb([[0.0]], [1.0])
     with pytest.raises(ValueError, match="injectivity violation"):
@@ -284,7 +284,7 @@ def lift_cases(draw):
     n = d + m
     basis = 2.0 * np.eye(n) + np.array([[draw(st.floats(-1.5, 1.5)) for _ in range(n)] for _ in range(n)])
     assume(np.linalg.cond(basis) <= 50.0)
-    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
     lo = np.array([draw(st.floats(-1.0, 0.5)) for _ in range(m)])
     window = Window(Box(lo, lo + np.array([draw(st.floats(0.05, 1.5)) for _ in range(m)])))
     # a patch of about `size` points: its volume times the window's over the covolume
@@ -502,17 +502,17 @@ def test_norm_for_two_window_choices_recorded(fib, fib_window):
 
 def _schemes():
     """Fibonacci, Ammann-Beenker 2+2, and the d = 1, m = 2 tribonacci scheme."""
-    fib = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1, m=1)
+    fib = CutProjectScheme(lat=Lattice([[1.0, TAU], [1.0, 1.0 - TAU]]), d=1)
     c = np.sqrt(0.5)
     ab = CutProjectScheme(lat=Lattice([[1, c, 0, -c], [0, c, 1, c], [1, -c, 0, c], [0, c, -1, c]]),
-                          d=2, m=2)
+                          d=2)
     # Minkowski embedding of Z[beta], beta the real root of x^3 = x^2 + x + 1:
     # the physical coordinate is the real embedding, the internal plane the complex one
     roots = np.roots([1.0, -1.0, -1.0, -1.0])
     beta = roots[np.argmin(np.abs(roots.imag))].real
     alpha = roots[np.argmax(roots.imag)]
     trib = CutProjectScheme(lat=Lattice([[1.0, beta, beta**2], [1.0, alpha.real, (alpha**2).real],
-                                         [0.0, alpha.imag, (alpha**2).imag]]), d=1, m=2)
+                                         [0.0, alpha.imag, (alpha**2).imag]]), d=1)
     return {
         "fib": (fib, Window(Box([0.0], [1.0])), 60.0),
         "ab": (ab, Window(Box([-1.0, -1.0], [1.0, 1.0])), 14.0),
@@ -729,7 +729,7 @@ def test_d2_scan_matches_grouped_merge_with_dense_norms(scheme, grow, max_cands,
     # boolean mask per face event, so it shares neither the merged codes nor the table; the
     # patch grows so that windows of a twentieth of its span hold a few atoms
     d, m, basis, window, (lo, hi) = scheme
-    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
     window = Window([Box(w_lo, w_hi) for w_lo, w_hi in window])
     z = model_set(cps, window, Box(lo, lo + grow * (hi - lo)))
     assume(len(z) > 1)
@@ -880,7 +880,7 @@ def test_autocorrelation_2x2_refs_unique_and_hermitian():
     # difference must come from its integer coordinates
     c = np.sqrt(0.5)
     cps = CutProjectScheme(lat=Lattice([[1, c, 0, -c], [0, c, 1, c], [1, -c, 0, c], [0, c, -1, c]]),
-                           d=2, m=2)
+                           d=2)
     window = Window(Box([-1.0, -1.0], [1.0, 1.0]))
     z = model_set(cps, window, Box([0.0, 0.0], [6.0, 6.0]))
     rng = np.random.default_rng(0)
@@ -906,6 +906,27 @@ def test_autocorrelation_without_refs_has_no_float_twins():
     assert len(z) == 72
     assert bare.n_atoms == with_refs.n_atoms == 727
     assert len(cKDTree(bare.positions).query_pairs(MERGE_TOL, p=np.inf)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_schemes(), st.integers(1, 30))
+def test_autocorrelation_counts_match_the_lift(scheme, size):
+    # vol * gamma(x) of a unit-weight patch counts the pairs (y, y - x) in it, which the
+    # lift turns into one count of lattice points per (x, x*); the first window box is the
+    # window, and the patch shrinks to about `size` points
+    d, m, basis, window, (lo, hi) = scheme
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
+    w = Box(*window[0])
+    expected = np.prod(hi - lo) * w.volume / abs(np.linalg.det(basis))
+    patch = Box(lo, lo + (hi - lo) * min(1.0, size / expected) ** (1.0 / d))
+    z = model_set(cps, Window(w), patch)
+    assume(len(z))
+    gamma = autocorrelation_patch(model_comb(cps, z, np.ones(len(z))), patch)
+    counts = lifted_autocorrelation_counts(cps, w, patch)
+    assert set(map(tuple, gamma.refs.tolist())) == {dz for dz, count in counts.items() if count}
+    scaled = patch.volume * gamma.weights
+    assert np.abs(scaled.imag).max() == 0.0
+    assert np.round(scaled.real).tolist() == [counts[dz] for dz in map(tuple, gamma.refs.tolist())]
 
 
 def test_autocorrelation_zero_volume_region():

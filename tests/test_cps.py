@@ -18,14 +18,13 @@ from .helpers import brute_lattice_points, fibonacci_strip_points
 
 
 def zsplit_scheme() -> CutProjectScheme:
-    return CutProjectScheme(lat=Lattice(np.eye(2)), d=1, m=1)
+    return CutProjectScheme(lat=Lattice(np.eye(2)), d=1)
 
 
 def test_dimension_validation():
-    with pytest.raises(ValueError, match="d \\+ m"):
-        CutProjectScheme(lat=Lattice(np.eye(3)), d=1, m=1)
+    assert CutProjectScheme(lat=Lattice(np.eye(3)), d=1).m == 2
     with pytest.raises(ValueError, match="at least 1"):
-        CutProjectScheme(lat=Lattice(np.eye(2)), d=2, m=0)
+        CutProjectScheme(lat=Lattice(np.eye(2)), d=2)
 
 
 def test_star_at_origin(fib):

@@ -192,6 +192,23 @@ def test_box_contains_rejects_points_of_another_width():
     assert box.contains([0.5, 0.5]) and box.contains([[0.5, 0.5]]).tolist() == [True]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_box_contains_decides_rows_on_the_faces(dim):
+    # a row is in exactly when lo - BOUNDARY_TOL <= x <= hi + BOUNDARY_TOL in every
+    # coordinate: the shifted faces are in, the next float outward is out
+    rng = np.random.default_rng(dim)
+    lo = rng.uniform(-1e3, 1e3, dim)
+    box = Box(lo, lo + rng.choice([0.0, 1e-3, 2.0], dim))  # degenerate sides included
+    low, high = box.lo - lattice.BOUNDARY_TOL, box.hi + lattice.BOUNDARY_TOL
+    faces = np.stack([low, np.nextafter(low, -np.inf), high, np.nextafter(high, np.inf),
+                      0.5 * (box.lo + box.hi)], axis=1)
+    rows = faces[np.arange(dim), rng.integers(0, 5, size=(4000, dim))]
+    want = [all(low[i] <= row[i] <= high[i] for i in range(dim)) for row in rows.tolist()]
+    assert box.contains(rows).tolist() == want
+    assert 0 < sum(want) < len(want)
+    assert [box.contains(row) for row in rows[:50]] == want[:50]
+
+
 def test_enumerated_coordinates_are_integer():
     lat = Lattice(FIB_BASIS)
     z, p = lattice_points_in_box(lat, Box([-5.0, -5.0], [5.0, 5.0]))

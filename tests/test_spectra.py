@@ -13,6 +13,7 @@ from scipy.special import sici
 from cutproject import (
     Box,
     CutProjectScheme,
+    DiffractionSpectrum,
     Lattice,
     MotifAtom,
     MotifAtomFiber,
@@ -461,7 +462,7 @@ def test_diffraction_peaks_on_dual_points(fib):
     dual_lat = dual(fib.lat)
     recon = dual_lat.points(spec.refs)
     assert np.max(np.abs(recon[:, 0] - spec.ks[:, 0])) < 1e-9
-    assert np.all(np.abs(spec.amplitudes) >= spec.threshold)
+    assert np.all(np.abs(spec.amplitudes) >= spec.metadata["threshold"])
     # arbitrary non-lattice k never appears
     assert not np.any(np.abs(spec.ks[:, 0] - 0.1234567) < 1e-9)
 
@@ -484,7 +485,7 @@ def _tied_schemes(seed=1, per_split=3):
             while found < per_split:
                 basis = rng.integers(-2, 3, size=(n, n)).astype(float)
                 if round(abs(np.linalg.det(basis))) in (1, 2):
-                    schemes.append(CutProjectScheme(lat=Lattice(basis), d=d, m=n - d))
+                    schemes.append(CutProjectScheme(lat=Lattice(basis), d=d))
                     found += 1
     return schemes
 
@@ -543,7 +544,7 @@ def diffraction_cases(draw):
     n = d + m
     basis = np.array([[draw(st.floats(-1.5, 1.5)) for _ in range(n)] for _ in range(n)])
     assume(0.3 <= abs(np.linalg.det(basis)) <= 4.0)
-    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
     half = np.array([draw(st.floats(0.3, 1.5)) for _ in range(m)])
     window = Window(Box(-half, half))
     lo = np.array([draw(st.floats(-1.0, 0.9)) for _ in range(m)]) * half
@@ -588,7 +589,7 @@ def test_diffraction_cover_drops_shared_face_points(monkeypatch):
     # an integer 2+2 basis puts internal parts on integers, and a box profile of
     # side 1/pi puts the end of the first axis's plateau, and so every shell edge,
     # at a power of two: points lie on faces that two boxes of the cover share
-    cps = CutProjectScheme(lat=Lattice([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]), d=2, m=2)
+    cps = CutProjectScheme(lat=Lattice([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]), d=2)
     window = Window(Box([-1.0, -1.0], [1.0, 1.0]))
     half = 0.5 / np.pi
     profile = box_profile(Box([-half, -half], [half, half]))
@@ -966,7 +967,7 @@ def mixed_measure(fib):
     )
     atom_part = MotifAtom(phys=np.zeros(1), internal=np.array([0.3]), weight=0.5 + 0.25j)
     return PeriodicMeasure(
-        period=rho.period, d=1, m=1, scale=rho.scale,
+        period=rho.period, d=1, scale=rho.scale,
         motif=rho.motif + (density_part, atom_part),
     )
 
@@ -975,7 +976,7 @@ def test_project_pure_point_comb(fib):
     # atom-x-atom motif at the origin with weight 1/scale projects to f(kstar) delta_k
     dcps_lat = dual(fib.lat)
     rho = PeriodicMeasure(
-        period=dcps_lat, d=1, m=1, scale=1.0,
+        period=dcps_lat, d=1, scale=1.0,
         motif=(MotifAtom(phys=np.zeros(1), internal=np.zeros(1), weight=1.0),),
     )
     f = make_cutoff(Box([-0.5], [0.5]), 0.25).dual_transform()
@@ -1011,7 +1012,7 @@ def test_pair_fibered_motif_atom_is_scale_weight_f_at_kstar(fib):
     # matched dual-lattice point (x, k*), with no tail
     dual_lat = dual(fib.lat)
     rho = PeriodicMeasure(
-        period=dual_lat, d=1, m=1, scale=0.7,
+        period=dual_lat, d=1, scale=0.7,
         motif=(MotifAtom(phys=np.zeros(1), internal=np.array([0.3]), weight=0.5 - 0.25j),),
     )
     cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)
@@ -1028,7 +1029,7 @@ def test_project_radii_follow_the_measure_scale(fib):
     # at scale 50 the derived internal radius must still reach every atom of
     # modulus above the threshold, as a fixed radius far beyond it does
     rho = PeriodicMeasure(
-        period=dual(fib.lat), d=1, m=1, scale=50.0,
+        period=dual(fib.lat), d=1, scale=50.0,
         motif=(MotifAtom(phys=np.zeros(1), internal=np.array([0.3]), weight=1.0),),
     )
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
@@ -1056,7 +1057,7 @@ def projection_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 3)))
     basis = rng.uniform(-2.0, 2.0, size=(d + m, d + m))
     assume(abs(np.linalg.det(basis)) >= 0.3)
-    cps = CutProjectScheme(lat=Lattice(basis), d=d, m=m)
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
 
     def offset(k, reach):
         return np.array([draw(st.floats(-reach, reach)) for _ in range(k)])
@@ -1145,8 +1146,8 @@ def test_project_density_fiber_with_d_unequal_m():
     flat = MotifDensityFiber(density=trapezoid_profile([-0.25], [0.25], 0.25), fiber=fiber)
     wide = MotifDensityFiber(density=trapezoid_profile([-0.25] * 2, [0.25] * 2, 0.25), fiber=fiber)
     assert wide.internal.shape == (1,)
-    rho1 = PeriodicMeasure(period=Lattice(np.eye(2)), d=1, m=1, scale=1.0, motif=(flat,))
-    rho2 = PeriodicMeasure(period=Lattice(np.eye(3)), d=2, m=1, scale=1.0, motif=(wide,))
+    rho1 = PeriodicMeasure(period=Lattice(np.eye(2)), d=1, scale=1.0, motif=(flat,))
+    rho2 = PeriodicMeasure(period=Lattice(np.eye(3)), d=2, scale=1.0, motif=(wide,))
     (dens1,) = project(rho1, f, Box([-2.0], [2.0]), threshold=1e-3).densities
     (dens2,) = project(rho2, f, Box([-2.0, -2.0], [2.0, 2.0]), threshold=1e-3).densities
     assert len(dens1.translates) > 0
@@ -1154,6 +1155,26 @@ def test_project_density_fiber_with_d_unequal_m():
     spectator = dens2.translates[:, 1] == 0.0
     assert np.array_equal(dens2.translates[spectator, 0], dens1.translates[:, 0])
     assert np.array_equal(dens2.coefficients[spectator], dens1.coefficients)
+
+
+def test_dimensions_are_read_off_lattices_arrays_and_metadata(fib):
+    # no constructor takes a value its lattice, arrays or metadata already hold
+    rho = PeriodicMeasure(period=Lattice(np.eye(3)), d=2, scale=1.0, motif=())
+    assert (rho.d, rho.m) == (2, 1)
+    spec = fib_spectrum(fib, threshold=0.02)
+    assert (spec.d, spec.metadata["threshold"]) == (1, 0.02)
+    builds = [
+        lambda: PeriodicMeasure(period=Lattice(np.eye(3)), d=2, m=1, scale=1.0, motif=()),
+        lambda: CutProjectScheme(lat=fib.lat, d=1, m=1),
+        lambda: DiffractionSpectrum(d=1, ks=spec.ks, internals=spec.internals, refs=spec.refs,
+                                    amplitudes=spec.amplitudes, metadata=spec.metadata),
+        lambda: DiffractionSpectrum(ks=spec.ks, internals=spec.internals, refs=spec.refs,
+                                    amplitudes=spec.amplitudes, threshold=0.02, metadata=spec.metadata),
+        lambda: TruncationSpec(internal_radius=60.0),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()
 
 
 def test_project_matches_diffraction(fib):
@@ -1216,7 +1237,7 @@ def test_unit_cell_decay_constant_value():
 
 def test_norm_bound_zero_measure(fib):
     rho = lattice_comb_transform(fib, box_profile(Box([0.0], [1.0])))
-    empty = PeriodicMeasure(period=rho.period, d=1, m=1, scale=rho.scale, motif=())
+    empty = PeriodicMeasure(period=rho.period, d=1, scale=rho.scale, motif=())
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
     report = norm_bound_check(empty, f, Box([-0.5], [0.5]), Box([-1.0], [1.0]),
                               sweep_halfwidth=10.0)
@@ -1280,7 +1301,7 @@ def test_project_linear_in_measure_and_function(fib):
     rho = lattice_comb_transform(fib, profile)
     comp = rho.motif[0]
     scaled = PeriodicMeasure(
-        period=rho.period, d=1, m=1, scale=rho.scale,
+        period=rho.period, d=1, scale=rho.scale,
         motif=(MotifAtomFiber(comp.phys, comp.internal, (2.0 - 0.5j) * comp.weight, comp.fiber),),
     )
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
@@ -1292,7 +1313,7 @@ def test_project_linear_in_measure_and_function(fib):
 
     # two-component measure projects to the merged sum of the single projections
     double = PeriodicMeasure(
-        period=rho.period, d=1, m=1, scale=rho.scale, motif=rho.motif + scaled.motif,
+        period=rho.period, d=1, scale=rho.scale, motif=rho.motif + scaled.motif,
     )
     together = project(double, f, Box([-3.0], [3.0]), abs(3.0 - 0.5j) * 1e-3, internal_radius)
     expected = (1.0 + (2.0 - 0.5j)) * base.atoms.weights

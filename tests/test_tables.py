@@ -64,14 +64,14 @@ def complexes(rng, n, special=SPECIAL):
 
 def spectrum(d, ks, amps):
     n = len(ks)
-    return DiffractionSpectrum(d=d, ks=ks, internals=np.zeros((n, d)),
+    return DiffractionSpectrum(ks=ks, internals=np.zeros((n, d)),
                                refs=np.zeros((n, 2 * d), np.int64), amplitudes=amps,
-                               threshold=0.0, metadata={})
+                               metadata={})
 
 
 def scheme_config(d, **extra):
     """Stand-in config: the commands only pass these fields to the patched sources."""
-    return SimpleNamespace(d=d, m=d, scheme=None, window=None, profile=None, query=None,
+    return SimpleNamespace(scheme=SimpleNamespace(d=d, m=d), window=None, profile=None, query=None,
                            patch_query=None, threshold=0.0, budget=None, raw={},
                            cutoff=lambda: None, **extra)
 
@@ -83,7 +83,7 @@ def test_modelset_table_matches_rowwise(monkeypatch, tmp_path, d):
     z = rng.integers(INT64.min, INT64.max, size=(300, 2 * d))
     monkeypatch.setattr(cli, "model_set", lambda *a, **k: z)
     cfg = scheme_config(d)
-    cfg.scheme = SimpleNamespace(split=lambda zz: (x, xstar))
+    cfg.scheme.split = lambda zz: (x, xstar)
     out = tmp_path / "ms.csv"
     assert cli.cmd_modelset(cfg, SimpleNamespace(out=str(out))) == 0
     assert out.read_bytes() == rowwise_modelset_csv(x, xstar, z).encode()
