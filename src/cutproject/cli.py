@@ -370,7 +370,7 @@ def _patch_comb(cfg: SchemeConfig, weights=np.ones) -> WeightedComb:
     """The model set in ``patch_query`` as a comb, with ``weights(n)`` on its n points."""
     z = model_set(cfg.scheme, cfg.window, cfg.patch_query, budget=cfg.budget)
     if len(z) == 0:
-        raise ConfigError("query holds no model-set points")
+        raise ConfigError("'patch_query' holds no model-set points")
     return model_comb(cfg.scheme, z, weights(len(z)))
 
 

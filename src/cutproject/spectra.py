@@ -619,41 +619,36 @@ def _compact_axis_pair(a_axis, b_axis, shifts: np.ndarray) -> np.ndarray:
     return np.sum(np.exp(2j * np.pi * shifts[:, None] * centre) * half * np.sum(r * moments, axis=-1), axis=1)
 
 
-def pairing_values(
-    f: Separable,
-    fiber: Separable | Atomic,
-    shifts,
-    trunc: TruncationSpec,
-    method: str = "dual",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of f(y) * fiber(y - shift) dy over R^m, one per shift row.
-
-    Returns (values, certified tail bounds).  ``method="dual"`` pairs
-    separable fibers by per-axis quadrature over [-radius, radius] with
-    envelope tail bounds; ``method="compact"`` rewrites the pairing over the
-    compact spatial supports and sums it per piece in closed form, with no
-    truncation tail, and reads nothing from ``trunc``.  Atomic fibers always
-    reduce to exact closed form (tail zero).  Both routes pair
-    transforms: ``f``, a separable fiber's axes and an atomic fiber must all
-    have phase -1 or +1, and a phase-0 (spatial) one raises ``ValueError``.
-    """
+def _transform_shifts(f: Separable, fiber: Separable | Atomic, shifts) -> np.ndarray:
+    """``shifts`` as rows, once ``f`` and the fiber are checked to be transforms."""
     phases = [axis.phase for axis in f.axes]
     phases += [fiber.phase] if isinstance(fiber, Atomic) else [axis.phase for axis in fiber.axes]
     if not all(phases):
         raise ValueError("pairing_values pairs transforms, and f or the fiber is phase-0 "
                          "(spatial); pass its transform() or dual_transform()")
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
+    return np.atleast_2d(np.asarray(shifts, dtype=float))
+
+
+def pairing_values(
+    f: Separable,
+    fiber: Separable | Atomic,
+    shifts,
+    trunc: TruncationSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f(y) * fiber(y - shift) dy over R^m, one per shift row.
+
+    Returns (values, certified tail bounds).  Separable fibers pair by
+    per-axis quadrature over [-radius, radius] with envelope tail bounds;
+    ``_CompactPairing`` is the route without truncation, and atomic fibers
+    take its exact closed form (tail zero).  Both routes pair
+    transforms: ``f``, a separable fiber's axes and an atomic fiber must all
+    have phase -1 or +1, and a phase-0 (spatial) one raises ``ValueError``.
+    """
+    shifts = _transform_shifts(f, fiber, shifts)
     n = len(shifts)
     if isinstance(fiber, Atomic):
-        # F[f](p) is the function under f at f.phase * p, axis by axis
-        under = np.prod([axis.spatial(axis.phase * fiber.points[:, i]) for i, axis in enumerate(f.axes)],
-                        axis=0)
-        return Atomic(fiber.points, fiber.weights * under, phase=+1).value(shifts), np.zeros(n)
-    per_axis = [
-        (_compact_axis_pair(f.axes[i], fiber.axes[i], shifts[:, i]), np.zeros(n))
-        if method == "compact" else _axis_pair(f.axes[i], fiber.axes[i], shifts[:, i], trunc)
-        for i in range(f.m)
-    ]
+        return _CompactPairing(f, fiber).value(shifts), np.zeros(n)
+    per_axis = [_axis_pair(f.axes[i], fiber.axes[i], shifts[:, i], trunc) for i in range(f.m)]
     values = np.ones(n, dtype=complex)
     for v, _ in per_axis:
         values = values * v
@@ -681,8 +676,8 @@ def pairing_values(
 
 @dataclass(frozen=True)
 class _CompactPairing:
-    """s -> integral f(y) fiber(y - s) dy, the route "compact" of
-    ``pairing_values``, with a majorant of its modulus per axis."""
+    """s -> integral f(y) fiber(y - s) dy over the compact spatial supports, in closed form
+    per piece and with no truncation tail, with a majorant of its modulus per axis."""
 
     f: Separable
     fiber: Separable | Atomic
@@ -692,7 +687,15 @@ class _CompactPairing:
         return self.f.m
 
     def value(self, shifts) -> np.ndarray:
-        return pairing_values(self.f, self.fiber, shifts, TruncationSpec(), method="compact")[0]
+        f, fiber, shifts = self.f, self.fiber, _transform_shifts(self.f, self.fiber, shifts)
+        if isinstance(fiber, Atomic):  # F[f](p) is the function under f at f.phase * p, axis by axis
+            under = np.prod([axis.spatial(axis.phase * fiber.points[:, i]) for i, axis in enumerate(f.axes)],
+                            axis=0)
+            return Atomic(fiber.points, fiber.weights * under, phase=+1).value(shifts)
+        values = np.ones(len(shifts), dtype=complex)
+        for i in range(self.m):  # in place, so the operands never swap (see ``Separable.value``)
+            np.multiply(values, _compact_axis_pair(f.axes[i], fiber.axes[i], shifts[:, i]), out=values)
+        return values
 
     def envelope(self, i: int) -> AxisEnvelope:
         """Majorant of |P(s)|, P the pairing of axis i of f and of the fiber.
@@ -1188,9 +1191,6 @@ def _normalize_psi(psi, d: int) -> tuple[np.ndarray, np.ndarray]:
 # the norm bound for projections of periodic measures
 
 
-NORM_THRESHOLD_REL = 1e-3  # projection threshold of norm_bound_check, relative to the motif scale
-
-
 def unit_cell_decay_constant() -> tuple[float, float]:
     """Per-axis constant: sum over integer cells of the peak of 1/(1+z^2).
 
@@ -1248,9 +1248,9 @@ def norm_bound_check(
     region (an upper estimate, atoms plus density mass).  Right side: the
     unit-cell decay constant, the cutoff sup norm, the admissibility bound of
     f, and an upper estimate of the measure's norm over the product box
-    k1_box x unit internal cube.  Both sides are computed; ok means
-    left <= right.  The projection enumerates the internal cube of
-    half-side ``internal_radius``.
+    k1_box x unit internal cube, closed as ``a_norm`` closes boxes.  Both
+    sides are computed; ok means left <= right.  The projection enumerates
+    the internal cube of half-side ``internal_radius`` and keeps all of it.
     """
     d, m = rho.d, rho.m
     if not ((k_box.lo > k1_box.lo) & (k_box.hi < k1_box.hi)).all():
@@ -1261,11 +1261,8 @@ def norm_bound_check(
     c1, _ = unit_cell_decay_constant()
     constant = c1 ** m
 
-    hint = max(
-        [rho.scale * abs(c.weight) for c in rho.motif] + [1e-6]
-    )
     sweep = Box(-sweep_halfwidth * np.ones(d), sweep_halfwidth * np.ones(d))
-    proj = project(rho, f, sweep, NORM_THRESHOLD_REL * hint, internal_radius, budget=budget)
+    proj = project(rho, f, sweep, 0.0, internal_radius, budget=budget)
     span = k_box.sides
     eval_region = Box(sweep.lo + span, sweep.hi - span)
     left_atoms = a_norm(proj.atoms, k_box, eval_region) if proj.atoms.n_atoms else 0.0
@@ -1287,7 +1284,7 @@ def norm_bound_check(
     _, p_all = lattice_points_in_box(rho.period, sweep_full, budget=budget)
     rho_norm = 0.0
     for comp in rho.motif:
-        count_box = Box.product(comp.offset(k1_box), unit.inflate(1e-6))
+        count_box = Box.product(comp.offset(k1_box), unit)
         eval_full = Box(sweep_full.lo + count_box.sides, sweep_full.hi - count_box.sides)
         rho_norm += comp.cell_mass() * _max_window_count(p_all, count_box, eval_full)
     rho_norm *= rho.scale

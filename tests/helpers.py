@@ -252,18 +252,21 @@ def lifted_autocorrelation_counts(cps, window: Box, patch: Box) -> dict:
     lattice points in B cap (B + (x, x*)): one count per lattice point (x, x*),
     and no list of pairs.  Every (x, x*) with a positive count lies in B - B;
     the result maps the integer coordinates of each of those to its count.
-    Boxes are closed within ``BOUNDARY_TOL``, as in ``model_set``, so B - B is
-    widened by twice that, and each count filters its enumeration against the
-    two widened boxes itself: faces up to 2 ``BOUNDARY_TOL`` apart still meet.
+    Boxes are closed within ``BOUNDARY_TOL``, as in ``model_set``, so B - B
+    and each intersection are enumerated with room to spare, and a lattice
+    point z counts when ``lat.points(z)`` and ``lat.points(z - dz)`` both pass
+    ``B.contains``, the test ``model_set`` decides membership by.  Shifting
+    the box faces by (x, x*) instead rounds them, and a face 5e-10 from a
+    point then lands on the other side of it.
     """
     box = Box.product(patch, window)
     counts = {}
-    spread = Box(box.lo - box.hi, box.hi - box.lo).inflate(BOUNDARY_TOL)
+    spread = Box(box.lo - box.hi, box.hi - box.lo).inflate(2 * BOUNDARY_TOL)
     for dz, shift in zip(*lattice_points_in_box(cps.lat, spread)):
         lo = np.maximum(box.lo, box.lo + shift) - BOUNDARY_TOL
         hi = np.minimum(box.hi, box.hi + shift) + BOUNDARY_TOL
-        _, p = lattice_points_in_box(cps.lat, Box(lo, hi))
-        counts[tuple(dz.tolist())] = int(((p >= lo) & (p <= hi)).all(axis=1).sum())
+        z, p = lattice_points_in_box(cps.lat, Box(lo, hi))
+        counts[tuple(dz.tolist())] = int((box.contains(p) & box.contains(cps.lat.points(z - dz))).sum())
     return counts
 
 

@@ -454,6 +454,27 @@ def test_oracle_without_peaks_names_threshold(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: no spectrum peak in 'query' clears 'threshold' = 100\n"
 
 
+def test_check_dual_pairing_absorbs_the_rounding_of_long_basis_columns(tmp_path, capsys):
+    # the Fibonacci basis with its second column 100 times longer: the sampled lattice points
+    # reach about 3,000, and max |exp(2 pi i k.l) - 1| rounds to 6.9e-11, between half the
+    # check's 1e-10 and all of it
+    path = tmp_path / "long.toml"
+    path.write_text(with_value(FIB_CONFIG, "basis", "[[1, 100 * golden], [1, 100 * (1 - golden)]]"))
+    main(["check", "--config", str(path)])
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("dual pairing: ok ")
+    assert 5e-11 < float(line.rsplit("= ", 1)[1].rstrip(")")) < 1e-10
+
+
+@pytest.mark.parametrize("args", [["almostperiods", "--eps", "1.5"], ["pdcheck"]])
+def test_empty_patch_names_patch_query(tmp_path, capsys, args):
+    # the patch is `patch_query`; `query`, the spectrum's box, holds peaks here
+    path = tmp_path / "empty.toml"
+    path.write_text(with_value(FIB_CONFIG, "patch_query", "[0.2, 0.21]"))
+    assert main([*args, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: 'patch_query' holds no model-set points\n"
+
+
 def test_almostperiods_one_row_per_translate(tmp_path):
     # a long patch: distinct integer translates are distinct t, and float
     # differences of one translate must not come out as near-equal twins

@@ -479,6 +479,14 @@ def test_overlap_too_small_skipped(fib, fib_window):
     assert scan.accepted.tolist() == [False]
 
 
+def test_scan_skips_overlaps_under_min_diameters():
+    # unit masses on 0..30 and a unit window: t = 18 leaves an evaluation region of
+    # 30 - 18 - 2 = 10 window spans, MIN_DIAMETERS, and t = 20 leaves 8
+    comb = WeightedComb(np.arange(31.0)[:, None], np.ones(31))
+    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=0.5, candidates=[[18.0], [20.0]])
+    assert scan.norms[0] == 0.0 and np.isnan(scan.norms[1])
+
+
 def test_aperiodic_patch_tiny_eps_only_zero(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=200.0)
     xs = comb.positions[:, 0]
@@ -908,8 +916,18 @@ def test_autocorrelation_without_refs_has_no_float_twins():
     assert len(cKDTree(bare.positions).query_pairs(MERGE_TOL, p=np.inf)) == 0
 
 
+def _one_box_scheme(basis, w_lo, w_hi, patch_hi):
+    """A d = m = 1 draw of ``random_schemes``: window [w_lo, w_hi], patch [0, patch_hi]."""
+    return (1, 1, np.array(basis), [(np.array([w_lo]), np.array([w_hi]))],
+            (np.array([0.0]), np.array([patch_hi])))
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_schemes(), st.integers(1, 30))
+# x* = 5e-10 sits inside the window's low face 1e-9 by BOUNDARY_TOL: a count that shifts
+# the faces by (x, x*) rounds 1e-9 + 5e-10 - BOUNDARY_TOL above 5e-10 and misses it
+@example(_one_box_scheme([[1.5, 0.0], [5e-10, 1.0]], 1e-9, 0.5, 2.0), 1)
+@example(_one_box_scheme([[1.0, 0.0], [5e-10, 1.0]], 1e-9, 1.0, 2.0), 1)
 def test_autocorrelation_counts_match_the_lift(scheme, size):
     # vol * gamma(x) of a unit-weight patch counts the pairs (y, y - x) in it, which the
     # lift turns into one count of lattice points per (x, x*); the first window box is the
@@ -1115,6 +1133,10 @@ def dyadic_a_norm_cases(draw):
 # windows {0.4, 0.2} and {0.6} both hold 0.6 and sum to 0.6 + 1 ulp and 0.6,
 # but the table reads them as 1.0 - 0.4 = 0.6 and 1.6 - 1.0 = 0.6 + 1 ulp
 @example(([[0, 0], [3, 0], [4, 0], [7, 1]], [0.4, 0.4, 0.2, 0.6], [2, 1], [0, 0], [8, 1]))
+# the largest table entry is a window that sums to 0.7999999999999999, and the window that
+# sums to 0.8 reads below it: only the re-sum slack sums both again
+@example(([[0.0, 2.0], [0.75, 0.5], [0.75, 0.75], [0.75, 1.0], [1.5, 0.0], [1.5, 1.25], [1.5, 1.75],
+           [1.75, 0.75]], [0.3, 0.2, 0.6, 0.2, 0.2, 0.1, 0.05, 0.7], [0.5, 0.5], [0.25, 0.75], [2.25, 2.0]))
 def test_a_norm_summed_area_table_matches_oracles(case):
     # coordinates repeat on every axis and atoms sit exactly on box and region
     # faces; float masses that tie in exact arithmetic need the re-summed windows

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,13 +82,31 @@ def test_non_hermitian_rejected():
 
 
 def test_hermitian_check_warns_within_its_tolerance():
-    # a mirror weight off by more than 1e-9 but at most HERMITIAN_TOL warns; beyond it, raises
-    near = WeightedComb([[-1.0], [0.0], [1.0]], [1.0 + 1e-8, 2.0, 1.0])
-    with pytest.warns(UserWarning, match="approximately Hermitian"):
-        _check_hermitian(near)
-    far = WeightedComb([[-1.0], [0.0], [1.0]], [1.0 + 1e-5, 2.0, 1.0])
+    # a mirror weight off by rounding passes silently; off by more than 1e-9 but at most
+    # HERMITIAN_TOL (8e-7 among them) it warns; beyond it, raises
+    def mirrored(off):
+        return WeightedComb([[-1.0], [0.0], [1.0]], [1.0 + off, 2.0, 1.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_hermitian(mirrored(1e-12))
+    for off in (1e-8, 8e-7):
+        with pytest.warns(UserWarning, match="approximately Hermitian"):
+            _check_hermitian(mirrored(off))
     with pytest.raises(ValueError, match="not Hermitian"):
-        _check_hermitian(far)
+        _check_hermitian(mirrored(1e-5))
+
+
+@pytest.mark.parametrize("freq", [0.0, 0.3])
+def test_rank_one_gram_matrices_pass_within_psd_tol(freq):
+    # the character x -> exp(2 pi i freq x) on Z is positive definite, and its Gram matrix
+    # on 40 integers has rank one: the solver puts its zero eigenvalues at about -3e-14
+    # (both frequencies, numpy 2.4), which PSD_TOL absorbs
+    ints = np.arange(-40.0, 41.0)
+    f = WeightedComb(ints[:, None], np.exp(2j * np.pi * freq * ints))
+    report = gram_min_eigenvalue(f, np.arange(40.0)[:, None])
+    assert report.ok
+    assert abs(report.min_eig) < 1e-12
 
 
 def test_hermitian_check_needs_every_mirror_ref(fib, fib_window):

@@ -625,6 +625,21 @@ def test_diffraction_threshold_filters(fib):
     assert np.all(np.abs(hi.amplitudes) >= 0.2)
 
 
+def test_diffraction_keeps_a_peak_on_its_cover_edge():
+    # dual points sit at (z0 - 1e-9 z1, z1), and a box profile of length 0.5 / k* puts the
+    # amplitude of the peak at z = (0, k*) on its envelope 1 / (pi k*); at that threshold
+    # k* = 20000003 is the cover radius itself, which rounds to 20000002.999999996, and the
+    # peak lies more than BOUNDARY_TOL outside that unless the cover's level has its slack
+    cps = CutProjectScheme(lat=Lattice([[1.0, 0.0], [1e-9, 1.0]]), d=1)
+    star = 20000003.0
+    profile = box_profile(Box([-0.25 / star], [0.25 / star]))
+    threshold = float(abs(profile.transform().value(np.array([PEAK_PHASE_SIGN * star]))))
+    window = Window(Box([-0.5], [0.5]))
+    k = -1e-9 * star
+    spec = diffraction(cps, window, profile, Box([k], [k]), threshold, make_cutoff(window.bounding_box(), 0.1))
+    assert [0, 20000003] in spec.refs.tolist()
+
+
 def test_diffraction_requires_covering_cutoff(fib):
     window = Window(Box([0.0], [1.0]))
     profile = box_profile(Box([0.0], [1.0]))
@@ -705,9 +720,8 @@ def test_pairing_values_quadrature_vs_closed_form(fib):
     vals, tails = pairing_values(f, tf, shifts, TruncationSpec(radius=2000.0))
     assert np.max(np.abs(vals - closed) / np.abs(closed)) < 1e-8
     assert np.all(tails < 1e-6)
-    compact, zero_tails = pairing_values(f, tf, shifts, TruncationSpec(), method="compact")
+    compact = _CompactPairing(f, tf).value(shifts)
     assert np.max(np.abs(compact - closed)) < 1e-13
-    assert np.all(zero_tails == 0.0)
 
 
 @st.composite
@@ -861,6 +875,24 @@ def test_dual_blocks_node_factors_match_direct_trig(monkeypatch, delta):
     assert fw_re[zero] == f_axis.amplitude(0.0) * w[zero] and fw_im[zero] == 0.0
 
 
+def test_pairing_routes_are_pinned_bit_for_bit():
+    # three constants only choose between two formulas for one value, so they move only its
+    # last bits: the dual route's near window EXACT_SINC_RADIUS, and the compact route's switch
+    # |theta| <= 1 and the 16 nodes of its Gauss-Legendre rule.  Against the per-shift and
+    # 40-digit oracles, near radii from 0.25 to 2, a switch at 0.5 and 8 nodes measured as
+    # accurate, so these bits pin them; a rewrite of either route that moves a value shows here
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    g = box_profile(Box([0.0], [1.0])).transform()
+    dual, _ = pairing_values(f, g, [[0.0], [0.382], [2.7]], TruncationSpec(radius=20.0))
+    compact = _CompactPairing(f, g).value([[0.0], [0.19], [0.3]])
+    assert [v.hex() for v in dual.view(float)] == [
+        "0x1.fffc07b74e945p-1", "0x0.0p+0", "0x1.201e16a53204fp-2", "0x1.72a3537fa0a79p-1",
+        "-0x1.cb6858b414002p-5", "0x1.3c29003b82188p-4"]
+    assert [v.hex() for v in compact.view(float)] == [
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.8ec35fbde6e89p-1", "0x1.0effca113369cp-1",
+        "0x1.02548755aac3fp-1", "0x1.638f9de5f6013p-1"]
+
+
 def test_dual_route_names_its_knobs_when_it_does_not_converge():
     # panels of 8, 4, 2 and 1 with 2 nodes each cannot resolve sincs of period 1
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
@@ -870,6 +902,17 @@ def test_dual_route_names_its_knobs_when_it_does_not_converge():
         pairing_values(f, g, np.array([[0.0], [0.382]]), TruncationSpec(radius=50.0, panel=8.0, order=2))
     change = float(str(info.value).split("relative change ")[1].split()[0])
     assert change > QUADRATURE_REL_TOL
+
+
+def test_dual_route_converges_at_its_last_halving():
+    # panels of 2.6, 1.3, 0.65 and 0.325 with 3 nodes each change the values by 0.31,
+    # 0.013 and 7.7e-10 relative: only the last of the MAX_REFINE + 1 halvings ends the
+    # refinement, with a change between half of QUADRATURE_REL_TOL and all of it
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    g = box_profile(Box([0.0], [1.0])).transform()
+    shifts = np.array([[0.0], [0.382]])
+    values, tails = pairing_values(f, g, shifts, TruncationSpec(radius=50.0, panel=2.6, order=3))
+    assert np.all(np.abs(values - _CompactPairing(f, g).value(shifts)) <= tails)
 
 
 def test_dual_route_memory_does_not_grow_with_the_grid():
@@ -897,18 +940,18 @@ def test_dual_route_rejects_spatial_axes():
             pairing_values(f, g, shifts, TruncationSpec(radius=20.0))
         # the compact route rewrites the pairing over the transforms too
         with pytest.raises(ValueError, match="phase-0"):
-            pairing_values(f, g, shifts, TruncationSpec(), method="compact")
+            _CompactPairing(f, g).value(shifts)
 
 
-@pytest.mark.parametrize("method", ["dual", "compact"])
-def test_pairing_rejects_spatial_atomic_fiber(method):
+@pytest.mark.parametrize("pair", [lambda f, g, s: pairing_values(f, g, s, TruncationSpec()),
+                                  lambda f, g, s: _CompactPairing(f, g).value(s)], ids=["dual", "compact"])
+def test_pairing_rejects_spatial_atomic_fiber(pair):
     # a point mass at 0.25 paired at shift 0 would be f(0.25), not the cutoff's value 1 there
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
     with pytest.raises(ValueError, match=r"phase-0.*transform\(\) or dual_transform\(\)"):
-        pairing_values(f, atomic_profile([[0.25]], [1.0]), [[0.0]], TruncationSpec(), method=method)
+        pair(f, atomic_profile([[0.25]], [1.0]), [[0.0]])
     with pytest.raises(ValueError, match="phase-0"):
-        pairing_values(make_cutoff(Box([0.0], [1.0]), 0.1), atomic_profile([[0.25]], [1.0]).transform(),
-                       [[0.0]], TruncationSpec(), method=method)
+        pair(make_cutoff(Box([0.0], [1.0]), 0.1), atomic_profile([[0.25]], [1.0]).transform(), [[0.0]])
 
 
 def test_project_rejects_spatial_f(fib):
@@ -926,8 +969,7 @@ def test_pairing_trapezoid_fiber_in_two_dimensions():
     c = 0.06066017178006
     shifts = np.array([[0.0, 0.0], [c, c], [-c, c], [0.0, -0.0857864376], [0.37, -1.2], [2.5, 0.9]])
     dual, tails = pairing_values(f, fiber, shifts, TruncationSpec())
-    compact, zero_tails = pairing_values(f, fiber, shifts, TruncationSpec(), method="compact")
-    assert np.all(zero_tails == 0.0)
+    compact = _CompactPairing(f, fiber).value(shifts)
     assert np.all(tails < 1e-6)
     assert np.all(np.abs(dual - compact) <= tails + 1e-12)
 
@@ -1009,7 +1051,9 @@ def test_projected_density_is_the_sum_of_translated_profiles():
 
 def test_pair_fibered_motif_atom_is_scale_weight_f_at_kstar(fib):
     # an atom-x-atom motif pairs to scale * weight * f(internal + k*) at each
-    # matched dual-lattice point (x, k*), with no tail
+    # matched dual-lattice point (x, k*), with no tail; z = (42, -30) lies at
+    # k* = 42.02, inside the internal cube of half-side DEFAULT_INTERNAL_SLICE = 60
+    # and outside one of half that
     dual_lat = dual(fib.lat)
     rho = PeriodicMeasure(
         period=dual_lat, d=1, scale=0.7,
@@ -1017,8 +1061,8 @@ def test_pair_fibered_motif_atom_is_scale_weight_f_at_kstar(fib):
     )
     cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)
     f = cutoff.dual_transform()
-    k = dual_lat.points(np.array([[1, 0], [0, 1], [-2, 1]]))
-    psi = [(k[0, :1], 1.0), (k[1, :1], 2.0j), (k[2, :1], -0.5)]
+    k = dual_lat.points(np.array([[1, 0], [0, 1], [-2, 1], [42, -30]]))
+    psi = [(k[0, :1], 1.0), (k[1, :1], 2.0j), (k[2, :1], -0.5), (k[3, :1], 300.0)]
     want = sum(val * 0.7 * (0.5 - 0.25j) * f.value(0.3 + pt[None, 1:])[0] for pt, (_, val) in zip(k, psi))
     got = pair_fibered(rho, psi, cutoff, TruncationSpec(tail_tol=0.0))
     assert abs(want) > 0.1
@@ -1225,6 +1269,16 @@ def test_projector_commutes_with_projection(fib):
 
 # ---------------------------------------------------------------------------
 # the norm bound
+
+
+def test_unit_window_sum_bound_is_tight_for_the_config_cutoff():
+    # the bound sums the envelope over the first WINDOW_SUM_TERMS shifts and bounds the rest
+    # by c2 / WINDOW_SUM_TERMS, about c2 / (2 WINDOW_SUM_TERMS^2) above the rest itself: for
+    # the configs' cutoff ramp 0.1 that is 7.6e-5 of the total at 64 terms and 3.0e-4 at 32
+    env = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform().envelope(0)
+    unit_window = 2.0 * env.integral_0_to(0.5)
+    series = 3.0 * unit_window + 4.0 * float(np.sum(env.at(np.arange(1.0, 1e6 + 1.0))))
+    assert series <= spectra._unit_cell_window_sum(env) <= series * (1.0 + 1.5e-4)
 
 
 def test_unit_cell_decay_constant_value():
