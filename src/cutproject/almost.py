@@ -355,8 +355,9 @@ def _translate_blocks(comb: WeightedComb, order: np.ndarray, cands: np.ndarray, 
             lost = owner[cell] != order[i]
             match[row[lost], i[lost]] = n
         else:
-            met = (match < n)[:, :, None]
-            gap = np.abs(moved - pos[match % n]).max(axis=(1, 2), where=met, initial=0.0)
+            met, near, gap = match < n, match % n, np.zeros(len(block))
+            for i in range(comb.dim):  # an axis at a time: faster than a masked max over (atom, axis)
+                gap = np.maximum(gap, np.where(met, np.abs(moved[:, :, i] - pos[near, i]), 0).max(axis=1))
             if (gap > MERGE_TOL).any():  # the first candidate with a far pair
                 k, far = block[np.argmax(gap > MERGE_TOL)], gap[gap > MERGE_TOL][0]
                 raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "

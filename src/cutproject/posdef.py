@@ -18,6 +18,7 @@ import numpy as np
 
 from .comb import LIFT_TOL, WeightedComb, lift
 from .cps import CutProjectScheme, Window
+from .lattice import _row_key
 
 PSD_TOL = 1e-8
 HERMITIAN_TOL = 1e-6
@@ -48,38 +49,40 @@ def gram_matrix(
     otherwise it matches positions within ``MERGE_TOL``.
     """
     _check_hermitian(f)
-    refs = None if refs is None else np.atleast_2d(np.asarray(refs, dtype=np.int64))[None]
-    return _gram(f, np.atleast_2d(np.asarray(points, dtype=float))[None], refs)[0][0]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    refs = None if refs is None else np.atleast_2d(np.asarray(refs, dtype=np.int64))
+    m = _lower(np.append(f.weights, 0)[_gram(f, pts, refs, np.arange(len(pts))[None])], len(pts))[0]
+    return np.where(np.tri(len(m), dtype=bool), m, np.conj(m.T))
 
 
-def _gram(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """``gram_matrix`` of each sample set of a (trials, n, d) stack, f's symmetry already checked,
-    and the index of the atom found at each upper-triangle entry (``n_atoms`` for none).
-
-    All upper-triangle differences of the stack go to one lookup.
-    """
-    n = points.shape[1]
+def _gram(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
+    """Index of f's atom (``n_atoms`` if none) at x_k - x_l, k <= l, of each set ``points[idx[t]]``, in
+    one lookup; differences a column at a time, positions only where the lookup reads them."""
+    n = idx.shape[1]
     if n > MAX_GRAM_POINTS:
         raise ValueError(f"too many sample points for the eigen budget ({n} > {MAX_GRAM_POINTS})")
     ii, jj = np.triu_indices(n)
-    diffs = (points[:, ii] - points[:, jj]).reshape(-1, points.shape[2])
-    ref_diffs = None if refs is None else (refs[:, ii] - refs[:, jj]).reshape(-1, refs.shape[2])
-    found = f.find(diffs, ref_diffs).reshape(len(points), len(ii))
-    return _hermitian(f.weights, found, n), found
+    exact = refs is not None and f.refs is not None
+    diffs = np.stack([(c[idx][:, ii] - c[idx][:, jj]).ravel() for c in (refs if exact else points).T])
+    key = _row_key(diffs.T) if exact else None  # random queries search the keys faster in key order
+    order = np.arange(diffs.shape[1]) if key is None else np.argsort(key)
+    rows = np.take(diffs, order, axis=1).T  # column-major, as the lookup reads its columns
+    found = np.empty(len(order), dtype=np.int64)
+    found[order] = f.find(None, rows) if exact else f.find(rows)
+    return found.reshape(len(idx), len(ii))
 
 
-def _hermitian(weights: np.ndarray, found: np.ndarray, n: int) -> np.ndarray:
-    """(trials, n, n) Hermitian stack with upper triangles ``weights[found]``, 0 at ``len(weights)``."""
+def _lower(vals: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian matrices with upper triangles ``vals`` as ``np.linalg.eigvalsh`` reads them (UPLO
+    'L'): conjugates on and below the diagonal, zeros above, so the max-norm is the matrix's."""
     ii, jj = np.triu_indices(n)
-    vals = np.append(weights, 0)[found]
-    m = np.zeros((len(found), n, n), dtype=complex)
-    m[:, ii, jj] = vals
+    m = np.zeros((len(vals), n, n), dtype=complex)
     m[:, jj, ii] = np.conj(vals)
     return m
 
 
 def _min_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(minimum eigenvalues, PSD verdicts, tolerances) of a (trials, n, n) stack of Gram matrices.
+    """(minimum eigenvalues, PSD verdicts, tolerances) of a stack of Gram matrices, full or ``_lower``.
 
     A verdict is that the minimum eigenvalue clears -PSD_TOL scaled by the
     matrix max-norm, the tolerance double-precision eigensolves warrant at
@@ -141,14 +144,12 @@ def restriction_check(
     symmetry of f is checked once, before the first trial.
     """
     pts = np.atleast_2d(np.asarray(subgroup_points, dtype=float))
-    if refs is not None:
-        refs = np.atleast_2d(np.asarray(refs, dtype=np.int64))
+    refs = None if refs is None else np.atleast_2d(np.asarray(refs, dtype=np.int64))
     _check_hermitian(f)
-    eigs = np.empty(trials)
-    ok = True
+    eigs, ok = np.empty(trials), True
     size = min(config_size, len(pts))
     for block, idx in _trial_blocks(seed, len(pts), size, trials):
-        eigs[block], passed, _ = _min_eig(_gram(f, pts[idx], refs[idx] if refs is not None else None)[0])
+        eigs[block], passed, _ = _min_eig(_lower(np.append(f.weights, 0)[_gram(f, pts, refs, idx)], size))
         ok &= bool(passed.all())
     return RestrictionReport(ok, trials, eigs, seed)
 
@@ -177,30 +178,29 @@ def lift_pd_crosscheck(
     found for x_k - x_l if that atom lies within ``LIFT_TOL`` (sup norm) of
     y_k - y_l in G x H, else 0, so a lift that moves or reorders atoms fails
     "entrywise equal".  Both verdicts are reported, so their agreement is observed,
-    not assumed.  Lifted matrices equal to gamma's reuse the downstairs eigensolve.
+    not assumed.  Lifted entries are compared with gamma's by value; only trials
+    where they differ build and solve a lifted matrix.
     """
     eta = lift(cps, gamma, window)
     if gamma.n_atoms == 0:
-        empty = np.zeros(0)
-        return CrosscheckReport(True, True, True, empty, empty, seed)
+        return CrosscheckReport(True, True, True, np.zeros(0), np.zeros(0), seed)
     _check_hermitian(gamma)
-    at = np.append(eta.positions, np.full((1, eta.dim), np.inf), axis=0)  # row n_atoms is near nothing
-    down_eigs = np.empty(trials)
-    up_eigs = np.empty(trials)
+    wg, we = np.append(gamma.weights, 0), np.append(eta.weights, 0)  # index n_atoms: no atom
+    at = np.append(eta.positions, np.full((1, eta.dim), np.inf), axis=0).T  # columns, atom n_atoms at inf
+    down_eigs, up_eigs = np.empty(trials), np.empty(trials)
     down_ok = up_ok = equal = True
     size = min(CONFIG_SIZE, gamma.n_atoms)
     ii, jj = np.triu_indices(size)
     for block, idx in _trial_blocks(seed, gamma.n_atoms, size, trials):
-        m_down, found = _gram(gamma, gamma.positions[idx], None if gamma.refs is None else gamma.refs[idx])
-        y = eta.positions[idx]
-        on = (np.abs(at[found] - (y[:, ii] - y[:, jj])) <= LIFT_TOL).all(axis=2)
-        m_up = _hermitian(eta.weights, np.where(on, found, eta.n_atoms), size)
-        down_eigs[block], passed_down, _ = _min_eig(m_down)
+        found = _gram(gamma, gamma.positions, gamma.refs, idx)
+        gap = np.maximum.reduce([np.abs(a[found] - (a[idx][:, ii] - a[idx][:, jj])) for a in at])
+        down, up = wg[found], we[np.where(gap <= LIFT_TOL, found, eta.n_atoms)]
+        down_eigs[block], passed_down, _ = _min_eig(_lower(down, size))
         up_eigs[block], passed_up = down_eigs[block], passed_down.copy()
-        differ = ~(m_down == m_up).all(axis=(1, 2))
+        differ = (down != up).any(axis=1)  # by value, entry by entry
         if differ.any():
             equal = False
-            up_eigs[block][differ], passed_up[differ], _ = _min_eig(m_up[differ])
+            up_eigs[block][differ], passed_up[differ], _ = _min_eig(_lower(up[differ], size))
         down_ok &= bool(passed_down.all())
         up_ok &= bool(passed_up.all())
     return CrosscheckReport(down_ok, up_ok, equal, down_eigs, up_eigs, seed)

@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from cutproject import Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm
+from cutproject import (Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm, gram_matrix,
+                        gram_min_eigenvalue, posdef)
 from cutproject._version import __version__
 from cutproject.almost import MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap
 from cutproject.comb import _sum_groups
@@ -438,6 +439,44 @@ def grouped_lookup(keys, queries):
     keys = np.asarray(keys, dtype=np.int64)
     label, first = _group_rows(np.concatenate([keys, np.asarray(queries, dtype=np.int64)]))
     return np.minimum(first[label[len(keys):]], len(keys))
+
+
+def crosscheck_trial_by_trial(cps, gamma: WeightedComb, window, trials: int, seed: int):
+    """``lift_pd_crosscheck`` one trial at a time, with eta's matrix read off eta itself.
+
+    Each trial draws its sample atoms by its own ``rng.choice`` call, in trial
+    order.  Gamma's matrix and verdict are those of ``gram_matrix`` and
+    ``gram_min_eigenvalue``.  Eta's entry (k, l), k <= l, is the weight of its
+    lowest-index atom within ``LIFT_TOL`` (sup norm) of y_k - y_l in G x H, 0 if
+    there is none, and the entries below the diagonal are their conjugates.  The
+    matrices are compared by value, entry by entry.  The lift is
+    ``posdef.lift`` at call time, so a patched lift reaches both sides.
+    """
+    eta = posdef.lift(cps, gamma, window)
+    size = min(posdef.CONFIG_SIZE, gamma.n_atoms)
+    ii, jj = np.triu_indices(size)
+    rng = np.random.default_rng(seed)
+    downs, ups, down_ok, up_ok, equal = [], [], True, True, True
+    for _ in range(trials if gamma.n_atoms else 0):
+        idx = rng.choice(gamma.n_atoms, size=size, replace=False)
+        refs = None if gamma.refs is None else gamma.refs[idx]
+        down = gram_min_eigenvalue(gamma, gamma.positions[idx], refs=refs)
+        y = eta.positions[idx]
+        upper = np.zeros((size, size), dtype=complex)
+        for k in range(size):
+            gaps = np.abs(eta.positions[None, :, :] - (y[k] - y[k:])[:, None, :]).max(axis=2)
+            near = gaps <= posdef.LIFT_TOL
+            upper[k, k:] = np.where(near.any(axis=1), eta.weights[near.argmax(axis=1)], 0)
+        up = np.conj(upper.T)
+        up[ii, jj] = upper[ii, jj]
+        min_up = np.linalg.eigvalsh(up)[0]
+        downs.append(down.min_eig)
+        ups.append(min_up)
+        down_ok &= down.ok
+        up_ok &= bool(min_up >= -posdef.PSD_TOL * max(1.0, np.abs(up).max()))
+        equal &= bool((gram_matrix(gamma, gamma.positions[idx], refs=refs)[ii, jj] == upper[ii, jj]).all())
+    return posdef.CrosscheckReport(down_ok, up_ok, equal, np.array(downs, dtype=float),
+                                   np.array(ups, dtype=float), seed)
 
 
 # ---------------------------------------------------------------------------

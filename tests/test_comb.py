@@ -826,6 +826,12 @@ def test_shift_that_does_not_match_its_translation_raises(fib, fib_window):
     assert np.array_equal(cands[1:2], fib.split(shifts[1:2])[0])
     with pytest.raises(ValueError, match="does not translate"):
         eps_norm_almost_periods(comb, Box([0.0], [1.0]), 1.0, cands[1:2], shifts=shifts[2:3])
+    # d = 2: the translate misses by more than MERGE_TOL on the second axis only
+    z = np.stack(np.meshgrid(np.arange(20), np.arange(20), indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = WeightedComb(z.astype(float), np.ones(len(z)), refs=z)
+    with pytest.raises(ValueError, match="does not translate"):
+        eps_norm_almost_periods(grid, Box([0.0, 0.0], [1.0, 1.0]), 1.0, [[1.0, 1.0 + 2 * MERGE_TOL]],
+                                shifts=[[1, 1]])
 
 
 def test_shifts_need_refs_and_one_row_per_candidate(fib, fib_window):

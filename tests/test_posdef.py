@@ -21,7 +21,7 @@ from cutproject import (
 from cutproject.lattice import _RowIndex
 from cutproject.posdef import _check_hermitian
 
-from .helpers import grouped_lookup
+from .helpers import crosscheck_trial_by_trial, grouped_lookup
 
 
 def random_autocorrelation(fib, fib_window, rng, hi=40.0):
@@ -264,11 +264,11 @@ def test_crosscheck_checks_hermitian_once_per_comb(fib, monkeypatch):
         lift_pd_crosscheck(fib, bad, window, trials=10, seed=3)
 
 
-def _crosscheck_gamma(fib):
+def _crosscheck_gamma(fib, hi=30.0):
     rng = np.random.default_rng(31)
-    z = model_set(fib, Window(Box([0.0], [1.0])), Box([0.0], [30.0]))
+    z = model_set(fib, Window(Box([0.0], [1.0])), Box([0.0], [hi]))
     w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
-    return autocorrelation_patch(model_comb(fib, z, w), Box([-1.0], [31.0]))
+    return autocorrelation_patch(model_comb(fib, z, w), Box([-1.0], [hi + 1.0]))
 
 
 def test_crosscheck_reuses_the_eigensolve_of_equal_matrices(fib, monkeypatch):
@@ -340,6 +340,58 @@ def test_trial_blocks_match_one_trial_at_a_time(fib, fib_window):
     assert report.min_eigs.tobytes() == np.array(want).tobytes()
     with pytest.raises(ValueError, match="budget"):
         restriction_check(ac, np.linspace(0, 1, 501)[:, None], trials=2, seed=5, config_size=501)
+
+
+def _moved_off_strip(lift, rows):
+    """``lift`` with eta's atoms ``rows`` moved by +7 in every internal coordinate."""
+    def moved(cps, gamma, window):
+        eta = lift(cps, gamma, window)
+        positions = eta.positions.copy()
+        positions[rows, cps.d:] += 7.0
+        return WeightedComb(positions, eta.weights, refs=eta.refs, validate=False)
+    return moved
+
+
+@pytest.mark.parametrize("case", ["refs", "floats", "off_strip", "zero_off_strip"])
+def test_crosscheck_blocks_match_one_trial_at_a_time(fib, monkeypatch, case):
+    # 30 trials of 40 points run as blocks of 12, 12 and 6; each trial's eigenvalues
+    # have the bytes of one trial at a time, eta's read where eta sits in G x H
+    from cutproject import posdef
+
+    gamma, window = _crosscheck_gamma(fib), Window(Box([-1.0], [1.0]))
+    if case == "floats":  # no refs: gamma is looked up by position, eta lifted by the float route
+        gamma = WeightedComb(gamma.positions, gamma.weights)
+    elif case == "off_strip":  # the lift of test_pdcheck_fails_a_lift_off_the_strip
+        monkeypatch.setattr(posdef, "lift", _moved_off_strip(posdef.lift, slice(None)))
+    elif case == "zero_off_strip":
+        # eta's atom at t, which no trial draws as a sample point, is off the strip: the
+        # lifted entries at t fail the lift check, and gamma, 0 at +-t, equals them by value
+        gamma = _crosscheck_gamma(fib, hi=200.0)
+        draws = np.random.default_rng(3)
+        drawn = np.concatenate([draws.choice(gamma.n_atoms, size=40, replace=False) for _ in range(30)])
+        away = np.where(np.isin(np.arange(gamma.n_atoms), drawn), np.inf, np.abs(gamma.positions[:, 0]))
+        t = int(np.argmin(away))
+        monkeypatch.setattr(posdef, "lift", _moved_off_strip(posdef.lift, [t]))
+        assert not lift_pd_crosscheck(fib, gamma, window, trials=30, seed=3).entrywise_equal
+        mirror = (gamma.refs == gamma.refs[t]).all(axis=1) | (gamma.refs == -gamma.refs[t]).all(axis=1)
+        gamma = WeightedComb(gamma.positions, np.where(mirror, 0, gamma.weights), refs=gamma.refs,
+                             validate=False)
+    report = lift_pd_crosscheck(fib, gamma, window, trials=30, seed=3)
+    want = crosscheck_trial_by_trial(fib, gamma, window, trials=30, seed=3)
+    assert report.min_eigs_down.tobytes() == want.min_eigs_down.tobytes()
+    assert report.min_eigs_up.tobytes() == want.min_eigs_up.tobytes()
+    verdicts = (report.down_ok, report.up_ok, report.entrywise_equal)
+    assert verdicts == (want.down_ok, want.up_ok, want.entrywise_equal)
+    assert verdicts == (True, True, case != "off_strip")
+
+
+def test_eigvalsh_reads_only_the_lower_triangle():
+    # the Gram stacks reach np.linalg.eigvalsh as lower triangles, zeros above the
+    # diagonal: with its default UPLO='L' their eigenvalues are the full matrices' bytes
+    rng = np.random.default_rng(43)
+    a = rng.normal(size=(12, 40, 40)) + 1j * rng.normal(size=(12, 40, 40))
+    full = a + np.conj(np.swapaxes(a, 1, 2))
+    assert np.linalg.eigvalsh(np.tril(full)).tobytes() == np.linalg.eigvalsh(full).tobytes()
 
 
 def test_crosscheck_memory_does_not_grow_with_trials(fib):
