@@ -15,9 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-# Most candidates one level of ``lattice_points_in_box`` may materialise; the
-# last level holds about as many candidates as the box holds lattice points.
-DEFAULT_BUDGET = 100_000_000
+DEFAULT_BUDGET = 100_000_000  # most candidates one level of ``lattice_points_in_box`` may materialise
 BOUNDARY_TOL = 1e-9  # how far outside a closed box or window a point still counts as in
 MERGE_TOL = 1e-9  # absolute position tolerance when coinciding atoms are merged
 
@@ -134,18 +132,21 @@ class Lattice:
     def points(self, z) -> np.ndarray:
         """Positions ``basis @ z`` for integer coordinate rows ``z``.
 
-        Accumulates column by column in a fixed order so that the same ``z``
-        yields bit-identical positions from every call site, independent of
-        batch size.
+        Coordinate i is 0.0 plus ``z_j * basis[i, j]`` for j = 0, 1, ... in turn
+        (``_positions``), so a ``z`` has the same bits from every call site and batch.
         """
         z = np.asarray(z)
         if z.shape[-1] != self.n:
             raise ValueError(f"integer coordinates must have length {self.n}")
-        zz = np.atleast_2d(z).astype(float)
-        out = np.zeros((zz.shape[0], self.n))
-        for j in range(self.n):
-            out += zz[:, j : j + 1] * self.basis[:, j]
+        out = self._positions(np.atleast_2d(z).T).T.copy()
         return out[0] if z.ndim == 1 else out
+
+    def _positions(self, cols) -> np.ndarray:
+        """``points`` as an (n, k) array, from the k-long columns ``cols`` of z."""
+        out = np.zeros((self.n, len(cols[0])))
+        for j, col in enumerate(cols):
+            out += self.basis[:, j : j + 1] * np.asarray(col, dtype=float)
+        return out
 
     def coordinates(self, points) -> np.ndarray:
         """Real-valued preimage ``inv_basis @ p`` of positions."""
@@ -259,8 +260,8 @@ def lattice_points_in_box(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All lattice points inside the closed ``box``: arrays (Z, P).
 
-    Output-sensitive and complete by construction, in the style of
-    Fincke-Pohst.  The box is the system ``A0 z <= b0`` with ``A0 = [B; -B]``
+    Complete by construction, in the style of Fincke-Pohst.  The box is the
+    system ``A0 z <= b0`` with ``A0 = [B; -B]``
     and ``b0 = [hi + BOUNDARY_TOL; -(lo - BOUNDARY_TOL)]``.  Fourier-Motzkin
     elimination of z_{n-1}, ..., z_1 depends on A0 alone, so it runs once
     per lattice (``Lattice._elimination``): for every k it yields rows
@@ -272,18 +273,17 @@ def lattice_points_in_box(
     ``_ROW_PAD * lam (|A0| m + |b0|)`` absorbs every rounding.  Each step
     only weakens a row, so no lattice point of the box is lost.
 
-    Prefixes are expanded level by level, z_0 outermost, each range clamped
-    to the interval-arithmetic cover of the preimage, so rows come out in
-    lexicographic order of z.  Positions are then filtered against the box
-    with ``Box.contains``: the output is the same whichever complete system
-    produced the candidates.  Raises BudgetError before materialising a
-    level whose candidate count exceeds ``budget``; the last level holds
-    about as many candidates as there are points in the box.
+    Prefixes are expanded level by level, z_0 outermost, as int64 columns,
+    each range clamped to the interval-arithmetic cover of the preimage, so
+    rows come out in lexicographic order of z.  Positions are then filtered
+    against the box with ``Box.contains``: the output is the same whichever
+    complete system produced the candidates.  The cost follows the candidates,
+    not the output (a thin, long box's preimage spans far more prefixes than
+    it holds points); BudgetError is raised before a level passes ``budget``.
     """
     if box.dim != lat.n:
         raise ValueError(f"box dimension {box.dim} does not match lattice dimension {lat.n}")
-    n = lat.n
-    empty = (np.zeros((0, n), dtype=np.int64), np.zeros((0, n)))
+    empty = (np.zeros((0, lat.n), dtype=np.int64), np.zeros((0, lat.n)))
     if box.is_empty:
         return empty
     cover_lo, cover_hi = _integer_ranges(lat, box)
@@ -294,11 +294,12 @@ def lattice_points_in_box(
     b0 = np.concatenate([box.hi + BOUNDARY_TOL, -(box.lo - BOUNDARY_TOL)])
     mag = np.abs(lat.basis) @ m
     b0 = b0 + _ROW_PAD * (np.concatenate([mag, mag]) + np.abs(b0))  # so lam @ b0 carries the slack
-    z = np.zeros((1, 0), dtype=np.int64)
+    cols = []  # z_0..z_{k-1} of every prefix
     for k, (a, lam, dropped) in enumerate(lat._elimination):
         c = a[:, k]
         pos, neg = c > 0, c < 0
-        rhs = (lam @ b0 + dropped @ m) - z.astype(float) @ a[:, :k].T
+        prefix = np.stack(cols, axis=1, dtype=float) if cols else np.zeros((1, 0))
+        rhs = (lam @ b0 + dropped @ m) - prefix @ a[:, :k].T
         up = np.min(rhs[:, pos] / c[pos], axis=1, initial=np.inf)
         down = np.max(rhs[:, neg] / c[neg], axis=1, initial=-np.inf)
         first = np.ceil(np.fmax(down, cover_lo[k])).astype(np.int64)
@@ -310,13 +311,12 @@ def lattice_points_in_box(
                 f"enumeration budget exceeded: {total} candidates for coordinate z{k} > "
                 f"budget {budget}; raise `budget = ...` in the config or pass --budget"
             )
-        rows = np.repeat(np.arange(len(z)), counts)
-        step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        z = np.column_stack([z[rows], first[rows] + step])
+        cols = [np.repeat(col, counts) for col in cols]
+        cols.append(np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(total))
 
-    p = lat.points(z)
-    keep = box.contains(p)
-    return z[keep], p[keep]
+    p = lat._positions(cols)
+    keep = box.contains(p.T)
+    return tuple(np.stack([col[keep] for col in a], axis=1) for a in (cols, p))
 
 
 def _row_radix(rows: np.ndarray) -> tuple[list, list[int]] | None:

@@ -10,6 +10,7 @@ import csv
 import sys
 from contextlib import nullcontext
 from functools import cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -17,22 +18,23 @@ import numpy as np
 from .comb import WeightedComb
 from .spectra import DiffractionSpectrum
 
-_TABLE_CHUNK = 2048  # rows per _write_table encoding pass; bounds its memory, ~400 bytes a value
-_POW_LO, _POW_HI = -300, 350  # 10**(16 - e) for every float64 exponent e, with room for e +- 1
-_EXP_LIM = 330  # exponents of the per-exponent tables run from -_EXP_LIM to _EXP_LIM
-# Relative distance from a half-integer within which a longdouble product's rint is not
-# trusted: twice the eps / 2 + eps / 2 that the power's and the product's roundings allow.
-_TIE_BOUND = 2 * float(np.finfo(np.longdouble).eps)
-# Superset rows: every byte a value's text can hold, then two slots for the separator after it.
+_TABLE_CHUNK = 2048  # rows per _write_table encoding pass; bounds its memory, ~280 bytes a value
+_POW_LO, _POW_HI = -300, 350  # index k - _POW_LO: 10**k and exponent 16 - k, each float64's +- 1
+# Relative distance from a half-integer within which a product's rint is not trusted: twice the
+# eps / 2 + eps / 2 of the power's and the product's roundings, + 2**-106 for a wider longdouble.
+_TIE_BOUND = 2 * float(np.finfo(np.longdouble).eps) + 2.0 ** -106
+# Slots: every byte a value's text can hold, then two for the separator after it.
 # Float: sign, "0.000", the 17 digits each followed by a point slot, "e", exponent sign, 3 digits.
-_FLOAT_ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000" + b"\0\0", np.uint8)
-_INT_ROW = np.frombuffer(b"-" + b"0" * 19 + b"\0\0", np.uint8)
+_FLOAT_ROW = b"-0.000" + b"0." * 16 + b"0e+000" + b"\0\0"
+_INT_ROW = b"-" + b"0" * 19 + b"\0\0"
 
 
 class _Decimal(NamedTuple):
     """Tables of the value encoders, built once per process by ``_decimal_tables``."""
 
     words: np.ndarray  # the bytes "0000".."9999" read as uint32, so a view as uint8 gives them back
+    dotted: np.ndarray  # uint64: 4 digits with a point slot each, then with "e" last, then heads
+    tails: np.ndarray  # trailing zeros of each 4-digit group, 16 for 0000
     powers: np.ndarray  # 10**k for k = _POW_LO.._POW_HI as longdouble, inf beyond its range
     exponents: np.ndarray  # exponent sign and 3 digits of each e, as uint32
     layouts: np.ndarray  # each e's row offset in float_keeps
@@ -61,7 +63,11 @@ def _decimal_tables() -> _Decimal:
     21 and 22 the exponent form with a 2- and a 3-digit exponent.
     """
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    words = (ord("0") + digits).astype(np.uint8).view(np.uint32).reshape(-1)
+    chars = (ord("0") + digits).astype(np.uint8)
+    dotted = np.full((2, 10000, 8), ord("."), np.uint8)
+    dotted[:, :, ::2], dotted[1, :, 7] = chars, ord("e")
+    heads = np.frombuffer(b"".join(_FLOAT_ROW[:6] + b"%d." % k for k in range(10)), np.uint64)  # lead
+    tails = np.where(digits.any(axis=1), np.argmax(digits[:, ::-1] != 0, axis=1), 16).astype(np.int8)
     bits = np.finfo(np.longdouble).nmant + 1
     ms, ss = zip(*(_rounded(10 ** max(k, 0), 10 ** max(-k, 0), bits)
                    for k in range(_POW_LO, _POW_HI + 1)))
@@ -71,7 +77,7 @@ def _decimal_tables() -> _Decimal:
     with np.errstate(over="ignore", under="ignore"):
         powers = np.ldexp(powers, -np.array(ss))
 
-    e = np.arange(-_EXP_LIM, _EXP_LIM + 1)
+    e = 16 - np.arange(_POW_LO, _POW_HI + 1)
     exponents = np.frombuffer(b"".join(b"%+04d" % k for k in e), np.uint32)
     layouts = 18 * np.where((e >= -4) & (e <= 16), e + 4, 21 + (np.abs(e) >= 100))
     neg = np.arange(2)[:, None, None]
@@ -86,81 +92,76 @@ def _decimal_tables() -> _Decimal:
     float_keeps[..., 6:39:2] = np.arange(17) < np.maximum(sig, whole)[..., None]
     float_keeps[..., 7:38:2] = np.arange(16) == np.where(sig > whole, whole - 1, -1)[..., None]
     float_keeps[..., 39:41] = float_keeps[..., 42:44] = ~fixed[..., None]
-    float_keeps[..., 41] = layout == 22
+    float_keeps[..., 41], float_keeps[..., 44] = layout == 22, True  # 44: the separator's first
     int_keeps = np.zeros((2, 20, len(_INT_ROW)), bool)
-    int_keeps[..., 0] = np.arange(2)[:, None]
+    int_keeps[..., 0], int_keeps[..., 20] = np.arange(2)[:, None], True
     int_keeps[..., 1:20] = np.arange(19) >= 19 - np.maximum(np.arange(20), 1)[:, None]
-    return _Decimal(words, powers, exponents, layouts, float_keeps.reshape(-1, len(_FLOAT_ROW)),
+    return _Decimal(chars.view(np.uint32).ravel(), np.append(dotted.view(np.uint64), heads), tails,
+                    powers, exponents, layouts, float_keeps.reshape(-1, len(_FLOAT_ROW)),
                     int_keeps.reshape(-1, len(_INT_ROW)))
 
 
-def _encode_floats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Characters and keep mask, one ``_FLOAT_ROW`` each, whose kept bytes are ``"%.17g" % x``.
+def _encode_floats(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+    """Write the (rows, k) values ``x`` into (rows, k, ``_FLOAT_ROW``) views: the kept ``chars``
+    of a value are ``"%.17g" % x``, and the separator's first keep slot is set.
 
     The 17 digits are ``rint`` of |x| * 10**(16 - e), one longdouble product with
     e = floor(log10|x|), moved by one where the product leaves [1e16, 1e17).
     The power's rounding and the product's each move the product by at most
-    eps / 2 times itself, so where it is more than twice eps times itself from
-    a half-integer its ``rint`` is the correctly rounded 17-digit significand.
-    Every other value (zero, inf, nan, a near-tie, a product out of range) is
-    formatted by ``%``; where longdouble is float64 that is every value.
-    The separator slots are left for the caller.
+    eps / 2 times itself, so where its fraction ``prod - rint(prod)`` is more
+    than twice eps times the digits from a half-integer (a float64 test) its
+    ``rint`` is the correctly rounded 17-digit significand.  Every other value
+    (zero, inf, nan, a near-tie, a product out of range) is formatted by ``%``;
+    where longdouble is float64 that is every value.
     """
     t = _decimal_tables()
     mag = np.abs(x)
-    finite = np.isfinite(mag) & (mag > 0)
-    mag = np.where(finite, mag, 1.0)
-    e = np.floor(np.log10(mag)).astype(np.int64)
+    exact = (mag > 0) & (mag < np.inf)
+    mag = np.where(exact, mag, 1.0)
+    ix = 16 - _POW_LO - np.floor(np.log10(mag)).astype(np.int64)  # the tables' index of e
     mag = mag.astype(np.longdouble)
-    prod = mag * t.powers[16 - _POW_LO - e]
-    off = np.flatnonzero((prod < 1e16) | (prod >= 1e17))  # log10 is off next to powers of ten
-    if len(off):
-        e[off] += np.where(prod[off] < 1e16, -1, 1)
-        prod[off] = mag[off] * t.powers[16 - _POW_LO - e[off]]
-    exact = finite & (prod >= 1e16) & (prod < 1e17)
-    prod = np.where(exact, prod, 1e16)
+    prod = mag * t.powers[ix]
+    off = np.nonzero((prod < 1e16) | (prod >= 1e17))  # log10 is off next to powers of ten
+    if len(off[0]):
+        ix[off] += np.where(prod[off] < 1e16, 1, -1)
+        prod[off] = mag[off] * t.powers[ix[off]]
+        exact[off] &= (prod[off] >= 1e16) & (prod[off] < 1e17)
+        prod[off] = np.where(exact[off], prod[off], 1e16)
     digits = np.rint(prod)
-    exact &= 0.5 - np.abs(prod - digits) > _TIE_BOUND * prod
     n = digits.astype(np.int64)
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    e += carry
-    top, low = np.divmod(n, 10 ** 8)
-    groups = np.empty((len(x), 4), np.int64)
-    np.divmod(top % 10 ** 8, 10 ** 4, out=(groups[:, 0], groups[:, 1]))
-    np.divmod(low, 10 ** 4, out=(groups[:, 2], groups[:, 3]))
-    chars = np.empty((len(x), len(_FLOAT_ROW)), np.uint8)
-    chars[:] = _FLOAT_ROW
-    chars[:, 6] = ord("0") + top // 10 ** 8
-    chars[:, 8:39:2] = np.take(t.words, groups).view(np.uint8).reshape(-1, 16)
-    chars[:, 40:44] = np.take(t.exponents, e + _EXP_LIM).view(np.uint8).reshape(-1, 4)
-    sig = 17 - np.argmax(chars[:, 38:5:-2] != ord("0"), axis=1)  # trailing zeros stripped
-    row = np.take(t.layouts, e + _EXP_LIM) + np.signbit(x) * (23 * 18) + sig
-    keep = np.take(t.float_keeps, row, axis=0)
-    rest = np.flatnonzero(~exact)
-    if len(rest):
-        text = np.array(["%.17g" % v for v in x[rest].tolist()], f"S{len(_FLOAT_ROW)}")
-        chars[rest] = text.view(np.uint8).reshape(len(rest), -1)
-        keep[rest] = chars[rest] != 0
-    return chars, keep
+    exact &= 0.5 - np.abs((prod - digits).astype(float)) > _TIE_BOUND * n  # exact fraction on x87
+    carry = np.nonzero(n == 10 ** 17)
+    n[carry], ix[carry] = 10 ** 16, ix[carry] - 1
+    top = n // 10 ** 8  # by a constant, // is several times faster than % or divmod
+    low = n - top * 10 ** 8
+    lead, mid, high = top // 10 ** 8, top // 10 ** 4, low // 10 ** 4
+    groups = [mid - lead * 10 ** 4, top - mid * 10 ** 4, high, low - high * 10 ** 4]
+    tails = [np.take(t.tails, g) for g in groups]  # the last nonzero group's, then 4 a group
+    tails = np.minimum(tails[3], 4 + np.minimum(tails[2], 4 + np.minimum(tails[1], 4 + tails[0])))
+    words = chars[..., :40].view(np.uint64)
+    for i, g in enumerate([lead + 20000, *groups[:3], groups[3] + 10000]):
+        words[..., i] = np.take(t.dotted, g)
+    chars[..., 40:44].view(np.uint32)[..., 0] = np.take(t.exponents, ix)
+    row = np.take(t.layouts, ix) + np.signbit(x) * (23 * 18) + (17 - tails)
+    np.take(t.float_keeps, row, axis=0, out=keep, mode="clip")  # "raise" would copy out
+    rest = (*np.nonzero(~exact), slice(None, -2))  # each written over its slot but the separator's
+    if len(rest[0]):
+        text = np.array(["%.17g" % v for v in x[rest[:2]].tolist()], f"S{len(_FLOAT_ROW) - 2}")
+        chars[rest] = text = text.view(np.uint8).reshape(len(rest[0]), -1)
+        keep[rest] = text != 0
 
 
-def _encode_ints(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Characters and keep mask, one ``_INT_ROW`` each, whose kept bytes are ``"%d" % v``.
-
-    The separator slots are left for the caller.
-    """
+def _encode_ints(v: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+    """``_encode_floats`` for int64 values into ``_INT_ROW`` views, each kept as ``"%d" % v``."""
     t = _decimal_tables()
     mag = v.view(np.uint64)
     mag = np.where(v < 0, np.uint64(0) - mag, mag)  # |int64 min| = 2**63 fits uint64
-    top, low = np.divmod(mag, np.uint64(10 ** 16))
-    groups = np.stack([top, low // 10 ** 12, low // 10 ** 8 % 10 ** 4, low // 10 ** 4 % 10 ** 4,
-                       low % 10 ** 4], axis=1).astype(np.intp)
-    chars = np.empty((len(v), len(_INT_ROW)), np.uint8)
-    chars[:, 0] = ord("-")
-    chars[:, 1:20] = np.take(t.words, groups).view(np.uint8).reshape(-1, 20)[:, 1:]
+    words = chars[..., :20].view(np.uint32)
+    for i, div in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        words[..., i] = np.take(t.words, mag // div % 10 ** 4)
+    chars[..., 0] = ord("-")  # over the "0" of mag // 10**16, which is at most 922
     length = np.searchsorted(10 ** np.arange(19, dtype=np.uint64), mag, side="right")
-    return chars, np.take(t.int_keeps, (v < 0) * 20 + length, axis=0)
+    np.take(t.int_keeps, (v < 0) * 20 + length, axis=0, out=keep, mode="clip")
 
 
 def _write_table(path, header, columns, newline: str = "\n") -> None:
@@ -168,33 +169,30 @@ def _write_table(path, header, columns, newline: str = "\n") -> None:
 
     Float columns are written ``%.17g``, which round-trips every float64, and
     integer columns in decimal, byte for byte as Python's ``%`` writes them.
-    ``_TABLE_CHUNK`` rows at a time are encoded, all float columns in one call
-    of ``_encode_floats`` and all integer columns in one of ``_encode_ints``;
-    the kept bytes of the chunk are taken in one pass and written.
-    A ``path`` of None or "" writes to standard output.
+    ``_TABLE_CHUNK`` rows at a time are encoded into one buffer of the columns'
+    ``_FLOAT_ROW`` and ``_INT_ROW`` slots, a run of adjacent columns of one kind
+    by one ``_encode_floats`` or ``_encode_ints``, separators once per table, and
+    each chunk's kept bytes taken in one pass.  A ``path`` of None or "" is stdout.
     """
-    ends = [sep.encode().ljust(2, b"\0") for sep in [","] * (len(columns) - 1) + [newline]]
-    kinds = []  # per column kind: its encoder, dtype, columns and their separator bytes
-    for encode, dtype, is_int in ((_encode_floats, float, False), (_encode_ints, np.int64, True)):
-        index = [j for j, col in enumerate(columns) if (col.dtype.kind in "iu") == is_int]
-        if index:
-            sep = np.array([list(ends[j]) for j in index], np.uint8)
-            kinds.append((encode, dtype, index, sep))
-    n = len(columns[0])
+    n, is_int = len(columns[0]), [col.dtype.kind in "iu" for col in columns]
+    ends = np.cumsum([len(_INT_ROW if i else _FLOAT_ROW) for i in is_int])
+    chars, keep = (np.empty((min(n, _TABLE_CHUNK), ends[-1]), dtype) for dtype in (np.uint8, bool))
+    seps = [sep.ljust(2, "\0") for sep in [","] * (len(columns) - 1) + [newline]]
+    seps, slots = np.frombuffer("".join(seps).encode(), np.uint8), (ends[:, None] - [2, 1]).ravel()
+    chars[:, slots] = seps
+    fix = slots[(seps > 0) != [True, False] * len(columns)]  # the encoders keep the first only
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + newline)
         for lo in range(0, n, _TABLE_CHUNK):
             rows = min(n - lo, _TABLE_CHUNK)
-            slots = [None] * len(columns)
-            for encode, dtype, index, sep in kinds:
-                block = np.stack([columns[j][lo : lo + rows] for j in index], axis=1, dtype=dtype)
-                chars, keep = (a.reshape(rows, len(index), -1) for a in encode(block.reshape(-1)))
-                chars[:, :, -2:] = sep
-                keep[:, :, -2:] = sep > 0
-                for i, j in enumerate(index):
-                    slots[j] = chars[:, i], keep[:, i]
-            chars, keep = (np.concatenate(part, axis=1) for part in zip(*slots))
-            fh.write(np.compress(keep.reshape(-1), chars).tobytes().decode("ascii"))
+            for i, run in groupby(range(len(columns)), is_int.__getitem__):
+                run, width = list(run), len(_INT_ROW if i else _FLOAT_ROW)
+                block = np.stack([columns[j][lo : lo + rows] for j in run], 1, dtype=np.int64 if i else float)
+                slot = np.s_[:rows, ends[run[0]] - width : ends[run[-1]]]
+                (_encode_ints if i else _encode_floats)(
+                    block, *(a[slot].reshape(rows, len(run), width) for a in (chars, keep)))
+            keep[:rows, fix] = ~keep[:rows, fix]
+            fh.write(np.compress(keep[:rows].reshape(-1), chars[:rows]).tobytes().decode("ascii"))
 
 
 def comb_to_csv(comb: WeightedComb, path) -> None:

@@ -31,6 +31,19 @@ def brute_lattice_points(lat: Lattice, box: Box, z_range: int, tol: float = 1e-9
     return {tuple(row) for row in z[keep]}
 
 
+def rowwise_points(basis, z) -> np.ndarray:
+    """``basis @ z`` for integer rows ``z``, one Python float at a time: coordinate i is
+    0.0 + z_0 basis[i, 0] + z_1 basis[i, 1] + ..., added left to right."""
+    out = np.empty(np.shape(z), dtype=float)
+    for r, row in enumerate(np.asarray(z).tolist()):
+        for i, coefficients in enumerate(np.asarray(basis).tolist()):
+            acc = 0.0
+            for zj, b in zip(row, coefficients):
+                acc = acc + float(zj) * b
+            out[r, i] = acc
+    return out
+
+
 def brute_points_around(lat: Lattice, box: Box, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Plain scan of the integer box around the preimage of ``box``, filtered against the box.
 

@@ -12,7 +12,7 @@ from cutproject import lattice
 from cutproject.lattice import _group_rows, _row_key
 
 from .conftest import TAU
-from .helpers import brute_lattice_points, brute_points_around, brute_z_range
+from .helpers import brute_lattice_points, brute_points_around, brute_z_range, rowwise_points
 
 FIB_BASIS = [[1.0, TAU], [1.0, 1.0 - TAU]]
 
@@ -284,13 +284,17 @@ def test_enumeration_completeness_seeded(n):
         cases += 1
 
 
+SUBNORMAL_BASES = [
+    [[1.0, 5e-324], [0.3, 1.7]],
+    [[5e-324, 1.0], [1.0, 0.0]],
+    [[1.2, 5e-324, 0.0], [0.0, 1.0, 5e-324], [0.4, 0.0, 0.9]],
+]
+
+
 @pytest.mark.parametrize(
     "basis, box",
-    [
-        ([[1.0, 5e-324], [0.3, 1.7]], Box([0.0, -1.0], [0.0, 3.0])),
-        ([[5e-324, 1.0], [1.0, 0.0]], Box([-2.0, 1.0], [2.0, 1.0])),
-        ([[1.2, 5e-324, 0.0], [0.0, 1.0, 5e-324], [0.4, 0.0, 0.9]], Box([-2.0, 0.0, -1.5], [2.5, 0.0, 2.0])),
-    ],
+    zip(SUBNORMAL_BASES, [Box([0.0, -1.0], [0.0, 3.0]), Box([-2.0, 1.0], [2.0, 1.0]),
+                          Box([-2.0, 0.0, -1.5], [2.5, 0.0, 2.0])]),
 )
 def test_enumeration_subnormal_basis_entries(basis, box):
     lat = Lattice(basis)
@@ -425,6 +429,41 @@ def test_enumeration_keeps_points_on_far_faces(case):
     for box in boxes:
         z, _ = lattice_points_in_box(lat, box)
         assert np.array_equal(z, brute_points_around(lat, box)[0])
+
+
+@st.composite
+def lattices_and_rows(draw):
+    """A basis of dimension 1..4, near the identity or one of ``SUBNORMAL_BASES``, and up to
+    five integer rows with entries up to 2**40 in size."""
+    if draw(st.booleans()):
+        basis = np.array(draw(st.sampled_from(SUBNORMAL_BASES)))
+    else:
+        n = draw(st.integers(1, 4))
+        basis = np.eye(n) + np.array([[draw(st.floats(-0.5, 0.5)) for _ in range(n)] for _ in range(n)])
+        assume(np.linalg.cond(basis) <= 4.0)
+    n = len(basis)
+    rows = draw(st.lists(st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n), max_size=5))
+    return Lattice(basis), np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+@settings(max_examples=80)
+@given(lattices_and_rows(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_enumeration_layout_and_position_bits(case, at):
+    # every enumeration returns C-contiguous int64 and float64 (k, n) arrays, also for k = 0,
+    # and every position has the bits of the row-major sum 0.0 + z_0 b_i0 + z_1 b_i1 + ...
+    lat, rows = case
+    n = lat.n
+    assert np.array_equal(lat.points(rows).view(np.int64), rowwise_points(lat.basis, rows).view(np.int64))
+    centre = lat.points(np.array(at[:n]))
+    half_cell = lat.points(np.array(at[:n]) + 0.5)  # no lattice point within 1e-3 of it
+    boxes = [Box(centre - 1.5, centre + 1.5), Box(half_cell - 1e-3, half_cell + 1e-3),
+             Box(centre + 1.0, centre - 1.0)]
+    for box, points in zip(boxes, ("some", "none", "none")):
+        z, p = lattice_points_in_box(lat, box)
+        assert (len(z) > 0) == (points == "some")
+        for a, dtype in ((z, np.int64), (p, np.float64)):
+            assert a.dtype == dtype and a.shape == (len(z), n) and a.flags.c_contiguous
+        assert np.array_equal(p.view(np.int64), rowwise_points(lat.basis, z).view(np.int64))
 
 
 def test_enumeration_cost_follows_output():

@@ -50,7 +50,8 @@ from cutproject.spectra import (PEAK_PHASE_SIGN, QUADRATURE_REL_TOL, Atomic, Axi
                                 _compact_axis_pair, _CompactPairing, _dual_blocks, _gl_grid)
 
 from .conftest import TAU
-from .helpers import full_box_diffraction, mp_compact_axis_pair, panel_compact_axis_pair, per_shift_axis_pair
+from .helpers import (full_box_diffraction, mp_compact_axis_pair, panel_compact_axis_pair,
+                      per_shift_axis_pair, random_schemes)
 
 DENS = 1.0 / np.sqrt(5.0)
 
@@ -1373,3 +1374,32 @@ def test_project_linear_in_measure_and_function(fib):
     expected = (1.0 + (2.0 - 0.5j)) * base.atoms.weights
     assert np.array_equal(together.atoms.positions, base.atoms.positions)
     assert np.max(np.abs(together.atoms.weights - expected)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_schemes(), st.floats(0.1, 0.5))
+def test_wiener_diagram_on_random_schemes(scheme, level):
+    # the covariogram vol(W n (W + y)) of a box window W with sides L is vol(W) times the profile
+    # prod_i Axis(0, 0, L_i) on W - W, whose transform is |F[1_W]|^2 / vol(W): so its diffraction
+    # times dens(L) vol(W) is the intensity of the box profile on W, peak by peak, in n = 2..4; the
+    # lifted spectrum takes a wider query, so that no enumeration run ends at the same face in both
+    d, m, basis, window, (lo, _) = scheme
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
+    w = Box(*window[0])
+    scale = density(cps.lat) * w.volume  # the largest amplitude of the box profile
+    query, threshold = Box(lo, lo + 1.0), level * scale
+    spec = diffraction(cps, Window(w), box_profile(w), query, threshold, make_cutoff(w, 0.1))
+    dw = Box(-w.sides, w.sides)
+    covariogram = Separable(tuple(Axis(0.0, 0.0, side) for side in w.sides))
+    lifted = diffraction(cps, Window(dw), covariogram, Box(lo - 0.1, lo + 1.1), threshold ** 2 / scale / 2,
+                         make_cutoff(dw, 0.1))
+    index = {ref: i for i, ref in enumerate(map(tuple, lifted.refs.tolist()))}
+    values = lifted.amplitudes[[index[ref] for ref in map(tuple, spec.refs.tolist())]] * scale
+    assert (values.imag == 0).all()
+    intensities = spec.intensities
+    error = np.abs(values.real - intensities).max(initial=0.0)
+    assert error <= 16 * np.finfo(float).eps * intensities.max(initial=0.0)
+    # and every lifted peak well above the squared threshold is a peak of the box profile
+    strong = {ref for ref, a, inside in zip(map(tuple, lifted.refs.tolist()), lifted.amplitudes.real * scale,
+                                            query.contains(lifted.ks)) if inside and a >= 2 * threshold ** 2}
+    assert strong <= set(map(tuple, spec.refs.tolist()))

@@ -292,6 +292,67 @@ def test_every_value_by_percent_when_no_product_is_trusted(monkeypatch):
     assert expected == table_text(reference_write_table, columns)
 
 
+def exact_product(x: float) -> tuple[int, int, int]:
+    """(a, b, e) with a / b = |x| * 10**(16 - e) in [1e16, 1e17) exactly: the 17-digit product
+    of a finite x != 0, and e = floor(log10 |x|) exactly."""
+    num, den = abs(x).as_integer_ratio()
+    e = math.floor(math.log10(abs(x)))  # off by at most one
+    while True:
+        a, b = num * 10 ** max(16 - e, 0), den * 10 ** max(e - 16, 0)
+        if a < 10 ** 16 * b:
+            e -= 1
+        elif a >= 10 ** 17 * b:
+            e += 1
+        else:
+            return a, b, e
+
+
+def near_ties(n: int, seed: int) -> tuple[list, list]:
+    """The floats among n random bit patterns whose 17-digit product P lies within 2 eps P of a
+    half-integer (eps of longdouble), and those between 2 eps P and 4 eps P from one."""
+    eps_num, eps_den = float(np.finfo(np.longdouble).eps).as_integer_ratio()
+    inside, outside = [], []
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, n, dtype=np.uint64)
+    for x in bits.view(np.float64).tolist():
+        if x != 0.0 and math.isfinite(x):
+            a, b, _ = exact_product(x)
+            # the distance |a / b mod 1 - 1/2| against 2 eps a / b, both times 2 b eps_den
+            twice = abs(2 * (a % b) - b) * eps_den
+            if twice <= 4 * eps_num * a:
+                inside.append(x)
+            elif twice <= 8 * eps_num * a:
+                outside.append(x)
+    return inside, outside
+
+
+def test_near_ties_and_range_edges_match_percent(monkeypatch):
+    # products inside the tie band and just outside it, products at 1e16 and 1e17 (around
+    # powers of ten, where floor(log10) is off by one or rint carries to 1e17), signed zeros,
+    # subnormals and the largest float: each written as '%.17g' % x
+    inside, outside = near_ties(20000, 1000)
+    powers = [float(Fraction(10) ** k) for k in range(-323, 309)]
+    edges = powers + [float(np.nextafter(p, to)) for p in powers for to in (0.0, math.inf)]
+    specials = [0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308]
+    values = inside + outside + edges + specials
+    values += [-v for v in values]
+
+    def written(vals):
+        return table_text(_write_table, [np.array(vals)])
+
+    def percent(vals):
+        return "c0\n" + "".join("%.17g\n" % v for v in vals)
+
+    assert written(values) == percent(values)
+    products = [exact_product(v) for v in edges]
+    assert any(np.floor(np.log10(v)) != e for v, (_, _, e) in zip(edges, products))
+    assert any(2 * a >= (2 * 10 ** 17 - 1) * b for a, b, _ in products)  # rint carries to 1e17
+    if np.finfo(np.longdouble).nmant == 63:  # x87: the band holds products whose rint is wrong
+        assert len(inside) > 100 and len(outside) > 100
+        monkeypatch.setattr(tables_module, "_TIE_BOUND", 0.0)
+        assert written(inside) != percent(inside)
+
+
 def test_special_columns_raise_no_warning():
     special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-310, 1e-320])
     columns = [special, special[::-1].copy(), np.arange(len(special))]
