@@ -3,8 +3,7 @@
 Quantities of sup type (the window norm ``a_norm``, the defects
 || T^t comb - comb ||_A of an almost-period scan) are evaluated on declared
 interior regions, so the patch boundary never leaks into a result.  The
-scan's candidates are the integer translates between a patch's atoms, and
-``meyer_gap`` measures the uniform discreteness of its difference sets.
+scan's candidates are the integer translates between a patch's atoms.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cps import CutProjectScheme
-from .lattice import BOUNDARY_TOL, MERGE_TOL, Box, BudgetError, _nearest, lattice_points_in_box
+from .lattice import BOUNDARY_TOL, MERGE_TOL, Box, _nearest, lattice_points_in_box
 
 if TYPE_CHECKING:  # comb binds this module's functions, so the import runs one way only
     from .comb import WeightedComb
 
 MIN_DIAMETERS = 10.0  # window spans per axis an almost-period evaluation region needs
-GAP_DEDUP_TOL = 1e-12  # difference-set gaps at most this are float duplicates
 _LOOKUP_CHUNK = 1 << 18  # translated refs rows per ref_index lookup of an almost-period scan
 _STRIP_RADIUS = 64.0  # physical half-side of the first strip box of _difference_candidates
 _STRIP_PAD = 1e-9  # strip box inflation relative to coordinate size, far above lat.points rounding
@@ -366,36 +364,3 @@ def _translate_blocks(comb: WeightedComb, order: np.ndarray, cands: np.ndarray, 
         np.put_along_axis(alone, match, False, axis=1)
         weights = np.take(wts, match)
         yield block, moved, np.subtract(wts[:n], weights, out=weights), alone[:, :n]
-
-def meyer_gap(
-    positions,
-    folds: int = 2,
-    budget: int = 2_000_000,
-) -> float:
-    """Minimum positive pairwise gap of the iterated difference set.
-
-    ``folds`` is the number of subtractions: folds=2 builds P - P - P from
-    the patch P.  Values within ``GAP_DEDUP_TOL`` count as the same element,
-    which absorbs floating-point duplicates of algebraically equal points.
-    """
-    if folds < 1 or folds > 3:
-        raise ValueError("folds must be between 1 and 3")
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n, d = pts.shape
-    if n ** (folds + 1) > budget:
-        raise BudgetError(f"difference set too large: {n}^{folds + 1} > {budget}")
-    current = pts
-    for _ in range(folds):
-        current = (current[:, None, :] - pts[None, :, :]).reshape(-1, d)
-    if len(current) < 2:
-        return np.inf
-    if d == 1:
-        vals = np.sort(current[:, 0])
-        gaps = np.diff(vals)
-        gaps = gaps[gaps > GAP_DEDUP_TOL]
-        return float(gaps.min()) if len(gaps) else np.inf
-    dist = _nearest(current, current, min(len(current), 16))
-    positive = dist[:, 1:][dist[:, 1:] > GAP_DEDUP_TOL]
-    return float(positive.min()) if positive.size else np.inf

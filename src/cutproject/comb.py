@@ -96,10 +96,6 @@ class WeightedComb:
             return None
         return Box(self.positions.min(axis=0), self.positions.max(axis=0))
 
-    def translated(self, t) -> "WeightedComb":
-        # integer coordinates do not survive an arbitrary translation
-        return WeightedComb(self.positions + np.asarray(t, dtype=float), self.weights, validate=False)
-
     def scaled(self, factor: complex) -> "WeightedComb":
         return WeightedComb(self.positions, self.weights * factor, refs=self.refs, validate=False)
 
@@ -223,7 +219,8 @@ def autocorrelation_patch(comb: WeightedComb, region: Box) -> WeightedComb:
     vol = region.volume
     n = comb.n_atoms
     if n == 0:
-        return WeightedComb(np.zeros((0, comb.dim)), np.zeros(0, complex))
+        refs = None if comb.refs is None else comb.refs[:0]
+        return WeightedComb(np.zeros((0, comb.dim)), np.zeros(0, complex), refs=refs)
 
     ii, jj = np.triu_indices(n, k=1)
     diffs = comb.positions[ii] - comb.positions[jj]

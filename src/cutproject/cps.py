@@ -87,14 +87,6 @@ class CutProjectScheme:
         return p[..., : self.d], p[..., self.d :]
 
 
-def star(cps: CutProjectScheme, z) -> np.ndarray:
-    """Internal part of the lattice point with integer coordinates ``z``.
-
-    Additive over integer coordinates since it is linear in ``z``.
-    """
-    return cps.lat.points(z)[..., cps.d :]
-
-
 def _model_set(cps: CutProjectScheme, window: Window, query: Box, budget: int):
     """Body of ``model_set``.
 

@@ -4,9 +4,9 @@ A finite comb is read as a function: the weight at an atom position, zero
 elsewhere (extension by zero).  For sample points x_1..x_n the matrix
 M[k][l] = f(x_k - x_l) is Hermitian whenever f is, and positive
 semidefiniteness of every such matrix is what positive definiteness of f
-means.  Restriction to a subgroup, extension by zero, and the lift to the
-lattice strip all preserve these matrices entry by entry, which the
-cross-check below turns into a finite-scale test.
+means.  Extension by zero and the lift to the lattice strip preserve these
+matrices entry by entry, which the cross-check below turns into a
+finite-scale test.
 """
 
 from __future__ import annotations
@@ -93,23 +93,6 @@ def _min_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return min_eig, min_eig >= -tol, tol
 
 
-@dataclass(frozen=True)
-class GramReport:
-    size: int
-    min_eig: float
-    ok: bool
-    tol: float
-    points: np.ndarray
-
-
-def gram_min_eigenvalue(f: WeightedComb, points, refs=None) -> GramReport:
-    """Minimum eigenvalue of the Gram matrix over the sample points, with its PSD verdict."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = gram_matrix(f, pts, refs=refs)
-    (min_eig,), (ok,), (tol,) = _min_eig(m[None])
-    return GramReport(len(m), float(min_eig), bool(ok), float(tol), pts)
-
-
 def _trial_blocks(seed: int, population: int, size: int, trials: int):
     """(slice of trials, index sets) per block of ``MAX_GRAM_POINTS // size`` trials, drawn when
     the block starts by one ``rng.choice`` per trial in trial order, whatever the block length."""
@@ -119,39 +102,6 @@ def _trial_blocks(seed: int, population: int, size: int, trials: int):
         block = slice(start, min(start + per_block, trials))
         yield block, np.stack([rng.choice(population, size=size, replace=False)
                                for _ in range(block.stop - start)])
-
-
-@dataclass(frozen=True)
-class RestrictionReport:
-    ok: bool
-    trials: int
-    min_eigs: np.ndarray
-    seed: int
-
-
-def restriction_check(
-    f: WeightedComb,
-    subgroup_points,
-    trials: int,
-    seed: int,
-    config_size: int = CONFIG_SIZE,
-    refs=None,
-) -> RestrictionReport:
-    """Gram tests on random configurations drawn only from the given point set.
-
-    Positive definiteness restricts to any subset closed under differences,
-    so every trial of a genuinely positive definite f must pass.  Hermitian
-    symmetry of f is checked once, before the first trial.
-    """
-    pts = np.atleast_2d(np.asarray(subgroup_points, dtype=float))
-    refs = None if refs is None else np.atleast_2d(np.asarray(refs, dtype=np.int64))
-    _check_hermitian(f)
-    eigs, ok = np.empty(trials), True
-    size = min(config_size, len(pts))
-    for block, idx in _trial_blocks(seed, len(pts), size, trials):
-        eigs[block], passed, _ = _min_eig(_lower(np.append(f.weights, 0)[_gram(f, pts, refs, idx)], size))
-        ok &= bool(passed.all())
-    return RestrictionReport(ok, trials, eigs, seed)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ The central objects:
   closed-form density fiber in the internal-dual one.
 * ``diffraction`` evaluates the resulting pure-point spectrum in closed
   form, amplitude A(k) = dens(L) * hhat(sigma * kstar), with the sign
-  ``PEAK_PHASE_SIGN`` pinned once against ``oracle_amplitude`` (see
+  ``PEAK_PHASE_SIGN`` pinned once against ``oracle_amplitudes`` (see
   tests/test_spectra.py::test_peak_phase_sign_pinning) and frozen.
 * ``pair_fibered`` evaluates the same pairings by direct quadrature on the
   dual side, with certified truncation tails, so the closed form is
@@ -224,7 +224,7 @@ class Separable:
     of (1 + xi_i^2) |f_i(xi_i)|.
     """
 
-    axes: tuple
+    axes: tuple[Axis, ...]
 
     @property
     def m(self) -> int:
@@ -294,6 +294,8 @@ class Atomic:
     def __init__(self, points, weights, phase: int = 0) -> None:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         weights = np.asarray(weights, dtype=complex).reshape(-1)
+        if len(points) != len(weights):  # [] for points is one point of dimension 0, so it fails too
+            raise ValueError("atomic points and weights must have equal length")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "phase", phase)
@@ -337,16 +339,6 @@ class Atomic:
         return float(np.sum(np.abs(self.weights)))
 
 
-# Public names of the profile, cutoff and transform types, kept as aliases.
-InternalProfile = Separable | Atomic
-SeparableTransform = Cutoff = Separable
-
-
-def AtomicTransform(points, weights) -> Atomic:
-    """Transform of a finite atomic profile: the trigonometric sum, phase -1."""
-    return Atomic(points, weights, phase=-1)
-
-
 def box_profile(box: Box | tuple) -> Separable:
     if not isinstance(box, Box):
         box = Box(*box)
@@ -364,13 +356,6 @@ def trapezoid_profile(a, b, delta) -> Separable:
     if (b < a).any():
         raise ValueError("trapezoid plateau must be a nonempty box")
     return Separable(tuple(Axis(*abd) for abd in zip(a, b, delta)))
-
-
-def atomic_profile(points, weights) -> Atomic:
-    profile = Atomic(points, weights)
-    if len(profile.points) != len(profile.weights) or len(profile.points) == 0:
-        raise ValueError("atomic profile needs matching nonempty points and weights")
-    return profile
 
 
 def make_cutoff(plateau: Box | tuple, margin) -> Separable:
@@ -807,7 +792,7 @@ class PeriodicMeasure:
     period: Lattice
     d: int
     scale: float
-    motif: tuple
+    motif: tuple[MotifAtom | MotifAtomFiber | MotifDensityFiber, ...]
 
     @property
     def m(self) -> int:
@@ -1027,10 +1012,6 @@ def oracle_amplitudes(
     return Atomic(x, profile.value(xstar), phase=-1).value(ks) / (2.0 * patch_radius) ** cps.d
 
 
-def oracle_amplitude(cps, window, profile, k, patch_radius, budget: int = DEFAULT_BUDGET) -> complex:
-    return complex(oracle_amplitudes(cps, window, profile, [np.atleast_1d(k)], patch_radius, budget)[0])
-
-
 # ---------------------------------------------------------------------------
 # projection of periodic measures
 
@@ -1058,7 +1039,7 @@ class ProjectionResult:
     """Projection of a periodic measure: atomic part plus tagged densities."""
 
     atoms: WeightedComb
-    densities: tuple
+    densities: tuple[ProjectedDensity, ...]
 
 
 def project(
@@ -1191,7 +1172,7 @@ def _normalize_psi(psi, d: int) -> tuple[np.ndarray, np.ndarray]:
 # the norm bound for projections of periodic measures
 
 
-def unit_cell_decay_constant() -> tuple[float, float]:
+def _unit_cell_decay_constant() -> tuple[float, float]:
     """Per-axis constant: sum over integer cells of the peak of 1/(1+z^2).
 
     The sum is 1 + 2 sum_{n>=1} 1/(1 + (n - 1/2)^2) = 1 + pi tanh(pi), in
@@ -1258,7 +1239,7 @@ def norm_bound_check(
     admissibility = f.admissibility_bound()
     if not np.isfinite(admissibility):
         raise ValueError("f lacks a quadratic decay certificate")
-    c1, _ = unit_cell_decay_constant()
+    c1, _ = _unit_cell_decay_constant()
     constant = c1 ** m
 
     sweep = Box(-sweep_halfwidth * np.ones(d), sweep_halfwidth * np.ones(d))

@@ -1,4 +1,4 @@
-"""CSV tables: the exact ``%.17g`` writer, and comb and spectrum CSV files.
+"""CSV tables: the exact ``%.17g`` writer, and spectrum CSV files.
 
 ``_write_table`` writes numpy columns byte for byte as Python's ``%`` formats
 each value; every table of the command line goes through it.
@@ -6,7 +6,6 @@ each value; every table of the command line goes through it.
 
 from __future__ import annotations
 
-import csv
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -15,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .comb import WeightedComb
 from .spectra import DiffractionSpectrum
 
 _TABLE_CHUNK = 2048  # rows per _write_table encoding pass; bounds its memory, ~280 bytes a value
@@ -23,7 +21,7 @@ _POW_LO, _POW_HI = -300, 350  # index k - _POW_LO: 10**k and exponent 16 - k, ea
 # Relative distance from a half-integer within which a product's rint is not trusted: twice the
 # eps / 2 + eps / 2 of the power's and the product's roundings, + 2**-106 for a wider longdouble.
 _TIE_BOUND = 2 * float(np.finfo(np.longdouble).eps) + 2.0 ** -106
-# Slots: every byte a value's text can hold, then two for the separator after it.
+# Slots: every byte a value's text can hold, then two for the separator after it (the first kept).
 # Float: sign, "0.000", the 17 digits each followed by a point slot, "e", exponent sign, 3 digits.
 _FLOAT_ROW = b"-0.000" + b"0." * 16 + b"0e+000" + b"\0\0"
 _INT_ROW = b"-" + b"0" * 19 + b"\0\0"
@@ -164,7 +162,7 @@ def _encode_ints(v: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
     np.take(t.int_keeps, (v < 0) * 20 + length, axis=0, out=keep, mode="clip")
 
 
-def _write_table(path, header, columns, newline: str = "\n") -> None:
+def _write_table(path, header, columns) -> None:
     """Write a CSV table: the header, then row i holds element i of every column.
 
     Float columns are written ``%.17g``, which round-trips every float64, and
@@ -177,12 +175,9 @@ def _write_table(path, header, columns, newline: str = "\n") -> None:
     n, is_int = len(columns[0]), [col.dtype.kind in "iu" for col in columns]
     ends = np.cumsum([len(_INT_ROW if i else _FLOAT_ROW) for i in is_int])
     chars, keep = (np.empty((min(n, _TABLE_CHUNK), ends[-1]), dtype) for dtype in (np.uint8, bool))
-    seps = [sep.ljust(2, "\0") for sep in [","] * (len(columns) - 1) + [newline]]
-    seps, slots = np.frombuffer("".join(seps).encode(), np.uint8), (ends[:, None] - [2, 1]).ravel()
-    chars[:, slots] = seps
-    fix = slots[(seps > 0) != [True, False] * len(columns)]  # the encoders keep the first only
+    chars[:, ends - 2] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)  # encoders keep these
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
-        fh.write(",".join(header) + newline)
+        fh.write(",".join(header) + "\n")
         for lo in range(0, n, _TABLE_CHUNK):
             rows = min(n - lo, _TABLE_CHUNK)
             for i, run in groupby(range(len(columns)), is_int.__getitem__):
@@ -191,40 +186,8 @@ def _write_table(path, header, columns, newline: str = "\n") -> None:
                 slot = np.s_[:rows, ends[run[0]] - width : ends[run[-1]]]
                 (_encode_ints if i else _encode_floats)(
                     block, *(a[slot].reshape(rows, len(run), width) for a in (chars, keep)))
-            keep[:rows, fix] = ~keep[:rows, fix]
             fh.write(np.compress(keep[:rows].reshape(-1), chars[:rows]).tobytes().decode("ascii"))
 
-
-def comb_to_csv(comb: WeightedComb, path) -> None:
-    """Write atoms as rows x1,...,xd,re,im, each line ended by CRLF."""
-    header = [f"x{i + 1}" for i in range(comb.dim)] + ["re", "im"]
-    _write_table(path, header, [*comb.positions.T, comb.weights.real, comb.weights.imag],
-                 newline="\r\n")
-
-
-def comb_from_csv(path) -> WeightedComb:
-    """Read a comb written by comb_to_csv; duplicate positions are rejected."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("comb csv is empty: no header line")
-        if len(header) < 3 or header[-2:] != ["re", "im"]:
-            raise ValueError("comb csv must end with re,im columns")
-        dim = len(header) - 2
-        positions, weights = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"comb csv line {reader.line_num} has {len(row)} fields, "
-                                 f"the header {len(header)}")
-            values = [float(v) for v in row]
-            positions.append(values[:dim])
-            weights.append(complex(values[dim], values[dim + 1]))
-    if not positions:
-        return WeightedComb(np.zeros((0, dim)), np.zeros(0, complex))
-    return WeightedComb(np.array(positions), np.array(weights))
 
 def spectrum_to_csv(spectrum: DiffractionSpectrum, path) -> None:
     """Rows k1..kd,re,im,intensity in lexicographic peak order; no path writes to stdout."""

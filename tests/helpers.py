@@ -1,7 +1,5 @@
 """Independent brute-force oracles the library-side implementations are checked against."""
 
-import csv
-import io
 import itertools
 import sys
 from contextlib import nullcontext
@@ -10,8 +8,7 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from cutproject import (Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm, gram_matrix,
-                        gram_min_eigenvalue, posdef)
+from cutproject import Box, DiffractionSpectrum, Lattice, WeightedComb, a_norm, gram_matrix, posdef
 from cutproject._version import __version__
 from cutproject.almost import MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap
 from cutproject.comb import _sum_groups
@@ -458,8 +455,8 @@ def crosscheck_trial_by_trial(cps, gamma: WeightedComb, window, trials: int, see
     """``lift_pd_crosscheck`` one trial at a time, with eta's matrix read off eta itself.
 
     Each trial draws its sample atoms by its own ``rng.choice`` call, in trial
-    order.  Gamma's matrix and verdict are those of ``gram_matrix`` and
-    ``gram_min_eigenvalue``.  Eta's entry (k, l), k <= l, is the weight of its
+    order.  Gamma's matrix is that of ``gram_matrix``, and its verdict is
+    ``posdef._min_eig`` of it alone.  Eta's entry (k, l), k <= l, is the weight of its
     lowest-index atom within ``LIFT_TOL`` (sup norm) of y_k - y_l in G x H, 0 if
     there is none, and the entries below the diagonal are their conjugates.  The
     matrices are compared by value, entry by entry.  The lift is
@@ -473,7 +470,8 @@ def crosscheck_trial_by_trial(cps, gamma: WeightedComb, window, trials: int, see
     for _ in range(trials if gamma.n_atoms else 0):
         idx = rng.choice(gamma.n_atoms, size=size, replace=False)
         refs = None if gamma.refs is None else gamma.refs[idx]
-        down = gram_min_eigenvalue(gamma, gamma.positions[idx], refs=refs)
+        down = gram_matrix(gamma, gamma.positions[idx], refs=refs)
+        (min_down,), (ok_down,), _ = posdef._min_eig(down[None])
         y = eta.positions[idx]
         upper = np.zeros((size, size), dtype=complex)
         for k in range(size):
@@ -483,11 +481,11 @@ def crosscheck_trial_by_trial(cps, gamma: WeightedComb, window, trials: int, see
         up = np.conj(upper.T)
         up[ii, jj] = upper[ii, jj]
         min_up = np.linalg.eigvalsh(up)[0]
-        downs.append(down.min_eig)
+        downs.append(min_down)
         ups.append(min_up)
-        down_ok &= down.ok
+        down_ok &= bool(ok_down)
         up_ok &= bool(min_up >= -posdef.PSD_TOL * max(1.0, np.abs(up).max()))
-        equal &= bool((gram_matrix(gamma, gamma.positions[idx], refs=refs)[ii, jj] == upper[ii, jj]).all())
+        equal &= bool((down[ii, jj] == upper[ii, jj]).all())
     return posdef.CrosscheckReport(down_ok, up_ok, equal, np.array(downs, dtype=float),
                                    np.array(ups, dtype=float), seed)
 
@@ -498,17 +496,17 @@ def crosscheck_trial_by_trial(cps, gamma: WeightedComb, window, trials: int, see
 PERCENT_CHUNK = 65536  # rows formatted by one ``%``
 
 
-def reference_write_table(path, header, columns, newline: str = "\n") -> None:
+def reference_write_table(path, header, columns) -> None:
     """``tables._write_table`` by Python's ``%``: floats ``%.17g``, integers ``%d``.
 
     Each chunk of rows is one ``%`` over the interleaved ``.tolist()`` values.
     A ``path`` of None or "" writes to standard output.
     """
     formats = ["%d" if np.issubdtype(col.dtype, np.integer) else "%.17g" for col in columns]
-    line = ",".join(formats) + newline
+    line = ",".join(formats) + "\n"
     width, n = len(columns), len(columns[0])
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
-        fh.write(",".join(header) + newline)
+        fh.write(",".join(header) + "\n")
         for lo in range(0, n, PERCENT_CHUNK):
             rows = min(PERCENT_CHUNK, n - lo)
             flat = [None] * (rows * width)
@@ -571,12 +569,3 @@ def rowwise_almostperiods_csv(d: int, ts, norms, accepted) -> str:
         lines.append(",".join([_g(x) for x in t] + [_g(v), str(acc)]))
     return _join(lines)
 
-
-def rowwise_comb_csv(comb: WeightedComb) -> str:
-    """Rows x1..xd,re,im through the csv module, whose lines end in CRLF."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow([f"x{i + 1}" for i in range(comb.dim)] + ["re", "im"])
-    for pos, w in zip(comb.positions, comb.weights):
-        writer.writerow([_g(v) for v in pos] + [_g(w.real), _g(w.imag)])
-    return buf.getvalue()

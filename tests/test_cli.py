@@ -20,9 +20,9 @@ from cutproject.cli import (CONFIG_KEYS, GOLDEN, ConfigError, build_parser, load
                             parse_config_text, resolve_config)
 from cutproject.spectra import _fiber_radii
 
-from .helpers import (brute_points_around, full_box_diffraction, grouped_almost_period_scan,
-                      integer_difference_candidates, random_schemes, reference_write_table,
-                      rowwise_almostperiods_csv, rowwise_spectrum_csv)
+from .helpers import (brute_points_around, crosscheck_trial_by_trial, full_box_diffraction,
+                      grouped_almost_period_scan, integer_difference_candidates, random_schemes,
+                      reference_write_table, rowwise_almostperiods_csv, rowwise_spectrum_csv)
 
 REPO = Path(__file__).resolve().parents[1]
 FIB_CONFIG = REPO / "configs" / "fibonacci.toml"
@@ -626,6 +626,56 @@ def test_diffract_bytes_match_the_full_box(scheme, fraction):
         config.write_text(random_config(d, m, basis, window, query, query) + f"threshold = {threshold!r}\n")
         assert main(["diffract", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == rowwise_spectrum_csv(d, want.ks, want.amplitudes).encode()
+
+
+@settings(max_examples=60)
+@given(random_schemes(), st.integers(0, 2**32 - 1), st.integers(1, 30))
+def test_pdcheck_stdout_matches_the_trial_by_trial_oracle(scheme, seed, trials):
+    # gamma against a dict over all ordered pairs of patch points, keyed by z_i - z_j; the
+    # report against the trial-by-trial oracle run on that gamma, whose atom order the trial
+    # draws index; the oracle's O(n^2) lifted lookups keep patches to 150 points
+    d, m, basis, window, patch = scheme
+    cps = CutProjectScheme(lat=Lattice(basis), d=d)
+    z = model_set(cps, Window([Box(lo, hi) for lo, hi in window]), Box(*patch))
+    assume(0 < len(z) <= 150)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+    x = cps.split(z)[0]
+    sums = {}
+    for zi, wi in zip(z.tolist(), w):
+        for zj, wj in zip(z.tolist(), w):
+            key = tuple(a - b for a, b in zip(zi, zj))
+            sums[key] = sums.get(key, 0.0) + wi * np.conj(wj)
+    vol = np.prod(x.max(axis=0) - x.min(axis=0) + 2.0)
+    lo = np.min([w_lo for w_lo, _ in window], axis=0)
+    hi = np.max([w_hi for _, w_hi in window], axis=0)
+    gammas, crosscheck = [], cli.lift_pd_crosscheck
+
+    def record(cps, gamma, window, trials, seed):
+        gammas.append(gamma)
+        return crosscheck(cps, gamma, window, trials=trials, seed=seed)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "lift_pd_crosscheck", record)
+        config = Path(tmp) / "scheme.toml"
+        config.write_text(random_config(d, m, basis, window, patch, patch) + f"seed = {seed}\n")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["pdcheck", "--config", str(config), "--trials", str(trials)])
+    (gamma,) = gammas
+    assert sorted(map(tuple, gamma.refs.tolist())) == sorted(sums)
+    want = np.array([sums[tuple(r)] for r in gamma.refs.tolist()]) / vol
+    assert np.allclose(gamma.weights, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    report = crosscheck_trial_by_trial(cps, gamma, Window(Box(lo - hi, hi - lo)), trials, seed)
+    verdict = {True: "ok", False: "FAIL"}
+    assert stdout.getvalue() == (
+        f"configurations: {trials} trials, seed {seed}\n"
+        f"downstairs positive semidefinite: {verdict[report.down_ok]} "
+        f"(min eigenvalue {report.min_eigs_down.min():.3e})\n"
+        f"lifted positive semidefinite: {verdict[report.up_ok]} "
+        f"(min eigenvalue {report.min_eigs_up.min():.3e})\n"
+        f"gram matrices entrywise equal: {verdict[report.entrywise_equal]}\n")
+    assert code == (0 if report.down_ok and report.up_ok and report.entrywise_equal else 1)
 
 
 @pytest.mark.parametrize("config, patch, name", [

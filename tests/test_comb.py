@@ -14,12 +14,9 @@ from cutproject import (
     Window,
     a_norm,
     autocorrelation_patch,
-    comb_from_csv,
-    comb_to_csv,
     descent,
     eps_norm_almost_periods,
     lift,
-    meyer_gap,
     model_comb,
     model_set,
     strip_comb,
@@ -29,7 +26,7 @@ from cutproject import comb as comb_module
 from cutproject.almost import _difference_candidates
 from cutproject.comb import merge_atoms
 from cutproject.lattice import MERGE_TOL, _near, lattice_points_in_box
-from cutproject.posdef import _check_hermitian, gram_min_eigenvalue
+from cutproject.posdef import _check_hermitian, _min_eig, gram_matrix
 
 from . import helpers
 from .conftest import TAU
@@ -362,7 +359,7 @@ def test_a_norm_translation_invariant():
     comb = WeightedComb(pos[:, None], rng.normal(size=25))
     box, region = Box([0.0], [0.937]), Box([1.0], [9.0])
     base = a_norm(comb, box, region)
-    shifted = a_norm(comb.translated([5.25]), box, region.shifted([5.25]))
+    shifted = a_norm(WeightedComb(comb.positions + 5.25, comb.weights), box, region.shifted([5.25]))
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -978,6 +975,13 @@ def test_autocorrelation_of_an_empty_comb_is_empty(dim):
     assert ac.n_atoms == 0 and ac.dim == dim
 
 
+def test_autocorrelation_of_an_empty_comb_keeps_its_coordinates(fib):
+    # every other branch returns refs when the comb has them, and so does the empty one
+    ac = autocorrelation_patch(model_comb(fib, np.zeros((0, 2), np.int64), []), Box([0.0], [10.0]))
+    assert ac.n_atoms == 0 and ac.refs is not None
+    assert ac.refs.shape == (0, 2) and ac.refs.dtype == np.int64
+
+
 def test_model_comb_rejects_refs_of_another_width(fib):
     # refs of the wrong width would disagree with the positions computed from them
     with pytest.raises(ValueError, match="length 2"):
@@ -989,114 +993,9 @@ def test_autocorrelation_is_positive_definite(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=40.0, rng=rng)
     ac = autocorrelation_patch(comb, Box([-1.0], [41.0]))
     idx = rng.choice(comb.n_atoms, size=min(30, comb.n_atoms), replace=False)
-    report = gram_min_eigenvalue(ac, comb.positions[idx])
-    assert report.ok
-    assert report.min_eig >= -1e-8
-
-
-# ---------------------------------------------------------------------------
-# meyer gap
-
-
-def test_meyer_gap_integers():
-    assert meyer_gap(np.arange(21.0), folds=2) == 1.0
-
-
-def test_meyer_gap_near_collision():
-    gap = meyer_gap(np.array([0.0, 1.0, 1.0 + 1e-4]), folds=1)
-    assert gap == pytest.approx(1e-4, rel=1e-9)
-
-
-def test_meyer_gap_fibonacci_stable(fib, fib_window):
-    gaps = []
-    for hi in (30.0, 50.0):
-        x, _ = fib.split(model_set(fib, fib_window, Box([0.0], [hi])))
-        gaps.append(meyer_gap(x[:, 0], folds=2))
-    assert gaps[0] > 0
-    assert gaps[0] == pytest.approx(gaps[1], abs=1e-9)
-    # the smallest three-fold difference gap at this window is 1/tau^2
-    assert gaps[1] == pytest.approx(TAU ** -2, abs=1e-9)
-
-
-def test_meyer_gap_ammann_beenker():
-    # d = 2 takes the k-d tree branch; the gaps are powers of the silver mean's inverse
-    ab, window, _ = SCHEMES["ab"]
-    x, _ = ab.split(model_set(ab, window, Box([0.0, 0.0], [3.0, 3.0])))
-    assert meyer_gap(x, folds=1) == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
-    assert meyer_gap(x, folds=2) == pytest.approx(3.0 - 2.0 * np.sqrt(2.0), abs=1e-12)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_meyer_gap_without_two_differences_is_infinite(d):
-    for positions in (np.zeros((0, d)), np.ones((1, d))):
-        for folds in (1, 2):
-            assert meyer_gap(positions, folds=folds) == np.inf
-
-
-@pytest.mark.parametrize("folds", [0, 4])
-def test_meyer_gap_folds_out_of_range(folds):
-    with pytest.raises(ValueError, match="folds must be between 1 and 3"):
-        meyer_gap(np.arange(5.0), folds=folds)
-
-
-def test_meyer_gap_budget():
-    from cutproject import BudgetError
-
-    with pytest.raises(BudgetError):
-        meyer_gap(np.arange(500.0), folds=3, budget=10_000)
-
-
-# ---------------------------------------------------------------------------
-# csv round trip
-
-
-def test_csv_round_trip(tmp_path, fib, fib_window):
-    rng = np.random.default_rng(33)
-    comb = fib_patch(fib, fib_window, hi=20.0, rng=rng)
-    path = tmp_path / "comb.csv"
-    comb_to_csv(comb, path)
-    back = comb_from_csv(path)
-    assert back.dim == 1
-    assert np.max(np.abs(back.positions - comb.positions)) == 0.0
-    assert np.max(np.abs(back.weights - comb.weights)) == 0.0
-
-
-def test_csv_rejects_duplicates(tmp_path):
-    path = tmp_path / "dup.csv"
-    path.write_text("x1,re,im\n1.0,1.0,0.0\n1.0,2.0,0.0\n")
-    with pytest.raises(ValueError, match="duplicate positions"):
-        comb_from_csv(path)
-
-
-@pytest.mark.parametrize("row", ["1.0,1.0", "1.0,1.0,0.0,7.0"])
-def test_csv_rejects_rows_unlike_the_header(tmp_path, row):
-    path = tmp_path / "ragged.csv"
-    path.write_text(f"x1,re,im\n0.0,1.0,0.0\n{row}\n")
-    with pytest.raises(ValueError, match="line 3 has"):
-        comb_from_csv(path)
-
-
-def test_csv_rejects_an_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="comb csv is empty: no header line"):
-        comb_from_csv(path)
-
-
-@pytest.mark.parametrize("header", ["x1,re\n", "x1,im,re\n", "x1,x2,re,im,z\n"])
-def test_csv_rejects_a_header_without_re_im(tmp_path, header):
-    path = tmp_path / "header.csv"
-    path.write_text(header)
-    with pytest.raises(ValueError, match="comb csv must end with re,im columns"):
-        comb_from_csv(path)
-
-
-def test_csv_round_trips_an_empty_3d_comb(tmp_path):
-    path = tmp_path / "empty3.csv"
-    comb_to_csv(WeightedComb(np.zeros((0, 3)), np.zeros(0)), path)
-    assert path.read_bytes() == b"x1,x2,x3,re,im\r\n"
-    back = comb_from_csv(path)
-    assert back.dim == 3 and back.n_atoms == 0
+    (min_eig,), (ok,), _ = _min_eig(gram_matrix(ac, comb.positions[idx])[None])
+    assert ok
+    assert min_eig >= -1e-8
 
 
 def test_a_norm_3d_small():

@@ -9,7 +9,6 @@ from cutproject import (
     dual_cps,
     internal_density_check,
     model_set,
-    star,
     verify_injectivity,
 )
 
@@ -28,29 +27,29 @@ def test_dimension_validation():
 
 
 def test_star_at_origin(fib):
-    assert np.array_equal(star(fib, [0, 0]), [0.0])
+    assert np.array_equal(fib.split([0, 0])[1], [0.0])
 
 
 def test_star_fibonacci_values(fib):
     # basis columns (1,1) and (tau, 1-tau): z=(1,1) maps to (1+tau, 2-tau)
-    assert star(fib, [1, 1])[0] == pytest.approx(2.0 - TAU, abs=1e-12)
+    assert fib.split([1, 1])[1][0] == pytest.approx(2.0 - TAU, abs=1e-12)
     full = fib.lat.points(np.array([1, 1]))
     assert full[0] == pytest.approx(1.0 + TAU, abs=1e-12)
-    assert star(fib, [1, 1])[0] == pytest.approx(0.3819660112501051, abs=1e-10)
+    assert fib.split([1, 1])[1][0] == pytest.approx(0.3819660112501051, abs=1e-10)
 
 
 def test_star_additive(fib):
     rng = np.random.default_rng(11)
     z1 = rng.integers(-50, 50, size=(200, 2))
     z2 = rng.integers(-50, 50, size=(200, 2))
-    lhs = star(fib, z1 + z2)
-    rhs = star(fib, z1) + star(fib, z2)
+    lhs = fib.split(z1 + z2)[1]
+    rhs = fib.split(z1)[1] + fib.split(z2)[1]
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_star_wrong_length(fib):
     with pytest.raises(ValueError, match="length"):
-        star(fib, [1, 2, 3])
+        fib.split([1, 2, 3])
 
 
 def test_model_set_matches_brute_scan(fib, fib_window):

@@ -12,14 +12,12 @@ from cutproject import (
     Window,
     autocorrelation_patch,
     gram_matrix,
-    gram_min_eigenvalue,
     lift_pd_crosscheck,
     model_comb,
     model_set,
-    restriction_check,
 )
 from cutproject.lattice import _RowIndex
-from cutproject.posdef import _check_hermitian
+from cutproject.posdef import _check_hermitian, _gram, _lower, _min_eig, _trial_blocks
 
 from .helpers import crosscheck_trial_by_trial, grouped_lookup
 
@@ -29,6 +27,12 @@ def random_autocorrelation(fib, fib_window, rng, hi=40.0):
     w = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
     comb = model_comb(fib, z, w)
     return comb, autocorrelation_patch(comb, Box([-1.0], [hi + 1.0]))
+
+
+def min_eigenvalue(f, points, refs=None):
+    """(minimum eigenvalue, PSD verdict) of f's Gram matrix over the sample points."""
+    (min_eig,), (ok,), _ = _min_eig(gram_matrix(f, points, refs)[None])
+    return min_eig, ok
 
 
 def flip_zero_weight(comb: WeightedComb) -> WeightedComb:
@@ -45,9 +49,9 @@ def test_delta_at_origin_gives_identity():
     points = np.array([[0.0], [1.3], [2.9], [4.1]])
     m = gram_matrix(f, points)
     assert np.array_equal(m, np.eye(4))
-    report = gram_min_eigenvalue(f, points)
-    assert report.min_eig == pytest.approx(1.0)
-    assert report.ok
+    min_eig, ok = min_eigenvalue(f, points)
+    assert min_eig == pytest.approx(1.0)
+    assert ok
 
 
 def test_gram_lookup_matches_in_sup_norm():
@@ -61,24 +65,24 @@ def test_gram_lookup_matches_in_sup_norm():
 def test_known_indefinite_two_point_matrix():
     # f(0) = 0, f(+-x0) = 1: matrix [[0, 1], [1, 0]] has eigenvalues -1, 1
     f = WeightedComb([[1.0], [-1.0], [0.0]], [1.0, 1.0, 0.0])
-    report = gram_min_eigenvalue(f, [[0.0], [1.0]])
-    assert report.min_eig == pytest.approx(-1.0)
-    assert not report.ok
+    min_eig, ok = min_eigenvalue(f, [[0.0], [1.0]])
+    assert min_eig == pytest.approx(-1.0)
+    assert not ok
 
 
 def test_autocorrelation_is_psd(fib, fib_window):
     rng = np.random.default_rng(101)
     comb, ac = random_autocorrelation(fib, fib_window, rng)
     idx = rng.choice(comb.n_atoms, size=min(50, comb.n_atoms), replace=False)
-    report = gram_min_eigenvalue(ac, comb.positions[idx])
-    assert report.ok
-    assert report.min_eig >= -1e-8
+    min_eig, ok = min_eigenvalue(ac, comb.positions[idx])
+    assert ok
+    assert min_eig >= -1e-8
 
 
 def test_non_hermitian_rejected():
     f = WeightedComb([[1.0], [-1.0]], [1.0, 0.5])
     with pytest.raises(ValueError, match="not Hermitian"):
-        gram_min_eigenvalue(f, [[0.0], [1.0]])
+        gram_matrix(f, [[0.0], [1.0]])
 
 
 def test_hermitian_check_warns_within_its_tolerance():
@@ -104,9 +108,9 @@ def test_rank_one_gram_matrices_pass_within_psd_tol(freq):
     # (both frequencies, numpy 2.4), which PSD_TOL absorbs
     ints = np.arange(-40.0, 41.0)
     f = WeightedComb(ints[:, None], np.exp(2j * np.pi * freq * ints))
-    report = gram_min_eigenvalue(f, np.arange(40.0)[:, None])
-    assert report.ok
-    assert abs(report.min_eig) < 1e-12
+    min_eig, ok = min_eigenvalue(f, np.arange(40.0)[:, None])
+    assert ok
+    assert abs(min_eig) < 1e-12
 
 
 def test_hermitian_check_needs_every_mirror_ref(fib, fib_window):
@@ -135,7 +139,7 @@ def test_lookup_with_refs_ignores_positions(fib, fib_window):
 def test_eigen_budget():
     f = WeightedComb([[0.0]], [1.0])
     with pytest.raises(ValueError, match="budget"):
-        gram_min_eigenvalue(f, np.linspace(0, 1, 501)[:, None])
+        gram_matrix(f, np.linspace(0, 1, 501)[:, None])
 
 
 def test_gram_matrix_hermitian_and_residual(fib, fib_window):
@@ -167,39 +171,6 @@ def test_extension_by_zero_block_structure():
     m = gram_matrix(f, pts)
     assert m[0, 2] == 0 and m[0, 3] == 0 and m[1, 2] == 0 and m[1, 3] == 0
     assert m[2, 3] != 0 or m[2, 2] != 0
-
-
-def test_restriction_check_pd_function(fib, fib_window):
-    rng = np.random.default_rng(23)
-    comb, ac = random_autocorrelation(fib, fib_window, rng)
-    report = restriction_check(ac, comb.positions, trials=20, seed=5, config_size=25)
-    assert report.ok
-    assert np.all(report.min_eigs >= -1e-6)
-
-
-def test_restriction_check_flags_non_pd(fib, fib_window):
-    rng = np.random.default_rng(29)
-    comb, ac = random_autocorrelation(fib, fib_window, rng)
-    bad = flip_zero_weight(ac)
-    report = restriction_check(bad, comb.positions, trials=5, seed=5, config_size=25)
-    assert not report.ok
-
-
-def test_restriction_check_checks_hermitian_once_per_comb(fib, fib_window, monkeypatch):
-    from cutproject import posdef
-
-    rng = np.random.default_rng(23)
-    comb, ac = random_autocorrelation(fib, fib_window, rng)
-    checked = []
-    check = posdef._check_hermitian
-    monkeypatch.setattr(posdef, "_check_hermitian", lambda f: (checked.append(f.dim), check(f)))
-    report = restriction_check(ac, comb.positions, trials=20, seed=5, config_size=25)
-    assert report.ok and checked == [1]
-    w = ac.weights.copy()
-    w[int(np.argmax(np.linalg.norm(ac.positions, axis=1)))] += 1.0
-    bad = WeightedComb(ac.positions, w, refs=ac.refs, validate=False)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        restriction_check(bad, comb.positions, trials=20, seed=5, config_size=25)
 
 
 def test_crosscheck_pd_both_sides(fib):
@@ -241,8 +212,8 @@ def test_crosscheck_sign_flip_pair_detected(fib):
     w[target] = -w[target]
     w[mirror] = -w[mirror]
     bad = WeightedComb(gamma.positions, w, refs=gamma.refs, validate=False)
-    report = gram_min_eigenvalue(bad, gamma.positions[np.abs(gamma.weights) > 0.2 * mags.max()][:40])
-    assert not report.ok
+    _, ok = min_eigenvalue(bad, gamma.positions[np.abs(gamma.weights) > 0.2 * mags.max()][:40])
+    assert not ok
 
 
 def test_crosscheck_checks_hermitian_once_per_comb(fib, monkeypatch):
@@ -331,15 +302,18 @@ def test_trial_blocks_match_one_trial_at_a_time(fib, fib_window):
     rng = np.random.default_rng(23)
     comb, ac = random_autocorrelation(fib, fib_window, rng, hi=80.0)
     assert comb.n_atoms > 25
-    report = restriction_check(ac, comb.positions, trials=30, seed=5, config_size=25, refs=comb.refs)
+    blocks = list(_trial_blocks(5, comb.n_atoms, 25, 30))
+    assert [(b.start, b.stop) for b, _ in blocks] == [(0, 20), (20, 30)]
     draws = np.random.default_rng(5)
-    want = []
-    for _ in range(30):
-        idx = draws.choice(comb.n_atoms, size=25, replace=False)
-        want.append(gram_min_eigenvalue(ac, comb.positions[idx], refs=comb.refs[idx]).min_eig)
-    assert report.min_eigs.tobytes() == np.array(want).tobytes()
+    got, want = [], []
+    for _, idx in blocks:
+        got.extend(_min_eig(_lower(np.append(ac.weights, 0)[_gram(ac, comb.positions, comb.refs, idx)], 25))[0])
+        for i in idx:
+            assert np.array_equal(i, draws.choice(comb.n_atoms, size=25, replace=False))
+            want.append(min_eigenvalue(ac, comb.positions[i], comb.refs[i])[0])
+    assert np.array(got).tobytes() == np.array(want).tobytes()
     with pytest.raises(ValueError, match="budget"):
-        restriction_check(ac, np.linspace(0, 1, 501)[:, None], trials=2, seed=5, config_size=501)
+        gram_matrix(ac, np.linspace(0, 1, 501)[:, None])
 
 
 def _moved_off_strip(lift, rows):

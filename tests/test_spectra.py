@@ -22,7 +22,6 @@ from cutproject import (
     TruncationError,
     TruncationSpec,
     Window,
-    atomic_profile,
     box_profile,
     density,
     diffraction,
@@ -31,7 +30,6 @@ from cutproject import (
     make_cutoff,
     model_set,
     norm_bound_check,
-    oracle_amplitude,
     oracle_amplitudes,
     pair_fibered,
     pairing_values,
@@ -40,7 +38,6 @@ from cutproject import (
     spectrum_metadata_json,
     spectrum_to_csv,
     trapezoid_profile,
-    unit_cell_decay_constant,
 )
 from cutproject.cli import parse_config_text, resolve_config
 from cutproject.lattice import lattice_points_in_box
@@ -71,7 +68,7 @@ def test_transform_at_zero_equals_total():
     profiles = [
         box_profile(Box([0.0, -1.0], [1.5, 2.0])),
         trapezoid_profile([0.0, 0.5], [1.0, 0.75], [0.25, 0.5]),
-        atomic_profile([[0.2], [0.9]], [1.0 + 2.0j, -0.5]),
+        Atomic([[0.2], [0.9]], [1.0 + 2.0j, -0.5]),
     ]
     for profile in profiles:
         tf = profile.transform()
@@ -259,20 +256,17 @@ def test_closed_forms_bit_for_bit(m):
 
 
 PUBLIC_NAMES = [
-    "AlmostPeriodScan", "AtomicTransform", "Box", "BudgetError", "CrosscheckReport",
-    "CutProjectScheme", "Cutoff", "DensityReport", "DiffractionSpectrum", "GramReport",
-    "InjectivityReport", "InternalProfile", "Lattice", "MotifAtom", "MotifAtomFiber",
-    "MotifDensityFiber", "PeriodicMeasure", "ProjectedDensity", "ProjectionResult",
-    "RestrictionReport", "SeparableTransform", "TruncationError", "TruncationSpec",
-    "WeightedComb", "Window", "a_norm", "atomic_profile", "autocorrelation_patch",
-    "box_profile", "comb", "comb_from_csv", "comb_to_csv", "cps", "density", "descent",
-    "diffraction", "dual", "dual_cps", "eps_norm_almost_periods", "gram_matrix",
-    "gram_min_eigenvalue", "internal_density_check", "lattice", "lattice_comb_transform",
-    "lattice_points_in_box", "lift", "lift_pd_crosscheck", "make_cutoff", "meyer_gap",
-    "model_comb", "model_set", "norm_bound_check", "oracle_amplitude", "oracle_amplitudes",
-    "pair_fibered", "pairing_values", "posdef", "project", "restriction_check", "spectra",
-    "spectral_projector", "spectrum_metadata_json", "spectrum_to_csv", "star", "strip_comb",
-    "trapezoid_profile", "unit_cell_decay_constant", "verify_injectivity",
+    "AlmostPeriodScan", "Atomic", "Axis", "Box", "BudgetError", "CrosscheckReport",
+    "CutProjectScheme", "DensityReport", "DiffractionSpectrum", "InjectivityReport", "Lattice",
+    "MotifAtom", "MotifAtomFiber", "MotifDensityFiber", "PeriodicMeasure", "ProjectedDensity",
+    "ProjectionResult", "Separable", "TruncationError", "TruncationSpec", "WeightedComb",
+    "Window", "a_norm", "autocorrelation_patch", "box_profile", "comb", "cps", "density",
+    "descent", "diffraction", "dual", "dual_cps", "eps_norm_almost_periods", "gram_matrix",
+    "internal_density_check", "lattice", "lattice_comb_transform", "lattice_points_in_box",
+    "lift", "lift_pd_crosscheck", "make_cutoff", "model_comb", "model_set", "norm_bound_check",
+    "oracle_amplitudes", "pair_fibered", "pairing_values", "posdef", "project", "spectra",
+    "spectral_projector", "spectrum_metadata_json", "spectrum_to_csv", "strip_comb",
+    "trapezoid_profile", "verify_injectivity",
 ]
 
 
@@ -282,25 +276,17 @@ def test_public_names_still_resolve():
     missing = [name for name in PUBLIC_NAMES if not hasattr(cutproject, name)]
     assert missing == []
     assert set(PUBLIC_NAMES) <= set(cutproject.__all__)
-    # the older type names are the unified types
-    assert isinstance(box_profile(Box([0.0], [1.0])), cutproject.InternalProfile)
-    assert isinstance(atomic_profile([[0.5]], [1.0]), cutproject.InternalProfile)
-    assert isinstance(make_cutoff(Box([0.0], [1.0]), 0.1), cutproject.Cutoff)
-    assert atomic_profile([[0.5]], [1.0]).transform().phase == -1
-    assert cutproject.AtomicTransform([[0.5]], [1.0]).phase == -1
 
 
 def test_atomic_transform_is_the_trigonometric_sum():
-    from cutproject import AtomicTransform
-
     points, weights = [[0.25], [0.75]], [1.0, -0.5j]
     xi = np.linspace(-3.0, 3.0, 13)[:, None]
     expected = np.array(
         [sum(w * np.exp(-2j * np.pi * x[0] * p[0]) for p, w in zip(points, weights)) for x in xi]
     )
-    got = AtomicTransform(points, weights).value(xi)
+    got = Atomic(points, weights, phase=-1).value(xi)
     assert np.max(np.abs(got - expected)) < 1e-12
-    assert np.array_equal(got, atomic_profile(points, weights).transform().value(xi))
+    assert np.array_equal(got, Atomic(points, weights).transform().value(xi))
 
 
 @pytest.mark.parametrize("phase", [-1, 1])
@@ -332,13 +318,21 @@ def test_atomic_transform_memory_does_not_grow_with_the_atoms():
     assert peak < 3 * 8 * spectra.BLOCK_ELEMENTS  # the phases, their cosines, and slack
 
 
+@pytest.mark.parametrize("points, weights", [([], []), ([[0.5]], []), ([[0.5], [0.7]], [1.0])],
+                         ids=["empty", "one_point_no_weight", "two_points_one_weight"])
+def test_atomic_rejects_unequal_points_and_weights(points, weights):
+    # [] for points reads as one point of dimension 0
+    with pytest.raises(ValueError, match="equal length"):
+        Atomic(points, weights)
+
+
 def test_atomic_value_matches_in_sup_norm():
-    profile = atomic_profile([[0.25, 0.5], [0.75, 0.5]], [1.0, -2.0j])
+    profile = Atomic([[0.25, 0.5], [0.75, 0.5]], [1.0, -2.0j])
     # sup distance 0.9e-9 (Euclidean 1.27e-9) is within BOUNDARY_TOL; 1.1e-9 is not
     assert profile.value([0.25 + 0.9e-9, 0.5 - 0.9e-9]) == 1.0
     assert profile.value([0.75 + 1.1e-9, 0.5]) == 0.0
     # two atoms within tolerance of one point: the lowest index wins, not the nearest
-    close = atomic_profile([[0.0], [1.5e-9]], [1.0, 2.0])
+    close = Atomic([[0.0], [1.5e-9]], [1.0, 2.0])
     assert close.value([1e-9]) == 1.0
 
 
@@ -386,7 +380,7 @@ def test_peak_phase_sign_pinning(fib):
         1.1708203932499369: -0.170820393249937,
     }
     for k, kstar in dual_pts.items():
-        orc = oracle_amplitude(fib, window, profile, [k], 800.0)
+        orc = oracle_amplitudes(fib, window, profile, [[k]], 800.0)[0]
         frozen = DENS * tf.value(np.array([[PEAK_PHASE_SIGN * kstar]]))[0]
         flipped = DENS * tf.value(np.array([[-PEAK_PHASE_SIGN * kstar]]))[0]
         assert abs(orc - frozen) < 1e-3
@@ -399,7 +393,7 @@ def test_oracle_two_radius_convergence(fib):
     spec = fib_spectrum(fib)
     strongest = spec.ks[np.argsort(-np.abs(spec.amplitudes))[1]]  # skip k = 0
     closed = spec.amplitudes[np.argsort(-np.abs(spec.amplitudes))[1]]
-    errs = [abs(oracle_amplitude(fib, window, profile, strongest, radius) - closed)
+    errs = [abs(oracle_amplitudes(fib, window, profile, [strongest], radius)[0] - closed)
             for radius in (500.0, 2000.0)]
     assert errs[1] < errs[0]
 
@@ -410,14 +404,14 @@ def test_oracle_far_from_bragg_is_small(fib):
     spec = fib_spectrum(fib, threshold=0.05)
     for k_far in (0.7341, 2.191817):
         assert np.min(np.abs(spec.ks[:, 0] - k_far)) > 1e-3
-        value = oracle_amplitude(fib, window, profile, [k_far], 2000.0)
+        value = oracle_amplitudes(fib, window, profile, [[k_far]], 2000.0)[0]
         assert abs(value) < 0.05 * np.max(np.abs(spec.amplitudes))
 
 
 def test_oracle_at_zero_is_point_density(fib):
     window = Window(Box([0.0], [1.0]))
     profile = box_profile(Box([0.0], [1.0]))
-    value = oracle_amplitude(fib, window, profile, [0.0], 2000.0)
+    value = oracle_amplitudes(fib, window, profile, [[0.0]], 2000.0)[0]
     assert value.imag == 0.0
     assert value.real == pytest.approx(DENS, rel=0.01)
 
@@ -651,7 +645,7 @@ def test_diffraction_requires_covering_cutoff(fib):
 
 def test_diffraction_rejects_atomic_profile(fib):
     window = Window(Box([0.0], [1.0]))
-    profile = atomic_profile([[0.5]], [1.0])
+    profile = Atomic([[0.5]], [1.0])
     cutoff = make_cutoff(Box([0.0], [1.0]), 0.1)
     with pytest.raises(ValueError, match="decay"):
         diffraction(fib, window, profile, Box([-1.0], [1.0]), 0.01, cutoff)
@@ -950,9 +944,9 @@ def test_pairing_rejects_spatial_atomic_fiber(pair):
     # a point mass at 0.25 paired at shift 0 would be f(0.25), not the cutoff's value 1 there
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
     with pytest.raises(ValueError, match=r"phase-0.*transform\(\) or dual_transform\(\)"):
-        pair(f, atomic_profile([[0.25]], [1.0]), [[0.0]])
+        pair(f, Atomic([[0.25]], [1.0]), [[0.0]])
     with pytest.raises(ValueError, match="phase-0"):
-        pair(make_cutoff(Box([0.0], [1.0]), 0.1), atomic_profile([[0.25]], [1.0]).transform(), [[0.0]])
+        pair(make_cutoff(Box([0.0], [1.0]), 0.1), Atomic([[0.25]], [1.0]).transform(), [[0.0]])
 
 
 def test_project_rejects_spatial_f(fib):
@@ -986,7 +980,7 @@ def test_pairing_atomic_fiber_closed_form():
          [[0.0, 0.0], [0.3, -0.7], [-1.2, 2.5]]),
     ]
     for points, weights, under, shifts in cases:
-        fiber = atomic_profile(points, weights).transform()
+        fiber = Atomic(points, weights).transform()
         m = len(points[0])
         f = make_cutoff(Box([0.0] * m, [1.0] * m), 0.1).dual_transform()
         vals, tails = pairing_values(f, fiber, shifts, TruncationSpec())
@@ -1155,7 +1149,7 @@ def test_project_cover_matches_a_wide_radius(case):
 
 def test_project_atomic_fiber_needs_an_internal_radius(fib):
     # a trigonometric-sum fiber does not decay, so no cover bounds its pairing
-    rho = lattice_comb_transform(fib, atomic_profile([[0.25], [0.6]], [1.0, 0.5]))
+    rho = lattice_comb_transform(fib, Atomic([[0.25], [0.6]], [1.0, 0.5]))
     f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
     with pytest.raises(ValueError, match="no pairing decay; set an explicit internal_radius"):
         project(rho, f, Box([-3.0], [3.0]), 1e-3)
@@ -1283,7 +1277,7 @@ def test_unit_window_sum_bound_is_tight_for_the_config_cutoff():
 
 
 def test_unit_cell_decay_constant_value():
-    c1, tail = unit_cell_decay_constant()
+    c1, tail = spectra._unit_cell_decay_constant()
     assert tail < 1e-6
     # analytic value of the cell-sup sum: 1 + pi * tanh(pi)
     assert c1 == pytest.approx(1.0 + np.pi * np.tanh(np.pi), abs=2e-6)

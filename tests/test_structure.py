@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -94,3 +95,61 @@ def test_every_float_constant_has_a_contract_row():
     missing = [f"{name}.{constant}" for name in TOLERANCE_MODULES
                for constant in _float_constants(name, modules[name]) if f"`{name}.{constant}`" not in first]
     assert not missing
+
+
+def _references(path: Path) -> set:
+    """Every identifier, attribute, imported name and string constant of a file: the tracer of
+    ``perfbench/`` binds its layers by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _types_named(node: ast.stmt) -> set:
+    """The names in a function's return annotation and in the exceptions it raises, or in a
+    class's field annotations; none for an assignment."""
+    parts = []
+    if isinstance(node, ast.FunctionDef):
+        parts = [node.returns] + [getattr(n.exc, "func", n.exc) for n in ast.walk(node) if isinstance(n, ast.Raise)]
+    elif isinstance(node, ast.ClassDef):
+        parts = [n.annotation for n in node.body if isinstance(n, ast.AnnAssign)]
+    return {n.id for part in parts if part for n in ast.walk(part) if isinstance(n, ast.Name)}
+
+
+def test_every_public_name_has_a_user():
+    # a name in __all__ passes when a .py file outside tests/, other than its own module and
+    # __init__.py, uses it, or tests/test_acceptance.py does; when it is a class that a passing
+    # name returns, holds as a field type or raises; or when a README line names it with the
+    # statement of the paper it reproduces
+    import cutproject
+
+    root = PACKAGE.parents[1]
+    public = {name for name in cutproject.__all__ if not inspect.ismodule(getattr(cutproject, name))}
+    defs = {}  # name: (the module that defines or assigns it, that statement)
+    for stem, tree in _modules().items():
+        for node in tree.body:
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     else [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)])
+            defs.update((name, (PACKAGE / f"{stem}.py", node)) for name in names)
+    users = {path: _references(path) for path in root.rglob("*.py")
+             if path.relative_to(root).parts[0] in ("src", "scripts", "perfbench")
+             and path.name != "__init__.py" or path == root / "tests" / "test_acceptance.py"}
+    passing = {name for name in public
+               if any(name in found for path, found in users.items() if path != defs[name][0])}
+    paper = [line for line in README.read_text().splitlines() if re.search(r"\bpaper", line)]
+    passing |= {name for name in public if any(f"`{name}`" in line for line in paper)}
+    while True:
+        grown = passing | public & {t for name in passing for t in _types_named(defs[name][1])}
+        if grown == passing:
+            break
+        passing = grown
+    unused = sorted(public - passing)
+    assert not unused, f"public names without a user: {unused}"

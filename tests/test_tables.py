@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cutproject import WeightedComb, comb_from_csv, comb_to_csv, spectrum_to_csv
+from cutproject import spectrum_to_csv
 from cutproject import cli
 from cutproject import tables as tables_module
 from cutproject.almost import AlmostPeriodScan
@@ -32,7 +32,6 @@ from cutproject.tables import _POW_LO, _decimal_tables, _write_table
 from .helpers import (
     reference_write_table,
     rowwise_almostperiods_csv,
-    rowwise_comb_csv,
     rowwise_modelset_csv,
     rowwise_oracle_csv,
     rowwise_spectrum_csv,
@@ -143,33 +142,6 @@ def test_almostperiods_table_matches_rowwise(monkeypatch, tmp_path, capsys, d):
     assert capsys.readouterr().out == summary
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_comb_table_matches_rowwise(tmp_path, d):
-    rng = np.random.default_rng(500 + d)
-    c = WeightedComb(floats(rng, (300, d)), complexes(rng, 300), validate=False)
-    path = tmp_path / "comb.csv"
-    comb_to_csv(c, path)
-    assert path.read_bytes() == rowwise_comb_csv(c).encode()
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_comb_csv_crlf_round_trip(tmp_path, d):
-    rng = np.random.default_rng(600 + d)
-    positions = np.arange(200.0 * d).reshape(200, d) * 1.5 - 10.0
-    positions[0] = -0.0
-    positions[1] = 1e308
-    if d == 2:  # kept apart from row 0 by its second coordinate
-        positions[2, 0] = 5e-324
-    c = WeightedComb(positions, complexes(rng, 200, FINITE_SPECIAL))
-    path = tmp_path / "comb.csv"
-    comb_to_csv(c, path)
-    data = path.read_bytes()
-    assert data.count(b"\r\n") == 201 and data.count(b"\n") == 201
-    back = comb_from_csv(path)
-    assert np.array_equal(back.positions.view(np.int64), c.positions.view(np.int64))
-    assert np.array_equal(back.weights.view(np.int64), c.weights.view(np.int64))
-
-
 def test_table_chunks_join_to_one_table(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(700)
     columns = [floats(rng, 10), rng.integers(INT64.min, INT64.max, 10), floats(rng, 10)]
@@ -211,10 +183,10 @@ def test_diffract_stdout_equals_out_file(tmp_path, capsys):
 # the encoder against the chunked ``%`` reference writer
 
 
-def table_text(writer, columns, newline="\n") -> str:
+def table_text(writer, columns) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
-        writer(None, [f"c{j}" for j in range(len(columns))], columns, newline)
+        writer(None, [f"c{j}" for j in range(len(columns))], columns)
     return buf.getvalue()
 
 
@@ -258,11 +230,11 @@ def tables(draw):
 
 
 @settings(max_examples=300)
-@given(tables(), st.sampled_from(["\n", "\r\n"]), st.sampled_from([1, 3, None]))
-def test_write_table_matches_percent_writer(columns, newline, chunk):
-    expected = table_text(reference_write_table, columns, newline)
+@given(tables(), st.sampled_from([1, 3, None]))
+def test_write_table_matches_percent_writer(columns, chunk):
+    expected = table_text(reference_write_table, columns)
     with mock.patch.object(tables_module, "_TABLE_CHUNK", chunk or max(len(columns[0]), 1)):
-        assert table_text(_write_table, columns, newline) == expected
+        assert table_text(_write_table, columns) == expected
 
 
 def test_write_table_matches_percent_writer_on_random_bits():
