@@ -157,6 +157,26 @@ class Lattice:
         """The box rows eliminated once per lattice, for ``lattice_points_in_box``."""
         return _fourier_motzkin(self)
 
+    @cached_property
+    def _bound_rows(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """``_elimination`` as ``_points_in_boxes`` reads it: arrays (lam, dropped) and the levels.
+
+        ``lam`` and ``dropped`` stack every level's multipliers and dropped
+        coefficients, so one product per box forms every right-hand side.  Level
+        k is (its rows of them, ``a[:, :k]``, ``a[:, k]`` as a column, how many
+        rows bound z_k from above); those rows come first.
+        """
+        levels, lams, drops, start = [], [], [], 0
+        for k, (a, lam, dropped) in enumerate(self._elimination):
+            up_first = np.argsort(a[:, k] < 0, kind="stable")
+            a, lam, dropped = a[up_first], lam[up_first], dropped[up_first]
+            levels.append((slice(start, start + len(a)), _readonly(a[:, :k]), _readonly(a[:, k : k + 1]),
+                           int((a[:, k] > 0).sum())))
+            lams.append(lam)
+            drops.append(dropped)
+            start += len(a)
+        return _readonly(np.concatenate(lams)), _readonly(np.concatenate(drops)), levels
+
 
 def density(lat: Lattice) -> float:
     """Points per unit volume, 1 / |det basis|."""
@@ -168,21 +188,21 @@ def dual(lat: Lattice) -> Lattice:
     return Lattice(lat.inv_basis.T.copy())
 
 
-def _integer_ranges(lat: Lattice, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate integer bounds covering the preimage of ``box``.
+def _integer_ranges(lat: Lattice, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate integer bounds covering the preimages of the boxes [lo, hi], one row each.
 
-    Interval arithmetic on inv_basis applied to the box makes the cover
+    Interval arithmetic on inv_basis applied to each box makes the cover
     complete; the small pad absorbs floating-point rounding.
     """
-    at_lo, at_hi = lat.inv_basis * box.lo, lat.inv_basis * box.hi
-    s_lo = np.minimum(at_lo, at_hi).sum(axis=1)
-    s_hi = np.maximum(at_lo, at_hi).sum(axis=1)
+    at_lo, at_hi = lat.inv_basis * lo[:, None, :], lat.inv_basis * hi[:, None, :]
+    s_lo = np.minimum(at_lo, at_hi).sum(axis=2)
+    s_hi = np.maximum(at_lo, at_hi).sum(axis=2)
     reach = np.maximum(np.abs(s_lo), np.abs(s_hi))  # nan propagates
     far = ~(reach <= 2.0**53)  # beyond it consecutive integers are not distinct floats
     if far.any():
-        i = int(np.argmax(far))
+        b, i = np.argwhere(far)[0]
         raise BudgetError(
-            f"enumeration budget exceeded: the box's preimage reaches |z{i}| = {reach[i]:.3e} "
+            f"enumeration budget exceeded: the box's preimage reaches |z{i}| = {reach[b, i]:.3e} "
             "> 2**53; shrink the box or use a better-conditioned basis"
         )
     pad = 1e-6 + 1e-12 * reach
@@ -250,7 +270,10 @@ def _fourier_motzkin(lat: Lattice) -> list[tuple[np.ndarray, np.ndarray, np.ndar
         a = np.concatenate([a[~bounding], new_a[keep]])
         lam = np.concatenate([lam[~bounding], new_lam[keep]])
         dropped = np.concatenate([dropped[~bounding], new_dropped[keep]])
-        _, first = np.unique(lam > 0, axis=0, return_index=True)
+        # one row per support; its packed bits, column 0 the most significant, sort
+        # as ``np.unique(lam > 0, axis=0)`` sorts the rows, and far faster
+        support = np.packbits(lam > 0, axis=1)
+        _, first = np.unique(support.view(f"V{support.shape[1]}")[:, 0], return_index=True)
         a, lam, dropped = a[first], lam[first], dropped[first]
     return [tuple(_readonly(x) for x in level) for level in reversed(levels)]
 
@@ -276,46 +299,91 @@ def lattice_points_in_box(
     Prefixes are expanded level by level, z_0 outermost, as int64 columns,
     each range clamped to the interval-arithmetic cover of the preimage, so
     rows come out in lexicographic order of z.  Positions are then filtered
-    against the box with ``Box.contains``: the output is the same whichever
+    against the box as ``Box.contains`` filters: the output is the same whichever
     complete system produced the candidates.  The cost follows the candidates,
     not the output (a thin, long box's preimage spans far more prefixes than
     it holds points); BudgetError is raised before a level passes ``budget``.
     """
-    if box.dim != lat.n:
-        raise ValueError(f"box dimension {box.dim} does not match lattice dimension {lat.n}")
-    empty = (np.zeros((0, lat.n), dtype=np.int64), np.zeros((0, lat.n)))
-    if box.is_empty:
-        return empty
-    cover_lo, cover_hi = _integer_ranges(lat, box)
-    if (cover_hi < cover_lo).any():
-        return empty
+    return _points_in_boxes(lat, [box], budget)
+
+
+def _points_in_boxes(lat: Lattice, boxes: list[Box], budget: int = DEFAULT_BUDGET
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``lattice_points_in_box`` of each box, concatenated box after box, in one pass.
+
+    The prefixes of all boxes are expanded together, level by level, each
+    box's prefixes kept consecutive, so a list of boxes pays each level's
+    fixed costs once.  Each box keeps its own right-hand sides, cover and budget:
+    ``budget`` bounds the candidates of each box's levels, not their sum, and a
+    box over it raises the error its own call raises, the first such box's.
+    One box needs no box indices and broadcasts its bounds instead.
+    """
+    for box in boxes:
+        if box.dim != lat.n:
+            raise ValueError(f"box dimension {box.dim} does not match lattice dimension {lat.n}")
+    try:
+        return _expand_boxes(lat, boxes, budget)
+    except BudgetError:
+        if len(boxes) > 1:  # box by box, as the boxes' own calls would meet it
+            for box in boxes:
+                _expand_boxes(lat, [box], budget)
+        raise
+
+
+def _expand_boxes(lat: Lattice, boxes: list[Box], budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The body of ``_points_in_boxes``; its BudgetError is the first over-budget level's."""
+    lo = np.array([box.lo for box in boxes]).reshape(-1, lat.n)
+    hi = np.array([box.hi for box in boxes]).reshape(-1, lat.n)
+    nonempty = (lo <= hi).all(axis=1)
+    lo, hi = lo[nonempty], hi[nonempty]
+    cover_lo, cover_hi = _integer_ranges(lat, lo, hi)
+    live = (cover_lo <= cover_hi).all(axis=1)
+    if not live.any():
+        return np.zeros((0, lat.n), dtype=np.int64), np.zeros((0, lat.n))
+    # one column per box that can hold a point, from here on
+    lo, hi = lo[live].T - BOUNDARY_TOL, hi[live].T + BOUNDARY_TOL
+    cover_lo, cover_hi = cover_lo[live].T, cover_hi[live].T
     m = np.maximum(np.abs(cover_lo), np.abs(cover_hi)).astype(float)
 
-    b0 = np.concatenate([box.hi + BOUNDARY_TOL, -(box.lo - BOUNDARY_TOL)])
+    b0 = np.concatenate([hi, -lo])
     mag = np.abs(lat.basis) @ m
-    b0 = b0 + _ROW_PAD * (np.concatenate([mag, mag]) + np.abs(b0))  # so lam @ b0 carries the slack
+    b0 = b0 + _ROW_PAD * (np.concatenate([mag, mag]) + np.abs(b0))  # so lam b0 carries the slack
+    lam, dropped, levels = lat._bound_rows
+    rhs = lam @ b0 + dropped @ m  # one row per row of every level
+    single = lo.shape[1] == 1
+    sizes = np.ones(lo.shape[1], dtype=np.int64)  # each box's prefixes, which are consecutive
+
+    def per_prefix(x):  # the last axis of a per-box array, one entry per prefix; one box broadcasts
+        return x if single else np.repeat(x, sizes, axis=-1)
+
     cols = []  # z_0..z_{k-1} of every prefix
-    for k, (a, lam, dropped) in enumerate(lat._elimination):
-        c = a[:, k]
-        pos, neg = c > 0, c < 0
-        prefix = np.stack(cols, axis=1, dtype=float) if cols else np.zeros((1, 0))
-        rhs = (lam @ b0 + dropped @ m) - prefix @ a[:, :k].T
-        up = np.min(rhs[:, pos] / c[pos], axis=1, initial=np.inf)
-        down = np.max(rhs[:, neg] / c[neg], axis=1, initial=-np.inf)
-        first = np.ceil(np.fmax(down, cover_lo[k])).astype(np.int64)
-        last = np.floor(np.fmin(up, cover_hi[k])).astype(np.int64)
+    for k, (part, a, c, n_up) in enumerate(levels):
+        prefix = np.array(cols, dtype=float) if cols else np.zeros((0, len(sizes)))
+        bound = a @ prefix  # in place from here: fresh (rows, prefixes) temporaries cost page faults
+        np.subtract(per_prefix(rhs[part]), bound, out=bound)
+        bound /= c  # z_k <= bound on the first n_up rows, >= bound on the others
+        up = np.min(bound[:n_up], axis=0, initial=np.inf)
+        down = np.max(bound[n_up:], axis=0, initial=-np.inf)
+        first = np.ceil(np.fmax(down, per_prefix(cover_lo[k]))).astype(np.int64)
+        last = np.floor(np.fmin(up, per_prefix(cover_hi[k]))).astype(np.int64)
         counts = np.maximum(last - first + 1, 0)
-        total = int(counts.sum())
-        if total > budget:
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        # each box's candidates: what ends gains over the box's prefixes
+        sizes = ends[-1:] if single else np.diff(np.append(0, ends)[np.append(0, np.cumsum(sizes))])
+        over = sizes[sizes > budget]
+        if len(over):  # a box's own candidates, not all boxes' together, are held to the budget
             raise BudgetError(
-                f"enumeration budget exceeded: {total} candidates for coordinate z{k} > "
+                f"enumeration budget exceeded: {over[0]} candidates for coordinate z{k} > "
                 f"budget {budget}; raise `budget = ...` in the config or pass --budget"
             )
         cols = [np.repeat(col, counts) for col in cols]
-        cols.append(np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(total))
+        cols.append(np.repeat(first - (ends - counts), counts) + np.arange(total))
 
     p = lat._positions(cols)
-    keep = box.contains(p.T)
+    keep = np.ones(p.shape[1], dtype=bool)  # ``Box.contains`` of each point's box
+    for row, row_lo, row_hi in zip(p, lo, hi):
+        keep &= (row >= per_prefix(row_lo)) & (row <= per_prefix(row_hi))
     return tuple(np.stack([col[keep] for col in a], axis=1) for a in (cols, p))
 
 

@@ -46,6 +46,8 @@ from .lattice import (
     Lattice,
     _first_near,
     _near,
+    _points_in_boxes,
+    _row_key,
     density,
     lattice_points_in_box,
 )
@@ -918,15 +920,24 @@ def _fiber_cover(transform: Separable | _CompactPairing, target: float, radii: n
 
 def _cover_points(lat: Lattice, physical: Box, cover: list[Box], budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points of ``physical`` times the union of the ``cover`` boxes, each once and
-    in lexicographic z order, as one enumeration of a box holding the union lists them."""
-    found = [lattice_points_in_box(lat, Box.product(physical, part), budget=budget) for part in cover]
-    z, p = np.concatenate([zs for zs, _ in found]), np.concatenate([ps for _, ps in found])
-    if len(cover) > 1:  # the boxes share closed faces
-        order = np.lexsort(z.T[::-1])
-        z, p = z[order], p[order]
+    in lexicographic z order, as one enumeration of a box holding the union lists them.
+
+    All boxes go through one ``_points_in_boxes`` pass; their rows, each box's in
+    z order, are ordered by one sort of their ``_row_key`` (``lexsort`` where it
+    would overflow), and a z on a closed face that two boxes share is kept once.
+    """
+    z, p = _points_in_boxes(lat, [Box.product(physical, part) for part in cover], budget)
+    if len(cover) > 1:
+        key = _row_key(z)
+        if key is None:  # the rows span more than one int64 key: sort on the columns
+            order = np.lexsort(z.T[::-1])
+            step = (np.diff(z[order], axis=0) != 0).any(axis=1)
+        else:  # each box's rows are one run of increasing keys
+            order = np.argsort(key, kind="stable")
+            step = np.diff(key[order]) != 0
         first = np.ones(len(z), dtype=bool)
-        first[1:] = (z[1:] != z[:-1]).any(axis=1)
-        z, p = z[first], p[first]
+        first[1:] = step
+        z, p = z[order[first]], p[order[first]]
     return z, p
 
 

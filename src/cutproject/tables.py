@@ -21,10 +21,10 @@ _POW_LO, _POW_HI = -300, 350  # index k - _POW_LO: 10**k and exponent 16 - k, ea
 # Relative distance from a half-integer within which a product's rint is not trusted: twice the
 # eps / 2 + eps / 2 of the power's and the product's roundings, + 2**-106 for a wider longdouble.
 _TIE_BOUND = 2 * float(np.finfo(np.longdouble).eps) + 2.0 ** -106
-# Slots: every byte a value's text can hold, then two for the separator after it (the first kept).
+# Slots: every byte a value's text can hold, then one for the separator after it.
 # Float: sign, "0.000", the 17 digits each followed by a point slot, "e", exponent sign, 3 digits.
-_FLOAT_ROW = b"-0.000" + b"0." * 16 + b"0e+000" + b"\0\0"
-_INT_ROW = b"-" + b"0" * 19 + b"\0\0"
+_FLOAT_ROW = b"-0.000" + b"0." * 16 + b"0e+000" + b"\0"
+_INT_ROW = b"-" + b"0" * 19 + b"\0"
 
 
 class _Decimal(NamedTuple):
@@ -90,7 +90,7 @@ def _decimal_tables() -> _Decimal:
     float_keeps[..., 6:39:2] = np.arange(17) < np.maximum(sig, whole)[..., None]
     float_keeps[..., 7:38:2] = np.arange(16) == np.where(sig > whole, whole - 1, -1)[..., None]
     float_keeps[..., 39:41] = float_keeps[..., 42:44] = ~fixed[..., None]
-    float_keeps[..., 41], float_keeps[..., 44] = layout == 22, True  # 44: the separator's first
+    float_keeps[..., 41], float_keeps[..., 44] = layout == 22, True  # 44: the separator
     int_keeps = np.zeros((2, 20, len(_INT_ROW)), bool)
     int_keeps[..., 0], int_keeps[..., 20] = np.arange(2)[:, None], True
     int_keeps[..., 1:20] = np.arange(19) >= 19 - np.maximum(np.arange(20), 1)[:, None]
@@ -101,7 +101,7 @@ def _decimal_tables() -> _Decimal:
 
 def _encode_floats(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
     """Write the (rows, k) values ``x`` into (rows, k, ``_FLOAT_ROW``) views: the kept ``chars``
-    of a value are ``"%.17g" % x``, and the separator's first keep slot is set.
+    of a value are ``"%.17g" % x``, and the separator's keep slot is set.
 
     The 17 digits are ``rint`` of |x| * 10**(16 - e), one longdouble product with
     e = floor(log10|x|), moved by one where the product leaves [1e16, 1e17).
@@ -142,9 +142,9 @@ def _encode_floats(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
     chars[..., 40:44].view(np.uint32)[..., 0] = np.take(t.exponents, ix)
     row = np.take(t.layouts, ix) + np.signbit(x) * (23 * 18) + (17 - tails)
     np.take(t.float_keeps, row, axis=0, out=keep, mode="clip")  # "raise" would copy out
-    rest = (*np.nonzero(~exact), slice(None, -2))  # each written over its slot but the separator's
+    rest = (*np.nonzero(~exact), slice(None, -1))  # each written over its slot but the separator
     if len(rest[0]):
-        text = np.array(["%.17g" % v for v in x[rest[:2]].tolist()], f"S{len(_FLOAT_ROW) - 2}")
+        text = np.array(["%.17g" % v for v in x[rest[:2]].tolist()], f"S{len(_FLOAT_ROW) - 1}")
         chars[rest] = text = text.view(np.uint8).reshape(len(rest[0]), -1)
         keep[rest] = text != 0
 
@@ -175,7 +175,7 @@ def _write_table(path, header, columns) -> None:
     n, is_int = len(columns[0]), [col.dtype.kind in "iu" for col in columns]
     ends = np.cumsum([len(_INT_ROW if i else _FLOAT_ROW) for i in is_int])
     chars, keep = (np.empty((min(n, _TABLE_CHUNK), ends[-1]), dtype) for dtype in (np.uint8, bool))
-    chars[:, ends - 2] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)  # encoders keep these
+    chars[:, ends - 1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)  # encoders keep these
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _TABLE_CHUNK):

@@ -13,7 +13,7 @@ from cutproject._version import __version__
 from cutproject.almost import MIN_DIAMETERS, AlmostPeriodScan, _accepted_max_gap
 from cutproject.comb import _sum_groups
 from cutproject.cps import dual_cps
-from cutproject.lattice import (BOUNDARY_TOL, DEFAULT_BUDGET, MERGE_TOL, _group_rows, density,
+from cutproject.lattice import (_TINY_TERM, BOUNDARY_TOL, DEFAULT_BUDGET, MERGE_TOL, _group_rows, density,
                                 lattice_points_in_box)
 from cutproject.spectra import BLOCK_ELEMENTS, PEAK_PHASE_SIGN, _fiber_radii, _gl_grid
 
@@ -116,6 +116,65 @@ def fibonacci_strip_points(lat: Lattice, query: Box, window: Box):
     p = lat.points(z)
     keep = query.contains(p[:, :1]) & window.contains(p[:, 1:])
     return {tuple(row) for row in z[keep]}
+
+
+def fourier_motzkin_axis0(lat: Lattice):
+    """``lattice._fourier_motzkin`` with its rows of one support found by ``np.unique(axis=0)``.
+
+    The elimination as it was before its supports were packed into one key
+    per row; the library's levels must equal these bit for bit.
+    """
+    n = lat.n
+    w = np.abs(lat.inv_basis).sum(axis=1)
+    a0 = np.concatenate([lat.basis, -lat.basis])
+    a0_w = np.abs(a0) @ w
+    a, lam, dropped = a0, np.eye(2 * n), np.zeros((2 * n, n))
+    levels = []
+    for k in range(n - 1, -1, -1):
+        weight = lam @ a0_w
+        tiny = np.abs(a) * w <= _TINY_TERM * weight[:, None]
+        dropped = dropped + np.where(tiny, np.abs(a), 0.0)
+        a = np.where(tiny, 0.0, a)
+        live = (a != 0).any(axis=1)
+        scale = weight[live, None]
+        a, lam, dropped = a[live] / scale, lam[live] / scale, dropped[live] / scale
+        c = a[:, k]
+        bounding = c != 0
+        levels.append((a[bounding, : k + 1], lam[bounding], dropped[bounding]))
+        if k == 0:
+            break
+        pos, neg = c > 0, c < 0
+        up = [x[pos] / c[pos, None] for x in (a, lam, dropped)]
+        down = [x[neg] / -c[neg, None] for x in (a, lam, dropped)]
+        new_a, new_lam, new_dropped = [
+            (p[:, None, :] + q[None, :, :]).reshape(-1, p.shape[1]) for p, q in zip(up, down)
+        ]
+        new_a[:, k] = 0.0
+        keep = (new_lam > 0).sum(axis=1) <= n - k + 1
+        a = np.concatenate([a[~bounding], new_a[keep]])
+        lam = np.concatenate([lam[~bounding], new_lam[keep]])
+        dropped = np.concatenate([dropped[~bounding], new_dropped[keep]])
+        _, first = np.unique(lam > 0, axis=0, return_index=True)
+        a, lam, dropped = a[first], lam[first], dropped[first]
+    return list(reversed(levels))
+
+
+def cover_points_box_by_box(lat: Lattice, physical: Box, cover: list, budget: int):
+    """``spectra._cover_points`` with one ``lattice_points_in_box`` call per cover box.
+
+    The rows of all boxes are put in lexicographic z order by ``lexsort`` and
+    each z is kept once, as the cover was listed before its boxes shared one
+    enumeration pass.
+    """
+    found = [lattice_points_in_box(lat, Box.product(physical, part), budget=budget) for part in cover]
+    z, p = np.concatenate([zs for zs, _ in found]), np.concatenate([ps for _, ps in found])
+    if len(cover) > 1:
+        order = np.lexsort(z.T[::-1])
+        z, p = z[order], p[order]
+        first = np.ones(len(z), dtype=bool)
+        first[1:] = (z[1:] != z[:-1]).any(axis=1)
+        z, p = z[first], p[first]
+    return z, p
 
 
 def full_box_diffraction(cps, profile, query: Box, threshold: float, cutoff,

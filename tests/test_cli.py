@@ -782,7 +782,14 @@ def test_elimination_runs_once_per_lattice(monkeypatch, capsys):
             return real(*args, **kwargs)
         return call
 
+    def counted_boxes(real):  # one entry per box of one pass
+        def call(lat, box_list, budget):
+            boxes.extend(box_list)
+            return real(lat, box_list, budget)
+        return call
+
     monkeypatch.setattr(lattice, "_fourier_motzkin", counted(builds, lattice._fourier_motzkin))
+    monkeypatch.setattr(spectra, "_points_in_boxes", counted_boxes(spectra._points_in_boxes))
     for module in (spectra, cps):
         monkeypatch.setattr(module, "lattice_points_in_box", counted(boxes, module.lattice_points_in_box))
 

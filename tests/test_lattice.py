@@ -12,7 +12,8 @@ from cutproject import lattice
 from cutproject.lattice import _group_rows, _row_key
 
 from .conftest import TAU
-from .helpers import brute_lattice_points, brute_points_around, brute_z_range, rowwise_points
+from .helpers import (brute_lattice_points, brute_points_around, brute_z_range, fourier_motzkin_axis0,
+                      rowwise_points)
 
 FIB_BASIS = [[1.0, TAU], [1.0, 1.0 - TAU]]
 
@@ -349,6 +350,101 @@ def test_elimination_rows_combine_the_box_rows(basis):
         combined = lam @ a0
         full = np.pad(a, ((0, 0), (0, lat.n - k - 1)))
         assert (np.abs(combined - full) <= dropped + 1e-14 * (lam @ np.abs(a0))).all()
+
+
+@st.composite
+def eliminated_bases(draw):
+    """A nonsingular basis, n = 1-4, entries in [-2, 2], some scaled by 1e-13 so that the
+    elimination drops their terms."""
+    n = draw(st.integers(1, 4))
+    basis = np.array([[draw(st.floats(-2.0, 2.0)) * draw(st.sampled_from([1.0, 1.0, 1e-13]))
+                       for _ in range(n)] for _ in range(n)])
+    try:
+        Lattice(basis)
+    except ValueError:
+        assume(False)
+    return basis
+
+
+@settings(max_examples=200)
+@given(eliminated_bases())
+def test_elimination_rows_of_one_support_by_packed_key(basis):
+    # the packed support keys keep the rows, and the order, of np.unique(axis=0)
+    got, want = lattice._fourier_motzkin(Lattice(basis)), fourier_motzkin_axis0(Lattice(basis))
+    assert len(got) == len(want)
+    for level, ref in zip(got, want):
+        for x, y in zip(level, ref):
+            assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@st.composite
+def lattice_and_box_lists(draw):
+    """A lattice, n = 1-4 with condition number at most 4, and a list of 1-12 boxes: boxes
+    around lattice points up to about 1e4 out, empty boxes, pairs that share the face a
+    lattice point lies on, and 1e-3 boxes between lattice points, whose integer cover is
+    often empty."""
+    n = draw(st.integers(1, 4))
+    basis = np.eye(n) + np.array([[draw(st.floats(-0.5, 0.5)) for _ in range(n)] for _ in range(n)])
+    assume(np.linalg.cond(basis) <= 4.0)
+    lat = Lattice(basis)
+    count = draw(st.integers(1, 12))
+    boxes = []
+    while len(boxes) < count:
+        reach = 10 ** draw(st.integers(0, 4))
+        z0 = np.array([draw(st.integers(-reach, reach)) for _ in range(n)])
+        kind = draw(st.sampled_from(["around", "empty", "shared face", "between"]))
+        if kind == "between":
+            centre = lat.points(z0 + 0.5)
+            boxes.append(Box(centre - 5e-4, centre + 5e-4))
+            continue
+        p0 = lat.points(z0)
+        lo = p0 - np.array([draw(st.floats(0.0, 1.5)) for _ in range(n)])
+        hi = p0 + np.array([draw(st.floats(0.0, 1.5)) for _ in range(n)])
+        i = draw(st.integers(0, n - 1))
+        if kind == "empty":
+            hi[i] = lo[i] - draw(st.sampled_from([1e-9, 1.0]))
+        if kind == "shared face":
+            boxes.append(Box(lo, np.where(np.arange(n) == i, p0, hi)))
+            lo[i] = p0[i]
+        boxes.append(Box(lo, hi))
+    return lat, boxes
+
+
+@settings(max_examples=80)
+@given(lattice_and_box_lists())
+def test_points_in_boxes_match_one_call_per_box(case):
+    lat, boxes = case
+    z, p = lattice._points_in_boxes(lat, boxes)
+    found = [lattice_points_in_box(lat, box) for box in boxes]
+    assert np.array_equal(z, np.concatenate([zs for zs, _ in found]))
+    assert np.array_equal(p.view(np.int64), np.concatenate([ps for _, ps in found]).view(np.int64))
+    # the brute scan keeps points within its tolerance of an empty box too
+    assert np.array_equal(z, np.concatenate([brute_points_around(lat, box)[0] for box in boxes if not box.is_empty]
+                                            or [z[:0]]))
+
+
+def test_points_in_boxes_one_box_between_lattice_points():
+    # the integer cover of a box between the points of Z^2 is empty: no level runs
+    z, p = lattice._points_in_boxes(Lattice(np.eye(2)), [Box([0.3, 0.3], [0.4, 0.4])] * 2)
+    assert z.shape == (0, 2) and z.dtype == np.int64 and p.shape == (0, 2)
+
+
+def test_points_in_boxes_budget_is_per_box():
+    lat = Lattice(np.eye(2))
+    square = Box([0.0, 0.0], [9.0, 9.0])  # 10 candidates for z0, then 100 for z1
+    z, _ = lattice._points_in_boxes(lat, [square] * 3, budget=150)  # 300 candidates for z1 in all
+    assert len(z) == 300
+    # box by box, the first box over budget raises, whichever level meets it first
+    long_z1 = Box([0.0, 0.0], [0.0, 199.0])  # 1 candidate for z0, 200 for z1
+    long_z0 = Box([0.0, 0.0], [199.0, 0.0])  # 200 candidates for z0
+    for boxes, k in (([square, Box([0.0, 0.0], [19.0, 9.0])], 1), ([long_z1, long_z0], 1), ([long_z0, long_z1], 0)):
+        with pytest.raises(BudgetError) as own:
+            for box in boxes:
+                lattice_points_in_box(lat, box, budget=150)
+        with pytest.raises(BudgetError) as got:
+            lattice._points_in_boxes(lat, boxes, budget=150)
+        assert str(got.value) == str(own.value)
+        assert f"200 candidates for coordinate z{k} > budget 150" in str(got.value)
 
 
 @st.composite

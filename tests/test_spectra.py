@@ -40,15 +40,15 @@ from cutproject import (
     trapezoid_profile,
 )
 from cutproject.cli import parse_config_text, resolve_config
-from cutproject.lattice import lattice_points_in_box
+from cutproject.lattice import _points_in_boxes, lattice_points_in_box
 from cutproject import spectra
 from cutproject.spectra import (PEAK_PHASE_SIGN, QUADRATURE_REL_TOL, Atomic, Axis, AxisEnvelope,
                                 ProjectedDensity, Separable, _axis_pair_once,
                                 _compact_axis_pair, _CompactPairing, _dual_blocks, _gl_grid)
 
 from .conftest import TAU
-from .helpers import (full_box_diffraction, mp_compact_axis_pair, panel_compact_axis_pair,
-                      per_shift_axis_pair, random_schemes)
+from .helpers import (cover_points_box_by_box, full_box_diffraction, mp_compact_axis_pair,
+                      panel_compact_axis_pair, per_shift_axis_pair, random_schemes)
 
 DENS = 1.0 / np.sqrt(5.0)
 
@@ -568,16 +568,17 @@ def test_diffraction_matches_full_box(case):
 
 
 def _counting_enumeration(monkeypatch):
-    """Patch ``spectra.lattice_points_in_box`` to record the rows of each call."""
-    calls = []
+    """Patch ``spectra._points_in_boxes`` to record each box it is given and the rows it lists."""
+    boxes, rows = [], []
 
-    def counting(lat, box, budget):
-        z, p = lattice_points_in_box(lat, box, budget=budget)
-        calls.append(z)
+    def counting(lat, box_list, budget):
+        z, p = _points_in_boxes(lat, box_list, budget)
+        boxes.extend(box_list)
+        rows.append(z)
         return z, p
 
-    monkeypatch.setattr(spectra, "lattice_points_in_box", counting)
-    return calls
+    monkeypatch.setattr(spectra, "_points_in_boxes", counting)
+    return boxes, rows
 
 
 def test_diffraction_cover_drops_shared_face_points(monkeypatch):
@@ -590,11 +591,30 @@ def test_diffraction_cover_drops_shared_face_points(monkeypatch):
     profile = box_profile(Box([-half, -half], [half, half]))
     cutoff = make_cutoff(window.bounding_box(), 0.1)
     query = Box([-2.0, -2.0], [2.0, 2.0])
-    calls = _counting_enumeration(monkeypatch)
+    boxes, calls = _counting_enumeration(monkeypatch)
     got = diffraction(cps, window, profile, query, 0.002, cutoff)
     rows = np.concatenate(calls)
-    assert len(calls) > 1 and len(np.unique(rows, axis=0)) < len(rows)
+    assert len(boxes) > 1 and len(np.unique(rows, axis=0)) < len(rows)
     _assert_same_spectrum(got, full_box_diffraction(cps, profile, query, 0.002, cutoff))
+
+
+def test_cover_points_match_one_enumeration_per_box(monkeypatch):
+    # the 2+2 config's 11 cover boxes in one pass give the spectrum of one call per box
+    cfg = resolve_config(parse_config_text((Path(__file__).resolve().parents[1] / "configs" /
+                                            "ammann_beenker.toml").read_text()))
+    args = (cfg.scheme, cfg.window, cfg.profile, cfg.query, cfg.threshold, cfg.cutoff(), cfg.budget)
+    got = diffraction(*args)
+    monkeypatch.setattr(spectra, "_cover_points", cover_points_box_by_box)
+    _assert_same_spectrum(got, diffraction(*args))
+    # rows 3e6 apart on three axes span more than an int64 radix key holds: lexsort orders
+    # them; the first two boxes share the face z1 = 1
+    lat = Lattice(np.eye(4))
+    cover = [Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), Box([1.0, 0.0, 0.0], [2.0, 1.0, 1.0]),
+             Box([3e6, 3e6, 3e6], [3e6 + 1, 3e6, 3e6])]
+    z, p = spectra._cover_points(lat, Box([0.0], [1.0]), cover, 1000)
+    want_z, want_p = cover_points_box_by_box(lat, Box([0.0], [1.0]), cover, 1000)
+    assert spectra._row_key(z) is None and len(z) == 2 * 12 + 4
+    assert np.array_equal(z, want_z) and np.array_equal(p.view(np.int64), want_p.view(np.int64))
 
 
 @pytest.mark.parametrize("config, threshold, box_profile_line, factor", [
@@ -607,7 +627,7 @@ def test_diffraction_enumerates_about_its_peaks(monkeypatch, config, threshold, 
         text = "\n".join(line for line in text.splitlines() if not line.startswith("profile"))
         text += f'\nprofile = "box"\n{box_profile_line}\n'
     cfg = resolve_config(parse_config_text(text))
-    calls = _counting_enumeration(monkeypatch)
+    _, calls = _counting_enumeration(monkeypatch)
     spec = diffraction(cfg.scheme, cfg.window, cfg.profile, cfg.query, threshold, cfg.cutoff(), cfg.budget)
     assert spec.n_peaks > 0
     assert sum(len(z) for z in calls) < factor * spec.n_peaks
