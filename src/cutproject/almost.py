@@ -242,7 +242,7 @@ def eps_norm_almost_periods(
     a_box: Box,
     eps: float,
     candidates,
-    shifts=None,
+    shifts,
 ) -> AlmostPeriodScan:
     """Evaluate || T^t comb - comb ||_A on the overlap interior for each candidate t.
 
@@ -255,13 +255,12 @@ def eps_norm_almost_periods(
     distance from an accepted t to its nearest accepted neighbour, which
     bounds no hole: two tight clusters far apart give a small value.
 
-    ``shifts`` optionally gives, parallel to the candidates, the integer translate whose image
-    is each t; the comb must then carry ``refs``, and one ``ref_index.find`` of refs + shift per
-    block of candidates matches each translated atom exactly with the original it lands on; a
-    pair more than ``MERGE_TOL`` apart raises ``ValueError``.  Without shifts, one ``find`` per
-    block meets each translated atom with the lowest-index original within ``MERGE_TOL``.  A
-    block of about ``_LOOKUP_CHUNK`` atom rows is one pass over (candidate, atom) arrays for the
-    matches, weights and live-and-inside masks.  For d = 1 the atoms are sorted once per scan,
+    ``shifts`` gives, parallel to the candidates, the integer translate whose image is each t,
+    and the comb carries ``refs``: one ``ref_index.find`` of refs + shift per block of
+    candidates matches each translated atom exactly with the original it lands on, and a pair
+    more than ``MERGE_TOL`` apart raises ``ValueError``.  A block of about ``_LOOKUP_CHUNK`` atom
+    rows is one pass over (candidate, atom) arrays for the matches, weights and
+    live-and-inside masks.  For d = 1 the atoms are sorted once per scan,
     so for every t the translated copy and the unmatched originals are two sorted runs; each
     candidate merges them and takes one ``_sweep``, the sweep of ``a_norm``.  For d >= 2 the
     distinct coordinates of each axis are found once per scan; per block one stable argsort
@@ -278,12 +277,12 @@ def eps_norm_almost_periods(
         raise ValueError("candidate translations must be finite")
     if comb.n_atoms == 0:
         raise ValueError("cannot scan an empty comb")
-    if shifts is not None:
-        if comb.refs is None:
-            raise ValueError("shifts need a comb that carries integer coordinates")
-        shifts = np.atleast_2d(np.asarray(shifts, dtype=np.int64))
-        if shifts.shape != (len(cands), comb.refs.shape[1]):
-            raise ValueError("shifts must hold one integer row per candidate translation")
+    if comb.refs is None:
+        raise ValueError("shifts need a comb that carries integer coordinates: "
+                         "build it with model_comb, strip_comb or lift")
+    shifts = np.atleast_2d(np.asarray(shifts, dtype=np.int64))
+    if shifts.shape != (len(cands), comb.refs.shape[1]):
+        raise ValueError("shifts must hold one integer row per candidate translation")
     extent, span, n, on_line = comb.extent, a_box.sides, comb.n_atoms, comb.dim == 1
 
     # every overlap extent ∩ (extent + t) at once, as Box.intersect(Box.shifted) computes it
@@ -327,39 +326,27 @@ def _translate_blocks(comb: WeightedComb, order: np.ndarray, cands: np.ndarray, 
 
     Yields (block, moved, weights, alone), the atoms taken in ``order``: row r
     is candidate block[r], its translated atoms at moved[r] with weights[r] =
-    w_i + (-w_j) when atom i meets original j, and the originals no atom
-    meets, where alone[r], with weights -w_j.  Atoms meet by the rules of
-    ``eps_norm_almost_periods``; without shifts, an original met twice stays
-    with the lower-index atom.
+    w_i + (-w_j) when atom i meets original j, refs_i + shifts[k] = refs_j, and
+    the originals no atom meets, where alone[r], with weights -w_j.
     """
     n = comb.n_atoms
     pos, wts = comb.positions[order], np.append(comb.weights[order], 0)  # slot n: met nothing
-    refs = None if shifts is None else comb.refs[order].T.copy()
+    refs = comb.refs[order].T.copy()
     slot = np.append(np.argsort(order), n)  # an atom's index in ``order``
     per = max(1, _LOOKUP_CHUNK // n)
     for first in range(0, len(ks), per):
         block = ks[first : first + per]
-        if shifts is not None:  # column-major rows, as find reads them
-            found = comb.find(None, (shifts[block].T[:, :, None] + refs[:, None, :])
-                              .reshape(len(refs), -1).T)
+        found = comb.ref_index.find(  # column-major rows, as find reads them
+            (shifts[block].T[:, :, None] + refs[:, None, :]).reshape(len(refs), -1).T)
         moved = pos + cands[block][:, None, :]  # after the lookup, the block's largest step
-        match = np.take(slot, comb.find(moved.reshape(-1, comb.dim)) if shifts is None else found)
-        match, found = match.reshape(len(block), n), None  # found freed: the lookup stays the peak
-        if shifts is None:  # an original met twice stays with the lower-index atom
-            row, i = np.nonzero(match < n)
-            cell = row * n + match[row, i]
-            owner = np.full(len(block) * n, n)
-            np.minimum.at(owner, cell, order[i])
-            lost = owner[cell] != order[i]
-            match[row[lost], i[lost]] = n
-        else:
-            met, near, gap = match < n, match % n, np.zeros(len(block))
-            for i in range(comb.dim):  # an axis at a time: faster than a masked max over (atom, axis)
-                gap = np.maximum(gap, np.where(met, np.abs(moved[:, :, i] - pos[near, i]), 0).max(axis=1))
-            if (gap > MERGE_TOL).any():  # the first candidate with a far pair
-                k, far = block[np.argmax(gap > MERGE_TOL)], gap[gap > MERGE_TOL][0]
-                raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
-                                 f"{cands[k].tolist()}: merged atoms {far:.3e} apart")
+        match, found = np.take(slot, found).reshape(len(block), n), None  # the lookup stays the peak
+        met, near, gap = match < n, match % n, np.zeros(len(block))
+        for i in range(comb.dim):  # an axis at a time: faster than a masked max over (atom, axis)
+            gap = np.maximum(gap, np.where(met, np.abs(moved[:, :, i] - pos[near, i]), 0).max(axis=1))
+        if (gap > MERGE_TOL).any():  # the first candidate with a far pair
+            k, far = block[np.argmax(gap > MERGE_TOL)], gap[gap > MERGE_TOL][0]
+            raise ValueError(f"shift {shifts[k].tolist()} does not translate by t = "
+                             f"{cands[k].tolist()}: merged atoms {far:.3e} apart")
         alone = np.ones((len(block), n + 1), dtype=bool)  # column n: the atoms that met none
         np.put_along_axis(alone, match, False, axis=1)
         weights = np.take(wts, match)

@@ -1,10 +1,13 @@
 """Finite-patch weighted Dirac combs and the operators acting on them.
 
 A comb is a finite list of atoms (position, complex weight) standing in for a
-translation-bounded atomic measure.  Combs supported on a lattice can carry
-the integer coordinates of their atoms.  Those coordinates are then the atom's
-identity: duplicates, merging and the lift/descent round trip are decided
-exactly on them, and only combs without them match positions within ``MERGE_TOL``.
+translation-bounded atomic measure.  Combs supported on a lattice carry the
+integer coordinates of their atoms, which are then the atom's identity:
+duplicates, merging, the autocorrelation, the lift/descent round trip and
+every lookup of an atom are decided exactly on them.  Positions are matched
+only where they arrive alone: the duplicate check of a comb without
+coordinates, the position merge of ``merge_atoms`` and ``lift``, which finds
+the coordinates of such a comb.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 # the window norm and the scan live in ``almost``; perfbench/tracer.py finds them by these names
 from .almost import a_norm, eps_norm_almost_periods  # noqa: F401
 from .cps import CutProjectScheme, Window, _model_set
-from .lattice import DEFAULT_BUDGET, MERGE_TOL, Box, _components, _first_near, _group_rows, _near, _RowIndex
+from .lattice import DEFAULT_BUDGET, MERGE_TOL, Box, _components, _group_rows, _near, _RowIndex
 
 LIFT_TOL = 1e-7  # how far an atom may sit from the lattice point it is lifted to
 
@@ -81,14 +84,6 @@ class WeightedComb:
         """``refs`` sorted once per comb, for exact lookups of atoms by coordinates."""
         return _RowIndex(self.refs)
 
-    def find(self, positions, refs=None) -> np.ndarray:
-        """Index of the atom at each query, ``n_atoms`` for none: exact on ``refs`` when the
-        comb carries them too, else the lowest-index atom within ``MERGE_TOL`` (sup norm)."""
-        if refs is not None and self.refs is not None:
-            return self.ref_index.find(np.atleast_2d(np.asarray(refs, dtype=np.int64)))
-        return _first_near(self.positions, np.atleast_2d(np.asarray(positions, dtype=float)),
-                           MERGE_TOL)
-
     @property
     def extent(self) -> Box | None:
         """Bounding box of the atoms, or None for the empty comb."""
@@ -149,10 +144,11 @@ def lift(
     """Lift a comb on R^d to the strip L ∩ (G × window): atom at x becomes atom at (x, xstar).
 
     Every atom must sit (within ``LIFT_TOL``, sup norm) on the physical part
-    of exactly one lattice point whose internal part lies in ``window``.
-    Weights and atom count are preserved.  When the input already carries integer
-    coordinates they are trusted after validation, which keeps the round trip
-    with ``descent`` exact.
+    of exactly one lattice point whose internal part lies in ``window``, and no
+    two atoms on the same one.  Weights, atom count and atom order are
+    preserved.  When the input already carries integer coordinates they are
+    trusted after validation, which keeps the round trip with ``descent`` exact;
+    otherwise this is the one route that gives a comb of positions its coordinates.
     """
     if gamma.dim != cps.d:
         raise ValueError("comb dimension does not match the scheme's physical dimension")
@@ -179,6 +175,10 @@ def lift(
         if count[i] == 0:
             raise ValueError(f"atom not on Lambda(window): no lattice point near atom {i}")
         raise ValueError(f"injectivity violation at atom {i}: two lattice points within tolerance")
+    label, first = _group_rows(z[matched])
+    if len(first) < gamma.n_atoms:
+        i = int(np.argmax(first[label] != np.arange(gamma.n_atoms)))
+        raise ValueError(f"atoms {first[label[i]]} and {i} sit on one lattice point")
     return WeightedComb(p[matched], gamma.weights, refs=z[matched], validate=False)
 
 
@@ -208,10 +208,14 @@ def autocorrelation_patch(comb: WeightedComb, region: Box) -> WeightedComb:
     """Volume-normalised autocorrelation of a finite patch.
 
     Returns (1/vol) * sum over atom pairs of w(x) conj(w(y)) at x - y, with
-    coinciding differences merged.  Only the lexicographically positive half
-    is accumulated and the negative half mirrored, so Hermitian symmetry
-    holds exactly.
+    differences merged on their integer coordinates.  Only the
+    lexicographically positive half, decided on those coordinates, is
+    accumulated and the negative half mirrored, so Hermitian symmetry holds
+    exactly.
     """
+    if comb.refs is None:
+        raise ValueError("autocorrelation_patch needs integer coordinates on the comb: "
+                         "build it with model_comb, strip_comb or lift")
     if region.volume <= 0:
         raise ValueError("zero-volume region")
     if comb.n_atoms and not region.contains(comb.positions).all():
@@ -219,32 +223,21 @@ def autocorrelation_patch(comb: WeightedComb, region: Box) -> WeightedComb:
     vol = region.volume
     n = comb.n_atoms
     if n == 0:
-        refs = None if comb.refs is None else comb.refs[:0]
-        return WeightedComb(np.zeros((0, comb.dim)), np.zeros(0, complex), refs=refs)
+        return WeightedComb(np.zeros((0, comb.dim)), np.zeros(0, complex), refs=comb.refs[:0])
 
     ii, jj = np.triu_indices(n, k=1)
     diffs = comb.positions[ii] - comb.positions[jj]
     vals = comb.weights[ii] * np.conj(comb.weights[jj])
-    refs = None
-    if comb.refs is not None:
-        # the side of a difference is decided exactly, from its integer coordinates
-        zd = comb.refs[ii] - comb.refs[jj]
-        pos_side = _lex_positive(zd)
-        refs = np.where(pos_side[:, None], zd, -zd)
-    else:
-        # a coordinate within MERGE_TOL of 0 is 0, or a difference whose exact
-        # coordinate is 0 could land on both sides as +-1e-16
-        pos_side = _lex_positive(np.where(np.abs(diffs) <= MERGE_TOL, 0.0, diffs))
+    zd = comb.refs[ii] - comb.refs[jj]
+    pos_side = _lex_positive(zd)
     plus = np.where(pos_side[:, None], diffs, -diffs)
     plus_w = np.where(pos_side, vals, np.conj(vals))
 
-    plus, plus_w, refs = merge_atoms(plus, plus_w, refs)
+    plus, plus_w, refs = merge_atoms(plus, plus_w, np.where(pos_side[:, None], zd, -zd))
 
     zero_pos = np.zeros((1, comb.dim))
     zero_w = np.array([np.sum(np.abs(comb.weights) ** 2)], dtype=complex)
     positions = np.concatenate([zero_pos, plus, -plus])
     weights = np.concatenate([zero_w, plus_w, np.conj(plus_w)]) / vol
-    out_refs = None
-    if refs is not None:
-        out_refs = np.concatenate([np.zeros((1, refs.shape[1]), np.int64), refs, -refs])
+    out_refs = np.concatenate([np.zeros((1, refs.shape[1]), np.int64), refs, -refs])
     return WeightedComb(positions, weights, refs=out_refs, validate=False)

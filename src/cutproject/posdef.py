@@ -27,8 +27,11 @@ CONFIG_SIZE = 40  # sample points per trial configuration
 
 
 def _check_hermitian(f: WeightedComb) -> None:
-    """Verify f(-t) = conj(f(t)) across the comb's atoms."""
-    mirror = np.append(f.weights, 0)[f.find(-f.positions, -f.refs if f.refs is not None else None)]
+    """Verify f(-t) = conj(f(t)) across the comb's atoms, each mirrored on its integer coordinates."""
+    if f.refs is None:
+        raise ValueError("Gram lookups need integer coordinates on the comb: "
+                         "build it with model_comb, strip_comb or lift")
+    mirror = np.append(f.weights, 0)[f.ref_index.find(-f.refs)]
     worst = float(np.max(np.abs(mirror - np.conj(f.weights)), initial=0.0))
     if worst > HERMITIAN_TOL:
         raise ValueError(f"not Hermitian: discrepancy {worst:.3e}")
@@ -36,39 +39,34 @@ def _check_hermitian(f: WeightedComb) -> None:
         warnings.warn(f"weight function only approximately Hermitian ({worst:.3e})", stacklevel=3)
 
 
-def gram_matrix(
-    f: WeightedComb,
-    points,
-    refs=None,
-) -> np.ndarray:
-    """Hermitian matrix f(x_k - x_l) over the sample points.
+def gram_matrix(f: WeightedComb, points, refs) -> np.ndarray:
+    """Hermitian matrix f(x_k - x_l) over the sample points x_k, whose integer coordinates are
+    ``refs``: each entry is looked up exactly on the coordinates of x_k - x_l.
 
     Only the upper triangle is looked up; the lower triangle is its conjugate
-    mirror, so the matrix is Hermitian by construction.  With integer
-    coordinates for both the comb and the points the lookup is exact;
-    otherwise it matches positions within ``MERGE_TOL``.
+    mirror, so the matrix is Hermitian by construction.
     """
     _check_hermitian(f)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    refs = None if refs is None else np.atleast_2d(np.asarray(refs, dtype=np.int64))
-    m = _lower(np.append(f.weights, 0)[_gram(f, pts, refs, np.arange(len(pts))[None])], len(pts))[0]
+    refs = np.atleast_2d(np.asarray(refs, dtype=np.int64))
+    if len(refs) != len(np.atleast_2d(points)):
+        raise ValueError("refs must parallel the sample points")
+    m = _lower(np.append(f.weights, 0)[_gram(f, refs, np.arange(len(refs))[None])], len(refs))[0]
     return np.where(np.tri(len(m), dtype=bool), m, np.conj(m.T))
 
 
-def _gram(f: WeightedComb, points: np.ndarray, refs: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
-    """Index of f's atom (``n_atoms`` if none) at x_k - x_l, k <= l, of each set ``points[idx[t]]``, in
-    one lookup; differences a column at a time, positions only where the lookup reads them."""
+def _gram(f: WeightedComb, refs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Index of f's atom (``n_atoms`` if none) at z_k - z_l, k <= l, of each set ``refs[idx[t]]``,
+    in one lookup; differences a column at a time."""
     n = idx.shape[1]
     if n > MAX_GRAM_POINTS:
         raise ValueError(f"too many sample points for the eigen budget ({n} > {MAX_GRAM_POINTS})")
     ii, jj = np.triu_indices(n)
-    exact = refs is not None and f.refs is not None
-    diffs = np.stack([(c[idx][:, ii] - c[idx][:, jj]).ravel() for c in (refs if exact else points).T])
-    key = _row_key(diffs.T) if exact else None  # random queries search the keys faster in key order
+    diffs = np.stack([(c[idx][:, ii] - c[idx][:, jj]).ravel() for c in refs.T])
+    key = _row_key(diffs.T)  # random queries search the keys faster in key order
     order = np.arange(diffs.shape[1]) if key is None else np.argsort(key)
     rows = np.take(diffs, order, axis=1).T  # column-major, as the lookup reads its columns
     found = np.empty(len(order), dtype=np.int64)
-    found[order] = f.find(None, rows) if exact else f.find(rows)
+    found[order] = f.ref_index.find(rows)
     return found.reshape(len(idx), len(ii))
 
 
@@ -123,7 +121,8 @@ def lift_pd_crosscheck(
 ) -> CrosscheckReport:
     """Test positive definiteness downstairs and on the lifted comb together.
 
-    Gamma is looked up once per block of trials, on its own refs if it has them.
+    Gamma is looked up once per block of trials, on its own refs, or on those
+    its lift finds when it has none.
     The lifted entry for sample points y_k, y_l of eta is eta's weight at the atom
     found for x_k - x_l if that atom lies within ``LIFT_TOL`` (sup norm) of
     y_k - y_l in G x H, else 0, so a lift that moves or reorders atoms fails
@@ -134,6 +133,8 @@ def lift_pd_crosscheck(
     eta = lift(cps, gamma, window)
     if gamma.n_atoms == 0:
         return CrosscheckReport(True, True, True, np.zeros(0), np.zeros(0), seed)
+    if gamma.refs is None:  # the lift keeps gamma's atoms in order
+        gamma = WeightedComb(gamma.positions, gamma.weights, refs=eta.refs, validate=False)
     _check_hermitian(gamma)
     wg, we = np.append(gamma.weights, 0), np.append(eta.weights, 0)  # index n_atoms: no atom
     at = np.append(eta.positions, np.full((1, eta.dim), np.inf), axis=0).T  # columns, atom n_atoms at inf
@@ -142,7 +143,7 @@ def lift_pd_crosscheck(
     size = min(CONFIG_SIZE, gamma.n_atoms)
     ii, jj = np.triu_indices(size)
     for block, idx in _trial_blocks(seed, gamma.n_atoms, size, trials):
-        found = _gram(gamma, gamma.positions, gamma.refs, idx)
+        found = _gram(gamma, gamma.refs, idx)
         gap = np.maximum.reduce([np.abs(a[found] - (a[idx][:, ii] - a[idx][:, jj])) for a in at])
         down, up = wg[found], we[np.where(gap <= LIFT_TOL, found, eta.n_atoms)]
         down_eigs[block], passed_down, _ = _min_eig(_lower(down, size))

@@ -1066,11 +1066,14 @@ def project(
     Point-in-physical motif components project to atoms on the physical
     parts of the period lattice; density components project to closed-form
     densities.  Peaks and coefficients below ``threshold`` in modulus are
-    dropped.  Each component enumerates, as ``diffraction`` does, the
+    dropped.  Each component's cover is, as in ``diffraction``, the
     ``_fiber_cover`` of its pairing's envelopes at a tenth of the threshold,
-    shifted by its internal offset, or the cube of half-side ``internal_radius``
-    when set.  Where atoms of two components meet, each has dropped its own
-    contributions below that level, and so has their merged weight.
+    shifted by minus its internal offset, or the cube of half-side
+    ``internal_radius`` when set.  Point components at one physical offset put
+    their atoms on the same positions, so each of them is paired on the union
+    of their covers, one enumeration per offset: a merged weight there misses
+    only points where every one of them is below that level.  Atoms are merged
+    on positions, since a period lattice may send many points to one.
     """
     if f.m != rho.m:
         raise ValueError("admissible function dimension must match the internal dimension")
@@ -1084,27 +1087,33 @@ def project(
     atom_weights: list[np.ndarray] = []
     densities: list[ProjectedDensity] = []
 
-    for comp in rho.motif:
-        target = floor / max(abs(comp.weight) * rho.scale, 1e-300)
-        pairing = comp.paired(f)
-        if internal_radius is None:
-            cover = _fiber_cover(pairing, target, _fiber_radii(pairing, target))
-        else:
-            cover = [Box(np.full(f.m, -float(internal_radius)), np.full(f.m, float(internal_radius)))]
-        _, p = _cover_points(rho.period, comp.offset(query), [part.shifted(-comp.internal) for part in cover],
-                             budget)
+    groups: dict = {}  # point components by physical offset, each density component alone
+    for i, comp in enumerate(rho.motif):
+        key = tuple(np.asarray(comp.phys, dtype=float).tolist()) if comp.pure_point else i
+        groups.setdefault(key, []).append((comp, comp.paired(f)))
+    for group in groups.values():
+        cover = []
+        for comp, pairing in group:
+            target = floor / max(abs(comp.weight) * rho.scale, 1e-300)
+            if internal_radius is None:
+                parts = _fiber_cover(pairing, target, _fiber_radii(pairing, target))
+            else:
+                parts = [Box(np.full(f.m, -float(internal_radius)), np.full(f.m, float(internal_radius)))]
+            cover += [part.shifted(-comp.internal) for part in parts]
+        _, p = _cover_points(rho.period, group[0][0].offset(query), cover, budget)
         if not len(p):
             continue
-        # named: numpy computes ``x * tmp`` as ``tmp * x`` on temporaries of 256 KiB or
-        # more, and the swapped complex product rounds differently (see ``Separable.value``)
-        vals = pairing.value(comp.internal + p[:, rho.d :])
-        weights = rho.scale * comp.weight * vals
-        if comp.pure_point:
-            atom_positions.append(comp.phys + p[:, : rho.d])
-            atom_weights.append(weights)
-        else:
-            keep = np.abs(weights) >= threshold
-            densities.append(ProjectedDensity(comp.density, p[:, : rho.d][keep], weights[keep]))
+        for comp, pairing in group:
+            # named: numpy computes ``x * tmp`` as ``tmp * x`` on temporaries of 256 KiB or
+            # more, and the swapped complex product rounds differently (see ``Separable.value``)
+            vals = pairing.value(comp.internal + p[:, rho.d :])
+            weights = rho.scale * comp.weight * vals
+            if comp.pure_point:
+                atom_positions.append(comp.phys + p[:, : rho.d])
+                atom_weights.append(weights)
+            else:
+                keep = np.abs(weights) >= threshold
+                densities.append(ProjectedDensity(comp.density, p[:, : rho.d][keep], weights[keep]))
 
     if atom_positions:
         pos = np.concatenate(atom_positions)

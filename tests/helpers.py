@@ -514,22 +514,23 @@ def crosscheck_trial_by_trial(cps, gamma: WeightedComb, window, trials: int, see
     """``lift_pd_crosscheck`` one trial at a time, with eta's matrix read off eta itself.
 
     Each trial draws its sample atoms by its own ``rng.choice`` call, in trial
-    order.  Gamma's matrix is that of ``gram_matrix``, and its verdict is
-    ``posdef._min_eig`` of it alone.  Eta's entry (k, l), k <= l, is the weight of its
+    order.  Gamma's matrix is that of ``gram_matrix``, on gamma's refs or, when it
+    has none, on eta's, and its verdict is ``posdef._min_eig`` of it alone.  Eta's entry (k, l), k <= l, is the weight of its
     lowest-index atom within ``LIFT_TOL`` (sup norm) of y_k - y_l in G x H, 0 if
     there is none, and the entries below the diagonal are their conjugates.  The
     matrices are compared by value, entry by entry.  The lift is
     ``posdef.lift`` at call time, so a patched lift reaches both sides.
     """
     eta = posdef.lift(cps, gamma, window)
+    if gamma.refs is None:
+        gamma = WeightedComb(gamma.positions, gamma.weights, refs=eta.refs, validate=False)
     size = min(posdef.CONFIG_SIZE, gamma.n_atoms)
     ii, jj = np.triu_indices(size)
     rng = np.random.default_rng(seed)
     downs, ups, down_ok, up_ok, equal = [], [], True, True, True
     for _ in range(trials if gamma.n_atoms else 0):
         idx = rng.choice(gamma.n_atoms, size=size, replace=False)
-        refs = None if gamma.refs is None else gamma.refs[idx]
-        down = gram_matrix(gamma, gamma.positions[idx], refs=refs)
+        down = gram_matrix(gamma, gamma.positions[idx], gamma.refs[idx])
         (min_down,), (ok_down,), _ = posdef._min_eig(down[None])
         y = eta.positions[idx]
         upper = np.zeros((size, size), dtype=complex)

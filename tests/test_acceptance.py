@@ -294,13 +294,14 @@ def test_criterion_7_norm_bound_and_almost_periods(fib):
         proj = project(spectral_projector(rho, "pp"), f, Box([-50.0], [50.0]), 0.0, 6.5)
         eps = 0.1 * float(np.max(np.abs(proj.atoms.weights)))
 
-        dual_pts, dual_pos = lattice_points_in_box(
-            dual_cps(fib).lat, Box([-80.0, -0.004], [80.0, 0.004])
-        )
+        dual = dual_cps(fib)
+        dual_pts, dual_pos = lattice_points_in_box(dual.lat, Box([-80.0, -0.004], [80.0, 0.004]))
         candidates = dual_pos[:, :1]
         cand_ts = np.sort(dual_pos[:, 0])
         candidate_bound = float(np.max(np.diff(cand_ts)))
-        scan = eps_norm_almost_periods(proj.atoms, Box([0.0], [1.0]), eps, candidates)
+        # the projected atoms are positions: the paper's lift gives them their dual-lattice refs
+        atoms = descent(dual, lift(dual, proj.atoms, Window(Box([-6.5], [6.5]))))
+        scan = eps_norm_almost_periods(atoms, Box([0.0], [1.0]), eps, candidates, shifts=dual_pts)
         # every small-internal translate qualifies
         assert np.count_nonzero(scan.accepted) == len(candidates) >= 3
         assert scan.max_gap <= candidate_bound

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from cutproject import (
     Box,
@@ -226,6 +225,14 @@ def test_lift_reports_ambiguity():
         lift(cps, gamma, search)
 
 
+def test_lift_rejects_two_atoms_on_one_lattice_point(fib):
+    # 0 and 5e-8 are more than MERGE_TOL apart, so the comb is valid, but both sit
+    # within LIFT_TOL of the one lattice point (0, 0)
+    gamma = WeightedComb([[0.0], [5e-8]], [1, 2])
+    with pytest.raises(ValueError, match="atoms 0 and 1 sit on one lattice point"):
+        lift(fib, gamma, Window(Box([-1.0], [1.0])))
+
+
 def test_lift_matches_in_sup_norm(cps2d):
     # each atom moved by (0.9e-7, 0.9e-7): sup distance 0.9e-7 is within
     # LIFT_TOL, as for merges, though the Euclidean distance 1.27e-7 is not
@@ -435,17 +442,28 @@ def test_a_norm_is_a_norm(seed):
 # almost periods
 
 
+def atom_candidates(comb, lo, hi):
+    """The distinct atom positions x in (lo, hi] of a d = 1 model comb as candidates t,
+    each with the refs of its first atom as its shift."""
+    xs = comb.positions[:, 0]
+    inside = np.flatnonzero((xs > lo) & (xs <= hi))
+    ts, first = np.unique(xs[inside], return_index=True)
+    return ts[:, None], comb.refs[inside[first]]
+
+
 def test_periodic_comb_exact_period():
-    pos = np.arange(0.0, 201.0)[:, None]
-    comb = WeightedComb(pos, np.ones(len(pos)))
-    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-6, candidates=[[1.0]])
+    # a comb on the grid hZ carries refs = positions / h, and a candidate t the shift t / h
+    z = np.arange(201)[:, None]
+    comb = WeightedComb(z, np.ones(len(z)), refs=z)
+    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-6, candidates=[[1.0]], shifts=[[1]])
     assert scan.accepted.tolist() == [True]
     assert scan.norms.tolist() == [0.0]
 
 
 def test_zero_translation_always_accepted(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=60.0)
-    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-9, candidates=[[0.0]])
+    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-9, candidates=[[0.0]],
+                                   shifts=[[0, 0]])
     assert scan.accepted.tolist() == [True]
     assert scan.norms.tolist() == [0.0]
 
@@ -454,12 +472,11 @@ def test_fibonacci_difference_candidates(fib, fib_window):
     # candidates are point differences; translations with a small internal
     # part are the ones with sparse defect sets, so they alone clear the bar
     comb = fib_patch(fib, fib_window, hi=2000.0)
-    xs = comb.positions[:, 0]
-    cands = np.unique(xs[(xs > 0) & (xs <= 100.0)])[:, None]
+    cands, shifts = atom_candidates(comb, 0.0, 100.0)
     a_box = Box([0.0], [10.0])
     peak = a_norm(comb, a_box, Box([20.0], [1980.0]))
     assert peak == 5.0
-    scan = eps_norm_almost_periods(comb, a_box, eps=0.75 * peak, candidates=cands)
+    scan = eps_norm_almost_periods(comb, a_box, eps=0.75 * peak, candidates=cands, shifts=shifts)
     assert np.count_nonzero(scan.accepted) == 7
     assert scan.ts.tobytes() == cands.tobytes()
     accepted_ts = np.sort(scan.ts[scan.accepted, 0])
@@ -470,7 +487,8 @@ def test_fibonacci_difference_candidates(fib, fib_window):
 
 def test_overlap_too_small_skipped(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=30.0)
-    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1.0, candidates=[[29.0]])
+    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1.0, candidates=[[29.0]],
+                                   shifts=[[29, 0]])
     assert scan.ts.tolist() == [[29.0]]
     assert np.isnan(scan.norms).tolist() == [True]
     assert scan.accepted.tolist() == [False]
@@ -479,16 +497,18 @@ def test_overlap_too_small_skipped(fib, fib_window):
 def test_scan_skips_overlaps_under_min_diameters():
     # unit masses on 0..30 and a unit window: t = 18 leaves an evaluation region of
     # 30 - 18 - 2 = 10 window spans, MIN_DIAMETERS, and t = 20 leaves 8
-    comb = WeightedComb(np.arange(31.0)[:, None], np.ones(31))
-    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=0.5, candidates=[[18.0], [20.0]])
+    z = np.arange(31)[:, None]
+    comb = WeightedComb(z, np.ones(31), refs=z)
+    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=0.5, candidates=[[18.0], [20.0]],
+                                   shifts=[[18], [20]])
     assert scan.norms[0] == 0.0 and np.isnan(scan.norms[1])
 
 
 def test_aperiodic_patch_tiny_eps_only_zero(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=200.0)
-    xs = comb.positions[:, 0]
-    cands = np.concatenate([[0.0], np.unique(xs[(xs > 0) & (xs <= 40.0)])])[:, None]
-    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-9, candidates=cands)
+    cands, shifts = atom_candidates(comb, 0.0, 40.0)
+    cands, shifts = np.concatenate([[[0.0]], cands]), np.concatenate([[[0, 0]], shifts])
+    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=1e-9, candidates=cands, shifts=shifts)
     assert set(scan.ts[scan.accepted, 0].tolist()) == {0.0}
 
 
@@ -496,10 +516,9 @@ def test_norm_for_two_window_choices_recorded(fib, fib_window):
     # norm almost periodicity should not depend on the window choice; at
     # finite scale only record both values, no set equality is asserted
     comb = fib_patch(fib, fib_window, hi=500.0)
-    xs = comb.positions[:, 0]
-    cands = np.unique(xs[(xs > 0) & (xs <= 30.0)])[:, None]
-    scan_a = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=0.4, candidates=cands)
-    scan_b = eps_norm_almost_periods(comb, Box([0.0], [2.5]), eps=0.4, candidates=cands)
+    cands, shifts = atom_candidates(comb, 0.0, 30.0)
+    scan_a = eps_norm_almost_periods(comb, Box([0.0], [1.0]), eps=0.4, candidates=cands, shifts=shifts)
+    scan_b = eps_norm_almost_periods(comb, Box([0.0], [2.5]), eps=0.4, candidates=cands, shifts=shifts)
     for scan in (scan_a, scan_b):  # every candidate scanned, none skipped
         assert len(scan.norms) == len(cands)
         assert not np.isnan(scan.norms).any()
@@ -531,7 +550,7 @@ SCHEMES = _schemes()
 @settings(max_examples=40)
 @given(st.sampled_from(sorted(SCHEMES)), st.floats(-3000.0, 3000.0), st.floats(0.6, 1.0),
        st.booleans(), st.integers(0, 60), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
-def test_exact_shift_merge_matches_float_merge(name, offset, scale, unit, max_cands, eps, seed):
+def test_exact_shift_merge_matches_grouped_merge(name, offset, scale, unit, max_cands, eps, seed):
     cps, window, side = SCHEMES[name]
     lo = np.full(cps.d, offset)
     z = model_set(cps, window, Box(lo, lo + scale * side))
@@ -546,8 +565,7 @@ def test_exact_shift_merge_matches_float_merge(name, offset, scale, unit, max_ca
     assert len(np.unique(shifts, axis=0)) == len(shifts)
     a_box = Box(np.zeros(cps.d), np.full(cps.d, 0.5 if name == "ab" else 1.0))
     exact = eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts)
-    floats = eps_norm_almost_periods(comb, a_box, eps, cands)
-    assert_same_scan(exact, floats)
+    assert_same_scan(exact, grouped_almost_period_scan(comb, a_box, eps, cands, shifts))
 
 
 def _scheme_patch(name, offset, scale, weights_seed=None):
@@ -558,30 +576,6 @@ def _scheme_patch(name, offset, scale, weights_seed=None):
         return cps, z, np.ones(len(z))
     rng = np.random.default_rng(weights_seed)
     return cps, z, rng.integers(-2, 3, size=len(z)) + 1j * rng.normal(size=len(z))
-
-
-@settings(max_examples=30)
-@given(st.sampled_from(sorted(SCHEMES)), st.floats(-3000.0, 3000.0), st.floats(0.3, 1.0),
-       st.integers(0, 2**32 - 1))
-def test_find_by_refs_matches_find_by_position(name, offset, scale, seed):
-    cps, z, weights = _scheme_patch(name, offset, scale, weights_seed=seed)
-    assume(len(z) > 0)
-    comb = model_comb(cps, z, weights)
-    floats = WeightedComb(comb.positions, comb.weights)
-    n, rng = comb.n_atoms, np.random.default_rng(seed)
-    near = comb.positions + rng.choice([-0.9, 0.9], size=comb.positions.shape) * MERGE_TOL
-    for pos in (comb.positions, near):
-        assert np.array_equal(comb.find(pos, comb.refs), np.arange(n))
-        assert np.array_equal(floats.find(pos), np.arange(n))
-    # lattice points off the patch: their internal parts leave the window
-    far = z + 1000 * np.eye(cps.lat.n, dtype=np.int64)[0]
-    far_pos = cps.split(far)[0]
-    assert (comb.find(far_pos, far) == n).all() and (floats.find(far_pos) == n).all()
-    # points off the lattice, and atoms moved by more than MERGE_TOL
-    off = np.concatenate([comb.positions + 0.5 * rng.uniform(size=comb.positions.shape),
-                          comb.positions + 2.0 * MERGE_TOL])
-    off = off[(np.abs(off[:, None, :] - comb.positions[None, :, :]) > MERGE_TOL).any(axis=2).all(axis=1)]
-    assert (comb.find(off) == n).all() and (floats.find(off) == n).all()
 
 
 def _assert_same_candidates(cps, comb, max_cands):
@@ -746,10 +740,7 @@ def test_d2_scan_matches_grouped_merge_with_dense_norms(scheme, grow, max_cands,
         mp.setattr(helpers, "a_norm", dense_a_norm)
         want = grouped_almost_period_scan(comb, a_box, eps, cands, shifts)
     assert not np.isnan(want.norms).all()
-    # without shifts atoms meet by position, which only atoms more than MERGE_TOL apart allow
-    distinct = len(_near(comb.positions, comb.positions, MERGE_TOL)[0]) == len(z)
-    for s in (shifts, None) if distinct else (shifts,):
-        assert_same_scan(eps_norm_almost_periods(comb, a_box, eps, cands, shifts=s), want)
+    assert_same_scan(eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts), want)
 
 
 @settings(max_examples=30)
@@ -766,9 +757,8 @@ def test_scan_does_not_depend_on_atom_order(name, offset, scale, max_cands, eps,
     shuffled = model_comb(cps, z[perm], weights[perm])
     cands, shifts = _difference_candidates(cps, comb, max_cands)
     a_box = Box(np.zeros(cps.d), np.full(cps.d, 0.5 if name == "ab" else 1.0))
-    for s in (shifts, None):
-        assert_same_scan(eps_norm_almost_periods(shuffled, a_box, eps, cands, shifts=s),
-                         eps_norm_almost_periods(comb, a_box, eps, cands, shifts=s))
+    assert_same_scan(eps_norm_almost_periods(shuffled, a_box, eps, cands, shifts=shifts),
+                     eps_norm_almost_periods(comb, a_box, eps, cands, shifts=shifts))
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2 * 201 + 1])
@@ -786,35 +776,9 @@ def test_scan_blocks_with_cancelling_unmatched_and_outside_candidates(fib, rows)
         if rows is not None:
             mp.setattr(almost, "_LOOKUP_CHUNK", rows)
         exact = eps_norm_almost_periods(comb, a_box, 0.5, cands, shifts=shifts)
-        floats = eps_norm_almost_periods(comb, a_box, 0.5, cands)
     assert_same_scan(exact, want)
-    assert_same_scan(floats, want)
     assert exact.norms[[0, -2, -1]].tolist() == [0.0, 0.0, 0.0]
     assert (exact.norms[1:-2] > 0).all()
-
-
-def test_scan_without_shifts_pairs_the_lowest_index_original():
-    # the atom translated from 0 lands within MERGE_TOL of both originals at 10 and
-    # 10 + 1.5e-9: it pairs with the first, weight 1 + 3, and the second stays alone,
-    # weight -1, a window mass of 5 (merging all three gave one atom of weight 1 + 3 - 1,
-    # and the atoms translated from 10 and 10 + 1.5e-9 a window mass of 4)
-    comb = WeightedComb([[-20.0], [0.0], [10.0], [10.0 + 1.5e-9], [30.0]], [1.0, 1.0, -3.0, 1.0, 1.0])
-    scan = eps_norm_almost_periods(comb, Box([0.0], [1.0]), 1.0, [[10.0 + 0.75e-9]])
-    assert scan.norms.tolist() == [5.0]
-
-
-def test_scan_without_shifts_subtracts_every_original_once():
-    # the atoms translated from 0 and 1.5e-9 both meet the original at 0 first: the
-    # lower-index one takes it, and T^t comb - comb keeps total weight 0
-    comb = WeightedComb([[-20.0], [0.0], [1.5e-9], [30.0]], [1.0, 2.0, 3.0, 4.0])
-    t = np.array([[-0.75e-9]])
-    order = np.argsort(comb.positions[:, 0], kind="stable")  # the scan's order of the atoms
-    ((_, moved, moved_wts, alone),) = almost._translate_blocks(comb, order, t, None, np.array([0]))
-    pos = np.concatenate([moved[0], comb.positions[order][alone[0]]])
-    wts = np.concatenate([moved_wts[0], -comb.weights[order][alone[0]]])
-    assert wts.sum() == 0
-    assert pos[wts != 0].tolist() == [[1.5e-9 - 0.75e-9], [1.5e-9]]
-    assert wts[wts != 0].tolist() == [3.0, -3.0]
 
 
 def test_shift_that_does_not_match_its_translation_raises(fib, fib_window):
@@ -845,22 +809,28 @@ def test_scan_input_checks(fib, fib_window):
     comb, box = fib_patch(fib, fib_window, hi=200.0), Box([0.0], [1.0])
     for eps in (0.0, -1.0):
         with pytest.raises(ValueError, match="eps must be positive"):
-            eps_norm_almost_periods(comb, box, eps, [[0.0]])
+            eps_norm_almost_periods(comb, box, eps, [[0.0]], [[0, 0]])
     with pytest.raises(ValueError, match="candidate translations must match the comb dimension"):
-        eps_norm_almost_periods(comb, box, 1.0, [[0.0, 1.0]])
+        eps_norm_almost_periods(comb, box, 1.0, [[0.0, 1.0]], [[0, 0]])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="candidate translations must be finite"):
-            eps_norm_almost_periods(comb, box, 1.0, [[0.0], [bad]])
+            eps_norm_almost_periods(comb, box, 1.0, [[0.0], [bad]], [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="cannot scan an empty comb"):
-        eps_norm_almost_periods(WeightedComb(np.zeros((0, 1)), np.zeros(0)), box, 1.0, [[0.0]])
+        eps_norm_almost_periods(WeightedComb(np.zeros((0, 1)), np.zeros(0)), box, 1.0, [[0.0]],
+                                [[0, 0]])
 
 
 # ---------------------------------------------------------------------------
 # autocorrelation
 
 
+def test_autocorrelation_needs_refs():
+    with pytest.raises(ValueError, match="model_comb, strip_comb or lift"):
+        autocorrelation_patch(WeightedComb([[0.0], [1.0]], [1.0, 1.0]), Box([0.0], [2.0]))
+
+
 def test_autocorrelation_single_atom():
-    comb = WeightedComb([[1.0]], [1.0])
+    comb = WeightedComb([[1.0]], [1.0], refs=[[1]])
     ac = autocorrelation_patch(comb, Box([0.0], [4.0]))
     assert ac.n_atoms == 1
     assert ac.weights[0] == pytest.approx(0.25)
@@ -868,7 +838,8 @@ def test_autocorrelation_single_atom():
 
 def test_autocorrelation_integer_patch_weights():
     n = 20
-    comb = WeightedComb(np.arange(n + 1.0)[:, None], np.ones(n + 1))
+    z = np.arange(n + 1)[:, None]
+    comb = WeightedComb(z, np.ones(n + 1), refs=z)
     ac = autocorrelation_patch(comb, Box([0.0], [float(n)]))
     for k in range(n + 1):
         idx = int(np.argmin(np.abs(ac.positions[:, 0] - k)))
@@ -877,9 +848,9 @@ def test_autocorrelation_integer_patch_weights():
 
 def test_autocorrelation_hermitian_exact():
     rng = np.random.default_rng(9)
-    pos = np.sort(rng.choice(200, size=30, replace=False)) / 8.0
+    z = np.sort(rng.choice(200, size=30, replace=False))[:, None]
     w = rng.normal(size=30) + 1j * rng.normal(size=30)
-    ac = autocorrelation_patch(WeightedComb(pos[:, None], w), Box([0.0], [25.0]))
+    ac = autocorrelation_patch(WeightedComb(z / 8.0, w, refs=z), Box([0.0], [25.0]))
     lookup = {tuple(p): v for p, v in zip(ac.positions, ac.weights)}
     for p, v in lookup.items():
         assert lookup[tuple(-np.asarray(p))] == np.conj(v)
@@ -901,22 +872,6 @@ def test_autocorrelation_2x2_refs_unique_and_hermitian():
     _check_hermitian(ac)
     diff_window = Window(Box([-2.0, -2.0], [2.0, 2.0]))
     _check_hermitian(lift(cps, ac, diff_window))
-
-
-def test_autocorrelation_without_refs_has_no_float_twins():
-    # differences whose exact first coordinate is 0 come out as +-1e-16; without
-    # integer coordinates the float side decision must still put each on one
-    # side, as the refs do
-    cps = SCHEMES["ab"][0]
-    z = model_set(cps, SCHEMES["ab"][1], Box([0.0, 0.0], [8.0, 8.0]))
-    rng = np.random.default_rng(0)
-    comb = model_comb(cps, z, rng.normal(size=len(z)) + 1j * rng.normal(size=len(z)))
-    region = Box(comb.extent.lo - 1.0, comb.extent.hi + 1.0)
-    with_refs = autocorrelation_patch(comb, region)
-    bare = autocorrelation_patch(WeightedComb(comb.positions, comb.weights), region)
-    assert len(z) == 72
-    assert bare.n_atoms == with_refs.n_atoms == 727
-    assert len(cKDTree(bare.positions).query_pairs(MERGE_TOL, p=np.inf)) == 0
 
 
 def _one_box_scheme(basis, w_lo, w_hi, patch_hi):
@@ -952,25 +907,25 @@ def test_autocorrelation_counts_match_the_lift(scheme, size):
 
 def test_autocorrelation_zero_volume_region():
     with pytest.raises(ValueError, match="zero-volume"):
-        autocorrelation_patch(WeightedComb([[0.0]], [1.0]), Box([0.0], [0.0]))
+        autocorrelation_patch(WeightedComb([[0.0]], [1.0], refs=[[0]]), Box([0.0], [0.0]))
 
 
 def test_autocorrelation_rejects_a_region_of_another_dimension():
     # a 1-D comb must not be divided by the volume of a 2-D region
-    comb = WeightedComb([[0.0], [1.0]], [1.0, 1.0])
+    comb = WeightedComb([[0.0], [1.0]], [1.0, 1.0], refs=[[0], [1]])
     with pytest.raises(ValueError, match="width"):
         autocorrelation_patch(comb, Box([0.0, 0.0], [2.0, 5.0]))
 
 
 def test_autocorrelation_rejects_atoms_outside_the_region():
-    comb = WeightedComb([[0.0], [3.0]], [1.0, 1.0])
+    comb = WeightedComb([[0.0], [3.0]], [1.0, 1.0], refs=[[0], [3]])
     with pytest.raises(ValueError, match="comb atoms must lie inside the region"):
         autocorrelation_patch(comb, Box([0.0], [2.0]))
 
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_autocorrelation_of_an_empty_comb_is_empty(dim):
-    ac = autocorrelation_patch(WeightedComb(np.zeros((0, dim)), np.zeros(0)),
+    ac = autocorrelation_patch(WeightedComb(np.zeros((0, dim)), np.zeros(0), refs=np.zeros((0, dim))),
                                Box(np.zeros(dim), np.ones(dim)))
     assert ac.n_atoms == 0 and ac.dim == dim
 
@@ -993,7 +948,7 @@ def test_autocorrelation_is_positive_definite(fib, fib_window):
     comb = fib_patch(fib, fib_window, hi=40.0, rng=rng)
     ac = autocorrelation_patch(comb, Box([-1.0], [41.0]))
     idx = rng.choice(comb.n_atoms, size=min(30, comb.n_atoms), replace=False)
-    (min_eig,), (ok,), _ = _min_eig(gram_matrix(ac, comb.positions[idx])[None])
+    (min_eig,), (ok,), _ = _min_eig(gram_matrix(ac, comb.positions[idx], comb.refs[idx])[None])
     assert ok
     assert min_eig >= -1e-8
 

@@ -29,7 +29,7 @@ def random_autocorrelation(fib, fib_window, rng, hi=40.0):
     return comb, autocorrelation_patch(comb, Box([-1.0], [hi + 1.0]))
 
 
-def min_eigenvalue(f, points, refs=None):
+def min_eigenvalue(f, points, refs):
     """(minimum eigenvalue, PSD verdict) of f's Gram matrix over the sample points."""
     (min_eig,), (ok,), _ = _min_eig(gram_matrix(f, points, refs)[None])
     return min_eig, ok
@@ -45,27 +45,29 @@ def flip_zero_weight(comb: WeightedComb) -> WeightedComb:
 
 
 def test_delta_at_origin_gives_identity():
-    f = WeightedComb([[0.0]], [1.0])
-    points = np.array([[0.0], [1.3], [2.9], [4.1]])
-    m = gram_matrix(f, points)
+    # combs and points on the grid hZ carry refs = positions / h, here h = 0.1
+    f = WeightedComb([[0.0]], [1.0], refs=[[0]])
+    points, refs = np.array([[0.0], [1.3], [2.9], [4.1]]), [[0], [13], [29], [41]]
+    m = gram_matrix(f, points, refs)
     assert np.array_equal(m, np.eye(4))
-    min_eig, ok = min_eigenvalue(f, points)
+    min_eig, ok = min_eigenvalue(f, points, refs)
     assert min_eig == pytest.approx(1.0)
     assert ok
 
 
-def test_gram_lookup_matches_in_sup_norm():
-    # x0 - x1 = (-1 - 0.9e-9, -0.9e-9): sup distance 0.9e-9 from the atom at
-    # (-1, 0) is within MERGE_TOL, though the Euclidean distance 1.27e-9 is not
-    f = WeightedComb([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], [2.0, 0.5, 0.5])
-    m = gram_matrix(f, [[0.0, 0.0], [1.0 + 0.9e-9, 0.9e-9]])
-    assert np.array_equal(m, [[2.0, 0.5], [0.5, 2.0]])
+def test_gram_lookups_need_refs_on_the_comb():
+    f = WeightedComb([[0.0], [1.0], [-1.0]], [2.0, 0.5, 0.5])
+    with pytest.raises(ValueError, match="model_comb, strip_comb or lift"):
+        gram_matrix(f, [[0.0], [1.0]], [[0], [1]])
+    with_refs = WeightedComb(f.positions, f.weights, refs=[[0], [1], [-1]])
+    with pytest.raises(ValueError, match="parallel the sample points"):
+        gram_matrix(with_refs, [[0.0], [1.0]], [[0]])
 
 
 def test_known_indefinite_two_point_matrix():
     # f(0) = 0, f(+-x0) = 1: matrix [[0, 1], [1, 0]] has eigenvalues -1, 1
-    f = WeightedComb([[1.0], [-1.0], [0.0]], [1.0, 1.0, 0.0])
-    min_eig, ok = min_eigenvalue(f, [[0.0], [1.0]])
+    f = WeightedComb([[1.0], [-1.0], [0.0]], [1.0, 1.0, 0.0], refs=[[1], [-1], [0]])
+    min_eig, ok = min_eigenvalue(f, [[0.0], [1.0]], [[0], [1]])
     assert min_eig == pytest.approx(-1.0)
     assert not ok
 
@@ -74,22 +76,22 @@ def test_autocorrelation_is_psd(fib, fib_window):
     rng = np.random.default_rng(101)
     comb, ac = random_autocorrelation(fib, fib_window, rng)
     idx = rng.choice(comb.n_atoms, size=min(50, comb.n_atoms), replace=False)
-    min_eig, ok = min_eigenvalue(ac, comb.positions[idx])
+    min_eig, ok = min_eigenvalue(ac, comb.positions[idx], comb.refs[idx])
     assert ok
     assert min_eig >= -1e-8
 
 
 def test_non_hermitian_rejected():
-    f = WeightedComb([[1.0], [-1.0]], [1.0, 0.5])
+    f = WeightedComb([[1.0], [-1.0]], [1.0, 0.5], refs=[[1], [-1]])
     with pytest.raises(ValueError, match="not Hermitian"):
-        gram_matrix(f, [[0.0], [1.0]])
+        gram_matrix(f, [[0.0], [1.0]], [[0], [1]])
 
 
 def test_hermitian_check_warns_within_its_tolerance():
     # a mirror weight off by rounding passes silently; off by more than 1e-9 but at most
     # HERMITIAN_TOL (8e-7 among them) it warns; beyond it, raises
     def mirrored(off):
-        return WeightedComb([[-1.0], [0.0], [1.0]], [1.0 + off, 2.0, 1.0])
+        return WeightedComb([[-1.0], [0.0], [1.0]], [1.0 + off, 2.0, 1.0], refs=[[-1], [0], [1]])
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -106,9 +108,9 @@ def test_rank_one_gram_matrices_pass_within_psd_tol(freq):
     # the character x -> exp(2 pi i freq x) on Z is positive definite, and its Gram matrix
     # on 40 integers has rank one: the solver puts its zero eigenvalues at about -3e-14
     # (both frequencies, numpy 2.4), which PSD_TOL absorbs
-    ints = np.arange(-40.0, 41.0)
-    f = WeightedComb(ints[:, None], np.exp(2j * np.pi * freq * ints))
-    min_eig, ok = min_eigenvalue(f, np.arange(40.0)[:, None])
+    ints = np.arange(-40, 41)[:, None]
+    f = WeightedComb(ints, np.exp(2j * np.pi * freq * ints[:, 0]), refs=ints)
+    min_eig, ok = min_eigenvalue(f, ints[40:80], ints[40:80])
     assert ok
     assert abs(min_eig) < 1e-12
 
@@ -133,20 +135,19 @@ def test_lookup_with_refs_ignores_positions(fib, fib_window):
     idx = rng.choice(comb.n_atoms, size=12, replace=False)
     expected = gram_matrix(ac, comb.positions[idx], refs=comb.refs[idx])
     assert np.array_equal(gram_matrix(moved, comb.positions[idx], refs=comb.refs[idx]), expected)
-    assert not np.array_equal(gram_matrix(moved, comb.positions[idx]), expected)
 
 
 def test_eigen_budget():
-    f = WeightedComb([[0.0]], [1.0])
+    f = WeightedComb([[0.0]], [1.0], refs=[[0]])
     with pytest.raises(ValueError, match="budget"):
-        gram_matrix(f, np.linspace(0, 1, 501)[:, None])
+        gram_matrix(f, np.linspace(0, 1, 501)[:, None], np.arange(501)[:, None])
 
 
 def test_gram_matrix_hermitian_and_residual(fib, fib_window):
     rng = np.random.default_rng(7)
     comb, ac = random_autocorrelation(fib, fib_window, rng, hi=80.0)
     idx = rng.choice(comb.n_atoms, size=30, replace=False)
-    m = gram_matrix(ac, comb.positions[idx])
+    m = gram_matrix(ac, comb.positions[idx], comb.refs[idx])
     assert np.array_equal(m, np.conj(m.T))
     vals, vecs = np.linalg.eigh(m)
     for j in (0, len(vals) - 1):
@@ -154,21 +155,12 @@ def test_gram_matrix_hermitian_and_residual(fib, fib_window):
         assert residual <= 1e-8 * np.linalg.norm(m, 2)
 
 
-def test_refs_lookup_matches_position_lookup(fib, fib_window):
-    rng = np.random.default_rng(15)
-    comb, ac = random_autocorrelation(fib, fib_window, rng, hi=50.0)
-    idx = rng.choice(comb.n_atoms, size=20, replace=False)
-    m_pos = gram_matrix(ac, comb.positions[idx])
-    m_ref = gram_matrix(ac, comb.positions[idx], refs=comb.refs[idx])
-    assert np.max(np.abs(m_pos - m_ref)) < 1e-12
-
-
 def test_extension_by_zero_block_structure():
     # configuration mixing lattice points and far off-lattice points: the
     # cross entries vanish, so the matrix splits into blocks
-    f = WeightedComb([[0.0], [1.0], [-1.0]], [2.0, 1.0, 1.0])
+    f = WeightedComb([[0.0], [1.0], [-1.0]], [2.0, 1.0, 1.0], refs=[[0], [100], [-100]])
     pts = np.array([[0.0], [1.0], [0.31], [1.31]])
-    m = gram_matrix(f, pts)
+    m = gram_matrix(f, pts, [[0], [100], [31], [131]])
     assert m[0, 2] == 0 and m[0, 3] == 0 and m[1, 2] == 0 and m[1, 3] == 0
     assert m[2, 3] != 0 or m[2, 2] != 0
 
@@ -212,7 +204,8 @@ def test_crosscheck_sign_flip_pair_detected(fib):
     w[target] = -w[target]
     w[mirror] = -w[mirror]
     bad = WeightedComb(gamma.positions, w, refs=gamma.refs, validate=False)
-    _, ok = min_eigenvalue(bad, gamma.positions[np.abs(gamma.weights) > 0.2 * mags.max()][:40])
+    heavy = np.abs(gamma.weights) > 0.2 * mags.max()
+    _, ok = min_eigenvalue(bad, gamma.positions[heavy][:40], gamma.refs[heavy][:40])
     assert not ok
 
 
@@ -282,11 +275,11 @@ def test_crosscheck_looks_gamma_up_once_per_block(fib, monkeypatch):
     # 30 trials of 40 points run as blocks of 12, 12 and 6: one lookup each, plus the
     # Hermitian check's, all on gamma; eta is never looked up
     gamma, found = _crosscheck_gamma(fib), []
-    find = WeightedComb.find
-    monkeypatch.setattr(WeightedComb, "find", lambda f, *a: (found.append(f), find(f, *a))[1])
+    find = _RowIndex.find
+    monkeypatch.setattr(_RowIndex, "find", lambda index, rows: (found.append(index), find(index, rows))[1])
     report = lift_pd_crosscheck(fib, gamma, Window(Box([-1.0], [1.0])), trials=30, seed=3)
     assert report.entrywise_equal and len(found) == 1 + 3
-    assert all(f is gamma for f in found)
+    assert all(index is gamma.ref_index for index in found)
 
 
 def test_crosscheck_empty_comb(fib):
@@ -307,13 +300,13 @@ def test_trial_blocks_match_one_trial_at_a_time(fib, fib_window):
     draws = np.random.default_rng(5)
     got, want = [], []
     for _, idx in blocks:
-        got.extend(_min_eig(_lower(np.append(ac.weights, 0)[_gram(ac, comb.positions, comb.refs, idx)], 25))[0])
+        got.extend(_min_eig(_lower(np.append(ac.weights, 0)[_gram(ac, comb.refs, idx)], 25))[0])
         for i in idx:
             assert np.array_equal(i, draws.choice(comb.n_atoms, size=25, replace=False))
             want.append(min_eigenvalue(ac, comb.positions[i], comb.refs[i])[0])
     assert np.array(got).tobytes() == np.array(want).tobytes()
     with pytest.raises(ValueError, match="budget"):
-        gram_matrix(ac, np.linspace(0, 1, 501)[:, None])
+        gram_matrix(ac, np.linspace(0, 1, 501)[:, None], np.zeros((501, 2), np.int64))
 
 
 def _moved_off_strip(lift, rows):
@@ -333,7 +326,7 @@ def test_crosscheck_blocks_match_one_trial_at_a_time(fib, monkeypatch, case):
     from cutproject import posdef
 
     gamma, window = _crosscheck_gamma(fib), Window(Box([-1.0], [1.0]))
-    if case == "floats":  # no refs: gamma is looked up by position, eta lifted by the float route
+    if case == "floats":  # no refs: eta is lifted by the float route, and gamma looked up on its refs
         gamma = WeightedComb(gamma.positions, gamma.weights)
     elif case == "off_strip":  # the lift of test_pdcheck_fails_a_lift_off_the_strip
         monkeypatch.setattr(posdef, "lift", _moved_off_strip(posdef.lift, slice(None)))

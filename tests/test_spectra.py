@@ -1107,10 +1107,9 @@ def projection_cases(draw):
     at its own internal offset; a cutoff's inverse transform as f, a query
     and a threshold in [1e-4, 0.1].
 
-    The point and the fibered atom sit at physical offsets near 1/2 and -1/2,
-    so no atom of one component lands on an atom of another: where two
-    coincide, each drops its own contributions below a tenth of the threshold
-    and their merged weight can move by that much.
+    The point sits at a physical offset near 1/2, so its atoms land on no
+    other component's.  The fibered atom sits at the comb's offset 0, so each
+    of its atoms lands on one of the comb's and the two weights merge.
     """
     d, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
     rng = np.random.default_rng(draw(st.integers(0, 3)))
@@ -1135,7 +1134,7 @@ def projection_cases(draw):
     comb = lattice_comb_transform(cps, profile(m))
     motif = comb.motif + (MotifAtom(0.5 + offset(d, 0.2), offset(m, 25.0), weight()),)
     if draw(st.booleans()):
-        motif += (MotifAtomFiber(-0.5 + offset(d, 0.2), offset(m, 25.0), weight(), profile(m).transform()),)
+        motif += (MotifAtomFiber(np.zeros(d), offset(m, 25.0), weight(), profile(m).transform()),)
     if draw(st.booleans()):
         motif += (MotifDensityFiber(profile(d), profile(m).transform()),)
     plateau = offset(m, 0.5)
@@ -1165,6 +1164,19 @@ def test_project_cover_matches_a_wide_radius(case):
     for got, want in zip(derived.densities, wide.densities):
         assert np.array_equal(got.translates, want.translates)
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
+
+
+def test_project_merges_the_fiber_of_a_position():
+    # the period lattice [[0, 1], [1, 0]] sends z = (a, b) to the position b: each of the 3
+    # positions in [-1, 1] carries the 4,001 points of its fiber, so atoms are merged on
+    # positions, and each weight is the sum of f over the internal parts a in [-2000, 2000]
+    rho = PeriodicMeasure(period=Lattice([[0.0, 1.0], [1.0, 0.0]]), d=1, scale=1.0,
+                          motif=(MotifAtom(phys=np.zeros(1), internal=np.zeros(1), weight=1.0),))
+    f = make_cutoff(Box([0.0], [1.0]), 0.1).dual_transform()
+    atoms = project(rho, f, Box([-1.0], [1.0]), 1e-3, internal_radius=2000.0).atoms
+    assert atoms.positions[:, 0].tolist() == [-1.0, 0.0, 1.0]
+    fiber = f.value(np.arange(-2000.0, 2001.0)[:, None]).sum()
+    assert np.abs(atoms.weights - fiber).max() <= 1e-12 * abs(fiber)
 
 
 def test_project_atomic_fiber_needs_an_internal_radius(fib):
